@@ -21,7 +21,7 @@ from .machine import (
     redac_tile_spec,
     validate_config,
 )
-from .router import PlaceRouteReport, RoutedDesign, place_and_route, route_design
+from .router import PlaceRouteReport, RoutedDesign, route_design
 from .bitstream import DeltaScript, apply, decode_delta, diff, encode, encode_delta, image_length
 from .bitstream import decode as decode_image
 from .fabric import FabricSpec, FabricState, StageSpec, blocking_experiment, simstar_spec, switch_count
@@ -33,7 +33,7 @@ __all__ = [
     "CircuitGraph", "PolySystem", "build_circuit", "detect_algebraic_loops", "normalize",
     "CoefficientCode", "MachineConfig", "MachineSpec", "custom_spec", "decode",
     "lucidac_spec", "quantize_highres", "redac_tile_spec", "validate_config",
-    "PlaceRouteReport", "RoutedDesign", "place_and_route", "route_design",
+    "PlaceRouteReport", "RoutedDesign", "route_design",
     "DeltaScript", "apply", "decode_delta", "diff", "encode", "encode_delta", "image_length", "decode_image",
     "FabricSpec", "FabricState", "StageSpec", "blocking_experiment", "simstar_spec", "switch_count",
     "SimSettings", "Trace", "build_dynamics", "emit_traces", "run", "run_reference",

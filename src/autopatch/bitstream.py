@@ -12,7 +12,7 @@ of changes instead of the machine size.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Optional
 
@@ -219,14 +219,7 @@ def apply(config: MachineConfig, script: DeltaScript) -> MachineConfig:
                 c[op.lane] = CoefficientCode.highres(op.value)
         else:
             raise RangeError(f"unknown opcode {op.opcode}")
-    updated = MachineConfig(
-        spec=spec,
-        u_source=tuple(u),
-        coefficients=tuple(c),
-        i_dest=tuple(d),
-        initial_states=config.initial_states,
-        taps=config.taps,
-    )
+    updated = replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
     problems = validate_config(updated)
     if problems:
         raise ValidationError(problems)

@@ -10,6 +10,7 @@ several edges land on the same input port.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -193,11 +194,47 @@ class DegreeError(Exception):
 
 
 class LoopError(Exception):
-    """A cycle with no integrator on it (an algebraic loop)."""
+    """A cycle with no integrator on it (an algebraic loop).  `cycle`
+    lists its elements in signal-flow order, the first repeated last."""
 
-    def __init__(self, cycle: list[int]):
-        super().__init__(f"algebraic loop through nodes {cycle}")
+    def __init__(self, cycle: list):
+        super().__init__(f"algebraic loop without an integrator: {' -> '.join(map(str, cycle))}")
         self.cycle = cycle
+
+
+def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[int]:
+    """Order the keys of `reads` so that each comes after every key it
+    reads.  Values that are not keys are inputs and impose no order; among
+    keys whose reads are all placed, the smallest goes first.  Raises
+    LoopError naming one cycle when no such order exists.
+    """
+    pending = {k: {r for r in deps if r in reads} for k, deps in reads.items()}
+    readers: dict[int, list[int]] = {k: [] for k in reads}
+    for k, deps in pending.items():
+        for r in deps:
+            readers[r].append(k)
+    ready = [k for k, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for reader in readers[k]:
+            pending[reader].discard(k)
+            if not pending[reader]:
+                heapq.heappush(ready, reader)
+    if len(order) == len(reads):
+        return order
+    # every key left over still reads another left-over key, so following
+    # those reads from any of them must come back to a key already seen
+    key = min(k for k, deps in pending.items() if deps)
+    path: list[int] = []
+    seen: dict[int, int] = {}
+    while key not in seen:
+        seen[key] = len(path)
+        path.append(key)
+        key = min(pending[key])
+    raise LoopError((path[seen[key]:] + [key])[::-1])
 
 
 def build_circuit(
@@ -292,36 +329,11 @@ def detect_algebraic_loops(graph: CircuitGraph) -> None:
     function of their input), so only the subgraph of non-integrator nodes
     needs to be acyclic.
     """
-    combinational = {n.id for n in graph.nodes if n.kind is not NodeKind.INTEGRATOR}
-    succ: dict[int, list[int]] = {n: [] for n in combinational}
+    reads: dict[int, list[int]] = {n.id: [] for n in graph.nodes if n.kind is not NodeKind.INTEGRATOR}
     for e in graph.edges:
-        if e.src in combinational and e.dst in combinational:
-            succ[e.src].append(e.dst)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(combinational, WHITE)
-    for start in sorted(combinational):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(succ[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = succ[node][idx]
-                if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise LoopError(cycle)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
+        if e.dst in reads:
+            reads[e.dst].append(e.src)
+    dependency_order(reads)
 
 
 def format_circuit(graph: CircuitGraph) -> str:

@@ -10,6 +10,7 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ _PIPELINE_ERRORS = (
     bitstream.SpecMismatchError,
     bitstream.RangeError,
     bitstream.ValidationError,
-    sim.AlgebraicLoopError,
     sim.UnroutedTapError,
     sim.NonFiniteError,
     ValueError,
@@ -39,11 +39,12 @@ def _parse_machine(text: str) -> machine.MachineSpec:
     if text == "redac":
         return machine.redac_tile_spec()
     if text.startswith("custom:"):
-        fields = dict(item.split("=", 1) for item in text[len("custom:"):].split(","))
         try:
-            return machine.custom_spec(int(fields["i"]), int(fields["m"]), int(fields["l"]))
-        except KeyError as exc:
-            raise ValueError(f"custom machine spec needs i=, m=, l= fields (missing {exc})") from None
+            fields = dict(item.split("=", 1) for item in text[len("custom:"):].split(","))
+            i, m, l = (int(fields[key]) for key in "iml")
+        except (KeyError, ValueError):
+            raise ValueError(f"malformed machine spec {text!r} (expected custom:i=<n>,m=<n>,l=<n>)") from None
+        return machine.custom_spec(i, m, l)
     raise ValueError(f"unknown machine {text!r} (expected lucidac, redac, or custom:i=<n>,m=<n>,l=<n>)")
 
 
@@ -52,15 +53,18 @@ def _parse_fabric(text: str):
     if text == "simstar":
         return ("fabric", fabric.simstar_spec())
     if text.startswith("crossbar:"):
-        n, _, m = text[len("crossbar:"):].partition("x")
-        return ("crossbar", fabric.StageSpec(1, int(n), int(m)))
+        try:
+            n, m = (int(v) for v in text[len("crossbar:"):].split("x"))
+        except ValueError:
+            raise ValueError(f"malformed fabric spec {text!r} (expected crossbar:<n>x<m>)") from None
+        return ("crossbar", fabric.StageSpec(1, n, m))
     if text.startswith("custom:"):
-        stages = []
-        for part in text[len("custom:"):].split(","):
-            b, n, m = part.split("x")
-            stages.append(fabric.StageSpec(int(b), int(n), int(m)))
-        if len(stages) != 3:
-            raise ValueError("custom fabric spec needs three BxNxM stages")
+        parts = text[len("custom:"):].split(",")
+        try:
+            (b1, n1, m1), (b2, n2, m2), (b3, n3, m3) = (map(int, part.split("x")) for part in parts)
+        except ValueError:
+            raise ValueError(f"malformed fabric spec {text!r} (expected custom:BxNxM,BxNxM,BxNxM)") from None
+        stages = fabric.StageSpec(b1, n1, m1), fabric.StageSpec(b2, n2, m2), fabric.StageSpec(b3, n3, m3)
         return ("fabric", fabric.FabricSpec(*stages))
     raise ValueError(f"unknown fabric spec {text!r} (expected simstar, crossbar:<n>x<m>, or custom:BxNxM,BxNxM,BxNxM)")
 
@@ -106,10 +110,10 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _image_taps(config: machine.MachineConfig) -> machine.MachineConfig:
-    """Synthesize taps for a configuration decoded from an image (images
-    carry no signal names): every integrator touched by an active lane is
-    tapped as I<slot>."""
+def _used_integrators(config: machine.MachineConfig) -> list[int]:
+    """Ascending slots of the integrators touched by an active lane.  A
+    configuration decoded from an image carries no signal names, so these
+    are tapped as I<slot>."""
     spec = config.spec
     used = set()
     for lane in config.active_lanes():
@@ -119,15 +123,7 @@ def _image_taps(config: machine.MachineConfig) -> machine.MachineConfig:
         role, k = spec.in_row_role(config.i_dest[lane])
         if role is machine.RowRole.INTEGRATOR_IN:
             used.add(k)
-    taps = tuple((f"I{k}", spec.integrator_out_row(k)) for k in sorted(used))
-    return machine.MachineConfig(
-        spec=spec,
-        u_source=config.u_source,
-        coefficients=config.coefficients,
-        i_dest=config.i_dest,
-        initial_states=config.initial_states,
-        taps=taps,
-    )
+    return sorted(used)
 
 
 def _cmd_simulate(args) -> int:
@@ -144,26 +140,17 @@ def _cmd_simulate(args) -> int:
         if args.reference:
             raise ValueError("--reference needs DSL input (an image carries no equations)")
         spec = _parse_machine(args.machine)
-        config = _image_taps(bitstream.decode(Path(args.input).read_bytes(), spec))
+        config = bitstream.decode(Path(args.input).read_bytes(), spec)
+        used = _used_integrators(config)
+        initial = list(config.initial_states)
         if args.ic is not None:
             values = [float(v) for v in args.ic.split(",")]
-            used = sorted(
-                k for k in range(spec.n_integrators)
-                if any(name == f"I{k}" for name, _ in config.taps)
-            )
             if len(values) != len(used):
                 raise ValueError(f"--ic lists {len(values)} values for {len(used)} used integrators")
-            initial = list(config.initial_states)
             for k, v in zip(used, values):
                 initial[k] = v
-            config = machine.MachineConfig(
-                spec=spec,
-                u_source=config.u_source,
-                coefficients=config.coefficients,
-                i_dest=config.i_dest,
-                initial_states=tuple(initial),
-                taps=config.taps,
-            )
+        taps = tuple((f"I{k}", spec.integrator_out_row(k)) for k in used)
+        config = dataclasses.replace(config, initial_states=tuple(initial), taps=taps)
         model = sim.build_dynamics(config)
         trace = sim.run(model, model.initial, settings)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="DSL source file (.odedsl)")
     p.add_argument("--machine", default="lucidac", help="lucidac, redac, or custom:i=<n>,m=<n>,l=<n>")
     p.add_argument("-o", "--output", required=True, help="output image (.acfg)")
-    p.add_argument("--report", action="store_true", help="print the placement report (this is already the default)")
     p.add_argument("--emit-config", action="store_true", help="also print the lane-by-lane dump")
     p.set_defaults(func=_cmd_route)
 

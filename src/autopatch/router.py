@@ -49,8 +49,9 @@ class PlaceRouteReport:
 
 @dataclass(frozen=True)
 class RoutedDesign:
-    """place_and_route output plus the pre-quantization weight per lane
-    (needed to drive the simulator with quantization bypassed)."""
+    """The routed configuration and its report, plus the pre-quantization
+    weight per lane (needed to drive the simulator with quantization
+    bypassed)."""
 
     config: MachineConfig
     report: PlaceRouteReport
@@ -93,6 +94,7 @@ def assign_lane_kinds(edges: list[tuple[int, int, float]], spec: MachineSpec) ->
 
 
 def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
+    """Place every element, route every edge, quantize every weight."""
     integrators = graph.nodes_of_kind(NodeKind.INTEGRATOR)
     multipliers = graph.nodes_of_kind(NodeKind.MULTIPLIER)
     consts = graph.nodes_of_kind(NodeKind.CONST_ONE)
@@ -187,12 +189,6 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         quantization_errors=tuple(quant_errors),
     )
     return RoutedDesign(config, report, tuple(lane_weights))
-
-
-def place_and_route(graph: CircuitGraph, spec: MachineSpec) -> tuple[MachineConfig, PlaceRouteReport]:
-    """Place every element, route every edge, quantize every weight."""
-    design = route_design(graph, spec)
-    return design.config, design.report
 
 
 def format_report(report: PlaceRouteReport) -> str:

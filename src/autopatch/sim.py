@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .circuit import PolySystem
+from .circuit import LoopError, PolySystem, dependency_order
 from .dsl import Program
 from .machine import MachineConfig, RowRole, decode, validate_config
 
@@ -67,12 +67,6 @@ class Trace:
     signals: dict[str, list[float]]
     clip_events: list[ClipEvent]
     peaks: dict[str, float] = field(default_factory=dict)
-
-
-class AlgebraicLoopError(Exception):
-    def __init__(self, cycle: list[str]):
-        super().__init__(f"multiplier feedback without an integrator: {' -> '.join(cycle)}")
-        self.cycle = cycle
 
 
 class UnroutedTapError(Exception):
@@ -230,8 +224,8 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         return None  # reserved row: idles at zero
 
     int_terms: list[list[tuple[float, int]]] = [[] for _ in ints]
-    mul_a: dict[int, list[tuple[float, int]]] = {j: [] for j in muls}
-    mul_b: dict[int, list[tuple[float, int]]] = {j: [] for j in muls}
+    mul_a: dict[int, list[tuple[float, int]]] = {mul_pos[j]: [] for j in muls}
+    mul_b: dict[int, list[tuple[float, int]]] = {mul_pos[j]: [] for j in muls}
     for lane in active:
         gain = decode(config.coefficients[lane])
         if lane_weights is not None and lane in lane_weights:
@@ -243,40 +237,18 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         if role is RowRole.INTEGRATOR_IN:
             int_terms[state_pos[k]].append((gain, src))
         elif role is RowRole.MUL_A:
-            mul_a[k].append((gain, src))
+            mul_a[mul_pos[k]].append((gain, src))
         else:
-            mul_b[k].append((gain, src))
+            mul_b[mul_pos[k]].append((gain, src))
 
     # multipliers in dependency order; feedback among them (without an
     # integrator in between) is not evaluable
-    pos_to_mul = {pos: j for j, pos in mul_pos.items()}
-    deps = {j: set() for j in muls}
-    for j in muls:
-        for _, src in mul_a[j] + mul_b[j]:
-            other = pos_to_mul.get(src)
-            if other is not None:
-                deps[j].add(other)  # may include j itself: a direct loop
-    dependents = {j: [] for j in muls}
-    for j, needs in deps.items():
-        for other in needs:
-            dependents[other].append(j)
-    order = []
-    ready = sorted(j for j in muls if not deps[j])
-    pending = {j: len(d) for j, d in deps.items()}
-    while ready:
-        j = ready.pop(0)
-        order.append(j)
-        for other in sorted(dependents[j]):
-            pending[other] -= 1
-            if pending[other] == 0:
-                ready.append(other)
-    if len(order) != len(muls):
-        raise AlgebraicLoopError([f"M{j}" for j in muls if j not in order])
-
-    mul_ops = tuple(
-        (mul_pos[j], tuple(mul_a[j]), tuple(mul_b[j]))
-        for j in order
-    )
+    reads = {pos: [src for _, src in mul_a[pos] + mul_b[pos]] for pos in mul_a}
+    try:
+        order = dependency_order(reads)
+    except LoopError as exc:
+        raise LoopError([labels[pos] for pos in exc.cycle]) from None
+    mul_ops = tuple((pos, tuple(mul_a[pos]), tuple(mul_b[pos])) for pos in order)
 
     taps = {}
     for name, row in config.taps:

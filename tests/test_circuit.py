@@ -13,6 +13,7 @@ from autopatch.circuit import (
     NodeKind,
     Port,
     build_circuit,
+    dependency_order,
     detect_algebraic_loops,
     evaluate_expr,
     evaluate_terms,
@@ -219,6 +220,22 @@ class TestAlgebraicLoops:
         with pytest.raises(LoopError) as err:
             detect_algebraic_loops(CircuitGraph(nodes, edges))
         assert set(err.value.cycle) >= {0, 1}
+
+    def test_dependency_order_puts_smallest_ready_key_first(self):
+        assert dependency_order({3: [1, 7], 1: [], 2: [3], 0: [5]}) == [0, 1, 3, 2]
+
+    @pytest.mark.parametrize(
+        "reads, cycle",
+        [
+            ({0: [0]}, [0, 0]),
+            ({0: [1], 1: [2], 2: [1]}, [1, 2, 1]),  # 0 only reads the cycle
+            ({0: [], 1: [0, 3], 2: [1], 3: [2]}, [1, 2, 3, 1]),
+        ],
+    )
+    def test_dependency_order_names_one_real_cycle(self, reads, cycle):
+        with pytest.raises(LoopError) as err:
+            dependency_order(reads)
+        assert err.value.cycle == cycle
 
 
 class TestDump:

@@ -129,6 +129,30 @@ class TestSimulate:
         rows = (out_dir / "out.csv").read_text().splitlines()
         assert rows[1] == "0,0.10000000000000001,0,0"
 
+    def test_image_with_multiplier_loop_is_refused(self, tmp_path, capsys):
+        from autopatch.bitstream import encode
+        from autopatch.circuit import LoopError
+        from autopatch.machine import CoefficientCode, MachineConfig, lucidac_spec
+        from autopatch.sim import build_dynamics
+
+        # M0 and M1 feed each other; M2 reads M1 but is on no cycle
+        spec = lucidac_spec()
+        code = CoefficientCode.highres(100)
+        config = (
+            MachineConfig.empty(spec)
+            .with_lane(0, spec.multiplier_out_row(0), code, spec.mul_a_row(1))
+            .with_lane(1, spec.multiplier_out_row(1), code, spec.mul_a_row(0))
+            .with_lane(2, spec.multiplier_out_row(1), code, spec.mul_a_row(2))
+        )
+        with pytest.raises(LoopError) as err:
+            build_dynamics(config)
+        assert set(err.value.cycle) == {"M0", "M1"}
+        image = tmp_path / "loop.acfg"
+        image.write_bytes(encode(config))
+        assert main(["simulate", str(image), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["autopatch: error: algebraic loop without an integrator: M0 -> M1 -> M0"]
+
     def test_ic_rejected_for_source_input(self, capsys, tmp_path):
         assert main(["simulate", LORENZ, "--ic", "1,2,3", "--out-dir", str(tmp_path)]) == 1
         assert ".acfg" in capsys.readouterr().err
@@ -206,6 +230,30 @@ class TestFabric:
     def test_unknown_spec(self, capsys):
         assert main(["fabric", "--spec", "what", "--count"]) == 1
         assert "unknown fabric spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("custom:1x2", "expected custom:BxNxM,BxNxM,BxNxM"),
+            ("custom:1x2x3,1x2x3", "expected custom:BxNxM,BxNxM,BxNxM"),
+            ("crossbar:5", "expected crossbar:<n>x<m>"),
+            ("crossbar:5xq", "expected crossbar:<n>x<m>"),
+        ],
+    )
+    def test_malformed_spec(self, capsys, spec, expected):
+        assert main(["fabric", "--spec", spec, "--count"]) == 1
+        err = capsys.readouterr().err
+        assert expected in err
+        assert len(err.splitlines()) == 1
+
+
+class TestMachineSpec:
+    @pytest.mark.parametrize("spec", ["custom:foo", "custom:i=1,m=2", "custom:i=1,m=2,l=x", "custom:"])
+    def test_malformed_custom_machine(self, tmp_path, capsys, spec):
+        assert main(["route", LORENZ, "--machine", spec, "-o", str(tmp_path / "a.acfg")]) == 1
+        err = capsys.readouterr().err
+        assert "expected custom:i=<n>,m=<n>,l=<n>" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestMisc:

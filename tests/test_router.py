@@ -15,7 +15,7 @@ from autopatch.router import (
     ConstUnavailableError,
     assign_lane_kinds,
     format_report,
-    place_and_route,
+    route_design,
 )
 from autopatch.bitstream import encode
 
@@ -47,14 +47,15 @@ class TestPlaceAndRoute:
         assert validate_config(lorenz_design.config) == []
 
     def test_empty_graph(self):
-        config, report = place_and_route(CircuitGraph((), ()), lucidac_spec())
+        design = route_design(CircuitGraph((), ()), lucidac_spec())
+        config, report = design.config, design.report
         assert (report.integrators_used, report.multipliers_used, report.lanes_used) == (0, 0, 0)
         assert config.active_lanes() == []
 
     def test_integrator_capacity(self):
         graph = graph_from(chain_program(9))
         with pytest.raises(CapacityError) as err:
-            place_and_route(graph, lucidac_spec())
+            route_design(graph, lucidac_spec())
         assert (err.value.kind, err.value.needed, err.value.available) == ("integrators", 9, 8)
 
     def test_multiplier_capacity(self):
@@ -65,7 +66,7 @@ class TestPlaceAndRoute:
             "let A(t: 0) = 0; let B(t: 0) = 0; let C(t: 0) = 0; let D(t: 0) = 0;\n"
         )
         with pytest.raises(CapacityError) as err:
-            place_and_route(graph_from(src), lucidac_spec())
+            route_design(graph_from(src), lucidac_spec())
         assert err.value.kind == "multipliers"
         assert (err.value.needed, err.value.available) == (5, 4)
 
@@ -78,7 +79,7 @@ class TestPlaceAndRoute:
         lines += [f"let diff[s{i}, t] = {rhs};" for i in range(8)]
         lines += [f"let s{i}(t: 0) = 0;" for i in range(8)]
         with pytest.raises(CapacityError) as err:
-            place_and_route(graph_from("\n".join(lines)), lucidac_spec())
+            route_design(graph_from("\n".join(lines)), lucidac_spec())
         assert err.value.kind == "lanes"
         assert (err.value.needed, err.value.available) == (40, 32)
 
@@ -96,7 +97,7 @@ class TestPlaceAndRoute:
             lines.append(f"let diff[s{i}, t] = {' + '.join(terms) if terms else '-s' + str(i)};")
         lines += [f"let s{i}(t: 0) = 0;" for i in range(8)]
         with pytest.raises(CapacityError) as err:
-            place_and_route(graph_from("\n".join(lines)), lucidac_spec())
+            route_design(graph_from("\n".join(lines)), lucidac_spec())
         assert err.value.kind == "high-res lanes"
         assert (err.value.needed, err.value.available) == (25, 24)
 
@@ -105,18 +106,18 @@ class TestPlaceAndRoute:
         graph = graph_from("fn X(t); fn Y(t); let diff[X, t] = 1 - X; let diff[Y, t] = -Y;"
                            " let X(t: 0) = 0; let Y(t: 0) = 0;")
         with pytest.raises(ConstUnavailableError):
-            place_and_route(graph, spec)
+            route_design(graph, spec)
 
     def test_parallel_edges_rejected(self):
         nodes = (Node(0, NodeKind.INTEGRATOR, "X", 0.0),)
         edges = (Edge(0, 0, Port.INTEGRATOR_IN, 1.0), Edge(0, 0, Port.INTEGRATOR_IN, 2.0))
         with pytest.raises(ValueError, match="parallel"):
-            place_and_route(CircuitGraph(nodes, edges), lucidac_spec())
+            route_design(CircuitGraph(nodes, edges), lucidac_spec())
 
     def test_determinism(self, lorenz_graph):
         spec = lucidac_spec()
-        a, _ = place_and_route(lorenz_graph, spec)
-        b, _ = place_and_route(lorenz_graph, spec)
+        a = route_design(lorenz_graph, spec).config
+        b = route_design(lorenz_graph, spec).config
         assert a == b
         assert encode(a) == encode(b)
 
@@ -129,7 +130,8 @@ class TestPlaceAndRoute:
 class TestLaneAssignment:
     def test_exact_weight_takes_lowres_lane(self):
         graph = graph_from("fn X(t); let diff[X, t] = -X; let X(t: 0) = 0;")
-        config, report = place_and_route(graph, lucidac_spec())
+        design = route_design(graph, lucidac_spec())
+        config, report = design.config, design.report
         assert report.lowres_lanes_used == 1
         assert config.u_source[24] == 0
         assert config.coefficients[24].kind is CoefKind.LOW_RES
@@ -139,7 +141,7 @@ class TestLaneAssignment:
     def test_inexact_weight_takes_highres_lane(self):
         graph = graph_from("fn X(t); fn Y(t); let diff[X, t] = 1.8 * Y; let diff[Y, t] = -Y;"
                            " let X(t: 0) = 0; let Y(t: 0) = 0;")
-        config, _ = place_and_route(graph, lucidac_spec())
+        config = route_design(graph, lucidac_spec()).config
         highres = [k for k in config.active_lanes() if k not in config.spec.lowres_lanes]
         assert len(highres) == 1
         assert config.coefficients[highres[0]].code == 369
@@ -150,7 +152,8 @@ class TestLaneAssignment:
         lines.append("let diff[s0, t] = 10 * s1 + 10 * s2;")
         lines += [f"let diff[s{i}, t] = 10 * s{(i + 1) % 8};" for i in range(1, 8)]
         lines += [f"let s{i}(t: 0) = 0;" for i in range(8)]
-        config, report = place_and_route(graph_from("\n".join(lines)), lucidac_spec())
+        design = route_design(graph_from("\n".join(lines)), lucidac_spec())
+        config, report = design.config, design.report
         assert report.lanes_used == 9
         assert report.lowres_lanes_used == 8
         overflow = [k for k in config.active_lanes() if k not in config.spec.lowres_lanes]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from autopatch.circuit import build_circuit, normalize
+from autopatch.circuit import LoopError, build_circuit, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
@@ -13,7 +13,6 @@ from autopatch.machine import (
 )
 from autopatch.router import route_design
 from autopatch.sim import (
-    AlgebraicLoopError,
     Method,
     NonFiniteError,
     SimSettings,
@@ -81,7 +80,7 @@ class TestBuildDynamics:
             .with_lane(0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(1))
             .with_lane(1, spec.multiplier_out_row(1), CoefficientCode.highres(100), spec.mul_a_row(0))
         )
-        with pytest.raises(AlgebraicLoopError):
+        with pytest.raises(LoopError):
             build_dynamics(config)
 
     def test_multiplier_self_loop_raises(self):
@@ -89,7 +88,7 @@ class TestBuildDynamics:
         config = MachineConfig.empty(spec).with_lane(
             0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(0)
         )
-        with pytest.raises(AlgebraicLoopError):
+        with pytest.raises(LoopError):
             build_dynamics(config)
 
     def test_multiplier_chain_evaluates_in_dependency_order(self):
