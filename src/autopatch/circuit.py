@@ -64,27 +64,42 @@ class PolySystem:
 
 
 def _expand(expr: Expr) -> dict[tuple[str, ...], float]:
-    if isinstance(expr, Const):
-        return {(): expr.value}
-    if isinstance(expr, Var):
-        return {(expr.name,): 1.0}
-    if isinstance(expr, Neg):
-        return {m: -w for m, w in _expand(expr.operand).items()}
-    if isinstance(expr, (Add, Sub)):
-        left = _expand(expr.left)
-        sign = -1.0 if isinstance(expr, Sub) else 1.0
-        for m, w in _expand(expr.right).items():
-            left[m] = left.get(m, 0.0) + sign * w
-        return left
-    if isinstance(expr, Mul):
-        left, right = _expand(expr.left), _expand(expr.right)
-        out: dict[tuple[str, ...], float] = {}
-        for m1, w1 in left.items():
-            for m2, w2 in right.items():
-                key = tuple(sorted(m1 + m2))
-                out[key] = out.get(key, 0.0) + w1 * w2
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Weight per sorted factor tuple.  Post-order walk with an explicit
+    stack, so a sum of thousands of terms (a left-deep chain of `+`) does
+    not hit Python's recursion limit."""
+    done: list[dict[tuple[str, ...], float]] = []  # expanded operands
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if isinstance(node, Const):
+            done.append({(): node.value})
+        elif isinstance(node, Var):
+            done.append({(node.name,): 1.0})
+        elif not isinstance(node, (Neg, Add, Sub, Mul)):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif not operands_done:
+            stack.append((node, True))
+            if isinstance(node, Neg):
+                stack.append((node.operand, False))
+            else:
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+        elif isinstance(node, Neg):
+            done.append({m: -w for m, w in done.pop().items()})
+        elif isinstance(node, (Add, Sub)):
+            right, left = done.pop(), done[-1]
+            sign = -1.0 if isinstance(node, Sub) else 1.0
+            for m, w in right.items():
+                left[m] = left.get(m, 0.0) + sign * w
+        else:
+            right, left = done.pop(), done.pop()
+            out: dict[tuple[str, ...], float] = {}
+            for m1, w1 in left.items():
+                for m2, w2 in right.items():
+                    key = tuple(sorted(m1 + m2))
+                    out[key] = out.get(key, 0.0) + w1 * w2
+            done.append(out)
+    return done.pop()
 
 
 def _to_terms(weights: Mapping[tuple[str, ...], float]) -> tuple[Term, ...]:

@@ -39,11 +39,18 @@ def _parse_machine(text: str) -> machine.MachineSpec:
     if text == "redac":
         return machine.redac_tile_spec()
     if text.startswith("custom:"):
+        expected = "expected custom:i=<n>,m=<n>,l=<n>"
+        fields: dict[str, str] = {}
+        for item in text[len("custom:"):].split(","):
+            key, _, value = item.partition("=")
+            if key in fields or key not in ("i", "m", "l"):
+                kind = "repeated" if key in fields else "unknown"
+                raise ValueError(f"malformed machine spec {text!r}: {kind} field {key!r} ({expected})")
+            fields[key] = value
         try:
-            fields = dict(item.split("=", 1) for item in text[len("custom:"):].split(","))
             i, m, l = (int(fields[key]) for key in "iml")
         except (KeyError, ValueError):
-            raise ValueError(f"malformed machine spec {text!r} (expected custom:i=<n>,m=<n>,l=<n>)") from None
+            raise ValueError(f"malformed machine spec {text!r} ({expected})") from None
         return machine.custom_spec(i, m, l)
     raise ValueError(f"unknown machine {text!r} (expected lucidac, redac, or custom:i=<n>,m=<n>,l=<n>)")
 

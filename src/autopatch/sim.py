@@ -8,6 +8,14 @@ evaluates exactly what the interconnect wires up: element output voltages
 fan out over lanes, each lane scales by its coefficient, currents sum per
 input row, multipliers form products of their two row sums in dependency
 order, and each integrator integrates its input row.
+
+`build_dynamics` writes that evaluation out as one straight-line Python
+function per routed machine and compiles it with `exec`, in the manner of
+SymPy's `lambdify` or JiTCODE.  Each row sum keeps the lane order of a
+loop that accumulates from 0.0, so the generated code rounds exactly as
+that loop would.  The reference path stays a plain interpreter over the
+expanded polynomial system, independent of the generated code, so it can
+check the hardware path.
 """
 
 from __future__ import annotations
@@ -88,6 +96,101 @@ def _clamp(v: float, clip: float) -> float:
     return v
 
 
+def _clamper(clip: float, clipped: Optional[set]):
+    """The clamp to +-clip of one element voltage; it records the element's
+    index in `clipped` when that changes the value (a NaN always counts,
+    as NaN != NaN)."""
+
+    def clamp(v: float, index: int) -> float:
+        c = _clamp(v, clip)
+        if c != v and clipped is not None:
+            clipped.add(index)
+        return c
+
+    return clamp
+
+
+# terms per generated sum expression: CPython's compiler recurses once per
+# `+` of a chain, so a sum of thousands of terms does not compile in one piece
+_SUM_CHUNK = 200
+
+
+def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
+    """Source and globals of `evaluate(y, clip=None, clipped=None,
+    volts=False)` for one routed machine.
+
+    Element k is the local `e<k>`.  Every row sum is written out as
+    `0.0 + g*e<src> + ...` in lane order, so the additions happen in the
+    same order, and round the same way, as a loop that accumulates from
+    0.0.  Finite gains are written with repr, which reads back exactly;
+    non-finite gains are passed in as globals.
+    """
+    namespace: dict[str, object] = {"_clamper": _clamper}
+
+    def gain(g: float) -> str:
+        if math.isfinite(g):
+            return repr(g)
+        name = f"_g{len(namespace)}"
+        namespace[name] = g
+        return name
+
+    body: list[str] = []
+
+    def row_sum(terms, acc: str) -> str:
+        """An expression for the row sum; a long one is first accumulated
+        into the local `acc`, one chunk of terms per statement."""
+        products = [f"{gain(g)}*e{src}" for g, src in terms]
+        head = " + ".join(["0.0", *products[:_SUM_CHUNK]])
+        if len(products) <= _SUM_CHUNK:
+            return head
+        body.append(f"{acc} = {head}")
+        for start in range(_SUM_CHUNK, len(products), _SUM_CHUNK):
+            body.append(f"{acc} = " + " + ".join([acc, *products[start : start + _SUM_CHUNK]]))
+        return acc
+
+    def clamped(pairs: str) -> str:
+        return f"[v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
+
+    body.append("clipping = clip is not None")
+    body.append("if clipping:")
+    body.append("    lo, clamp = -clip, _clamper(clip, clipped)")
+    body.append(f"    y = {clamped('enumerate(y)')}")
+    if n_states:
+        body.append("".join(f"e{i}, " for i in range(n_states)) + "= y")
+    if const_index is not None:
+        k = const_index
+        body.append(f"e{k} = 1.0")
+        body.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
+
+    # Multipliers go level by level: level 0 reads only states and the
+    # constant, level j reads at least one multiplier of level j - 1.  Each
+    # level is clamped in one statement before the next level reads it; a
+    # clamp statement per multiplier made up a third of the compile time.
+    levels: list[list] = []
+    level_of: dict[int, int] = {}
+    for op in mul_ops:
+        k, a_terms, b_terms = op
+        level = 1 + max((level_of.get(src, -1) for _, src in a_terms + b_terms), default=-1)
+        level_of[k] = level
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(op)
+    for j, ops in enumerate(levels):
+        for k, a_terms, b_terms in ops:
+            a = row_sum(a_terms, "_a")
+            b = row_sum(b_terms, "_b")
+            body.append(f"e{k} = ({a}) * ({b})")
+        names = "".join(f"e{k}, " for k, _, _ in ops)
+        namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
+        body.append(f"if clipping: {names}= {clamped(f'zip(_level{j}, ({names}))')}")
+    body.append("if volts:")
+    body.append("    return [" + ", ".join(f"e{k}" for k in range(n_elements)) + "]")
+    sums = [row_sum(terms, f"_d{i}") for i, terms in enumerate(int_terms)]
+    body.append("return [" + ", ".join(sums) + "]")
+    source = "def evaluate(y, clip=None, clipped=None, volts=False):\n" + "".join(f"    {line}\n" for line in body)
+    return source, namespace
+
+
 class DynamicsModel:
     """Compiled hardware evaluator.
 
@@ -95,65 +198,28 @@ class DynamicsModel:
     (ascending slot), then used multipliers, then the constant source if
     any active lane draws from it.  `taps` maps signal names to element
     positions.
+
+    `build_dynamics` generates one straight-line Python function per
+    machine (see `_generate_evaluator`): it unpacks the states, clamps
+    them in clip mode, forms each multiplier's product of row sums in
+    dependency order, and returns either every element voltage or the
+    integrator input sums.  `rhs` is that function; `voltages` calls it
+    for the element voltages.
     """
 
-    def __init__(self, state_labels, initial, element_labels, taps, int_terms, mul_ops, const_index):
+    def __init__(self, state_labels, initial, element_labels, taps, evaluate):
         self.state_labels: tuple[str, ...] = state_labels
         self.initial: tuple[float, ...] = initial
         self.element_labels: tuple[str, ...] = element_labels
         self.taps: dict[str, int] = taps
-        self._int_terms = int_terms      # per state: ((gain, src element), ...)
-        self._mul_ops = mul_ops          # topo order: (element, a terms, b terms)
-        self._const_index = const_index
+        self.rhs = evaluate
 
     @property
     def n_states(self) -> int:
         return len(self.state_labels)
 
     def voltages(self, y: Sequence[float], clip: Optional[float] = None, clipped: Optional[set] = None) -> list[float]:
-        volts = [0.0] * len(self.element_labels)
-        n = len(self.state_labels)
-        for i in range(n):
-            v = y[i]
-            if clip is not None:
-                c = _clamp(v, clip)
-                if c != v and clipped is not None:
-                    clipped.add(i)
-                v = c
-            volts[i] = v
-        if self._const_index is not None:
-            v = 1.0
-            if clip is not None:
-                c = _clamp(v, clip)
-                if c != v and clipped is not None:
-                    clipped.add(self._const_index)
-                v = c
-            volts[self._const_index] = v
-        for elem, a_terms, b_terms in self._mul_ops:
-            a = 0.0
-            for gain, src in a_terms:
-                a += gain * volts[src]
-            b = 0.0
-            for gain, src in b_terms:
-                b += gain * volts[src]
-            v = a * b
-            if clip is not None:
-                c = _clamp(v, clip)
-                if c != v and clipped is not None:
-                    clipped.add(elem)
-                v = c
-            volts[elem] = v
-        return volts
-
-    def rhs(self, y: Sequence[float], clip: Optional[float] = None, clipped: Optional[set] = None) -> list[float]:
-        volts = self.voltages(y, clip, clipped)
-        out = []
-        for terms in self._int_terms:
-            acc = 0.0
-            for gain, src in terms:
-                acc += gain * volts[src]
-            out.append(acc)
-        return out
+        return self.rhs(y, clip, clipped, True)
 
 
 def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, float]] = None) -> DynamicsModel:
@@ -248,7 +314,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         order = dependency_order(reads)
     except LoopError as exc:
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_ops = tuple((pos, tuple(mul_a[pos]), tuple(mul_b[pos])) for pos in order)
+    mul_ops = [(pos, mul_a[pos], mul_b[pos]) for pos in order]
 
     taps = {}
     for name, row in config.taps:
@@ -256,14 +322,14 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         assert idx is not None
         taps[name] = idx
 
+    source, namespace = _generate_evaluator(len(ints), len(labels), int_terms, mul_ops, const_index)
+    exec(compile(source, "<autopatch evaluator>", "exec"), namespace)
     return DynamicsModel(
         state_labels=tuple(labels[: len(ints)]),
         initial=tuple(config.initial_states[k] for k in ints),
         element_labels=tuple(labels),
         taps=taps,
-        int_terms=tuple(tuple(t) for t in int_terms),
-        mul_ops=mul_ops,
-        const_index=const_index,
+        evaluate=namespace["evaluate"],
     )
 
 
@@ -306,18 +372,19 @@ class ReferenceModel:
         return out
 
 
-def _step(model, y, h, method, clip, clipped):
-    k1 = model.rhs(y, clip, clipped)
+def _step(rhs, y, h, method, clip, clipped):
+    # indexing is faster than zip() for the few states of a small machine
+    k1 = rhs(y, clip, clipped)
     n = len(y)
     if method is Method.EULER:
         return [y[i] + h * k1[i] for i in range(n)]
     half = 0.5 * h
     y2 = [y[i] + half * k1[i] for i in range(n)]
-    k2 = model.rhs(y2, clip, clipped)
+    k2 = rhs(y2, clip, clipped)
     y3 = [y[i] + half * k2[i] for i in range(n)]
-    k3 = model.rhs(y3, clip, clipped)
+    k3 = rhs(y3, clip, clipped)
     y4 = [y[i] + h * k3[i] for i in range(n)]
-    k4 = model.rhs(y4, clip, clipped)
+    k4 = rhs(y4, clip, clipped)
     s = h / 6.0
     return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)]
 
@@ -344,10 +411,11 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
     trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks={})
     labels = model.element_labels
+    rhs, voltages = model.rhs, model.voltages
     peaks = dict.fromkeys(labels, 0.0)
 
     def record(t: float, y):
-        volts = model.voltages(y, clip, None)
+        volts = voltages(y, clip, None)
         trace.times.append(t)
         for name, idx in model.taps.items():
             trace.signals[name].append(volts[idx])
@@ -358,7 +426,7 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
     def advance(y, t_start, h):
         clipped = set() if clip is not None else None
-        y = _step(model, y, h, settings.method, clip, clipped)
+        y = _step(rhs, y, h, settings.method, clip, clipped)
         if clipped:
             for idx in sorted(clipped):
                 trace.clip_events.append(ClipEvent(t_start, labels[idx]))

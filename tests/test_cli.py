@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,18 @@ class TestSimulate:
         line = next(l for l in stdout.splitlines() if l.startswith("max_abs_deviation:"))
         assert float(line.split(":")[1]) <= 1e-9
         assert (tmp_path / "ref_out.csv").exists()
+
+    def test_derivative_with_5000_terms(self, tmp_path, capsys):
+        terms = " ".join(["- 0.0002 * X"] * 5000)
+        src = write(tmp_path, "long.odedsl", f"fn X(t);\nlet diff[X, t] = {terms};\nlet X(t: 0) = 1.0;\nout X(t);\n")
+        image = tmp_path / "long.acfg"
+        assert main(["compile", src]) == 0
+        assert main(["route", src, "-o", str(image)]) == 0
+        assert main(["simulate", src, "--t-end", "1", "--out-dir", str(tmp_path / "sim")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "sim" / "out.csv").read_text().splitlines()
+        assert rows[0] == "t,X"
+        assert abs(float(rows[-1].split(",")[1]) - math.exp(-1)) < 2e-3  # the weights sum to -1, quantized
 
     def test_image_input_single_row(self, tmp_path, capsys):
         image = tmp_path / "l.acfg"
@@ -254,6 +267,19 @@ class TestMachineSpec:
         err = capsys.readouterr().err
         assert "expected custom:i=<n>,m=<n>,l=<n>" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [("custom:i=1,m=0,l=2,x=7", "unknown field 'x'"), ("custom:i=1,m=0,l=2,l=3", "repeated field 'l'")],
+    )
+    def test_unknown_or_repeated_custom_field(self, tmp_path, capsys, spec, problem):
+        decay = write(tmp_path, "decay.odedsl", "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1.0;\nout X(t);\n")
+        assert main(["route", decay, "--machine", spec, "-o", str(tmp_path / "a.acfg")]) == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "expected custom:i=<n>,m=<n>,l=<n>" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "a.acfg").exists()
 
 
 class TestMisc:

@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import random
+import re
 
 import pytest
 
+from autopatch import sim
 from autopatch.circuit import LoopError, build_circuit, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
     MachineConfig,
+    custom_spec,
     lucidac_spec,
     quantize_highres,
     decode as decode_coeff,
@@ -292,6 +297,18 @@ class TestClip:
         assert set(trace.peaks) == {"X", "Y", "I2", "M0", "M1"}
         assert all(v >= 0 for v in trace.peaks.values())
 
+    def test_peak_of_a_shared_label_covers_both_elements(self, lorenz_source):
+        # state X renamed M0 shares its label with multiplier slot 0
+        _, _, design = pipeline(re.sub(r"\bX\b", "M0", lorenz_source))
+        model = build_dynamics(_lorenz_with_multiplier_tap(design))
+        assert model.element_labels == ("M0", "Y", "I2", "M0", "M1")
+        trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=5.0))
+        state_peak = max(map(abs, trace.signals["M0"]))
+        product_peak = max(map(abs, trace.signals["P"]))
+        assert product_peak == pytest.approx(0.4402, abs=1e-4)
+        assert trace.peaks["M0"] == max(state_peak, product_peak) == pytest.approx(0.7938, abs=1e-4)
+        assert set(trace.peaks) == {"M0", "Y", "I2", "M1"}
+
 
 class TestProductOfSum:
     """A multiplier port fed by several weighted edges sums them, so
@@ -375,3 +392,264 @@ class TestEmit:
         emit_traces(trace, lorenz_program, tmp_path)
         raw = (tmp_path / "out.csv").read_bytes()
         assert b"\r" not in raw
+
+
+# --------------------------------------------------------------------------
+# generated evaluator against the interpreter loops it replaced
+
+
+def _loop_clamp(v, clip):
+    if v > clip:
+        return clip
+    if v < -clip:
+        return -clip
+    return v
+
+
+class LoopModel:
+    """The interpreter that walked the compiled lane tuples on every call,
+    before `build_dynamics` generated straight-line code.  Kept here as
+    the bit-for-bit reference for the generated evaluator."""
+
+    def __init__(self, model, _n_states, _n_elements, int_terms, mul_ops, const_index):
+        self.state_labels = model.state_labels
+        self.initial = model.initial
+        self.element_labels = model.element_labels
+        self.taps = model.taps
+        self._int_terms = int_terms
+        self._mul_ops = mul_ops
+        self._const_index = const_index
+
+    def voltages(self, y, clip=None, clipped=None):
+        volts = [0.0] * len(self.element_labels)
+        n = len(self.state_labels)
+        for i in range(n):
+            v = y[i]
+            if clip is not None:
+                c = _loop_clamp(v, clip)
+                if c != v and clipped is not None:
+                    clipped.add(i)
+                v = c
+            volts[i] = v
+        if self._const_index is not None:
+            v = 1.0
+            if clip is not None:
+                c = _loop_clamp(v, clip)
+                if c != v and clipped is not None:
+                    clipped.add(self._const_index)
+                v = c
+            volts[self._const_index] = v
+        for elem, a_terms, b_terms in self._mul_ops:
+            a = 0.0
+            for gain, src in a_terms:
+                a += gain * volts[src]
+            b = 0.0
+            for gain, src in b_terms:
+                b += gain * volts[src]
+            v = a * b
+            if clip is not None:
+                c = _loop_clamp(v, clip)
+                if c != v and clipped is not None:
+                    clipped.add(elem)
+                v = c
+            volts[elem] = v
+        return volts
+
+    def rhs(self, y, clip=None, clipped=None):
+        volts = self.voltages(y, clip, clipped)
+        out = []
+        for terms in self._int_terms:
+            acc = 0.0
+            for gain, src in terms:
+                acc += gain * volts[src]
+            out.append(acc)
+        return out
+
+
+def build_both(config, lane_weights=None):
+    """The generated model and a LoopModel over the same compiled lanes."""
+    captured = []
+    generate = sim._generate_evaluator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_generate_evaluator", lambda *args: captured.append(args) or generate(*args))
+        model = build_dynamics(config, lane_weights)
+    (args,) = captured
+    return model, LoopModel(model, *args)
+
+
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
+def assert_same_evaluation(model, loop, points, clips=(None, 0.3, 1.2)):
+    # products of clamped states exceed the clip level only when it is above 1
+    for y in points:
+        for clip in clips:
+            for method in ("rhs", "voltages"):
+                got_clipped, want_clipped = set(), set()
+                want = getattr(loop, method)(y, clip, want_clipped)
+                assert hexes(getattr(model, method)(y, clip, got_clipped)) == hexes(want), (method, y, clip)
+                assert got_clipped == want_clipped, (method, y, clip)
+                assert hexes(getattr(model, method)(y, clip)) == hexes(want), (method, y, clip)
+
+
+def run_outcome(model, settings):
+    """Everything a run reports, floats as hex; a non-finite abort counts
+    as an outcome too."""
+    try:
+        trace = run(model, model.initial, settings)
+    except NonFiniteError as exc:
+        return ("non-finite", float.hex(exc.t), exc.element)
+    return (
+        hexes(trace.times),
+        [(name, hexes(values)) for name, values in trace.signals.items()],
+        [(label, float.hex(peak)) for label, peak in trace.peaks.items()],
+        [(float.hex(event.t), event.element) for event in trace.clip_events],
+    )
+
+
+def sample_points(n, rng, count=20):
+    points = [[rng.uniform(-1.5, 1.5) for _ in range(n)] for _ in range(count)]
+    points += [[0.0] * n, [-0.0] * n]
+    if n:
+        for special in (math.nan, math.inf, -math.inf, 0.3, -0.3):
+            y = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            y[rng.randrange(n)] = special
+            points.append(y)
+    return points
+
+
+CONST_ROW = (
+    "fn X(t); fn Y(t);\n"
+    "let diff[X, t] = 0.5 - X * Y;\n"
+    "let diff[Y, t] = X - 0.25 - 0.75 * Y * Y * X;\n"
+    "let X(t: 0) = 0.2; let Y(t: 0) = -0.1;\n"
+    "out X(t); out Y(t);\n"
+)
+
+
+def _lorenz_with_multiplier_tap(design):
+    config = design.config
+    return dataclasses.replace(config, taps=config.taps + (("P", config.spec.multiplier_out_row(0)),))
+
+
+class TestGeneratedEvaluator:
+    def check(self, config, lane_weights=None, runs=()):
+        model, loop = build_both(config, lane_weights)
+        assert_same_evaluation(model, loop, sample_points(len(model.state_labels), random.Random(5)))
+        for settings in runs:
+            outcome = run_outcome(model, settings)
+            assert outcome == run_outcome(loop, settings), settings
+        return model
+
+    def test_lorenz_unclipped_clipped_and_euler(self, lorenz_design):
+        runs = [
+            SimSettings(dt=1e-3, t_end=5.0),
+            SimSettings(dt=1e-3, t_end=5.0, clip=0.3),
+            SimSettings(dt=1e-3, t_end=5.0, method=Method.EULER),
+            SimSettings(dt=1e-3, t_end=0.0305, clip=0.3, method=Method.EULER, record_stride=7),
+        ]
+        model = self.check(lorenz_design.config, runs=runs)
+        clipped = run(model, model.initial, runs[1])
+        assert {e.element for e in clipped.clip_events} == {"X", "Y", "I2"}
+        # products clip only above a clip level of 1: |x*y| <= clip**2
+        events = set()
+        assert hexes(model.voltages([1.5, 1.5, -1.5], 2.0, events)) == hexes([1.5, 1.5, -1.5, 2.0, -2.0])
+        assert events == {3, 4}
+
+    def test_constant_row(self):
+        _, _, design = pipeline(CONST_ROW)
+        model = self.check(
+            design.config,
+            runs=[SimSettings(dt=1e-2, t_end=2.0), SimSettings(dt=1e-2, t_end=2.0, clip=0.4)],
+        )
+        assert model.element_labels[-1] == "const"
+        # 1.0 is above the 0.4 clip level, so the constant clips on every step
+        trace = run(model, model.initial, SimSettings(dt=1e-2, t_end=0.1, clip=0.4))
+        assert [e.t for e in trace.clip_events if e.element == "const"] == [k * 1e-2 for k in range(10)]
+
+    def test_bypass_weights_with_non_finite_gains(self, lorenz_design):
+        weights = dict(lorenz_design.lane_weight_map())
+        lanes = sorted(weights)
+        weights[lanes[0]] = math.inf
+        weights[lanes[1]] = -math.inf
+        weights[lanes[2]] = math.nan
+        self.check(lorenz_design.config, weights, runs=[SimSettings(dt=1e-3, t_end=0.01)])
+        finite = dict(lorenz_design.lane_weight_map())
+        self.check(lorenz_design.config, finite, runs=[SimSettings(dt=1e-3, t_end=2.0, clip=0.3)])
+
+    def test_empty_configuration(self):
+        model = self.check(MachineConfig.empty(lucidac_spec()), runs=[SimSettings(dt=0.1, t_end=1.0, clip=0.5)])
+        assert model.rhs(()) == [] and model.voltages((), 0.5, set()) == []
+
+    def test_tap_on_multiplier_output(self, lorenz_design):
+        config = _lorenz_with_multiplier_tap(lorenz_design)
+        model = self.check(config, runs=[SimSettings(dt=1e-3, t_end=2.0), SimSettings(dt=1e-3, t_end=2.0, clip=0.3)])
+        assert model.element_labels[model.taps["P"]] == "M0"
+        trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=2.0))
+        assert max(map(abs, trace.signals["P"])) > 0
+
+    def test_multiplier_chain_with_port_gains(self):
+        # M1 reads M0 through a 0.5 lane, so whether M0 was clamped first
+        # shows in M1 even where M1 itself stays inside the clip level
+        spec = lucidac_spec()
+        code = lambda w: CoefficientCode.highres(quantize_highres(w))
+        config = (
+            MachineConfig.empty(spec)
+            .with_lane(0, spec.integrator_out_row(0), code(2.0), spec.mul_a_row(0))
+            .with_lane(1, spec.integrator_out_row(1), code(2.0), spec.mul_b_row(0))
+            .with_lane(2, spec.multiplier_out_row(0), code(0.5), spec.mul_a_row(1))
+            .with_lane(3, spec.integrator_out_row(1), code(1.0), spec.mul_b_row(1))
+            .with_lane(4, spec.multiplier_out_row(1), code(1.0), spec.integrator_in_row(0))
+            .with_lane(5, spec.integrator_out_row(0), code(-1.0), spec.integrator_in_row(1))
+        )
+        config = dataclasses.replace(config, initial_states=(0.9, 0.8) + (0.0,) * 6)
+        model = self.check(config, runs=[SimSettings(dt=1e-2, t_end=2.0, clip=1.2)])
+        events = set()
+        half, one = decode_coeff(code(0.5)), decode_coeff(code(1.0))
+        assert model.voltages([0.9, 0.8], 1.2, events)[2:] == [1.2, (half * 1.2) * (one * 0.8)]
+        assert events == {2}
+
+    def test_nan_voltage_records_a_clip_event(self, lorenz_design):
+        model = build_dynamics(lorenz_design.config)
+        clipped = set()
+        out = model.rhs([math.nan, 0.1, 0.1], 1.0, clipped)
+        assert clipped == {0, 3, 4}  # X itself and both products that read it
+        assert all(math.isnan(v) for v in out[:2])
+
+    def test_long_fan_in_is_added_left_to_right(self):
+        # 3200 lanes into integrator 0 and 300 into each multiplier port:
+        # far longer sums than one generated expression may hold
+        spec = custom_spec(1, 1, 3800)
+        rng = random.Random(11)
+        codes = tuple(
+            CoefficientCode.lowres(rng.randrange(8)) if lane in spec.lowres_lanes
+            else CoefficientCode.highres(rng.randrange(-2048, 2048))
+            for lane in range(spec.n_lanes)
+        )
+        sources = [spec.integrator_out_row(0)] * 600 + [
+            spec.multiplier_out_row(0) if lane % 2 else spec.integrator_out_row(0) for lane in range(600, 3800)
+        ]
+        dests = [spec.mul_a_row(0)] * 300 + [spec.mul_b_row(0)] * 300 + [spec.integrator_in_row(0)] * 3200
+        config = MachineConfig(
+            spec=spec, u_source=tuple(sources), coefficients=codes, i_dest=tuple(dests), initial_states=(0.01,)
+        )
+        assert len(config.active_lanes()) == 3800
+        self.check(
+            config,
+            runs=[SimSettings(dt=1e-4, t_end=0.005), SimSettings(dt=1e-4, t_end=0.005, clip=0.0105)],
+        )
+
+        # at the initial state the order of these additions shows in the
+        # result, so matching the loop is a real check of the order
+        def order_matters(lanes):
+            products = [decode_coeff(codes[lane]) * 0.01 for lane in lanes]
+            forward = reverse = 0.0
+            for p in products:
+                forward += p
+            for p in reversed(products):
+                reverse += p
+            return forward != reverse
+
+        assert order_matters(range(300)) and order_matters(range(300, 600))
+        assert order_matters(range(600, 3800, 2))
