@@ -206,6 +206,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_fabric(args) -> int:
     kind, spec = _parse_fabric(args.spec)
+    if args.count and args.experiment:
+        raise ValueError("--count and --experiment are separate runs; give one of them")
     if args.count:
         if kind == "crossbar":
             print(spec.switch_count())

@@ -26,6 +26,10 @@ from typing import Optional, Union
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 PUNCT = frozenset("()[],:;=+-*")
+# Deepest nesting of '(' and unary '-' in one expression.  The parser spends
+# up to four stack frames per level, so deeper input is refused with a
+# ParseError before it exhausts the stack; every later stage handles it.
+MAX_NESTING = 200
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -245,6 +249,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ivars: dict[str, str] = {}  # declared state -> independent variable
+        self.nesting = 0  # open '(' and unary '-' around the current token
 
     # --- token plumbing
 
@@ -304,6 +309,14 @@ class _Parser:
     def _at_punct(self, symbol: str) -> bool:
         tok = self._peek()
         return tok is not None and tok.kind is TokenKind.PUNCT and tok.lexeme == symbol
+
+    def _nest(self) -> None:
+        """Enter one more '(' or unary '-' (the current token)."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            line, col = self._here()
+            expected = f"at most {MAX_NESTING} nested '(' and unary '-'"
+            raise ParseError(f"expression nested too deeply: {expected}", line, col, expected, repr(self._peek().lexeme))
 
     def _check_ivar(self, state: str, tok: Token):
         declared = self.ivars.get(state)
@@ -446,8 +459,11 @@ class _Parser:
     def factor(self) -> Expr:
         if self._at_punct("-"):
             pos = self._here()
+            self._nest()
             self.pos += 1
-            return Neg(self.factor(), pos)
+            node = Neg(self.factor(), pos)
+            self.nesting -= 1
+            return node
         return self.primary()
 
     def primary(self) -> Expr:
@@ -461,9 +477,11 @@ class _Parser:
             self.pos += 1
             return Var(tok.lexeme, (tok.line, tok.column))
         if tok.kind is TokenKind.PUNCT and tok.lexeme == "(":
+            self._nest()
             self.pos += 1
             node = self.expression()
             self._expect_punct(")")
+            self.nesting -= 1
             return node
         raise self._fail("number, state name, or '('")
 

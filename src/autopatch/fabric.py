@@ -14,14 +14,16 @@ terminates at most one route; a fabric input may source any number of
 routes (fan-out happens inside its input block).  Routing is greedy
 first-fit over middle blocks with no rearrangement: for an analog program
 a blocked request means the program cannot be patched at all, so the
-interesting output is the blocking verdict itself.
+interesting output is the blocking verdict itself.  Link occupancy is one
+int bitmask per input and per output block, so first-fit is one bit step.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
+
+MAX_PORTS = 1 << 16  # most inputs or outputs of any stage that a FabricState models
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,11 @@ class FabricSpec:
     output: StageSpec
 
     def check_wirable(self) -> None:
-        """Verify the stages can be joined by the standard wiring; extra
-        middle/output-stage inputs beyond that are unconnected spares."""
+        """Verify the stages fit MAX_PORTS and can be joined by the standard
+        wiring; extra middle/output-stage inputs are unconnected spares."""
+        ports = max(s.blocks * max(s.inputs_per_block, s.outputs_per_block) for s in (self.input, self.middle, self.output))
+        if ports > MAX_PORTS:
+            raise ValueError(f"a fabric stage has {ports} inputs or outputs; at most {MAX_PORTS} are modelled")
         if self.input.outputs_per_block > self.middle.blocks:
             raise ValueError("input blocks have more output links than middle blocks")
         if self.input.blocks > self.middle.inputs_per_block:
@@ -105,19 +110,21 @@ class OutputBusyError(Exception):
 
 
 class FabricState:
-    """Live link occupancy and routes of one fabric.
-
-    Mutating methods (`route_request`, `route_fanout`, `remove_route`)
-    either commit completely or leave the state untouched.
+    """Live link occupancy and routes of one fabric: bit j of `in_busy[i]`
+    is set while the link from input block i to middle block j carries a
+    route, bit j of `out_busy[b]` while the link from middle block j to
+    output block b does.  Mutating methods (`route_request`,
+    `route_fanout`, `remove_route`) either commit completely or leave the
+    state untouched.
     """
 
     def __init__(self, spec: FabricSpec):
         spec.check_wirable()
         self.spec = spec
-        # in_mid[i][j]: link from input block i to middle block j is carrying a route
-        self.in_mid = [[False] * spec.middle.blocks for _ in range(spec.input.blocks)]
-        # mid_out[j][b]: link from middle block j to output block b is carrying a route
-        self.mid_out = [[False] * spec.output.blocks for _ in range(spec.middle.blocks)]
+        self._wired = (1 << spec.input.outputs_per_block) - 1  # middle blocks an input block reaches
+        self._reachable = spec.middle.outputs_per_block  # output blocks the middle stage reaches
+        self.in_busy = [0] * spec.input.blocks
+        self.out_busy = [0] * spec.output.blocks
         self.output_used = [False] * spec.total_outputs
         self.routes: list[RoutedPath] = []
 
@@ -131,6 +138,16 @@ class FabricState:
             raise IndexError(f"output {output} outside [0, {self.spec.total_outputs})")
         return output // self.spec.output.outputs_per_block
 
+    def _claim(self, ib: int, ob: int) -> int:
+        """Claim the lowest middle block free on both hops from ib to ob; -1 if none."""
+        free = self._wired & ~(self.in_busy[ib] | self.out_busy[ob]) if ob < self._reachable else 0
+        if not free:
+            return -1
+        bit = free & -free
+        self.in_busy[ib] |= bit
+        self.out_busy[ob] |= bit
+        return bit.bit_length() - 1
+
     def route_request(self, input: int, output: int):
         """Route input -> output through the lowest free middle block.
 
@@ -141,29 +158,19 @@ class FabricState:
         ob = self.output_block(output)
         if self.output_used[output]:
             raise OutputBusyError(f"output {output} already carries a route")
-        if ob >= self.spec.middle.outputs_per_block:
-            return Blocked(())  # no middle block has a link to this output block
-        in_links = self.in_mid[ib]
-        saturated = []
-        # only the first input.outputs_per_block middle blocks are wired to
-        # this input block (equal to middle.blocks in the usual geometry)
-        for j in range(min(self.spec.middle.blocks, self.spec.input.outputs_per_block)):
-            if in_links[j] or self.mid_out[j][ob]:
-                saturated.append(j)
-                continue
-            in_links[j] = True
-            self.mid_out[j][ob] = True
-            self.output_used[output] = True
-            path = RoutedPath(input, output, j)
-            self.routes.append(path)
-            return path
-        return Blocked(tuple(saturated))
+        j = self._claim(ib, ob)
+        if j < 0:  # () when no middle block has a link to this output block
+            return Blocked(() if ob >= self._reachable else tuple(range(self.spec.input.outputs_per_block)))
+        self.output_used[output] = True
+        path = RoutedPath(input, output, j)
+        self.routes.append(path)
+        return path
 
     def remove_route(self, path: RoutedPath) -> None:
         """Tear a route down, freeing its links and output."""
         self.routes.remove(path)
-        self.in_mid[self.input_block(path.input)][path.middle_block] = False
-        self.mid_out[path.middle_block][self.output_block(path.output)] = False
+        self.in_busy[self.input_block(path.input)] &= ~(1 << path.middle_block)
+        self.out_busy[self.output_block(path.output)] &= ~(1 << path.middle_block)
         self.output_used[path.output] = False
 
     def route_fanout(self, input: int, outputs: list[int]):
@@ -183,20 +190,14 @@ class FabricState:
         return done
 
     def check_invariants(self) -> None:
-        """Assert capacity and conservation invariants (test hook)."""
-        used_outputs = sum(self.output_used)
-        assert len(self.routes) == used_outputs, "routes != occupied outputs"
-        in_busy = sum(sum(row) for row in self.in_mid)
-        out_busy = sum(sum(row) for row in self.mid_out)
-        assert in_busy == len(self.routes) == out_busy, "link occupancy out of step with routes"
-        seen = set()
-        for path in self.routes:
-            key = (self.input_block(path.input), path.middle_block)
-            assert key not in seen, f"link {key} carries two routes"
-            seen.add(key)
+        """Assert capacity and conservation invariants (test hook).  A link
+        used by two routes shows as a popcount below the route count."""
+        links = [sum(mask.bit_count() for mask in masks) for masks in (self.in_busy, self.out_busy)]
+        assert sum(self.output_used) == len(self.routes), "routes != occupied outputs"
+        assert links == [len(self.routes)] * 2, "link occupancy out of step with routes"
 
     def snapshot(self):
-        return copy.deepcopy((self.in_mid, self.mid_out, self.output_used, self.routes))
+        return tuple(self.in_busy), tuple(self.out_busy), tuple(self.output_used), tuple(self.routes)
 
 
 @dataclass(frozen=True)
@@ -220,24 +221,22 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
         raise ValueError(f"load {load} outside [0, {spec.total_outputs}]")
     if trials < 1:
         raise ValueError("need at least one trial")
+    # draws are in range and outputs distinct, so route_request's checks are skipped
+    n_inputs, n_outputs = spec.total_inputs, spec.total_outputs
+    inputs_per_block, outputs_per_block = spec.input.inputs_per_block, spec.output.outputs_per_block
     blocked_trials = 0
     routed_total = 0
     for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        state = FabricState(spec)
-        unused = list(range(spec.total_outputs))
-        blocked = False
-        for _ in range(load):
-            input = rng.randrange(spec.total_inputs)
-            k = rng.randrange(len(unused))
-            output = unused[k]
-            unused[k] = unused[-1]
+        randrange = random.Random(f"{seed}:{trial}").randrange
+        claim = FabricState(spec)._claim
+        unused = list(range(n_outputs))
+        routed = 0
+        for remaining in range(n_outputs, n_outputs - load, -1):
+            input = randrange(n_inputs)
+            k = randrange(remaining)
+            output, unused[k] = unused[k], unused[-1]
             unused.pop()
-            result = state.route_request(input, output)
-            if isinstance(result, Blocked):
-                blocked = True
-            else:
-                routed_total += 1
-        if blocked:
-            blocked_trials += 1
+            routed += claim(input // inputs_per_block, output // outputs_per_block) >= 0
+        routed_total += routed
+        blocked_trials += routed < load
     return ExperimentResult(blocked_trials / trials, routed_total / trials)

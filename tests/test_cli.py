@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from autopatch.cli import main
+from autopatch.dsl import MAX_NESTING
+from autopatch.fabric import MAX_PORTS
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 LORENZ = str(PROGRAMS / "lorenz.odedsl")
@@ -46,6 +48,42 @@ class TestCompile:
     def test_missing_file(self, capsys):
         assert main(["compile", "/nonexistent/f.odedsl"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestNesting:
+    @staticmethod
+    def program(expr):
+        return f"fn X(t);\nlet diff[X, t] = {expr};\nlet X(t: 0) = 1.0;\nout X(t);\n"
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["-" + "(" * 5000 + "X" + ")" * 5000, "- " * 5000 + "X", "(" * (MAX_NESTING + 1) + "X" + ")" * (MAX_NESTING + 1)],
+        ids=["parentheses", "unary_minus", "one_past_limit"],
+    )
+    def test_too_deep_is_refused(self, tmp_path, capsys, expr):
+        src = write(tmp_path, "deep.odedsl", self.program(expr))
+        assert main(["compile", src]) == 1
+        err = capsys.readouterr().err
+        assert f"at most {MAX_NESTING} nested '(' and unary '-'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * MAX_NESTING + "X" + ")" * MAX_NESTING,
+            "- " * MAX_NESTING + "X",
+            "-(" * (MAX_NESTING // 2) + "X" + ")" * (MAX_NESTING // 2),
+        ],
+        ids=["parentheses", "unary_minus", "mixed"],
+    )
+    def test_at_limit_runs_every_stage(self, tmp_path, capsys, expr):
+        src = write(tmp_path, "deep.odedsl", self.program(expr))
+        assert main(["compile", src, "--emit-ir"]) == 0
+        assert main(["route", src, "-o", str(tmp_path / "deep.acfg")]) == 0
+        assert main(["simulate", src, "--t-end", "0.01", "--reference", "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("max_abs_deviation: 0\n")
+        assert captured.err == ""
 
 
 class TestRoute:
@@ -258,6 +296,25 @@ class TestFabric:
         err = capsys.readouterr().err
         assert expected in err
         assert len(err.splitlines()) == 1
+
+    def test_count_with_experiment_is_refused(self, capsys):
+        assert main(["fabric", "--spec", "simstar", "--count", "--experiment", "--load", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count and --experiment" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_fabric_past_size_bound_is_refused(self, capsys):
+        spec = f"custom:1x1x1,1x1x1,1x1x{MAX_PORTS + 1}"
+        assert main(["fabric", "--spec", spec, "--experiment", "--load", "1", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_PORTS}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_count_stays_unbounded(self, capsys):
+        assert main(["fabric", "--spec", "custom:1x1x1,1x1x1,1x1x1000000000", "--count"]) == 0
+        assert capsys.readouterr().out == "1000000002\n"
 
 
 class TestMachineSpec:

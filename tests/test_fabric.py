@@ -6,6 +6,7 @@ from autopatch.fabric import (
     Blocked,
     ExperimentResult,
     FabricSpec,
+    MAX_PORTS,
     FabricState,
     OutputBusyError,
     RoutedPath,
@@ -171,3 +172,177 @@ class TestBlockingExperiment:
     def test_load_bounds(self):
         with pytest.raises(ValueError):
             blocking_experiment(simstar_spec(), load=513, trials=1, seed=0)
+
+
+class MatrixFabric:
+    """The boolean-matrix occupancy that `FabricState` replaced, kept as a
+    reference: `in_mid[i][j]` / `mid_out[j][b]` mark the link from input
+    block i to middle block j / from middle block j to output block b."""
+
+    def __init__(self, spec):
+        spec.check_wirable()
+        self.spec = spec
+        self.in_mid = [[False] * spec.middle.blocks for _ in range(spec.input.blocks)]
+        self.mid_out = [[False] * spec.output.blocks for _ in range(spec.middle.blocks)]
+        self.output_used = [False] * spec.total_outputs
+        self.routes = []
+
+    def input_block(self, input):
+        if not 0 <= input < self.spec.total_inputs:
+            raise IndexError(input)
+        return input // self.spec.input.inputs_per_block
+
+    def output_block(self, output):
+        if not 0 <= output < self.spec.total_outputs:
+            raise IndexError(output)
+        return output // self.spec.output.outputs_per_block
+
+    def route_request(self, input, output):
+        ib = self.input_block(input)
+        ob = self.output_block(output)
+        if self.output_used[output]:
+            raise OutputBusyError(output)
+        if ob >= self.spec.middle.outputs_per_block:
+            return Blocked(())
+        in_links = self.in_mid[ib]
+        saturated = []
+        for j in range(min(self.spec.middle.blocks, self.spec.input.outputs_per_block)):
+            if in_links[j] or self.mid_out[j][ob]:
+                saturated.append(j)
+                continue
+            in_links[j] = True
+            self.mid_out[j][ob] = True
+            self.output_used[output] = True
+            path = RoutedPath(input, output, j)
+            self.routes.append(path)
+            return path
+        return Blocked(tuple(saturated))
+
+    def remove_route(self, path):
+        self.routes.remove(path)
+        self.in_mid[self.input_block(path.input)][path.middle_block] = False
+        self.mid_out[path.middle_block][self.output_block(path.output)] = False
+        self.output_used[path.output] = False
+
+    def route_fanout(self, input, outputs):
+        done = []
+        for output in outputs:
+            result = self.route_request(input, output)
+            if isinstance(result, Blocked):
+                for path in reversed(done):
+                    self.remove_route(path)
+                return result
+            done.append(result)
+        return done
+
+
+def matrix_blocking_experiment(spec, load, trials, seed):
+    """The Monte Carlo loop as it was over `MatrixFabric.route_request`."""
+    blocked_trials = 0
+    routed_total = 0
+    for trial in range(trials):
+        rng = random.Random(f"{seed}:{trial}")
+        state = MatrixFabric(spec)
+        unused = list(range(spec.total_outputs))
+        blocked = False
+        for _ in range(load):
+            input = rng.randrange(spec.total_inputs)
+            k = rng.randrange(len(unused))
+            output = unused[k]
+            unused[k] = unused[-1]
+            unused.pop()
+            if isinstance(state.route_request(input, output), Blocked):
+                blocked = True
+            else:
+                routed_total += 1
+        if blocked:
+            blocked_trials += 1
+    return ExperimentResult(blocked_trials / trials, routed_total / trials)
+
+
+# input blocks reach 3 of the 5 middle blocks, and output blocks 2 and 3
+# have no middle link, so both kinds of Blocked occur
+SMALL_SPEC = FabricSpec(StageSpec(3, 2, 3), StageSpec(5, 3, 2), StageSpec(4, 5, 2))
+
+
+def call(method, *args):
+    try:
+        return method(*args)
+    except (OutputBusyError, IndexError) as exc:
+        return type(exc)
+
+
+def assert_same_occupancy(state, ref):
+    spec = state.spec
+    for i in range(spec.input.blocks):
+        assert [bool(state.in_busy[i] >> j & 1) for j in range(spec.middle.blocks)] == ref.in_mid[i]
+    for b in range(spec.output.blocks):
+        assert [bool(state.out_busy[b] >> j & 1) for j in range(spec.middle.blocks)] == [
+            ref.mid_out[j][b] for j in range(spec.middle.blocks)
+        ]
+    assert state.output_used == ref.output_used
+    assert state.routes == ref.routes
+
+
+class TestMatchesMatrixOccupancy:
+    @pytest.mark.parametrize("spec, seed", [(simstar_spec(), 1), (simstar_spec(), 2), (SMALL_SPEC, 3), (SMALL_SPEC, 4)])
+    def test_random_churn(self, spec, seed):
+        rng = random.Random(seed)
+        state, ref = FabricState(spec), MatrixFabric(spec)
+        kinds = set()
+        for _ in range(3000):
+            roll = rng.random()
+            if ref.routes and roll < 0.3:
+                path = rng.choice(ref.routes)
+                state.remove_route(path)
+                ref.remove_route(path)
+                continue
+            input = rng.randrange(-1, spec.total_inputs + 1)
+            if roll < 0.45:
+                free = [k for k, used in enumerate(ref.output_used) if not used]
+                outputs = rng.sample(free, min(len(free), rng.randrange(1, 6)))
+                result, expected = call(state.route_fanout, input, outputs), call(ref.route_fanout, input, outputs)
+            else:
+                output = rng.randrange(-1, spec.total_outputs + 1)
+                result, expected = call(state.route_request, input, output), call(ref.route_request, input, output)
+            assert result == expected
+            kinds.add(expected if isinstance(expected, type) else type(expected).__name__)
+            if isinstance(expected, Blocked):
+                kinds.add("unreachable" if expected == Blocked(()) else "saturated")
+            state.check_invariants()
+            assert_same_occupancy(state, ref)
+        assert {"RoutedPath", "list", "saturated", OutputBusyError, IndexError} <= kinds
+        assert ("unreachable" in kinds) == (spec is SMALL_SPEC)
+
+    @pytest.mark.parametrize(
+        "spec, load, trials, seed",
+        [
+            (simstar_spec(), 320, 40, 42),
+            (simstar_spec(), 260, 40, 5),
+            (simstar_spec(), 512, 10, 3),
+            (SMALL_SPEC, 3, 200, 1),
+            (SMALL_SPEC, 8, 100, 9),
+        ],
+    )
+    def test_blocking_experiment(self, spec, load, trials, seed):
+        assert blocking_experiment(spec, load, trials, seed) == matrix_blocking_experiment(spec, load, trials, seed)
+
+
+class TestSizeBound:
+    def test_largest_modelled_fabric(self):
+        spec = FabricSpec(StageSpec(1, 1, 1), StageSpec(1, 1, 1), StageSpec(1, 1, MAX_PORTS))
+        assert blocking_experiment(spec, load=1, trials=2, seed=0) == ExperimentResult(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FabricSpec(StageSpec(1, MAX_PORTS + 1, 1), StageSpec(1, 1, 1), StageSpec(1, 1, 1)),
+            FabricSpec(StageSpec(1, 1, 1), StageSpec(1, 1, 1), StageSpec(1, 1, MAX_PORTS + 1)),
+            FabricSpec(StageSpec(1, 1, MAX_PORTS + 1), StageSpec(MAX_PORTS + 1, 1, 1), StageSpec(1, MAX_PORTS + 1, 1)),
+        ],
+    )
+    def test_larger_fabric_refused(self, spec):
+        with pytest.raises(ValueError, match=f"at most {MAX_PORTS}"):
+            FabricState(spec)
+        with pytest.raises(ValueError, match=f"at most {MAX_PORTS}"):
+            blocking_experiment(spec, load=1, trials=1, seed=0)
