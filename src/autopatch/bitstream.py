@@ -7,6 +7,13 @@ fan-out layout over in_rows).  Lane-major layout keeps per-lane updates
 byte-aligned.  A delta script is a flat list of absolute set-operations,
 one per changed lane-field, so reconfiguration cost scales with the number
 of changes instead of the machine size.
+
+The row sections are mostly zero on a large machine, so encode stores one
+byte per wired lane into a zeroed buffer, and decode skips all-zero blocks
+of lanes and looks only at the set bytes.  Decoded coefficients are the
+shared per-code instances of `CoefficientCode`, read from one unpack of
+the coefficient words, and diff compares lanes identity first.  So the
+row-field work scales with the wired lanes, not with lanes x field width.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from operator import attrgetter
 from typing import Optional
 
 from .machine import (
@@ -30,6 +38,9 @@ DELTA_MAGIC = b"ACDL"
 FORMAT_VERSION = 1
 
 NONE_PAYLOAD = 0xFFFF
+
+# Lanes per block when a row section is scanned for set fields.
+_SCAN_LANES = 32
 
 
 class FormatError(Exception):
@@ -68,44 +79,55 @@ def image_length(spec: MachineSpec) -> int:
     )
 
 
-def _encode_row_section(entries, rows: int) -> bytes:
+def _encode_row_section(entries, rows: int) -> bytearray:
     width = _row_field_bytes(rows)
-    chunks = []
-    for row in entries:
-        value = 0 if row is None else (1 << row)
-        chunks.append(value.to_bytes(width, "little"))
-    return b"".join(chunks)
-
-
-def _coeff_word(coeff: CoefficientCode) -> int:
-    return coeff.code & 0xFFFF
+    section = bytearray(len(entries) * width)
+    for lane, row in enumerate(entries):
+        if row is not None:
+            section[lane * width + (row >> 3)] = 1 << (row & 7)
+    return section
 
 
 def encode(config: MachineConfig) -> bytes:
     """Serialize a valid configuration to its fixed-length image."""
     spec = config.spec
-    out = [MAGIC, bytes([FORMAT_VERSION])]
-    out.append(_encode_row_section(config.u_source, spec.out_rows))
-    out.append(struct.pack(f"<{spec.n_lanes}H", *(_coeff_word(c) for c in config.coefficients)))
-    out.append(_encode_row_section(config.i_dest, spec.in_rows))
-    return b"".join(out)
+    return b"".join((
+        MAGIC,
+        bytes([FORMAT_VERSION]),
+        _encode_row_section(config.u_source, spec.out_rows),
+        # a valid code fits a signed word, whose bytes are the code's low 16 bits
+        struct.pack(f"<{spec.n_lanes}h", *map(attrgetter("code"), config.coefficients)),
+        _encode_row_section(config.i_dest, spec.in_rows),
+    ))
 
 
 def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, what: str) -> list[Optional[int]]:
+    """Row per lane.  A block of lanes whose fields are all zero is skipped
+    with one comparison; in the other blocks the set bytes are found by
+    translating the block to a 0/1 mark string and stepping through it.  So
+    the work scales with the wired lanes, not with lanes x field width."""
     width = _row_field_bytes(rows)
-    entries: list[Optional[int]] = []
-    for lane in range(spec.n_lanes):
-        offset = base + lane * width
-        value = int.from_bytes(data[offset:offset + width], "little")
-        if value == 0:
-            entries.append(None)
+    block = _SCAN_LANES * width
+    zero = bytes(block)
+    end = base + spec.n_lanes * width
+    entries: list[Optional[int]] = [None] * spec.n_lanes
+    for start in range(base, end, max(block, 1)):  # a 0-row section has no bytes
+        chunk = data[start:min(start + block, end)]
+        if chunk == zero[:len(chunk)]:
             continue
-        if value & (value - 1):
-            raise FormatError(offset, f"lane {lane}: multiple {what} rows selected")
-        row = value.bit_length() - 1
-        if row >= rows:
-            raise FormatError(offset, f"lane {lane}: {what} row {row} outside [0, {rows})")
-        entries.append(row)
+        marks = chunk.translate(b"\x00" + b"\x01" * 255)  # the table is folded at compile time
+        at = marks.find(1)
+        while at >= 0:
+            field = at - at % width
+            lane = (start - base + field) // width
+            byte = chunk[at]
+            if byte & (byte - 1) or marks.find(1, at + 1, field + width) >= 0:
+                raise FormatError(start + field, f"lane {lane}: multiple {what} rows selected")
+            row = 8 * (at - field) + byte.bit_length() - 1
+            if row >= rows:
+                raise FormatError(start + field, f"lane {lane}: {what} row {row} outside [0, {rows})")
+            entries[lane] = row
+            at = marks.find(1, field + width)
     return entries
 
 
@@ -123,26 +145,40 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     if image[4] != FORMAT_VERSION:
         raise FormatError(4, f"unsupported format version {image[4]}")
 
+    n = spec.n_lanes
     u_base = 5
-    c_base = u_base + spec.n_lanes * _row_field_bytes(spec.out_rows)
-    i_base = c_base + spec.n_lanes * 2
+    c_base = u_base + n * _row_field_bytes(spec.out_rows)
+    i_base = c_base + n * 2
 
     u = _decode_row_section(image, u_base, spec, spec.out_rows, "source")
     d = _decode_row_section(image, i_base, spec, spec.in_rows, "destination")
 
-    coeffs: list[CoefficientCode] = []
-    for lane in range(spec.n_lanes):
-        offset = c_base + lane * 2
-        (word,) = struct.unpack_from("<H", image, offset)
-        if lane in spec.lowres_lanes:
-            if word > 7:
-                raise FormatError(offset, f"lane {lane}: low-res code {word} outside [0, 7]")
-            coeffs.append(CoefficientCode.lowres(word))
+    # one shared code per distinct word; None marks a word outside the lane's range
+    words = struct.unpack_from(f"<{n}H", image, c_base)
+    distinct = set(words)
+    highres = {}
+    for word in distinct:
+        code = word - 0x10000 if word & 0x8000 else word
+        if HIGHRES_MIN <= code <= HIGHRES_MAX:
+            highres[word] = CoefficientCode.highres(code)
+    lowres = [CoefficientCode.lowres(code) for code in range(8)]
+    coeffs = list(map(highres.get, words))
+    valid = len(highres) == len(distinct)
+    for lane in spec.lowres_lanes:
+        word = words[lane]
+        if word <= 7:
+            coeffs[lane] = lowres[word]
         else:
-            code = word - 0x10000 if word & 0x8000 else word
-            if not HIGHRES_MIN <= code <= HIGHRES_MAX:
-                raise FormatError(offset, f"lane {lane}: high-res code {code} outside [{HIGHRES_MIN}, {HIGHRES_MAX}]")
-            coeffs.append(CoefficientCode.highres(code))
+            coeffs[lane] = None
+            valid = False
+    if not valid:
+        lane = next(k for k, code in enumerate(coeffs) if code is None)
+        word = words[lane]
+        offset = c_base + lane * 2
+        if lane in spec.lowres_lanes:
+            raise FormatError(offset, f"lane {lane}: low-res code {word} outside [0, 7]")
+        code = word - 0x10000 if word & 0x8000 else word
+        raise FormatError(offset, f"lane {lane}: high-res code {code} outside [{HIGHRES_MIN}, {HIGHRES_MAX}]")
 
     return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(coeffs), i_dest=tuple(d))
 
@@ -175,13 +211,16 @@ def diff(old: MachineConfig, new: MachineConfig) -> DeltaScript:
     if old.spec != new.spec:
         raise SpecMismatchError("configurations target different machine geometries")
     ops = []
-    for lane in range(old.spec.n_lanes):
-        if old.u_source[lane] != new.u_source[lane]:
-            ops.append(DeltaOp(OpCode.SET_U_SOURCE, lane, new.u_source[lane]))
-        if old.coefficients[lane] != new.coefficients[lane]:
-            ops.append(DeltaOp(OpCode.SET_COEFF, lane, new.coefficients[lane].code))
-        if old.i_dest[lane] != new.i_dest[lane]:
-            ops.append(DeltaOp(OpCode.SET_I_DEST, lane, new.i_dest[lane]))
+    lanes = zip(old.u_source, old.coefficients, old.i_dest, new.u_source, new.coefficients, new.i_dest)
+    for lane, (u0, c0, d0, u1, c1, d1) in enumerate(lanes):
+        if u0 is u1 and c0 is c1 and d0 is d1:
+            continue
+        if u0 != u1:
+            ops.append(DeltaOp(OpCode.SET_U_SOURCE, lane, u1))
+        if c0 is not c1 and c0 != c1:
+            ops.append(DeltaOp(OpCode.SET_COEFF, lane, c1.code))
+        if d0 != d1:
+            ops.append(DeltaOp(OpCode.SET_I_DEST, lane, d1))
     return DeltaScript(tuple(ops))
 
 

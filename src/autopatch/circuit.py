@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
-from .dsl import Add, Const, Expr, Mul, Neg, Program, Sub, Var
+from .dsl import Add, Const, Expr, Mul, Neg, Program, Sub, Var, postorder
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,13 @@ class PolySystem:
 
 
 def _expand(expr: Expr) -> dict[tuple[str, ...], float]:
-    """Weight per sorted factor tuple.  Post-order walk with an explicit
-    stack, so a sum of thousands of terms (a left-deep chain of `+`) does
-    not hit Python's recursion limit."""
+    """Weight per sorted factor tuple, folded over a post-order walk."""
     done: list[dict[tuple[str, ...], float]] = []  # expanded operands
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, operands_done = stack.pop()
+    for node in postorder(expr):
         if isinstance(node, Const):
             done.append({(): node.value})
         elif isinstance(node, Var):
             done.append({(node.name,): 1.0})
-        elif not isinstance(node, (Neg, Add, Sub, Mul)):
-            raise TypeError(f"not an expression node: {node!r}")
-        elif not operands_done:
-            stack.append((node, True))
-            if isinstance(node, Neg):
-                stack.append((node.operand, False))
-            else:
-                stack.append((node.right, False))
-                stack.append((node.left, False))
         elif isinstance(node, Neg):
             done.append({m: -w for m, w in done.pop().items()})
         elif isinstance(node, (Add, Sub)):
@@ -125,19 +112,24 @@ def normalize(program: Program) -> PolySystem:
 
 
 def evaluate_expr(expr: Expr, values: Mapping[str, float]) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return values[expr.name]
-    if isinstance(expr, Neg):
-        return -evaluate_expr(expr.operand, values)
-    if isinstance(expr, Add):
-        return evaluate_expr(expr.left, values) + evaluate_expr(expr.right, values)
-    if isinstance(expr, Sub):
-        return evaluate_expr(expr.left, values) - evaluate_expr(expr.right, values)
-    if isinstance(expr, Mul):
-        return evaluate_expr(expr.left, values) * evaluate_expr(expr.right, values)
-    raise TypeError(f"not an expression node: {expr!r}")
+    """The expression's value at `values`, folded over a post-order walk."""
+    done: list[float] = []  # operand values
+    for node in postorder(expr):
+        if isinstance(node, Const):
+            done.append(node.value)
+        elif isinstance(node, Var):
+            done.append(values[node.name])
+        elif isinstance(node, Neg):
+            done.append(-done.pop())
+        else:
+            right, left = done.pop(), done.pop()
+            if isinstance(node, Add):
+                done.append(left + right)
+            elif isinstance(node, Sub):
+                done.append(left - right)
+            else:
+                done.append(left * right)
+    return done.pop()
 
 
 def evaluate_terms(terms: Iterable[Term], values: Mapping[str, float]) -> float:

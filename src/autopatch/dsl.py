@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 PUNCT = frozenset("()[],:;=+-*")
@@ -199,6 +199,26 @@ class Neg:
 
 
 Expr = Union[Const, Var, Add, Sub, Mul, Neg]
+
+
+def postorder(expr: Expr) -> Iterator[Expr]:
+    """Every node of `expr`, each after its operands, left operand first.
+
+    The walk keeps an explicit stack: a sum of thousands of terms is a
+    left-deep chain of `+` that the nesting limit does not cover, and it
+    must not hit Python's recursion limit.
+    """
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if operands_done or isinstance(node, (Const, Var)):
+            yield node
+        elif isinstance(node, Neg):
+            stack += ((node, True), (node.operand, False))
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
 
 
 # --------------------------------------------------------------------------
@@ -615,21 +635,41 @@ def format_number(value: float) -> str:
 
 
 def format_expr(expr: Expr) -> str:
-    """Fully parenthesized rendering; re-parsing reproduces the tree."""
-    if isinstance(expr, Const):
-        if expr.value < 0:
-            return f"(-{format_number(-expr.value)})"
-        return format_number(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{format_expr(expr.operand)})"
+    """Fully parenthesized rendering; re-parsing reproduces the tree.
+
+    The text is emitted left to right from an explicit stack of pending
+    nodes and closing text, so long sums do not hit the recursion limit.
+    """
     ops = {Add: "+", Sub: "-", Mul: "*"}
-    return f"({format_expr(expr.left)} {ops[type(expr)]} {format_expr(expr.right)})"
+    parts: list[str] = []
+    pending: list[Union[Expr, str]] = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Const):
+            if node.value < 0:
+                parts.append(f"(-{format_number(-node.value)})")
+            else:
+                parts.append(format_number(node.value))
+        elif isinstance(node, Var):
+            parts.append(node.name)
+        elif isinstance(node, Neg):
+            parts.append("(-")
+            pending += (")", node.operand)
+        else:
+            parts.append("(")
+            pending += (")", node.right, f" {ops[type(node)]} ", node.left)
+    return "".join(parts)
 
 
 def format_program(program: Program) -> str:
-    """Canonical source text for a Program; parses back to an equal value."""
+    """Canonical source text for a Program; parses back to an equal value.
+
+    Every binary operation gets its own parentheses, so a derivative nested
+    deeper than `MAX_NESTING` (a sum of more than about 200 terms, say)
+    renders to text that the parser refuses.
+    """
     lines = []
     for s in program.states:
         lines.append(f"fn {s.name}({s.ivar});")

@@ -56,11 +56,30 @@ class CoefficientCode:
 
     @staticmethod
     def highres(code: int) -> "CoefficientCode":
-        return CoefficientCode(CoefKind.HIGH_RES, code)
+        """The shared high-res instance for `code`."""
+        return _shared_code(_HIGHRES_CODES, CoefKind.HIGH_RES, code)
 
     @staticmethod
     def lowres(code: int) -> "CoefficientCode":
-        return CoefficientCode(CoefKind.LOW_RES, code)
+        """The shared low-res instance for `code`."""
+        return _shared_code(_LOWRES_CODES, CoefKind.LOW_RES, code)
+
+
+# Shared instances per kind, filled on demand: an image holds a handful of
+# distinct codes over thousands of lanes, and comparing shared instances is
+# an identity check.  Validation runs before an instance is stored and only
+# int codes are stored, so each dict holds at most 4096 or 8 entries.
+_HIGHRES_CODES: dict[int, CoefficientCode] = {}
+_LOWRES_CODES: dict[int, CoefficientCode] = {}
+
+
+def _shared_code(shared: dict[int, CoefficientCode], kind: CoefKind, code: int) -> CoefficientCode:
+    instance = shared.get(code)
+    if instance is None:
+        instance = CoefficientCode(kind, code)
+        if type(code) is int:
+            shared[code] = instance
+    return instance
 
 
 def decode(coeff: CoefficientCode) -> float:
@@ -118,6 +137,20 @@ class RowRole(Enum):
     MUL_B = "MulB"
 
 
+#: Largest geometry the binary formats can address: a delta record carries
+#: its lane as a u16, and the row payload 0xFFFF means "no row".
+MAX_LANES = 65536
+MAX_ROWS = 65534
+
+
+def _check_size(n_lanes: int, out_rows: int, in_rows: int) -> None:
+    if n_lanes > MAX_LANES:
+        raise ValueError(f"{n_lanes} lanes exceed the format limit of {MAX_LANES}")
+    for rows, what in ((out_rows, "output"), (in_rows, "input")):
+        if rows > MAX_ROWS:
+            raise ValueError(f"{rows} {what} rows exceed the format limit of {MAX_ROWS}")
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """Parametric geometry of one interconnect tile.
@@ -140,6 +173,7 @@ class MachineSpec:
     def __post_init__(self):
         if min(self.n_integrators, self.n_multipliers, self.n_lanes, self.out_rows, self.in_rows) < 0:
             raise ValueError("negative geometry")
+        _check_size(self.n_lanes, self.out_rows, self.in_rows)
         if self.in_rows != self.n_integrators + 2 * self.n_multipliers:
             raise ValueError(
                 f"in_rows must equal n_integrators + 2*n_multipliers "
@@ -208,12 +242,15 @@ class MachineSpec:
 def _derived_spec(n_integrators: int, n_multipliers: int, n_lanes: int) -> MachineSpec:
     # top quarter of the lane range is low-res, constant row present
     n_low = n_lanes // 4
+    out_rows = n_integrators + n_multipliers + 1
+    in_rows = n_integrators + 2 * n_multipliers
+    _check_size(n_lanes, out_rows, in_rows)  # before the low-res lane set is built
     return MachineSpec(
         n_integrators=n_integrators,
         n_multipliers=n_multipliers,
         n_lanes=n_lanes,
-        out_rows=n_integrators + n_multipliers + 1,
-        in_rows=n_integrators + 2 * n_multipliers,
+        out_rows=out_rows,
+        in_rows=in_rows,
         lowres_lanes=frozenset(range(n_lanes - n_low, n_lanes)),
         has_const_row=True,
     )
@@ -248,11 +285,6 @@ def custom_spec(n_integrators: int, n_multipliers: int, n_lanes: int) -> Machine
 
 # --------------------------------------------------------------------------
 # routed configuration
-
-
-def _unused_code(spec: MachineSpec, lane: int) -> CoefficientCode:
-    kind = CoefKind.LOW_RES if lane in spec.lowres_lanes else CoefKind.HIGH_RES
-    return CoefficientCode(kind, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,10 +332,13 @@ class MachineConfig:
 
     @staticmethod
     def empty(spec: MachineSpec) -> "MachineConfig":
+        coefficients = [CoefficientCode.highres(0)] * spec.n_lanes
+        for lane in spec.lowres_lanes:
+            coefficients[lane] = CoefficientCode.lowres(0)
         return MachineConfig(
             spec=spec,
             u_source=(None,) * spec.n_lanes,
-            coefficients=tuple(_unused_code(spec, k) for k in range(spec.n_lanes)),
+            coefficients=tuple(coefficients),
             i_dest=(None,) * spec.n_lanes,
         )
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,11 @@ from autopatch.bitstream import (
     image_length,
 )
 from autopatch.machine import (
+    CoefKind,
     CoefficientCode,
     MachineConfig,
     MachineSpec,
+    custom_spec,
     lucidac_spec,
     redac_tile_spec,
 )
@@ -253,3 +256,266 @@ class TestDeltaWireFormat:
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
             decode_delta(b"WHAT\x01\x00\x00\x00\x00")
+
+
+# --------------------------------------------------------------------------
+# parity with the lane-by-lane codec
+#
+# Test-local copies of the codec as it was before decode, encode and diff
+# learned to skip unwired lanes and to share coefficient codes.  The
+# properties below require the same bytes, the same configurations and
+# scripts, and the same FormatError (offset and reason) on malformed images.
+
+
+def _loop_row_section_bytes(rows):
+    return (rows + 7) // 8
+
+
+def loop_encode(config):
+    def row_section(entries, rows):
+        width = _loop_row_section_bytes(rows)
+        return b"".join((0 if row is None else 1 << row).to_bytes(width, "little") for row in entries)
+
+    spec = config.spec
+    return b"".join([
+        b"ACFG",
+        bytes([1]),
+        row_section(config.u_source, spec.out_rows),
+        struct.pack(f"<{spec.n_lanes}H", *(c.code & 0xFFFF for c in config.coefficients)),
+        row_section(config.i_dest, spec.in_rows),
+    ])
+
+
+def loop_decode_row_section(data, base, spec, rows, what):
+    width = _loop_row_section_bytes(rows)
+    entries = []
+    for lane in range(spec.n_lanes):
+        offset = base + lane * width
+        value = int.from_bytes(data[offset:offset + width], "little")
+        if value == 0:
+            entries.append(None)
+            continue
+        if value & (value - 1):
+            raise FormatError(offset, f"lane {lane}: multiple {what} rows selected")
+        row = value.bit_length() - 1
+        if row >= rows:
+            raise FormatError(offset, f"lane {lane}: {what} row {row} outside [0, {rows})")
+        entries.append(row)
+    return entries
+
+
+def loop_decode(image, spec):
+    expected = image_length(spec)
+    if len(image) != expected:
+        raise FormatError(0, f"image is {len(image)} bytes, expected {expected}")
+    if image[:4] != b"ACFG":
+        raise FormatError(0, f"bad magic {image[:4]!r}")
+    if image[4] != 1:
+        raise FormatError(4, f"unsupported format version {image[4]}")
+    u_base = 5
+    c_base = u_base + spec.n_lanes * _loop_row_section_bytes(spec.out_rows)
+    i_base = c_base + spec.n_lanes * 2
+    u = loop_decode_row_section(image, u_base, spec, spec.out_rows, "source")
+    d = loop_decode_row_section(image, i_base, spec, spec.in_rows, "destination")
+    coeffs = []
+    for lane in range(spec.n_lanes):
+        offset = c_base + lane * 2
+        (word,) = struct.unpack_from("<H", image, offset)
+        if lane in spec.lowres_lanes:
+            if word > 7:
+                raise FormatError(offset, f"lane {lane}: low-res code {word} outside [0, 7]")
+            coeffs.append(CoefficientCode(CoefKind.LOW_RES, word))
+        else:
+            code = word - 0x10000 if word & 0x8000 else word
+            if not -2048 <= code <= 2047:
+                raise FormatError(offset, f"lane {lane}: high-res code {code} outside [-2048, 2047]")
+            coeffs.append(CoefficientCode(CoefKind.HIGH_RES, code))
+    return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(coeffs), i_dest=tuple(d))
+
+
+def loop_diff(old, new):
+    ops = []
+    for lane in range(old.spec.n_lanes):
+        if old.u_source[lane] != new.u_source[lane]:
+            ops.append(DeltaOp(OpCode.SET_U_SOURCE, lane, new.u_source[lane]))
+        if old.coefficients[lane] != new.coefficients[lane]:
+            ops.append(DeltaOp(OpCode.SET_COEFF, lane, new.coefficients[lane].code))
+        if old.i_dest[lane] != new.i_dest[lane]:
+            ops.append(DeltaOp(OpCode.SET_I_DEST, lane, new.i_dest[lane]))
+    return DeltaScript(tuple(ops))
+
+
+# small custom machines: row counts on both sides of a multiple of 8 (and 0
+# input rows), a low-res top quarter from 4 lanes up
+_small_specs = st.builds(custom_spec, st.integers(0, 12), st.integers(0, 6), st.integers(0, 40))
+
+
+@st.composite
+def _small_config(draw, spec):
+    """A valid configuration; each code is drawn either as the shared
+    instance or as a fresh one, so diff sees both kinds of equal codes."""
+    u, c, d = [], [], []
+    for lane in range(spec.n_lanes):
+        kind = CoefKind.LOW_RES if lane in spec.lowres_lanes else CoefKind.HIGH_RES
+        code = 0
+        if spec.in_rows and draw(st.booleans()):
+            u.append(draw(st.integers(0, spec.out_rows - 1)))
+            d.append(draw(st.integers(0, spec.in_rows - 1)))
+            code = draw(st.integers(0, 7) if kind is CoefKind.LOW_RES else st.integers(-2048, 2047))
+        else:
+            u.append(None)
+            d.append(None)
+        if draw(st.booleans()):
+            c.append(CoefficientCode(kind, code))
+        elif kind is CoefKind.LOW_RES:
+            c.append(CoefficientCode.lowres(code))
+        else:
+            c.append(CoefficientCode.highres(code))
+    return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
+
+
+@st.composite
+def _spec_and_configs(draw, count):
+    spec = draw(_small_specs)
+    return (spec,) + tuple(draw(_small_config(spec)) for _ in range(count))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except FormatError as exc:
+        return ("FormatError", exc.offset, exc.reason)
+
+
+@st.composite
+def _mutated_images(draw):
+    """An encoded configuration with one to three faults: a set bit
+    anywhere (an extra row in a lane, a bad coefficient word, a bad magic
+    byte), a padding bit past `rows`, an arbitrary coefficient word or
+    version byte, or a wrong length."""
+    spec, config = draw(_spec_and_configs(1))
+    image = bytearray(loop_encode(config))
+    u_width = _loop_row_section_bytes(spec.out_rows)
+    c_base = 5 + spec.n_lanes * u_width
+    i_base = c_base + 2 * spec.n_lanes
+    sections = ((5, u_width, spec.out_rows), (i_base, _loop_row_section_bytes(spec.in_rows), spec.in_rows))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(["bit", "bit", "padding", "word", "version", "length"]))
+        if fault == "bit":
+            at = draw(st.integers(0, len(image) - 1))
+            image[at] |= 1 << draw(st.integers(0, 7))
+        elif fault == "padding" and spec.n_lanes:
+            base, width, rows = draw(st.sampled_from(sections))
+            if rows % 8:
+                bit = draw(st.integers(rows, 8 * width - 1))
+                at = base + draw(st.integers(0, spec.n_lanes - 1)) * width + bit // 8
+                image[at] |= 1 << bit % 8
+        elif fault == "word" and spec.n_lanes:
+            lane = draw(st.integers(0, spec.n_lanes - 1))
+            struct.pack_into("<H", image, c_base + 2 * lane, draw(st.integers(0, 0xFFFF)))
+        elif fault == "version":
+            image[4] = draw(st.integers(0, 255))
+        elif fault == "length":
+            cut = draw(st.integers(-3, 3).filter(bool))
+            image = image[:cut] if cut < 0 else image + bytes(cut)
+    return spec, bytes(image)
+
+
+class TestMatchesLaneLoopCodec:
+    @given(_spec_and_configs(1))
+    @settings(max_examples=150, deadline=None)
+    def test_encode_and_decode(self, case):
+        spec, config = case
+        image = encode(config)
+        assert image == loop_encode(config)
+        assert decode(image, spec) == loop_decode(image, spec) == config
+
+    @given(_spec_and_configs(2))
+    @settings(max_examples=150, deadline=None)
+    def test_diff(self, case):
+        _, a, b = case
+        assert diff(a, b) == loop_diff(a, b)
+        assert diff(a, a) == loop_diff(a, a) == DeltaScript(())
+
+    @given(_mutated_images())
+    @settings(max_examples=400, deadline=None)
+    def test_malformed_image_same_error(self, case):
+        spec, image = case
+        assert _outcome(decode, image, spec) == _outcome(loop_decode, image, spec)
+
+    def test_redac_images(self):
+        spec = redac_tile_spec()
+        rng = random.Random(5)
+        a = support.random_config(spec, rng, p_active=0.05)
+        b = support.random_config(spec, rng, p_active=0.05)
+        image = encode(a)
+        assert image == loop_encode(a)
+        assert decode(image, spec) == loop_decode(image, spec) == a
+        assert diff(a, b) == loop_diff(a, b)
+        # a fault in the last lane of each section, past a run of unwired lanes
+        width = _loop_row_section_bytes(spec.out_rows)
+        for at in (5 + 8000 * width - 1, 5 + 8000 * (width + 2) - 1, image_length(spec) - 1):
+            bad = bytearray(image)
+            bad[at] |= 0x81
+            assert _outcome(decode, bytes(bad), spec) == _outcome(loop_decode, bytes(bad), spec)
+            assert _outcome(decode, bytes(bad), spec)[0] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ((5 + 64 + 2 * 24, 9), (5 + 64 + 1, 0x09)),  # bad low-res word at lane 24, high-res at lane 0
+            ((5 + 64 + 2 * 31, 8), (5 + 64 + 2 * 23 + 1, 0xF7)),  # lanes 31 and 23
+            ((5 + 64 + 2 * 30, 8), (5 + 64 + 2 * 25, 9)),  # two low-res lanes
+            ((5 + 64 + 2 * 30, 8), (5 + 1, 0x03), (5 + 64 + 64 + 1, 0x81)),  # every section
+        ],
+    )
+    def test_first_faulty_lane_in_section_order_wins(self, faults):
+        spec = lucidac_spec()
+        image = bytearray(encode(MachineConfig.empty(spec)))
+        for at, value in faults:
+            image[at] = value
+        outcome = _outcome(decode, bytes(image), spec)
+        assert outcome == _outcome(loop_decode, bytes(image), spec)
+        assert outcome[0] == "FormatError"
+
+    def test_decoded_codes_are_shared(self):
+        spec = lucidac_spec()
+        config = decode(encode(support.random_config(spec, random.Random(8))), spec)
+        for lane, code in enumerate(config.coefficients):
+            shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
+            assert code is shared(code.code)
+
+
+@st.composite
+def _delta_bytes(draw):
+    """Random bytes, a well-formed header over random records, or the
+    encoding of a real script with bits set, words rewritten or the
+    length changed."""
+    kind = draw(st.sampled_from(["random", "records", "mutated"]))
+    if kind == "random":
+        return draw(st.binary(max_size=40))
+    if kind == "records":
+        count = draw(st.integers(0, 6))
+        return b"ACDL\x01" + struct.pack("<I", count) + draw(st.binary(min_size=5 * count, max_size=5 * count))
+    _, a, b = draw(_spec_and_configs(2))
+    data = bytearray(encode_delta(diff(a, b)))
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(["bit", "word", "length"]))
+        if fault == "bit":
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] |= 1 << draw(st.integers(0, 7))
+        elif fault == "word" and len(data) > 9:
+            struct.pack_into("<H", data, draw(st.integers(9, len(data) - 2)), draw(st.integers(0, 0xFFFF)))
+        elif fault == "length":
+            data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=6))
+    return bytes(data)
+
+
+@given(_spec_and_configs(1), _delta_bytes())
+@settings(max_examples=500, deadline=None)
+def test_delta_fuzz_raises_only_format_range_or_validation_errors(case, data):
+    _, base = case
+    try:
+        apply(base, decode_delta(data))
+    except (FormatError, RangeError, ValidationError):
+        pass

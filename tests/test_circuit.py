@@ -20,7 +20,7 @@ from autopatch.circuit import (
     format_circuit,
     normalize,
 )
-from autopatch.dsl import Add, Const, Mul, Program, StateDef, Var, compile_source
+from autopatch.dsl import Add, Const, Mul, Neg, Program, StateDef, Sub, Var, compile_source
 
 
 def program_for(**derivs):
@@ -254,3 +254,38 @@ class TestDump:
         assert Monomial.of("Z", "X") == Monomial.of("X", "Z")
         assert Monomial.of("Z", "X").factors == ("X", "Z")
         assert str(Monomial.of()) == "1"
+
+
+def recursive_evaluate_expr(expr, values):
+    """Test-local copy of the recursive evaluator that evaluate_expr replaced."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        return values[expr.name]
+    if isinstance(expr, Neg):
+        return -recursive_evaluate_expr(expr.operand, values)
+    if isinstance(expr, Add):
+        return recursive_evaluate_expr(expr.left, values) + recursive_evaluate_expr(expr.right, values)
+    if isinstance(expr, Sub):
+        return recursive_evaluate_expr(expr.left, values) - recursive_evaluate_expr(expr.right, values)
+    return recursive_evaluate_expr(expr.left, values) * recursive_evaluate_expr(expr.right, values)
+
+
+class TestLongSums:
+    def test_evaluate_matches_recursive_evaluator(self):
+        rng = random.Random(77)
+        names = ["A", "B", "C"]
+        for _ in range(300):
+            expr = support.random_expr(rng, names, depth=6)
+            point = {n: rng.uniform(-2, 2) for n in names}
+            assert evaluate_expr(expr, point) == recursive_evaluate_expr(expr, point)
+
+    def test_evaluate_5000_term_sum(self):
+        terms = ["X", "0.1", "-X * X", "0.3 * X"] * 1250
+        program = compile_source("fn X(t); let diff[X, t] = " + " + ".join(terms) + "; let X(t: 0) = 0.7;")
+        x = 0.7
+        value = {"X": x, "0.1": 0.1, "-X * X": -x * x, "0.3 * X": 0.3 * x}
+        expected = 0.0
+        for term in terms:  # left to right, as the left-deep sum adds
+            expected += value[term]
+        assert evaluate_expr(program.states[0].derivative, {"X": x}) == expected

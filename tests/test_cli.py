@@ -6,6 +6,7 @@ import pytest
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
 from autopatch.fabric import MAX_PORTS
+from autopatch.machine import MAX_LANES, MAX_ROWS
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 LORENZ = str(PROGRAMS / "lorenz.odedsl")
@@ -253,6 +254,45 @@ class TestDiffApply:
         bad.write_bytes(encode_delta(DeltaScript((DeltaOp(OpCode.SET_U_SOURCE, 0, 3),))))
         assert main(["apply", str(base), str(bad), "-o", str(tmp_path / "out.acfg")]) == 1
         assert "dangling" in capsys.readouterr().err
+
+
+class TestMachineSizeBound:
+    def test_diff_and_apply_at_lane_limit(self, tmp_path, capsys):
+        from autopatch.bitstream import encode
+        from autopatch.machine import CoefficientCode, MachineConfig, custom_spec
+
+        machine = f"custom:i=1,m=0,l={MAX_LANES}"
+        empty = MachineConfig.empty(custom_spec(1, 0, MAX_LANES))
+        wired = empty.with_lane(MAX_LANES - 1, 0, CoefficientCode.lowres(1), 0)
+        old, new = tmp_path / "old.acfg", tmp_path / "new.acfg"
+        old.write_bytes(encode(empty))
+        new.write_bytes(encode(wired))
+        delta, patched = tmp_path / "d.acdl", tmp_path / "patched.acfg"
+        assert main(["diff", str(old), str(new), "-o", str(delta), "--machine", machine]) == 0
+        assert capsys.readouterr().out == "ops: 3\n"
+        assert main(["apply", str(old), str(delta), "-o", str(patched), "--machine", machine]) == 0
+        assert patched.read_bytes() == new.read_bytes()
+
+    def test_route_at_row_limit(self, tmp_path, capsys):
+        decay = write(tmp_path, "decay.odedsl", "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1.0;\nout X(t);\n")
+        machine = f"custom:i={MAX_ROWS - 1},m=0,l=8"
+        assert main(["route", decay, "--machine", machine, "-o", str(tmp_path / "a.acfg")]) == 0
+        assert "lanes_used: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "machine",
+        [f"custom:i=1,m=0,l={MAX_LANES + 1}", "custom:i=1,m=0,l=70000", f"custom:i={MAX_ROWS},m=0,l=8",
+         f"custom:i=1,m={MAX_ROWS // 2},l=8", "custom:i=1,m=0,l=1000000000"],
+    )
+    def test_past_limit_is_refused(self, tmp_path, capsys, machine):
+        image = tmp_path / "a.acfg"
+        image.write_bytes(b"ACFG\x01")
+        assert main(["diff", str(image), str(image), "-o", str(tmp_path / "d.acdl"), "--machine", machine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed the format limit" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "d.acdl").exists()
 
 
 class TestFabric:

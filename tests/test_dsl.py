@@ -12,6 +12,7 @@ from autopatch.dsl import (
     Neg,
     ParseError,
     Program,
+    SourceError,
     StateDef,
     Sub,
     TokenKind,
@@ -19,6 +20,7 @@ from autopatch.dsl import (
     Var,
     compile_source,
     format_expr,
+    format_number,
     format_program,
     parse,
     tokenize,
@@ -300,3 +302,72 @@ def _programs(draw):
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property(program):
     assert compile_source(format_program(program)) == program
+
+
+def recursive_format_expr(expr):
+    """Test-local copy of the recursive formatter that format_expr replaced."""
+    if isinstance(expr, Const):
+        if expr.value < 0:
+            return f"(-{format_number(-expr.value)})"
+        return format_number(expr.value)
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, Neg):
+        return f"(-{recursive_format_expr(expr.operand)})"
+    ops = {Add: "+", Sub: "-", Mul: "*"}
+    return f"({recursive_format_expr(expr.left)} {ops[type(expr)]} {recursive_format_expr(expr.right)})"
+
+
+class TestLongSums:
+    @given(_exprs(["A", "B"]) | _weights.map(lambda w: Const(-w)))
+    @settings(max_examples=200, deadline=None)
+    def test_format_matches_recursive_formatter(self, expr):
+        assert format_expr(expr) == recursive_format_expr(expr)
+
+    def test_format_5000_term_sum(self):
+        source = "fn X(t); let diff[X, t] = " + " + ".join(["X"] * 5000) + "; let X(t: 0) = 0.5;"
+        program = compile_source(source)
+        assert format_expr(program.states[0].derivative) == "(" * 4999 + "X" + " + X)" * 4999
+        text = format_program(program)
+        assert text.startswith("fn X(t);\nlet diff[X, t] = " + "(" * 4999 + "X + X)")
+        # deeper than the parser's nesting limit, as format_program says
+        with pytest.raises(ParseError, match="nested too deeply"):
+            compile_source(text)
+
+
+_soup = st.lists(
+    st.sampled_from(
+        ["fn", "let", "diff", "plot", "out", "X", "Y", "t", "x", "y", "0", "1.5", "2.", ".5", "1e3",
+         "(", ")", "[", "]", ",", ":", ";", "=", "+", "-", "*", "#", "\n", "$", "é", " "]
+    ),
+    max_size=40,
+).map(" ".join)
+
+
+_VALID = (
+    "fn X ( t ) ; fn Y ( t ) ; let diff [ X , t ] = 1.8 * Y - X ; let diff [ Y , t ] = - ( X * Y ) ;"
+    " let X ( t : 0 ) = 0.1 ; let Y ( t : 0 ) = 0 ; plot ( x : X ( t ) , y : Y ( t ) ) ; out X ( t ) ;"
+).split()
+
+
+@st.composite
+def _edited_programs(draw):
+    """A valid program with one to three tokens deleted, replaced or inserted."""
+    tokens = list(_VALID)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["delete", "replace", "insert"]))
+        if edit == "delete":
+            del tokens[at]
+        else:
+            tokens[at:at + (edit == "replace")] = [draw(_soup)]
+    return " ".join(tokens)
+
+
+@given(_soup | st.text(max_size=40) | _edited_programs())
+@settings(max_examples=500, deadline=None)
+def test_token_soup_raises_only_source_errors(source):
+    try:
+        compile_source(source)
+    except SourceError:
+        pass

@@ -6,8 +6,11 @@ import hypothesis.strategies as st
 
 import support
 from autopatch.machine import (
+    CoefKind,
     CoefficientCode,
     HIGHRES_LSB,
+    MAX_LANES,
+    MAX_ROWS,
     MachineConfig,
     MachineSpec,
     RangeWarning,
@@ -223,3 +226,52 @@ def test_format_config_lists_active_lanes_in_order(lorenz_design):
     assert len(dump) == 11
     lanes = [int(line.split()[1].rstrip(":")) for line in dump]
     assert lanes == sorted(lanes)
+
+
+class TestSizeBound:
+    def test_largest_addressable_geometry(self):
+        assert custom_spec(1, 0, MAX_LANES).n_lanes == MAX_LANES
+        assert custom_spec(MAX_ROWS - 1, 0, 8).out_rows == MAX_ROWS
+        assert custom_spec(0, MAX_ROWS // 2, 8).in_rows == MAX_ROWS
+        spec = MachineSpec(0, 0, MAX_LANES, out_rows=MAX_ROWS, in_rows=0,
+                           lowres_lanes=frozenset(), has_const_row=False)
+        assert MachineConfig.empty(spec).coefficients[-1] is CoefficientCode.highres(0)
+
+    @pytest.mark.parametrize(
+        "geometry, problem",
+        [
+            ((1, 0, MAX_LANES + 1), f"{MAX_LANES + 1} lanes exceed"),
+            ((1, 0, 10**9), "1000000000 lanes exceed"),  # refused before the low-res lane set is built
+            ((MAX_ROWS, 0, 8), f"{MAX_ROWS + 1} output rows exceed"),
+            ((1, MAX_ROWS // 2, 8), f"{MAX_ROWS + 1} input rows exceed"),
+        ],
+        ids=["lanes", "billion_lanes", "output_rows", "input_rows"],
+    )
+    def test_larger_geometry_refused(self, geometry, problem):
+        with pytest.raises(ValueError, match=problem):
+            custom_spec(*geometry)
+
+    def test_spec_checks_the_bound_itself(self):
+        with pytest.raises(ValueError, match="lanes exceed"):
+            MachineSpec(0, 0, MAX_LANES + 1, out_rows=0, in_rows=0, lowres_lanes=frozenset(), has_const_row=False)
+        with pytest.raises(ValueError, match="output rows exceed"):
+            MachineSpec(0, 0, 8, out_rows=MAX_ROWS + 1, in_rows=0, lowres_lanes=frozenset(), has_const_row=False)
+
+
+class TestSharedCodes:
+    def test_one_instance_per_kind_and_code(self):
+        assert CoefficientCode.highres(-7) is CoefficientCode.highres(-7)
+        assert CoefficientCode.lowres(3) is CoefficientCode.lowres(3)
+        assert CoefficientCode.highres(3) is not CoefficientCode.lowres(3)
+        assert CoefficientCode.highres(3) == CoefficientCode(CoefKind.HIGH_RES, 3)
+
+    @pytest.mark.parametrize("make, code", [(CoefficientCode.highres, 2048), (CoefficientCode.lowres, 8)])
+    def test_invalid_code_is_refused_and_not_kept(self, make, code):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside"):
+                make(code)
+
+    def test_empty_config_shares_two_codes(self):
+        config = MachineConfig.empty(redac_tile_spec())
+        assert len({id(code) for code in config.coefficients}) == 2
+        assert validate_config(config) == []
