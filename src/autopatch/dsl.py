@@ -634,15 +634,31 @@ def format_number(value: float) -> str:
     return text
 
 
-def format_expr(expr: Expr) -> str:
-    """Fully parenthesized rendering; re-parsing reproduces the tree.
+# binding strength of each node type in the grammar: a sum is an expr, a
+# product a term, a negation a factor; every other node is a primary
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Neg: 3}
 
-    The text is emitted left to right from an explicit stack of pending
-    nodes and closing text, so long sums do not hit the recursion limit.
+
+def format_expr(expr: Expr) -> str:
+    """Source text with only the parentheses that precedence and left
+    associativity need; re-parsing reproduces the tree.
+
+    A left operand of a binary node is wrapped when it binds less tightly
+    than the node, a right operand also when it binds equally.  A negative
+    constant, which has no literal, renders as `(-c)`.  The text is emitted
+    left to right from an explicit stack of pending nodes and text, so
+    long sums do not hit the recursion limit.
     """
     ops = {Add: "+", Sub: "-", Mul: "*"}
     parts: list[str] = []
     pending: list[Union[Expr, str]] = [expr]
+
+    def push(node: Expr, least: int) -> None:
+        if _PRECEDENCE.get(type(node), 4) < least:
+            pending.extend((")", node, "("))
+        else:
+            pending.append(node)
+
     while pending:
         node = pending.pop()
         if isinstance(node, str):
@@ -655,21 +671,18 @@ def format_expr(expr: Expr) -> str:
         elif isinstance(node, Var):
             parts.append(node.name)
         elif isinstance(node, Neg):
-            parts.append("(-")
-            pending += (")", node.operand)
+            parts.append("-")
+            push(node.operand, 3)
         else:
-            parts.append("(")
-            pending += (")", node.right, f" {ops[type(node)]} ", node.left)
+            level = _PRECEDENCE[type(node)]
+            push(node.right, level + 1)
+            pending.append(f" {ops[type(node)]} ")
+            push(node.left, level)
     return "".join(parts)
 
 
 def format_program(program: Program) -> str:
-    """Canonical source text for a Program; parses back to an equal value.
-
-    Every binary operation gets its own parentheses, so a derivative nested
-    deeper than `MAX_NESTING` (a sum of more than about 200 terms, say)
-    renders to text that the parser refuses.
-    """
+    """Canonical source text for a Program; parses back to an equal value."""
     lines = []
     for s in program.states:
         lines.append(f"fn {s.name}({s.ivar});")

@@ -1,21 +1,24 @@
 """Fixed-step simulation of a routed configuration and of the polynomial
 reference system.
 
-Both paths share one integrator core and one evaluation discipline, so
-with quantization bypassed they are comparable step for step; residual
-differences are floating-point reassociation only.  The hardware path
-evaluates exactly what the interconnect wires up: element output voltages
-fan out over lanes, each lane scales by its coefficient, currents sum per
-input row, multipliers form products of their two row sums in dependency
-order, and each integrator integrates its input row.
+The hardware path evaluates exactly what the interconnect wires up:
+element output voltages fan out over lanes, each lane scales by its
+coefficient, currents sum per input row, multipliers form products of
+their two row sums in dependency order, and each integrator integrates its
+input row.  `build_dynamics` writes one Python function per routed
+machine that runs a whole RK4 or Euler step, with the evaluation written
+out once as straight-line code inside a loop over the stages, and compiles
+it with `exec`, in the manner of SymPy's `lambdify` or JiTCODE.  Each row
+sum keeps the lane order of a loop that accumulates from 0.0, and each
+stage keeps the arithmetic of `_step`, so the generated code rounds
+exactly as those loops would.
 
-`build_dynamics` writes that evaluation out as one straight-line Python
-function per routed machine and compiles it with `exec`, in the manner of
-SymPy's `lambdify` or JiTCODE.  Each row sum keeps the lane order of a
-loop that accumulates from 0.0, so the generated code rounds exactly as
-that loop would.  The reference path stays a plain interpreter over the
-expanded polynomial system, independent of the generated code, so it can
-check the hardware path.
+The reference path stays a plain interpreter over the expanded polynomial
+system, independent of the generated code, so it can check the hardware
+path; `run` steps it with `_step`.  Both paths go through the same `run`
+loop and the same stage arithmetic, so with quantization bypassed they are
+comparable step for step; residual differences are floating-point
+reassociation only.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -114,10 +118,24 @@ def _clamper(clip: float, clipped: Optional[set]):
 # `+` of a chain, so a sum of thousands of terms does not compile in one piece
 _SUM_CHUNK = 200
 
+# States are kept in scalar locals across the stages of a generated step up
+# to this count.  Past it they travel in lists, as in `_step`: on the
+# 500-state synthetic machine scalar stage code grows the source from 49 to
+# 158 kB, triples its compile time and takes the compiler's peak memory from
+# 4.3 to 19.7 MB.
+_SCALAR_STATES = 64
+
 
 def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
-    """Source and globals of `evaluate(y, clip=None, clipped=None,
-    volts=False)` for one routed machine.
+    """Source and globals of `step(y, h, stages, clip=None, clipped=None)`
+    for one routed machine.
+
+    With `stages` = 4 the function takes one RK4 step of size h from y,
+    with 1 an Euler step, and returns `(next state, volts)`, where volts
+    are the element voltages of the first stage, i.e. at y.  With 0 it
+    only evaluates at y and returns the integrator input sums in place of
+    a next state.  The evaluation is written once, in a loop over the
+    stages, and each stage's arithmetic is that of `_step`.
 
     Element k is the local `e<k>`.  Every row sum is written out as
     `0.0 + g*e<src> + ...` in lane order, so the additions happen in the
@@ -151,16 +169,31 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     def clamped(pairs: str) -> str:
         return f"[v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
 
-    body.append("clipping = clip is not None")
-    body.append("if clipping:")
-    body.append("    lo, clamp = -clip, _clamper(clip, clipped)")
-    body.append(f"    y = {clamped('enumerate(y)')}")
-    if n_states:
-        body.append("".join(f"e{i}, " for i in range(n_states)) + "= y")
+    # A vector over the states is n scalar locals on a small machine and one
+    # list on a large one; `{i}` in a template stands for the state index.
+    scalar = 0 < n_states <= _SCALAR_STATES
+
+    def vector(template):
+        if scalar:
+            return "(" + "".join(template.format(i=i) + ", " for i in range(n_states)) + ")"
+        return "[" + template.replace("{i}", "[i]") + f" for i in range({n_states})]"
+
+    def names(name):
+        return vector(name + "{i}") if scalar else name
+
+    # the stage's states: e0, e1, ... themselves, or the list x they unpack from
+    state = names("e") if scalar else "x"
+    head = ["clipping = clip is not None", "if clipping:", "    lo, clamp = -clip, _clamper(clip, clipped)"]
+    head += [f"{state} = y", "half = 0.5 * h"]
+    if scalar:
+        head.append(f"{names('y')} = y")
+    body.append(f"if clipping: {state} = {clamped(f'enumerate({state})')}")
+    if n_states and not scalar:
+        body.append("".join(f"e{i}, " for i in range(n_states)) + "= x")
     if const_index is not None:
         k = const_index
-        body.append(f"e{k} = 1.0")
-        body.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
+        head.append(f"e{k} = 1.0")
+        head.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
 
     # Multipliers go level by level: level 0 reads only states and the
     # constant, level j reads at least one multiplier of level j - 1.  Each
@@ -180,50 +213,72 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
             a = row_sum(a_terms, "_a")
             b = row_sum(b_terms, "_b")
             body.append(f"e{k} = ({a}) * ({b})")
-        names = "".join(f"e{k}, " for k, _, _ in ops)
+        level_names = "".join(f"e{k}, " for k, _, _ in ops)
         namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
-        body.append(f"if clipping: {names}= {clamped(f'zip(_level{j}, ({names}))')}")
-    body.append("if volts:")
-    body.append("    return [" + ", ".join(f"e{k}" for k in range(n_elements)) + "]")
-    sums = [row_sum(terms, f"_d{i}") for i, terms in enumerate(int_terms)]
-    body.append("return [" + ", ".join(sums) + "]")
-    source = "def evaluate(y, clip=None, clipped=None, volts=False):\n" + "".join(f"    {line}\n" for line in body)
+        body.append(f"if clipping: {level_names}= {clamped(f'zip(_level{j}, ({level_names}))')}")
+    sums = "".join(row_sum(terms, f"_d{i}") + ", " for i, terms in enumerate(int_terms))
+    body.append(f"{names('d')} = " + (f"({sums})" if scalar else f"[{sums}]"))
+    # a display of every state costs the compiler more memory than *x
+    volts = f"[*{state}, " + "".join(f"e{k}, " for k in range(n_states, n_elements)) + "]"
+
+    # stage arithmetic, in the order and rounding of `_step`
+    body += [
+        "if stage == 0:",
+        f"    volts = {volts}",
+        "    if stages < 2:",
+        f"        return ({vector('y{i} + h * d{i}')} if stages else {names('d')}), volts",
+        f"    {names('k1_')} = {names('d')}",
+        f"    {state} = {vector('y{i} + half * d{i}')}",
+        "elif stage == 1:",
+        f"    {names('k2_')} = {names('d')}",
+        f"    {state} = {vector('y{i} + half * d{i}')}",
+        "elif stage == 2:",
+        f"    {names('k3_')} = {names('d')}",
+        f"    {state} = {vector('y{i} + h * d{i}')}",
+        "else:",
+        "    s = h / 6.0",
+        f"    return {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}, volts",
+    ]
+    lines = head + ["for stage in range(4):"] + [f"    {line}" for line in body]
+    source = "def step(y, h, stages, clip=None, clipped=None):\n" + "".join(f"    {line}\n" for line in lines)
     return source, namespace
 
 
 class DynamicsModel:
-    """Compiled hardware evaluator.
+    """Compiled hardware step.
 
     Elements are laid out as one voltage vector: used integrators first
     (ascending slot), then used multipliers, then the constant source if
     any active lane draws from it.  `taps` maps signal names to element
     positions.
 
-    `build_dynamics` generates one straight-line Python function per
-    machine (see `_generate_evaluator`): it unpacks the states, clamps
-    them in clip mode, forms each multiplier's product of row sums in
-    dependency order, and returns either every element voltage or the
-    integrator input sums.  `rhs` is that function; `voltages` calls it
-    for the element voltages.
+    `step(y, h, stages, clip=None, clipped=None)` is one Python function
+    generated per machine (see `_generate_evaluator`).  It takes a whole
+    RK4 (4 stages) or Euler (1 stage) step from y and returns the next
+    state with the element voltages at y, which is what `run` records; in
+    clip mode it clamps every stage's states and products.  With 0 stages
+    it only evaluates at y.  `rhs` and `voltages` are views on that
+    0-stage call.
     """
 
-    def __init__(self, state_labels, initial, element_labels, taps, evaluate):
+    def __init__(self, state_labels, initial, element_labels, taps, step):
         self.state_labels: tuple[str, ...] = state_labels
         self.initial: tuple[float, ...] = initial
         self.element_labels: tuple[str, ...] = element_labels
         self.taps: dict[str, int] = taps
-        self.rhs = evaluate
+        self.step = step
 
-    @property
-    def n_states(self) -> int:
-        return len(self.state_labels)
+    def rhs(self, y, clip=None, clipped=None):
+        """The integrator input sums at y."""
+        return list(self.step(y, 0.0, 0, clip, clipped)[0])
 
-    def voltages(self, y: Sequence[float], clip: Optional[float] = None, clipped: Optional[set] = None) -> list[float]:
-        return self.rhs(y, clip, clipped, True)
+    def voltages(self, y, clip=None, clipped=None):
+        """The element voltages at y."""
+        return self.step(y, 0.0, 0, clip, clipped)[1]
 
 
 def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, float]] = None) -> DynamicsModel:
-    """Compile a valid configuration into an evaluator.
+    """Compile a valid configuration into a generated step function.
 
     `lane_weights` substitutes exact pre-quantization gains for the decoded
     coefficient values (quantization bypass); lanes not listed fall back to
@@ -323,19 +378,19 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         taps[name] = idx
 
     source, namespace = _generate_evaluator(len(ints), len(labels), int_terms, mul_ops, const_index)
-    exec(compile(source, "<autopatch evaluator>", "exec"), namespace)
+    exec(compile(source, "<autopatch step>", "exec"), namespace)
     return DynamicsModel(
         state_labels=tuple(labels[: len(ints)]),
         initial=tuple(config.initial_states[k] for k in ints),
         element_labels=tuple(labels),
         taps=taps,
-        evaluate=namespace["evaluate"],
+        step=namespace["step"],
     )
 
 
 class ReferenceModel:
-    """Direct evaluator for an expanded polynomial system; same interface
-    as DynamicsModel so both share the integrator core."""
+    """Direct evaluator for an expanded polynomial system, with the `rhs`
+    and `voltages` of DynamicsModel; `run` steps it with `_step`."""
 
     def __init__(self, system: PolySystem):
         self.state_labels = system.states
@@ -372,12 +427,18 @@ class ReferenceModel:
         return out
 
 
-def _step(rhs, y, h, method, clip, clipped):
+def _step(model, y, h, stages, clip=None, clipped=None):
+    """The `step` of a model with only `rhs` and `voltages`, such as
+    ReferenceModel: its voltages at y, then one RK4 (4 stages) or Euler
+    (1 stage) step over its `rhs`, in the arithmetic that generated steps
+    write out."""
+    rhs = model.rhs
+    volts = model.voltages(y, clip, None)
     # indexing is faster than zip() for the few states of a small machine
     k1 = rhs(y, clip, clipped)
     n = len(y)
-    if method is Method.EULER:
-        return [y[i] + h * k1[i] for i in range(n)]
+    if stages < 2:
+        return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
     half = 0.5 * h
     y2 = [y[i] + half * k1[i] for i in range(n)]
     k2 = rhs(y2, clip, clipped)
@@ -386,7 +447,7 @@ def _step(rhs, y, h, method, clip, clipped):
     y4 = [y[i] + h * k3[i] for i in range(n)]
     k4 = rhs(y4, clip, clipped)
     s = h / 6.0
-    return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)]
+    return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
 
 
 def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
@@ -394,8 +455,11 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
     The trace always contains t = 0 and t = t_end; when t_end is not a
     whole number of steps away the final step is shortened to land on it
-    exactly.  Clip events are recorded once per (element, step) with the
-    step's start time.  Any non-finite state aborts the run.
+    exactly.  A sample's voltages come from the first stage of the step
+    that starts at it; only the final sample, with no step after it, costs
+    an evaluation of its own.  Clip events are recorded once per
+    (element, step) with the step's start time.  Any non-finite state
+    aborts the run.
     """
     if len(initial) != len(model.state_labels):
         raise ValueError(f"initial vector has {len(initial)} entries, model has {len(model.state_labels)} states")
@@ -411,42 +475,36 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
     trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks={})
     labels = model.element_labels
-    rhs, voltages = model.rhs, model.voltages
+    step = getattr(model, "step", None) or partial(_step, model)
+    stages = 4 if settings.method is Method.RK4 else 1
     peaks = dict.fromkeys(labels, 0.0)
+    tap_appends = [(trace.signals[name].append, idx) for name, idx in model.taps.items()]
 
-    def record(t: float, y):
-        volts = voltages(y, clip, None)
+    def record(t: float, volts):
         trace.times.append(t)
-        for name, idx in model.taps.items():
-            trace.signals[name].append(volts[idx])
+        for append, idx in tap_appends:
+            append(volts[idx])
         for label, v in zip(labels, volts):
             a = abs(v)
             if a > peaks[label]:
                 peaks[label] = a
 
-    def advance(y, t_start, h):
+    y = list(initial)
+    for k in range(total_steps):
+        # the last step is the shortened landing step when t_end is off the grid
+        t_start, h = k * dt, dt if k < n_steps else rem
         clipped = set() if clip is not None else None
-        y = _step(rhs, y, h, settings.method, clip, clipped)
+        y_next, volts = step(y, h, stages, clip, clipped)
+        if k % stride == 0:
+            record(t_start, volts)
         if clipped:
             for idx in sorted(clipped):
                 trace.clip_events.append(ClipEvent(t_start, labels[idx]))
-        for i, v in enumerate(y):
+        for i, v in enumerate(y_next):
             if not math.isfinite(v):
                 raise NonFiniteError(t_start + h, model.state_labels[i])
-        return y
-
-    y = list(initial)
-    record(0.0, y)
-    for k in range(1, n_steps + 1):
-        y = advance(y, (k - 1) * dt, dt)
-        # the final landing step is recorded as t_end below, not here
-        if k % stride == 0 and (k < n_steps or rem):
-            record(k * dt, y)
-    if rem:
-        y = advance(y, n_steps * dt, rem)
-        record(t_end, y)
-    elif n_steps > 0:
-        record(t_end, y)
+        y = y_next
+    record(t_end if total_steps else 0.0, step(y, 0.0, 0, clip, None)[1])
 
     trace.peaks = peaks
     return trace

@@ -399,8 +399,9 @@ def _mutated_images(draw):
     c_base = 5 + spec.n_lanes * u_width
     i_base = c_base + 2 * spec.n_lanes
     sections = ((5, u_width, spec.out_rows), (i_base, _loop_row_section_bytes(spec.in_rows), spec.in_rows))
-    for _ in range(draw(st.integers(1, 3))):
-        fault = draw(st.sampled_from(["bit", "bit", "padding", "word", "version", "length"]))
+    faults = draw(st.lists(st.sampled_from(["bit", "bit", "padding", "word", "version", "length"]), min_size=1, max_size=3))
+    # a wrong length goes last: the other faults index the image at fixed offsets
+    for fault in sorted(faults, key=lambda fault: fault == "length"):
         if fault == "bit":
             at = draw(st.integers(0, len(image) - 1))
             image[at] |= 1 << draw(st.integers(0, 7))
@@ -499,12 +500,13 @@ def _delta_bytes(draw):
         return b"ACDL\x01" + struct.pack("<I", count) + draw(st.binary(min_size=5 * count, max_size=5 * count))
     _, a, b = draw(_spec_and_configs(2))
     data = bytearray(encode_delta(diff(a, b)))
-    for _ in range(draw(st.integers(1, 3))):
-        fault = draw(st.sampled_from(["bit", "word", "length"]))
+    faults = draw(st.lists(st.sampled_from(["bit", "word", "length"]), min_size=1, max_size=3))
+    # a wrong length goes last, so the other faults see at least the header
+    for fault in sorted(faults, key=lambda fault: fault == "length"):
         if fault == "bit":
             at = draw(st.integers(0, len(data) - 1))
             data[at] |= 1 << draw(st.integers(0, 7))
-        elif fault == "word" and len(data) > 9:
+        elif fault == "word" and len(data) >= 11:
             struct.pack_into("<H", data, draw(st.integers(9, len(data) - 2)), draw(st.integers(0, 0xFFFF)))
         elif fault == "length":
             data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=6))

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import support
 from autopatch import sim
 from autopatch.circuit import LoopError, build_circuit, normalize
 from autopatch.dsl import compile_source
@@ -14,6 +15,7 @@ from autopatch.machine import (
     custom_spec,
     lucidac_spec,
     quantize_highres,
+    redac_tile_spec,
     decode as decode_coeff,
 )
 from autopatch.router import route_design
@@ -653,3 +655,86 @@ class TestGeneratedEvaluator:
 
         assert order_matters(range(300)) and order_matters(range(300, 600))
         assert order_matters(range(600, 3800, 2))
+
+
+# --------------------------------------------------------------------------
+# generated step: one function per machine runs a whole RK4 or Euler step
+
+
+def _large_design(n_states):
+    """The synthetic system of `n_states` states routed on redac, with a
+    constant term so the constant source is an element too, every state
+    tapped, and initial states that differ, so the states do not move in
+    step."""
+    source = support.synthetic_large_program(n_states).replace("let diff[s0, t] = -s0", "let diff[s0, t] = 0.5 - s0")
+    source = source.replace("out s0(t);", " ".join(f"out s{i}(t);" for i in range(n_states)))
+    source = re.sub(r"let s(\d+)\(t: 0\) = 0.1;", lambda m: f"let s{m[1]}(t: 0) = {0.05 + 0.001 * (int(m[1]) * 37 % 101)};", source)
+    return pipeline(source, redac_tile_spec())[2]
+
+
+def _generated_source(config):
+    generated = []
+    generate = sim._generate_evaluator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_generate_evaluator", lambda *args: generated.append(generate(*args)) or generated[-1])
+        build_dynamics(config)
+    ((source, _),) = generated
+    return source
+
+
+class TestGeneratedStep:
+    @pytest.mark.parametrize("n_states", [sim._SCALAR_STATES, sim._SCALAR_STATES + 1])
+    def test_matches_the_loop_at_and_past_the_scalar_limit(self, n_states):
+        config = _large_design(n_states).config
+        model, loop = build_both(config)
+        assert len(model.state_labels) == n_states and model.element_labels[-1] == "const"
+        # the two emission forms: states in scalar locals, or in the list x
+        assert ("x = y" in _generated_source(config)) == (n_states > sim._SCALAR_STATES)
+        # long steps, so that a change in the rounding of a step shows
+        runs = [
+            SimSettings(dt=0.1, t_end=2.0),
+            SimSettings(dt=0.1, t_end=2.0, clip=0.09),
+            SimSettings(dt=0.1, t_end=2.0, method=Method.EULER),
+            SimSettings(dt=0.1, t_end=2.05, record_stride=4, clip=0.09),
+            SimSettings(dt=0.1, t_end=0.0),
+        ]
+        for settings in runs:
+            assert run_outcome(model, settings) == run_outcome(loop, settings), settings
+        clipped = run(model, model.initial, runs[1])
+        assert clipped.clip_events and clipped.times[-1] == 2.0
+        assert len(run(model, model.initial, runs[3]).times) == 7  # steps 0, 4, ..., 20 and the landing sample
+
+        def aborted(m, clip):
+            initial = list(m.initial)
+            initial[n_states // 2] = math.nan
+            with pytest.raises(NonFiniteError) as err:
+                run(m, initial, SimSettings(dt=0.1, t_end=2.0, clip=clip))
+            return float.hex(err.value.t), err.value.element
+
+        for clip in (None, 0.09):
+            assert aborted(model, clip) == aborted(loop, clip)
+            assert aborted(model, clip)[0] == float.hex(0.1)
+
+    def test_lorenz_matches_the_loop_off_the_grid(self, lorenz_design):
+        model, loop = build_both(lorenz_design.config)
+        for settings in (
+            SimSettings(dt=1e-3, t_end=0.0004),
+            SimSettings(dt=1e-3, t_end=1.0005, clip=0.3, record_stride=3),
+            SimSettings(dt=1e-3, t_end=1.0, method=Method.EULER, record_stride=10),
+        ):
+            assert run_outcome(model, settings) == run_outcome(loop, settings), settings
+
+    def test_one_call_per_step_and_one_for_the_final_sample(self, lorenz_design):
+        model = build_dynamics(lorenz_design.config)
+        calls = []
+        step = model.step
+        model.step = lambda y, h, stages, *clip: calls.append(stages) or step(y, h, stages, *clip)
+        trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0, record_stride=1))
+        assert len(trace.times) == 1001
+        assert calls == [4] * 1000 + [0]
+
+    def test_large_machine_source_stays_in_list_form(self):
+        # scalar stage code for these 500 states more than triples the
+        # source and its compile time; 50070 is the length before it
+        design = pipeline(support.synthetic_large_program(500), redac_tile_spec())[2]
+        assert len(_generated_source(design.config)) <= 1.1 * 50_070
