@@ -26,10 +26,6 @@ class Monomial:
 
     factors: tuple[str, ...]
 
-    @staticmethod
-    def of(*names: str) -> "Monomial":
-        return Monomial(tuple(sorted(names)))
-
     @property
     def degree(self) -> int:
         return len(self.factors)
@@ -132,16 +128,6 @@ def evaluate_expr(expr: Expr, values: Mapping[str, float]) -> float:
     return done.pop()
 
 
-def evaluate_terms(terms: Iterable[Term], values: Mapping[str, float]) -> float:
-    acc = 0.0
-    for term in terms:
-        prod = 1.0
-        for name in term.monomial.factors:
-            prod *= values[name]
-        acc += term.weight * prod
-    return acc
-
-
 # --------------------------------------------------------------------------
 # circuit graph
 
@@ -188,9 +174,6 @@ class CircuitGraph:
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind is kind]
-
-    def in_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node_id]
 
 
 class DegreeError(Exception):

@@ -10,7 +10,6 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -117,22 +116,6 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _used_integrators(config: machine.MachineConfig) -> list[int]:
-    """Ascending slots of the integrators touched by an active lane.  A
-    configuration decoded from an image carries no signal names, so these
-    are tapped as I<slot>."""
-    spec = config.spec
-    used = set()
-    for lane in config.active_lanes():
-        role, k = spec.out_row_role(config.u_source[lane])
-        if role is machine.RowRole.INTEGRATOR_OUT:
-            used.add(k)
-        role, k = spec.in_row_role(config.i_dest[lane])
-        if role is machine.RowRole.INTEGRATOR_IN:
-            used.add(k)
-    return sorted(used)
-
-
 def _cmd_simulate(args) -> int:
     settings = sim.SimSettings(
         dt=args.dt,
@@ -147,19 +130,15 @@ def _cmd_simulate(args) -> int:
         if args.reference:
             raise ValueError("--reference needs DSL input (an image carries no equations)")
         spec = _parse_machine(args.machine)
-        config = bitstream.decode(Path(args.input).read_bytes(), spec)
-        used = _used_integrators(config)
-        initial = list(config.initial_states)
+        model = sim.build_dynamics(bitstream.decode(Path(args.input).read_bytes(), spec))
+        # an image carries no signal names, so the model labels its used integrators I<slot>
+        model.taps = {label: i for i, label in enumerate(model.state_labels)}
+        initial = model.initial
         if args.ic is not None:
-            values = [float(v) for v in args.ic.split(",")]
-            if len(values) != len(used):
-                raise ValueError(f"--ic lists {len(values)} values for {len(used)} used integrators")
-            for k, v in zip(used, values):
-                initial[k] = v
-        taps = tuple((f"I{k}", spec.integrator_out_row(k)) for k in used)
-        config = dataclasses.replace(config, initial_states=tuple(initial), taps=taps)
-        model = sim.build_dynamics(config)
-        trace = sim.run(model, model.initial, settings)
+            initial = [float(v) for v in args.ic.split(",")]
+            if len(initial) != len(model.taps):
+                raise ValueError(f"--ic lists {len(initial)} values for {len(model.taps)} used integrators")
+        trace = sim.run(model, initial, settings)
         out_dir.mkdir(parents=True, exist_ok=True)
         names = sorted(trace.signals)
         sim.write_csv(out_dir / "out.csv", ["t"] + names, [trace.times] + [trace.signals[n] for n in names])

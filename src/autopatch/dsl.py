@@ -159,43 +159,62 @@ Pos = tuple[int, int]
 _NOPOS: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Equality and hashing of expression trees.  Two trees are equal when
+    their post-order sequences of (node type, leaf value or name) are,
+    which with each type's fixed arity fixes the shape; positions do not
+    count.  The walk is iterative, so deep trees compare and hash without
+    hitting the recursion limit."""
+
+    def _key(self) -> tuple:
+        return tuple((type(n), getattr(n, "value", getattr(n, "name", None))) for n in postorder(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Const(_Node):
     value: float
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class Add(_Node):
     left: "Expr"
     right: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False)
+class Sub(_Node):
     left: "Expr"
     right: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Node):
     left: "Expr"
     right: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     operand: "Expr"
-    pos: Pos = field(default=_NOPOS, compare=False, repr=False)
+    pos: Pos = field(default=_NOPOS, repr=False)
 
 
 Expr = Union[Const, Var, Add, Sub, Mul, Neg]
@@ -290,13 +309,6 @@ class _Parser:
         found = f"{tok.lexeme!r}" if tok else "end of input"
         line, col = self._here()
         return ParseError(f"expected {expected}, found {found}", line, col, expected, found)
-
-    def _next(self, expected: str) -> Token:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail(expected)
-        self.pos += 1
-        return tok
 
     def _expect_punct(self, symbol: str) -> Token:
         tok = self._peek()
@@ -537,19 +549,6 @@ class Program:
         return tuple(s.name for s in self.states)
 
 
-def _expr_vars(expr: Expr):
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            yield node
-        elif isinstance(node, (Add, Sub, Mul)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-
-
 def validate(stmts: list[Stmt]) -> Program:
     """Check declarations and references, producing a Program.
 
@@ -579,8 +578,8 @@ def validate(stmts: list[Stmt]) -> Program:
                 raise ValidateError(f"derivative of undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in derivs:
                 raise ValidateError(f"duplicate derivative for state {stmt.state}", *stmt.pos)
-            for var in _expr_vars(stmt.expr):
-                if var.name not in ivars:
+            for var in postorder(stmt.expr):
+                if isinstance(var, Var) and var.name not in ivars:
                     line, col = var.pos if var.pos != _NOPOS else stmt.pos
                     raise ValidateError(f"use of undeclared state {var.name}", line, col)
             derivs[stmt.state] = stmt.expr

@@ -36,11 +36,6 @@ class StageSpec:
         if min(self.blocks, self.inputs_per_block, self.outputs_per_block) < 1:
             raise ValueError("stage dimensions must be positive")
 
-    @property
-    def expansion_ratio(self) -> float:
-        """outputs/inputs; < 1 concentrator, > 1 expander, 1 square."""
-        return self.outputs_per_block / self.inputs_per_block
-
     def switch_count(self) -> int:
         return self.blocks * self.inputs_per_block * self.outputs_per_block
 
@@ -99,10 +94,7 @@ class RoutedPath:
 
 @dataclass(frozen=True)
 class Blocked:
-    """No middle block had both hops free; lists the blocks that were
-    unusable for this request."""
-
-    saturated_middle_blocks: tuple[int, ...]
+    """No middle block had both hops free; the state is unchanged."""
 
 
 class OutputBusyError(Exception):
@@ -114,8 +106,7 @@ class FabricState:
     is set while the link from input block i to middle block j carries a
     route, bit j of `out_busy[b]` while the link from middle block j to
     output block b does.  Mutating methods (`route_request`,
-    `route_fanout`, `remove_route`) either commit completely or leave the
-    state untouched.
+    `remove_route`) either commit completely or leave the state untouched.
     """
 
     def __init__(self, spec: FabricSpec):
@@ -159,8 +150,8 @@ class FabricState:
         if self.output_used[output]:
             raise OutputBusyError(f"output {output} already carries a route")
         j = self._claim(ib, ob)
-        if j < 0:  # () when no middle block has a link to this output block
-            return Blocked(() if ob >= self._reachable else tuple(range(self.spec.input.outputs_per_block)))
+        if j < 0:
+            return Blocked()
         self.output_used[output] = True
         path = RoutedPath(input, output, j)
         self.routes.append(path)
@@ -173,31 +164,12 @@ class FabricState:
         self.out_busy[self.output_block(path.output)] &= ~(1 << path.middle_block)
         self.output_used[path.output] = False
 
-    def route_fanout(self, input: int, outputs: list[int]):
-        """Route one input to several outputs as repeated unicast paths.
-
-        All-or-nothing: on any Blocked the paths routed so far are torn
-        down again and the Blocked result is returned.
-        """
-        done: list[RoutedPath] = []
-        for output in outputs:
-            result = self.route_request(input, output)
-            if isinstance(result, Blocked):
-                for path in reversed(done):
-                    self.remove_route(path)
-                return result
-            done.append(result)
-        return done
-
     def check_invariants(self) -> None:
         """Assert capacity and conservation invariants (test hook).  A link
         used by two routes shows as a popcount below the route count."""
         links = [sum(mask.bit_count() for mask in masks) for masks in (self.in_busy, self.out_busy)]
         assert sum(self.output_used) == len(self.routes), "routes != occupied outputs"
         assert links == [len(self.routes)] * 2, "link occupancy out of step with routes"
-
-    def snapshot(self):
-        return tuple(self.in_busy), tuple(self.out_busy), tuple(self.output_used), tuple(self.routes)
 
 
 @dataclass(frozen=True)

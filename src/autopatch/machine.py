@@ -348,23 +348,10 @@ class MachineConfig:
     def active_lanes(self) -> list[int]:
         return [k for k in range(self.spec.n_lanes) if self.is_active(k)]
 
-    def with_lane(self, lane: int, source: Optional[int], code: CoefficientCode, dest: Optional[int]) -> "MachineConfig":
-        return self.with_u(lane, source).with_coeff(lane, code).with_i(lane, dest)
-
-    def with_u(self, lane: int, source: Optional[int]) -> "MachineConfig":
-        u = list(self.u_source)
-        u[lane] = source
-        return replace(self, u_source=tuple(u))
-
     def with_coeff(self, lane: int, code: CoefficientCode) -> "MachineConfig":
         c = list(self.coefficients)
         c[lane] = code
         return replace(self, coefficients=tuple(c))
-
-    def with_i(self, lane: int, dest: Optional[int]) -> "MachineConfig":
-        d = list(self.i_dest)
-        d[lane] = dest
-        return replace(self, i_dest=tuple(d))
 
 
 def validate_config(config: MachineConfig) -> list[str]:

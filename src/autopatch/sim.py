@@ -34,6 +34,8 @@ from .circuit import LoopError, PolySystem, dependency_order
 from .dsl import Program
 from .machine import MachineConfig, RowRole, decode, validate_config
 
+MAX_STEPS = 10**8  # most integration steps one run may take
+
 
 class Method(Enum):
     RK4 = "rk4"
@@ -49,7 +51,6 @@ class SimSettings:
     method: Method = Method.RK4
     clip: Optional[float] = None
     record_stride: int = 1
-    max_steps: int = 10**8
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -60,8 +61,8 @@ class SimSettings:
             raise ValueError("clip threshold must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.t_end / self.dt > self.max_steps:
-            raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step cap of {self.max_steps}")
+        if self.t_end / self.dt > MAX_STEPS:
+            raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step cap of {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -470,14 +471,14 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     if rem <= dt * 1e-9:
         rem = 0.0
     total_steps = n_steps + (1 if rem else 0)
-    if total_steps > settings.max_steps:
-        raise ValueError(f"run needs {total_steps} steps, above the cap of {settings.max_steps}")
+    if total_steps > MAX_STEPS:
+        raise ValueError(f"run needs {total_steps} steps, above the cap of {MAX_STEPS}")
 
-    trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks={})
     labels = model.element_labels
+    peaks = dict.fromkeys(labels, 0.0)
+    trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks=peaks)
     step = getattr(model, "step", None) or partial(_step, model)
     stages = 4 if settings.method is Method.RK4 else 1
-    peaks = dict.fromkeys(labels, 0.0)
     tap_appends = [(trace.signals[name].append, idx) for name, idx in model.taps.items()]
 
     def record(t: float, volts):
@@ -505,8 +506,6 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
                 raise NonFiniteError(t_start + h, model.state_labels[i])
         y = y_next
     record(t_end if total_steps else 0.0, step(y, 0.0, 0, clip, None)[1])
-
-    trace.peaks = peaks
     return trace
 
 

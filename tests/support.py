@@ -1,6 +1,7 @@
 """Shared test helpers: random generators for configs and polynomial
 programs, and the synthetic large-machine workload."""
 
+import dataclasses
 import random
 
 from autopatch.circuit import Monomial, PolySystem, Term
@@ -25,6 +26,15 @@ def random_config(spec: MachineSpec, rng: random.Random, p_active: float = 0.5) 
             kind_low = lane in spec.lowres_lanes
             c.append(CoefficientCode.lowres(0) if kind_low else CoefficientCode.highres(0))
     return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
+
+
+def with_lanes(config: MachineConfig, *lanes) -> MachineConfig:
+    """`config` with each (lane, source row, coefficient code, destination
+    row) in `lanes` written over that lane's three fields."""
+    u, c, d = list(config.u_source), list(config.coefficients), list(config.i_dest)
+    for lane, source, code, dest in lanes:
+        u[lane], c[lane], d[lane] = source, code, dest
+    return dataclasses.replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
 
 
 def random_expr(rng: random.Random, names: list[str], depth: int):
@@ -69,7 +79,7 @@ def random_polynomial_expr(rng: random.Random, names: list[str], max_degree: int
 
 def terms_to_system(states, per_state_terms, initial=None) -> PolySystem:
     rhs = tuple(
-        tuple(Term(w, Monomial.of(*factors)) for w, factors in terms)
+        tuple(Term(w, Monomial(tuple(sorted(factors)))) for w, factors in terms)
         for terms in per_state_terms
     )
     if initial is None:

@@ -111,7 +111,7 @@ class TestImage:
 
     def test_negative_code_roundtrip(self):
         spec = lucidac_spec()
-        config = MachineConfig.empty(spec).with_lane(3, 1, CoefficientCode.highres(-2048), 2)
+        config = support.with_lanes(MachineConfig.empty(spec), (3, 1, CoefficientCode.highres(-2048), 2))
         assert decode(encode(config), spec) == config
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import support
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
 from autopatch.fabric import MAX_PORTS
@@ -190,11 +191,11 @@ class TestSimulate:
         # M0 and M1 feed each other; M2 reads M1 but is on no cycle
         spec = lucidac_spec()
         code = CoefficientCode.highres(100)
-        config = (
-            MachineConfig.empty(spec)
-            .with_lane(0, spec.multiplier_out_row(0), code, spec.mul_a_row(1))
-            .with_lane(1, spec.multiplier_out_row(1), code, spec.mul_a_row(0))
-            .with_lane(2, spec.multiplier_out_row(1), code, spec.mul_a_row(2))
+        config = support.with_lanes(
+            MachineConfig.empty(spec),
+            (0, spec.multiplier_out_row(0), code, spec.mul_a_row(1)),
+            (1, spec.multiplier_out_row(1), code, spec.mul_a_row(0)),
+            (2, spec.multiplier_out_row(1), code, spec.mul_a_row(2)),
         )
         with pytest.raises(LoopError) as err:
             build_dynamics(config)
@@ -263,7 +264,7 @@ class TestMachineSizeBound:
 
         machine = f"custom:i=1,m=0,l={MAX_LANES}"
         empty = MachineConfig.empty(custom_spec(1, 0, MAX_LANES))
-        wired = empty.with_lane(MAX_LANES - 1, 0, CoefficientCode.lowres(1), 0)
+        wired = support.with_lanes(empty, (MAX_LANES - 1, 0, CoefficientCode.lowres(1), 0))
         old, new = tmp_path / "old.acfg", tmp_path / "new.acfg"
         old.write_bytes(encode(empty))
         new.write_bytes(encode(wired))

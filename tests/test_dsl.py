@@ -185,6 +185,11 @@ class TestValidate:
             compile_source(src)
         assert (err.value.line, err.value.column) == (2, 22)
 
+    def test_first_undeclared_state_in_source_order(self):
+        with pytest.raises(ValidateError, match="use of undeclared state A") as err:
+            compile_source("fn X(t); let diff[X, t] = A + B; let X(t: 0) = 0;")
+        assert (err.value.line, err.value.column) == (1, 27)
+
     def test_duplicate_declaration(self):
         with pytest.raises(ValidateError, match="duplicate declaration"):
             compile_source("fn X(t); fn X(t); let diff[X, t] = X; let X(t: 0) = 0;")
@@ -256,6 +261,26 @@ class TestRoundtrip:
         src = f"fn X(t); fn Y(t); let diff[X, t] = {format_expr(expr)}; let diff[Y, t] = X;"
         src += " let X(t: 0) = 0; let Y(t: 0) = 0;"
         assert compile_source(src).states[0].derivative == expr
+
+
+class TestEquality:
+    def test_different_trees_differ(self):
+        assert Add(Var("X"), Var("Y")) != Add(Var("X"), Var("Z"))
+        assert Sub(Var("X"), Var("Y")) != Add(Var("X"), Var("Y"))
+        assert Add(Add(Var("A"), Var("B")), Var("C")) != Add(Var("A"), Add(Var("B"), Var("C")))
+        assert Neg(Const(1.0)) != Const(-1.0)
+        assert Var("X") != "X"
+
+    def test_5000_term_program_round_trips_equal(self):
+        # equality and hashing walk the tree iteratively, so a long
+        # left-deep sum does not hit the recursion limit; the formatted text
+        # puts every node at another position, and positions do not count
+        source = "fn X(t); let diff[X, t] = " + " + ".join(["X"] * 5000) + "; let X(t: 0) = 0.5; out X(t);"
+        program = compile_source(source)
+        again = compile_source(format_program(program))
+        assert again == program
+        assert hash(again) == hash(program)
+        assert hash(again.states[0].derivative) == hash(program.states[0].derivative)
 
 
 _names = st.integers(min_value=1, max_value=4).map(lambda k: ["A", "B", "C", "D"][:k])

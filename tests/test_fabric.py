@@ -22,9 +22,6 @@ class TestGeometry:
         spec = simstar_spec()
         assert spec.total_inputs == 320
         assert spec.total_outputs == 512
-        assert spec.input.expansion_ratio == 1.25      # 16 -> 20: expander
-        assert spec.middle.expansion_ratio == 1.6
-        assert spec.output.expansion_ratio < 1         # 22 -> 16: concentrator
 
     def test_switch_count_production(self):
         assert switch_count(simstar_spec()) == 30464
@@ -54,6 +51,10 @@ class TestGeometry:
             FabricState(bad)
 
 
+def snapshot(state):
+    return tuple(state.in_busy), tuple(state.out_busy), tuple(state.output_used), tuple(state.routes)
+
+
 class TestRouting:
     def test_first_request_uses_middle_zero(self):
         state = FabricState(simstar_spec())
@@ -71,21 +72,19 @@ class TestRouting:
     def test_block_after_saturating_input_block_links(self):
         spec = simstar_spec()
         state = FabricState(spec)
-        # 20 fan-out routes from input 0 exhaust its 20 middle-stage links
-        outputs = [16 * b for b in range(20)]
-        paths = state.route_fanout(0, outputs)
-        assert isinstance(paths, list) and len(paths) == 20
-        result = state.route_request(0, 400)
-        assert isinstance(result, Blocked)
-        assert result.saturated_middle_blocks == tuple(range(20))
+        # 20 routes from input 0 exhaust its 20 middle-stage links
+        paths = [state.route_request(0, 16 * b) for b in range(20)]
+        assert [p.middle_block for p in paths] == list(range(20))
+        assert isinstance(state.route_request(0, 400), Blocked)
 
     def test_blocked_leaves_state_unchanged(self):
         spec = simstar_spec()
         state = FabricState(spec)
-        state.route_fanout(0, [16 * b for b in range(20)])
-        before = state.snapshot()
+        for b in range(20):
+            state.route_request(0, 16 * b)
+        before = snapshot(state)
         assert isinstance(state.route_request(0, 401), Blocked)
-        assert state.snapshot() == before
+        assert snapshot(state) == before
 
     def test_output_busy(self):
         state = FabricState(simstar_spec())
@@ -103,31 +102,10 @@ class TestRouting:
     def test_teardown_restores_identical_state(self):
         state = FabricState(simstar_spec())
         state.route_request(17, 33)
-        before = state.snapshot()
+        before = snapshot(state)
         path = state.route_request(5, 100)
         state.remove_route(path)
-        assert state.snapshot() == before
-
-    def test_fanout_of_one_equals_unicast(self):
-        a, b = FabricState(simstar_spec()), FabricState(simstar_spec())
-        paths = a.route_fanout(3, [7])
-        single = b.route_request(3, 7)
-        assert paths == [single]
-        assert a.snapshot() == b.snapshot()
-
-    def test_fanout_25_blocks_all_or_nothing(self):
-        state = FabricState(simstar_spec())
-        before = state.snapshot()
-        outputs = [16 * b for b in range(25)]  # 25 distinct output blocks
-        result = state.route_fanout(0, outputs)
-        assert isinstance(result, Blocked)
-        assert state.snapshot() == before
-
-    def test_fanout_20_distinct_output_blocks_succeeds(self):
-        state = FabricState(simstar_spec())
-        result = state.route_fanout(0, [16 * b + 1 for b in range(20)])
-        assert isinstance(result, list) and len(result) == 20
-        state.check_invariants()
+        assert snapshot(state) == before
 
     def test_invariants_under_random_churn(self):
         rng = random.Random(31337)
@@ -203,12 +181,10 @@ class MatrixFabric:
         if self.output_used[output]:
             raise OutputBusyError(output)
         if ob >= self.spec.middle.outputs_per_block:
-            return Blocked(())
+            return Blocked()
         in_links = self.in_mid[ib]
-        saturated = []
         for j in range(min(self.spec.middle.blocks, self.spec.input.outputs_per_block)):
             if in_links[j] or self.mid_out[j][ob]:
-                saturated.append(j)
                 continue
             in_links[j] = True
             self.mid_out[j][ob] = True
@@ -216,24 +192,13 @@ class MatrixFabric:
             path = RoutedPath(input, output, j)
             self.routes.append(path)
             return path
-        return Blocked(tuple(saturated))
+        return Blocked()
 
     def remove_route(self, path):
         self.routes.remove(path)
         self.in_mid[self.input_block(path.input)][path.middle_block] = False
         self.mid_out[path.middle_block][self.output_block(path.output)] = False
         self.output_used[path.output] = False
-
-    def route_fanout(self, input, outputs):
-        done = []
-        for output in outputs:
-            result = self.route_request(input, output)
-            if isinstance(result, Blocked):
-                for path in reversed(done):
-                    self.remove_route(path)
-                return result
-            done.append(result)
-        return done
 
 
 def matrix_blocking_experiment(spec, load, trials, seed):
@@ -298,20 +263,16 @@ class TestMatchesMatrixOccupancy:
                 ref.remove_route(path)
                 continue
             input = rng.randrange(-1, spec.total_inputs + 1)
-            if roll < 0.45:
-                free = [k for k, used in enumerate(ref.output_used) if not used]
-                outputs = rng.sample(free, min(len(free), rng.randrange(1, 6)))
-                result, expected = call(state.route_fanout, input, outputs), call(ref.route_fanout, input, outputs)
-            else:
-                output = rng.randrange(-1, spec.total_outputs + 1)
-                result, expected = call(state.route_request, input, output), call(ref.route_request, input, output)
+            output = rng.randrange(-1, spec.total_outputs + 1)
+            result, expected = call(state.route_request, input, output), call(ref.route_request, input, output)
             assert result == expected
             kinds.add(expected if isinstance(expected, type) else type(expected).__name__)
             if isinstance(expected, Blocked):
-                kinds.add("unreachable" if expected == Blocked(()) else "saturated")
+                unreachable = output // spec.output.outputs_per_block >= spec.middle.outputs_per_block
+                kinds.add("unreachable" if unreachable else "saturated")
             state.check_invariants()
             assert_same_occupancy(state, ref)
-        assert {"RoutedPath", "list", "saturated", OutputBusyError, IndexError} <= kinds
+        assert {"RoutedPath", "saturated", OutputBusyError, IndexError} <= kinds
         assert ("unreachable" in kinds) == (spec is SMALL_SPEC)
 
     @pytest.mark.parametrize(

@@ -149,12 +149,12 @@ class TestValidateConfig:
         assert validate_config(MachineConfig.empty(lucidac_spec())) == []
 
     def test_dangling_lane_destination_only(self):
-        config = MachineConfig.empty(lucidac_spec()).with_i(3, 5)
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (3, None, CoefficientCode.highres(0), 5))
         problems = validate_config(config)
         assert any("lane 3" in p and "dangling" in p for p in problems)
 
     def test_dangling_lane_source_only(self):
-        config = MachineConfig.empty(lucidac_spec()).with_u(4, 1)
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (4, 1, CoefficientCode.highres(0), None))
         assert any("dangling" in p for p in validate_config(config))
 
     def test_kind_lane_mismatch(self):
@@ -162,7 +162,7 @@ class TestValidateConfig:
         assert any("kind/lane mismatch" in p for p in validate_config(config))
 
     def test_row_out_of_range(self):
-        config = MachineConfig.empty(lucidac_spec()).with_lane(0, 99, CoefficientCode.highres(1), 0)
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (0, 99, CoefficientCode.highres(1), 0))
         assert any("source row 99" in p for p in validate_config(config))
 
     def test_unused_lane_must_carry_zero_code(self):
@@ -175,7 +175,7 @@ class TestValidateConfig:
             config = MachineConfig.empty(spec)
             for lane in range(spec.n_lanes):
                 code = CoefficientCode.lowres(1) if lane in spec.lowres_lanes else CoefficientCode.highres(7)
-                config = config.with_lane(lane, row, code, lane % spec.in_rows)
+                config = support.with_lanes(config, (lane, row, code, lane % spec.in_rows))
             assert validate_config(config) == []
 
     def test_fan_in_freedom(self):
@@ -183,7 +183,7 @@ class TestValidateConfig:
         config = MachineConfig.empty(spec)
         for lane in range(spec.n_lanes):
             code = CoefficientCode.lowres(2) if lane in spec.lowres_lanes else CoefficientCode.highres(-3)
-            config = config.with_lane(lane, lane % spec.out_rows, code, 7)
+            config = support.with_lanes(config, (lane, lane % spec.out_rows, code, 7))
         assert validate_config(config) == []
 
     def test_random_generator_produces_valid_configs(self):
@@ -206,7 +206,7 @@ class TestValidateConfig:
         # annotations ride along but do not affect identity
         assert a == b
         assert hash(a) == hash(b)
-        assert a != a.with_lane(0, 0, CoefficientCode.highres(1), 0)
+        assert a != support.with_lanes(a, (0, 0, CoefficientCode.highres(1), 0))
 
     def test_tap_row_out_of_range_flagged(self):
         spec = lucidac_spec()

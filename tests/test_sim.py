@@ -71,29 +71,29 @@ class TestBuildDynamics:
 
     def test_self_routed_integrator_is_decay(self):
         spec = lucidac_spec()
-        config = MachineConfig.empty(spec).with_lane(24, 0, CoefficientCode.lowres(6), 0)
+        config = support.with_lanes(MachineConfig.empty(spec), (24, 0, CoefficientCode.lowres(6), 0))
         model = build_dynamics(config)
         assert model.rhs([2.0]) == [-2.0]
 
     def test_invalid_config_rejected(self):
-        config = MachineConfig.empty(lucidac_spec()).with_u(0, 1)
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (0, 1, CoefficientCode.highres(0), None))
         with pytest.raises(ValueError, match="dangling"):
             build_dynamics(config)
 
     def test_multiplier_feedback_raises(self):
         spec = lucidac_spec()
-        config = (
-            MachineConfig.empty(spec)
-            .with_lane(0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(1))
-            .with_lane(1, spec.multiplier_out_row(1), CoefficientCode.highres(100), spec.mul_a_row(0))
+        config = support.with_lanes(
+            MachineConfig.empty(spec),
+            (0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(1)),
+            (1, spec.multiplier_out_row(1), CoefficientCode.highres(100), spec.mul_a_row(0)),
         )
         with pytest.raises(LoopError):
             build_dynamics(config)
 
     def test_multiplier_self_loop_raises(self):
         spec = lucidac_spec()
-        config = MachineConfig.empty(spec).with_lane(
-            0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(0)
+        config = support.with_lanes(
+            MachineConfig.empty(spec), (0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(0))
         )
         with pytest.raises(LoopError):
             build_dynamics(config)
@@ -129,13 +129,13 @@ class TestBuildDynamics:
 
     def test_reserved_source_row_idles_at_zero(self):
         spec = lucidac_spec()
-        config = MachineConfig.empty(spec).with_lane(0, 13, CoefficientCode.highres(2047), 0)
+        config = support.with_lanes(MachineConfig.empty(spec), (0, 13, CoefficientCode.highres(2047), 0))
         model = build_dynamics(config)
         assert model.rhs([0.5]) == [0.0]
 
     def test_lane_contribution_scales_exactly_with_gain(self):
         spec = lucidac_spec()
-        config = MachineConfig.empty(spec).with_lane(0, 0, CoefficientCode.highres(100), 0)
+        config = support.with_lanes(MachineConfig.empty(spec), (0, 0, CoefficientCode.highres(100), 0))
         base = build_dynamics(config, lane_weights={0: 0.3})
         doubled = build_dynamics(config, lane_weights={0: 0.6})
         for x in (0.1, -0.7, 0.93):
@@ -206,11 +206,16 @@ class TestRun:
             run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0))
         assert 0 < err.value.t <= 1.0
 
-    def test_step_cap(self):
+    def test_step_cap(self, monkeypatch):
         _, _, design = pipeline(DECAY)
         model = build_dynamics(design.config)
-        with pytest.raises(ValueError, match="cap"):
-            run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0, max_steps=10))
+        settings = SimSettings(dt=1e-3, t_end=1.0)
+        monkeypatch.setattr(sim, "MAX_STEPS", 10)
+        with pytest.raises(ValueError, match="exceeds the step cap of 10"):
+            SimSettings(dt=1e-3, t_end=1.0)
+        # settings made under a higher cap still meet run's own check
+        with pytest.raises(ValueError, match="run needs 1000 steps, above the cap of 10"):
+            run(model, model.initial, settings)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -280,10 +285,10 @@ class TestClip:
     def test_clip_events_once_per_element_step(self):
         spec = lucidac_spec()
         # dX/dt = +2 (const source), X crosses the clip threshold and stays
-        config = (
-            MachineConfig.empty(spec)
-            .with_lane(0, spec.const_row(), CoefficientCode.highres(quantize_highres(2.0)), 0)
-            .with_lane(24, 0, CoefficientCode.lowres(1), 1)
+        config = support.with_lanes(
+            MachineConfig.empty(spec),
+            (0, spec.const_row(), CoefficientCode.highres(quantize_highres(2.0)), 0),
+            (24, 0, CoefficientCode.lowres(1), 1),
         )
         model = build_dynamics(config)
         trace = run(model, model.initial, SimSettings(dt=0.1, t_end=1.0, clip=0.5))
@@ -596,14 +601,14 @@ class TestGeneratedEvaluator:
         # shows in M1 even where M1 itself stays inside the clip level
         spec = lucidac_spec()
         code = lambda w: CoefficientCode.highres(quantize_highres(w))
-        config = (
-            MachineConfig.empty(spec)
-            .with_lane(0, spec.integrator_out_row(0), code(2.0), spec.mul_a_row(0))
-            .with_lane(1, spec.integrator_out_row(1), code(2.0), spec.mul_b_row(0))
-            .with_lane(2, spec.multiplier_out_row(0), code(0.5), spec.mul_a_row(1))
-            .with_lane(3, spec.integrator_out_row(1), code(1.0), spec.mul_b_row(1))
-            .with_lane(4, spec.multiplier_out_row(1), code(1.0), spec.integrator_in_row(0))
-            .with_lane(5, spec.integrator_out_row(0), code(-1.0), spec.integrator_in_row(1))
+        config = support.with_lanes(
+            MachineConfig.empty(spec),
+            (0, spec.integrator_out_row(0), code(2.0), spec.mul_a_row(0)),
+            (1, spec.integrator_out_row(1), code(2.0), spec.mul_b_row(0)),
+            (2, spec.multiplier_out_row(0), code(0.5), spec.mul_a_row(1)),
+            (3, spec.integrator_out_row(1), code(1.0), spec.mul_b_row(1)),
+            (4, spec.multiplier_out_row(1), code(1.0), spec.integrator_in_row(0)),
+            (5, spec.integrator_out_row(0), code(-1.0), spec.integrator_in_row(1)),
         )
         config = dataclasses.replace(config, initial_states=(0.9, 0.8) + (0.0,) * 6)
         model = self.check(config, runs=[SimSettings(dt=1e-2, t_end=2.0, clip=1.2)])
