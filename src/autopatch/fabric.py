@@ -188,6 +188,14 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
     independently from (seed, trial index), so results are reproducible
     and trial-parallelizable.  Reports the fraction of trials suffering at
     least one block and the mean number of routed requests per trial.
+
+    Each index below n (the input, then the slot among the unused outputs)
+    is drawn by `getrandbits` rejection sampling: n.bit_length() bits,
+    redrawn while the value is n or more.  That is how `randrange(n)` draws
+    on CPython 3.10-3.13, so the draws are exactly those of
+    `random.Random(f"{seed}:{trial}").randrange`;
+    `tests/test_fabric.py::TestMatchesMatrixOccupancy::test_blocking_experiment`
+    compares against a loop that calls `randrange`.
     """
     if not 0 <= load <= spec.total_outputs:
         raise ValueError(f"load {load} outside [0, {spec.total_outputs}]")
@@ -195,20 +203,28 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
         raise ValueError("need at least one trial")
     # draws are in range and outputs distinct, so route_request's checks are skipped
     n_inputs, n_outputs = spec.total_inputs, spec.total_outputs
-    inputs_per_block, outputs_per_block = spec.input.inputs_per_block, spec.output.outputs_per_block
+    inputs_per_block, input_bits = spec.input.inputs_per_block, n_inputs.bit_length()
+    output_blocks = [output // spec.output.outputs_per_block for output in range(n_outputs)]
+    rng = random.Random()
+    reseed, getrandbits = rng.seed, rng.getrandbits
     blocked_trials = 0
     routed_total = 0
     for trial in range(trials):
-        randrange = random.Random(f"{seed}:{trial}").randrange
+        reseed(f"{seed}:{trial}")
         claim = FabricState(spec)._claim
-        unused = list(range(n_outputs))
+        unused = output_blocks.copy()  # block ids of the outputs not yet requested
         routed = 0
         for remaining in range(n_outputs, n_outputs - load, -1):
-            input = randrange(n_inputs)
-            k = randrange(remaining)
-            output, unused[k] = unused[k], unused[-1]
+            input = getrandbits(input_bits)
+            while input >= n_inputs:
+                input = getrandbits(input_bits)
+            bits = remaining.bit_length()
+            k = getrandbits(bits)
+            while k >= remaining:
+                k = getrandbits(bits)
+            ob, unused[k] = unused[k], unused[-1]
             unused.pop()
-            routed += claim(input // inputs_per_block, output // outputs_per_block) >= 0
+            routed += claim(input // inputs_per_block, ob) >= 0
         routed_total += routed
         blocked_trials += routed < load
     return ExperimentResult(blocked_trials / trials, routed_total / trials)

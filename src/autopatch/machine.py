@@ -360,9 +360,12 @@ def validate_config(config: MachineConfig) -> list[str]:
     Each violation names the lane (or row) and the rule it breaks.
     """
     spec = config.spec
+    high_zero, low_zero = CoefficientCode.highres(0), CoefficientCode.lowres(0)
     violations = []
-    for lane in range(spec.n_lanes):
-        src, coeff, dst = config.u_source[lane], config.coefficients[lane], config.i_dest[lane]
+    for lane, (src, coeff, dst) in enumerate(zip(config.u_source, config.coefficients, config.i_dest)):
+        # an unused lane holding its kind's shared zero code breaks no rule
+        if src is None and dst is None and coeff is (low_zero if lane in spec.lowres_lanes else high_zero):
+            continue
         if src is not None and not 0 <= src < spec.out_rows:
             violations.append(f"lane {lane}: source row {src} outside [0, {spec.out_rows})")
         if dst is not None and not 0 <= dst < spec.in_rows:

@@ -213,6 +213,17 @@ class TestDiffApply:
         # the input is untouched (functional update)
         assert config == MachineConfig.empty(lucidac_spec())
 
+    def test_apply_validates_lanes_the_script_leaves_alone(self):
+        # decode accepts a dangling lane; apply re-checks every lane, so an
+        # empty script does not pass the invalid image on
+        spec = lucidac_spec()
+        dangling = support.with_lanes(MachineConfig.empty(spec), (3, 1, CoefficientCode.highres(0), None))
+        decoded = decode(encode(dangling), spec)
+        script = diff(decoded, decoded)
+        assert script.ops == ()
+        with pytest.raises(ValidationError, match=r"^lane 3: dangling lane \(source but no destination\)$"):
+            apply(decoded, script)
+
     def test_annotations_survive_apply(self, lorenz_design):
         config = lorenz_design.config
         updated = apply(config, DeltaScript((DeltaOp(OpCode.SET_COEFF, 0, 100),)))

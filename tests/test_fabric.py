@@ -228,6 +228,12 @@ def matrix_blocking_experiment(spec, load, trials, seed):
 # input blocks reach 3 of the 5 middle blocks, and output blocks 2 and 3
 # have no middle link, so both kinds of Blocked occur
 SMALL_SPEC = FabricSpec(StageSpec(3, 2, 3), StageSpec(5, 3, 2), StageSpec(4, 5, 2))
+# rejection-sampling edge cases of the request draws: one input, so every
+# input draw of a 1-bit value 1 is rejected (output blocks 2 and 3 are
+# unreachable, so the result depends on the output draws that follow); and
+# 16 inputs (a power of two, drawn from 5 bits) beside 12 outputs (not one)
+ONE_INPUT_SPEC = FabricSpec(StageSpec(1, 1, 3), StageSpec(3, 1, 2), StageSpec(4, 3, 2))
+SIXTEEN_INPUT_SPEC = FabricSpec(StageSpec(4, 4, 3), StageSpec(3, 4, 4), StageSpec(4, 3, 3))
 
 
 def call(method, *args):
@@ -283,10 +289,39 @@ class TestMatchesMatrixOccupancy:
             (simstar_spec(), 512, 10, 3),
             (SMALL_SPEC, 3, 200, 1),
             (SMALL_SPEC, 8, 100, 9),
+            (ONE_INPUT_SPEC, 4, 100, 6),
+            (SIXTEEN_INPUT_SPEC, 9, 100, 7),
+            (SIXTEEN_INPUT_SPEC, 12, 100, 8),
         ],
     )
     def test_blocking_experiment(self, spec, load, trials, seed):
+        # the reference draws with randrange, so this also guards the
+        # experiment's own rejection sampling against a change in CPython
         assert blocking_experiment(spec, load, trials, seed) == matrix_blocking_experiment(spec, load, trials, seed)
+
+
+def link_count_bound(spec, load, seed):
+    """Most requests any router can carry in trial 0 of `blocking_experiment`:
+    the sum over input blocks of min(requests, links to the middle stage).
+    On simstar no output block can bind (16 outputs, 20 middle links), so
+    by König's theorem a rearranging router reaches this bound."""
+    rng = random.Random(f"{seed}:0")
+    requests = [0] * spec.input.blocks
+    for remaining in range(spec.total_outputs, spec.total_outputs - load, -1):
+        requests[rng.randrange(spec.total_inputs) // spec.input.inputs_per_block] += 1
+        rng.randrange(remaining)  # the output draw: the bound does not need it, the stream does
+    return sum(min(n, spec.input.outputs_per_block) for n in requests)
+
+
+@pytest.mark.parametrize("load", [320, 480, 512])
+def test_first_fit_never_beats_the_link_count_bound(load):
+    spec = simstar_spec()
+    bounds = []
+    for seed in range(30):
+        bound = link_count_bound(spec, load, seed)
+        assert blocking_experiment(spec, load, 1, seed).mean_routed <= bound
+        bounds.append(bound)
+    assert min(bounds) < load  # the bound is not the request count itself
 
 
 class TestSizeBound:

@@ -219,6 +219,60 @@ class TestValidateConfig:
         )
         assert any("tap X" in p for p in validate_config(config))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_lane_loop(self, data):
+        config = data.draw(_checked_configs())
+        assert validate_config(config) == loop_validate_config(config)
+
+
+def loop_validate_config(config):
+    """`validate_config` as it was, kept as a reference: every lane takes
+    every check, with no shortcut for unused lanes."""
+    spec = config.spec
+    violations = []
+    for lane in range(spec.n_lanes):
+        src, coeff, dst = config.u_source[lane], config.coefficients[lane], config.i_dest[lane]
+        if src is not None and not 0 <= src < spec.out_rows:
+            violations.append(f"lane {lane}: source row {src} outside [0, {spec.out_rows})")
+        if dst is not None and not 0 <= dst < spec.in_rows:
+            violations.append(f"lane {lane}: destination row {dst} outside [0, {spec.in_rows})")
+        if (src is None) != (dst is None):
+            what = "destination but no source" if src is None else "source but no destination"
+            violations.append(f"lane {lane}: dangling lane ({what})")
+        want = CoefKind.LOW_RES if lane in spec.lowres_lanes else CoefKind.HIGH_RES
+        if coeff.kind is not want:
+            violations.append(f"lane {lane}: kind/lane mismatch ({coeff.kind.value} code on a {want.value}-res lane)")
+        if src is None and dst is None and coeff.code != 0:
+            violations.append(f"lane {lane}: unused lane carries nonzero code {coeff.code}")
+    for name, row in config.taps:
+        if not 0 <= row < spec.out_rows:
+            violations.append(f"tap {name}: output row {row} outside [0, {spec.out_rows})")
+    return violations
+
+
+@st.composite
+def _checked_configs(draw):
+    """A custom-machine configuration whose lanes mix every case the checks
+    tell apart: unused or not, rows in or out of range, dangling lanes, zero
+    or nonzero codes of either kind, each a shared instance or a fresh one."""
+    spec = draw(st.builds(custom_spec, st.integers(0, 6), st.integers(0, 3), st.integers(0, 24)))
+    u, c, d = [], [], []
+    for lane in range(spec.n_lanes):
+        unused = draw(st.booleans())
+        u.append(None if unused else draw(st.none() | st.integers(-1, spec.out_rows)))
+        d.append(None if unused else draw(st.none() | st.integers(-1, spec.in_rows)))
+        own = CoefKind.LOW_RES if lane in spec.lowres_lanes else CoefKind.HIGH_RES
+        other = CoefKind.HIGH_RES if own is CoefKind.LOW_RES else CoefKind.LOW_RES
+        kind = own if draw(st.integers(0, 3)) else other
+        code = draw(st.sampled_from([0, 0, 1, 7]))
+        if draw(st.booleans()):
+            c.append(CoefficientCode(kind, code))
+        else:
+            c.append(CoefficientCode.lowres(code) if kind is CoefKind.LOW_RES else CoefficientCode.highres(code))
+    taps = tuple((f"T{k}", draw(st.integers(-1, spec.out_rows))) for k in range(draw(st.integers(0, 2))))
+    return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d), taps=taps)
+
 
 def test_format_config_lists_active_lanes_in_order(lorenz_design):
     dump = format_config(lorenz_design.config).splitlines()
