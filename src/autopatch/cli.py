@@ -86,6 +86,8 @@ def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.C
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     try:
         program = dsl.compile_source(source)
     except dsl.SourceError as exc:
@@ -129,13 +131,18 @@ def _cmd_simulate(args) -> int:
     if args.input.endswith(".acfg"):
         if args.reference:
             raise ValueError("--reference needs DSL input (an image carries no equations)")
+        if args.quantize == "off":
+            raise ValueError("--quantize off needs DSL input (an image holds only quantized coefficients)")
         spec = _parse_machine(args.machine)
         model = sim.build_dynamics(bitstream.decode(Path(args.input).read_bytes(), spec))
         # an image carries no signal names, so the model labels its used integrators I<slot>
         model.taps = {label: i for i, label in enumerate(model.state_labels)}
         initial = model.initial
         if args.ic is not None:
-            initial = [float(v) for v in args.ic.split(",")]
+            try:
+                initial = [float(v) for v in args.ic.split(",")]
+            except ValueError:
+                raise ValueError(f"malformed --ic {args.ic!r} (expected comma-separated numbers)") from None
             if len(initial) != len(model.taps):
                 raise ValueError(f"--ic lists {len(initial)} values for {len(model.taps)} used integrators")
         trace = sim.run(model, initial, settings)

@@ -19,29 +19,17 @@ match the one declared in the state's `fn` statement.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from typing import Iterator, Optional, Union
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
-PUNCT = frozenset("()[],:;=+-*")
 # Deepest nesting of '(' and unary '-' in one expression.  The parser spends
 # up to four stack frames per level, so deeper input is refused with a
 # ParseError before it exhausts the stack; every later stage handles it.
 MAX_NESTING = 200
-
-
-def _is_ident_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or "0" <= ch <= "9"
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
 
 
 class SourceError(Exception):
@@ -84,71 +72,54 @@ class Token:
     column: int
 
 
+# Alternatives are tried in order; blanks and comments match no named group.
+# A digit run followed by a letter matches whole as `malformed`, so it is
+# refused rather than split into a number and a name.  re.ASCII keeps `\d`
+# to the ASCII digits, so `١` is an unexpected character.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<malformed>\d+(?:\.\d+)?[A-Za-z_])"
+    r"|(?P<number>\d+(?:\.\d*)?)"
+    r"|(?P<punct>[()\[\],:;=+\-*])"
+    r"|(?P<bad>.)",
+    re.ASCII,
+)
+_KINDS = {"ident": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, tracking 1-based line/column.
 
-    Numbers are plain decimals (`12`, `0.5`); exponent notation and a
-    bare trailing dot are rejected.  Signs are expression-level tokens,
-    not part of number lexemes.
+    One regular expression, `_TOKEN`, scans the text; each match is read
+    by the name of its group.  Numbers are plain decimals (`12`, `0.5`);
+    exponent notation and a bare trailing dot are rejected.  Signs are
+    expression-level tokens, not part of number lexemes.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        if group is None:
+            continue
+        if group == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_digit(ch):
-            j = i
-            while j < n and _is_digit(source[j]):
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                if j >= n or not _is_digit(source[j]):
-                    raise LexError("digits required after decimal point", line, col + (j - i) - 1)
-                while j < n and _is_digit(source[j]):
-                    j += 1
-            if j < n and _is_ident_start(source[j]):
-                raise LexError(
-                    f"malformed number: {source[i:j + 1]!r} (exponent notation is not supported)",
-                    line,
-                    col + (j - i),
-                )
-            word = source[i:j]
+        word = match.group()
+        col = match.start() - line_start + 1
+        if group == "number":
+            if word[-1] == ".":
+                raise LexError("digits required after decimal point", line, col + len(word) - 1)
             if not math.isfinite(float(word)):
                 raise LexError(f"number {word[:24]}... overflows the representable range", line, col)
-            tokens.append(Token(TokenKind.NUMBER, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
+        elif group == "malformed":
+            raise LexError(
+                f"malformed number: {word!r} (exponent notation is not supported)", line, col + len(word) - 1
+            )
+        elif group == "bad":
+            raise LexError(f"unexpected character {word!r}", line, col)
+        tokens.append(Token(TokenKind.KEYWORD if word in KEYWORDS else _KINDS[group], word, line, col))
     return tokens
 
 
@@ -310,37 +281,28 @@ class _Parser:
         line, col = self._here()
         return ParseError(f"expected {expected}, found {found}", line, col, expected, found)
 
-    def _expect_punct(self, symbol: str) -> Token:
+    def _at(self, symbol: str) -> bool:
+        """Whether the current token is the punctuation mark or keyword
+        `symbol`.  Only the lexeme is compared: no identifier or number
+        spells one, since keywords lex as KEYWORD."""
         tok = self._peek()
-        if tok is None or tok.kind is not TokenKind.PUNCT or tok.lexeme != symbol:
+        return tok is not None and tok.lexeme == symbol
+
+    def _expect(self, symbol: str) -> Token:
+        """Consume the punctuation mark or keyword `symbol`."""
+        tok = self._peek()
+        if tok is None or tok.lexeme != symbol:
             raise self._fail(f"'{symbol}'")
         self.pos += 1
         return tok
 
-    def _expect_keyword(self, word: str) -> Token:
+    def _take(self, kind: TokenKind, what: str) -> Token:
+        """Consume an identifier or number, described as `what` if absent."""
         tok = self._peek()
-        if tok is None or tok.kind is not TokenKind.KEYWORD or tok.lexeme != word:
-            raise self._fail(f"'{word}'")
-        self.pos += 1
-        return tok
-
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind is not TokenKind.IDENT:
+        if tok is None or tok.kind is not kind:
             raise self._fail(what)
         self.pos += 1
         return tok
-
-    def _expect_number(self) -> Token:
-        tok = self._peek()
-        if tok is None or tok.kind is not TokenKind.NUMBER:
-            raise self._fail("number")
-        self.pos += 1
-        return tok
-
-    def _at_punct(self, symbol: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind is TokenKind.PUNCT and tok.lexeme == symbol
 
     def _nest(self) -> None:
         """Enter one more '(' or unary '-' (the current token)."""
@@ -370,96 +332,88 @@ class _Parser:
         return stmts
 
     def statement(self) -> Stmt:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("statement")
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme == "fn":
+        if self._at("fn"):
             return self.fn_decl()
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme == "let":
+        if self._at("let"):
             return self.let_stmt()
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme == "plot":
+        if self._at("plot"):
             return self.plot_stmt()
-        if tok.kind is TokenKind.KEYWORD and tok.lexeme == "out":
+        if self._at("out"):
             return self.out_stmt()
         raise self._fail("'fn', 'let', 'plot', or 'out'")
 
     def fn_decl(self) -> FnDecl:
-        kw = self._expect_keyword("fn")
-        name = self._expect_ident("state name")
-        self._expect_punct("(")
-        ivar = self._expect_ident("independent variable")
-        self._expect_punct(")")
-        self._expect_punct(";")
+        kw = self._expect("fn")
+        name = self._take(TokenKind.IDENT, "state name")
+        self._expect("(")
+        ivar = self._take(TokenKind.IDENT, "independent variable")
+        self._expect(")")
+        self._expect(";")
         self.ivars.setdefault(name.lexeme, ivar.lexeme)
         return FnDecl(name.lexeme, ivar.lexeme, (kw.line, kw.column))
 
     def let_stmt(self) -> Stmt:
-        kw = self._expect_keyword("let")
-        tok = self._peek()
-        if tok is not None and tok.kind is TokenKind.KEYWORD and tok.lexeme == "diff":
+        kw = self._expect("let")
+        if self._at("diff"):
             self.pos += 1
-            self._expect_punct("[")
-            state = self._expect_ident("state name")
-            self._expect_punct(",")
-            ivar = self._expect_ident("independent variable")
-            self._check_ivar(state.lexeme, ivar)
-            self._expect_punct("]")
-            self._expect_punct("=")
+            self._expect("[")
+            state = self._take(TokenKind.IDENT, "state name")
+            self._expect(",")
+            self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+            self._expect("]")
+            self._expect("=")
             expr = self.expression()
-            self._expect_punct(";")
+            self._expect(";")
             return DiffDef(state.lexeme, expr, (kw.line, kw.column))
-        state = self._expect_ident("state name or 'diff'")
-        self._expect_punct("(")
-        ivar = self._expect_ident("independent variable")
-        self._check_ivar(state.lexeme, ivar)
-        self._expect_punct(":")
-        time_tok = self._expect_number()
-        self._expect_punct(")")
-        self._expect_punct("=")
+        state = self._take(TokenKind.IDENT, "state name or 'diff'")
+        self._expect("(")
+        self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+        self._expect(":")
+        time_tok = self._take(TokenKind.NUMBER, "number")
+        self._expect(")")
+        self._expect("=")
         value = self.signed_number()
-        self._expect_punct(";")
+        self._expect(";")
         return InitDef(state.lexeme, float(time_tok.lexeme), value, (kw.line, kw.column))
 
     def plot_stmt(self) -> PlotStmt:
-        kw = self._expect_keyword("plot")
-        self._expect_punct("(")
+        kw = self._expect("plot")
+        self._expect("(")
         axes = [self.plot_axis()]
-        while self._at_punct(","):
+        while self._at(","):
             self.pos += 1
             axes.append(self.plot_axis())
-        self._expect_punct(")")
-        self._expect_punct(";")
+        self._expect(")")
+        self._expect(";")
         return PlotStmt(tuple(axes), (kw.line, kw.column))
 
     def plot_axis(self) -> tuple[str, str]:
-        label = self._expect_ident("axis label")
-        self._expect_punct(":")
-        state = self._expect_ident("state name")
-        self._expect_punct("(")
-        ivar = self._expect_ident("independent variable")
-        self._check_ivar(state.lexeme, ivar)
-        self._expect_punct(")")
-        return (label.lexeme, state.lexeme)
+        label = self._take(TokenKind.IDENT, "axis label")
+        self._expect(":")
+        return (label.lexeme, self.reference())
 
     def out_stmt(self) -> OutStmt:
-        kw = self._expect_keyword("out")
-        state = self._expect_ident("state name")
-        self._expect_punct("(")
-        ivar = self._expect_ident("independent variable")
-        self._check_ivar(state.lexeme, ivar)
-        self._expect_punct(")")
-        self._expect_punct(";")
-        return OutStmt(state.lexeme, (kw.line, kw.column))
+        kw = self._expect("out")
+        state = self.reference()
+        self._expect(";")
+        return OutStmt(state, (kw.line, kw.column))
+
+    def reference(self) -> str:
+        """`state(ivar)`, with the ivar checked against the declaration."""
+        state = self._take(TokenKind.IDENT, "state name")
+        self._expect("(")
+        self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+        self._expect(")")
+        return state.lexeme
 
     def signed_number(self) -> float:
         sign = 1.0
-        if self._at_punct("-"):
+        if self._at("-"):
             self.pos += 1
             sign = -1.0
-        elif self._at_punct("+"):
+        elif self._at("+"):
             self.pos += 1
-        tok = self._expect_number()
-        return sign * float(tok.lexeme)
+        return sign * float(self._take(TokenKind.NUMBER, "number").lexeme)
 
     # expr := term (("+" | "-") term)*
     # term := factor ("*" factor)*
@@ -468,28 +422,22 @@ class _Parser:
 
     def expression(self) -> Expr:
         node = self.term()
-        while True:
-            if self._at_punct("+"):
-                pos = self._here()
-                self.pos += 1
-                node = Add(node, self.term(), pos)
-            elif self._at_punct("-"):
-                pos = self._here()
-                self.pos += 1
-                node = Sub(node, self.term(), pos)
-            else:
-                return node
+        while self._at("+") or self._at("-"):
+            op = self._peek()
+            self.pos += 1
+            node = (Add if op.lexeme == "+" else Sub)(node, self.term(), (op.line, op.column))
+        return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self._at_punct("*"):
+        while self._at("*"):
             pos = self._here()
             self.pos += 1
             node = Mul(node, self.factor(), pos)
         return node
 
     def factor(self) -> Expr:
-        if self._at_punct("-"):
+        if self._at("-"):
             pos = self._here()
             self._nest()
             self.pos += 1
@@ -508,11 +456,11 @@ class _Parser:
         if tok.kind is TokenKind.IDENT:
             self.pos += 1
             return Var(tok.lexeme, (tok.line, tok.column))
-        if tok.kind is TokenKind.PUNCT and tok.lexeme == "(":
+        if tok.lexeme == "(":
             self._nest()
             self.pos += 1
             node = self.expression()
-            self._expect_punct(")")
+            self._expect(")")
             self.nesting -= 1
             return node
         raise self._fail("number, state name, or '('")

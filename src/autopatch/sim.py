@@ -251,7 +251,9 @@ class DynamicsModel:
     Elements are laid out as one voltage vector: used integrators first
     (ascending slot), then used multipliers, then the constant source if
     any active lane draws from it.  `taps` maps signal names to element
-    positions.
+    positions.  `element_labels` name elements by slot (`I<k>`, `M<j>`,
+    `const`), so no two coincide; `state_labels` name each integrator by
+    its tap, or by its slot when it has none.
 
     `step(y, h, stages, clip=None, clipped=None)` is one Python function
     generated per machine (see `_generate_evaluator`).  It takes a whole
@@ -328,12 +330,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     mul_pos = {j: len(ints) + i for i, j in enumerate(muls)}
     const_index = len(ints) + len(muls) if const_used else None
 
-    labels = []
-    for k in ints:
-        labels.append(tap_name_of_row.get(spec.integrator_out_row(k), f"I{k}"))
-    labels.extend(f"M{j}" for j in muls)
-    if const_used:
-        labels.append("const")
+    labels = [f"I{k}" for k in ints] + [f"M{j}" for j in muls] + (["const"] if const_used else [])
 
     def source_index(row: int) -> Optional[int]:
         role, k = spec.out_row_role(row)
@@ -381,7 +378,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     source, namespace = _generate_evaluator(len(ints), len(labels), int_terms, mul_ops, const_index)
     exec(compile(source, "<autopatch step>", "exec"), namespace)
     return DynamicsModel(
-        state_labels=tuple(labels[: len(ints)]),
+        state_labels=tuple(tap_name_of_row.get(spec.integrator_out_row(k), f"I{k}") for k in ints),
         initial=tuple(config.initial_states[k] for k in ints),
         element_labels=tuple(labels),
         taps=taps,

@@ -51,6 +51,15 @@ class TestCompile:
         assert main(["compile", "/nonexistent/f.odedsl"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_source_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "bad.odedsl"
+        src.write_bytes(b"\xff")
+        assert main(["compile", str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"autopatch: error: cannot read {src}: not UTF-8 text"
+            " ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+        ]
+
 
 class TestNesting:
     @staticmethod
@@ -205,6 +214,23 @@ class TestSimulate:
         assert main(["simulate", str(image), "--out-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["autopatch: error: algebraic loop without an integrator: M0 -> M1 -> M0"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--quantize", "off"], "--quantize off needs DSL input (an image holds only quantized coefficients)"),
+            (["--ic", "1,2,x"], "malformed --ic '1,2,x' (expected comma-separated numbers)"),
+        ],
+        ids=["quantize-off", "ic-not-a-number"],
+    )
+    def test_image_input_refuses_flag(self, tmp_path, capsys, flags, message):
+        image = tmp_path / "l.acfg"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", str(image), "--t-end", "0", "--out-dir", str(out_dir)] + flags) == 1
+        assert capsys.readouterr().err.splitlines() == [f"autopatch: error: {message}"]
+        assert not (out_dir / "out.csv").exists()
 
     def test_ic_rejected_for_source_input(self, capsys, tmp_path):
         assert main(["simulate", LORENZ, "--ic", "1,2,3", "--out-dir", str(tmp_path)]) == 1

@@ -1,10 +1,13 @@
+import math
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from autopatch.dsl import (
+    KEYWORDS,
     Add,
     Const,
     LexError,
@@ -15,6 +18,7 @@ from autopatch.dsl import (
     SourceError,
     StateDef,
     Sub,
+    Token,
     TokenKind,
     ValidateError,
     Var,
@@ -422,3 +426,135 @@ def test_token_soup_raises_only_source_errors(source):
         compile_source(source)
     except SourceError:
         pass
+
+
+# One source per distinct ParseError `expected` and per LexError kind:
+# (source, error type, text, line, column, expected, found).
+_DIAGNOSTICS = [
+    ("fn X t);", ParseError, "1:6: expected '(', found 't'", 1, 6, "'('", "'t'"),
+    ("fn X(t;", ParseError, "1:7: expected ')', found ';'", 1, 7, "')'", "';'"),
+    ("fn X(t)", ParseError, "1:8: expected ';', found end of input", 1, 8, "';'", "end of input"),
+    ("let diff X", ParseError, "1:10: expected '[', found 'X'", 1, 10, "'['", "'X'"),
+    ("let diff[X t]", ParseError, "1:12: expected ',', found 't'", 1, 12, "','", "'t'"),
+    ("fn X(t); let diff[X, t) = X;", ParseError, "1:23: expected ']', found ')'", 1, 23, "']'", "')'"),
+    ("fn X(t); let diff[X, t] X;", ParseError, "1:25: expected '=', found 'X'", 1, 25, "'='", "'X'"),
+    ("let X(t 0)", ParseError, "1:9: expected ':', found '0'", 1, 9, "':'", "'0'"),
+    ("fn X(t); plot(x X(t));", ParseError, "1:17: expected ':', found 'X'", 1, 17, "':'", "'X'"),
+    ("fn X(t); plot(x: X t));", ParseError, "1:20: expected '(', found 't'", 1, 20, "'('", "'t'"),
+    ("fn X(t); out X(t", ParseError, "1:17: expected ')', found end of input", 1, 17, "')'", "end of input"),
+    ("fn X(t); let diff[X, t] = (X;", ParseError, "1:29: expected ')', found ';'", 1, 29, "')'", "';'"),
+    ("X(t);", ParseError, "1:1: expected 'fn', 'let', 'plot', or 'out', found 'X'", 1, 1,
+     "'fn', 'let', 'plot', or 'out'", "'X'"),
+    ("fn 1(t);", ParseError, "1:4: expected state name, found '1'", 1, 4, "state name", "'1'"),
+    ("fn X(t); out 1(t);", ParseError, "1:14: expected state name, found '1'", 1, 14, "state name", "'1'"),
+    ("let 5", ParseError, "1:5: expected state name or 'diff', found '5'", 1, 5, "state name or 'diff'", "'5'"),
+    ("fn X(1);", ParseError, "1:6: expected independent variable, found '1'", 1, 6, "independent variable", "'1'"),
+    ("plot(;", ParseError, "1:6: expected axis label, found ';'", 1, 6, "axis label", "';'"),
+    ("let X(t: a)", ParseError, "1:10: expected number, found 'a'", 1, 10, "number", "'a'"),
+    ("let X(t: 0) = -x;", ParseError, "1:16: expected number, found 'x'", 1, 16, "number", "'x'"),
+    ("fn X(t); let X(t: 0) =", ParseError, "1:23: expected number, found end of input", 1, 23, "number", "end of input"),
+    ("let diff[X, t] = *;", ParseError, "1:18: expected number, state name, or '(', found '*'", 1, 18,
+     "number, state name, or '('", "'*'"),
+    ("let diff[X, t] =", ParseError, "1:17: expected expression, found end of input", 1, 17, "expression", "end of input"),
+    ("let diff[X, t] = " + "(" * 201, ParseError,
+     "1:218: expression nested too deeply: at most 200 nested '(' and unary '-'", 1, 218,
+     "at most 200 nested '(' and unary '-'", "'('"),
+    ("let diff[X, t] = " + "-" * 201, ParseError,
+     "1:218: expression nested too deeply: at most 200 nested '(' and unary '-'", 1, 218,
+     "at most 200 nested '(' and unary '-'", "'-'"),
+    ("fn X(t); out X(s);", ParseError, "1:16: independent variable of X is 't', found 's'", 1, 16, "t", "s"),
+    ("fn X(t); plot(x: X(s), y: X(t));", ParseError, "1:20: independent variable of X is 't', found 's'", 1, 20,
+     "t", "s"),
+    ("fn X(t);\n  $", LexError, "2:3: unexpected character '$'", 2, 3, None, None),
+    ("fn Ⅹ(t);", LexError, "1:4: unexpected character 'Ⅹ'", 1, 4, None, None),
+    ("fn é(t);", LexError, "1:4: unexpected character 'é'", 1, 4, None, None),
+    ("let X(t: 0) = ١;", LexError, "1:15: unexpected character '١'", 1, 15, None, None),
+    ("let X(t: 0) = 1.5e3;", LexError, "1:18: malformed number: '1.5e' (exponent notation is not supported)", 1, 18,
+     None, None),
+    ("let X(t: 0) = 3.;", LexError, "1:16: digits required after decimal point", 1, 16, None, None),
+    ("1" + "0" * 400, LexError, "1:1: number 100000000000000000000000... overflows the representable range", 1, 1,
+     None, None),
+]
+
+
+@pytest.mark.parametrize("source, kind, text, line, column, expected, found", _DIAGNOSTICS, ids=[row[2] for row in _DIAGNOSTICS])
+def test_front_end_diagnostic(source, kind, text, line, column, expected, found):
+    with pytest.raises(SourceError) as err:
+        compile_source(source)
+    assert (type(err.value), str(err.value), err.value.line, err.value.column) == (kind, text, line, column)
+    if kind is ParseError:
+        assert (err.value.expected, err.value.found) == (expected, found)
+
+
+def reference_tokenize(source):
+    """Test-local character-by-character scanner with tokenize's contract."""
+
+    def ident_start(ch):
+        return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
+
+    def digit(ch):
+        return "0" <= ch <= "9"
+
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        if ident_start(ch):
+            j = i
+            while j < n and (ident_start(source[j]) or digit(source[j])):
+                j += 1
+            word = source[i:j]
+            tokens.append(Token(TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT, word, line, col))
+        elif digit(ch):
+            j = i
+            while j < n and digit(source[j]):
+                j += 1
+            if j < n and source[j] == ".":
+                j += 1
+                if j >= n or not digit(source[j]):
+                    raise LexError("digits required after decimal point", line, col + (j - i) - 1)
+                while j < n and digit(source[j]):
+                    j += 1
+            if j < n and ident_start(source[j]):
+                raise LexError(
+                    f"malformed number: {source[i:j + 1]!r} (exponent notation is not supported)", line, col + (j - i)
+                )
+            word = source[i:j]
+            if not math.isfinite(float(word)):
+                raise LexError(f"number {word[:24]}... overflows the representable range", line, col)
+            tokens.append(Token(TokenKind.NUMBER, word, line, col))
+        elif ch in "()[],:;=+-*":
+            tokens.append(Token(TokenKind.PUNCT, ch, line, col))
+            j = i + 1
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, col)
+        col += j - i
+        i = j
+    return tokens
+
+
+def _scan(scanner, source):
+    try:
+        return scanner(source)
+    except LexError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+_SCANNER_ALPHABET = string.ascii_letters + string.digits + " \t\r\n\f#.e()[],:;=+-*Ⅹé١"
+
+
+@given(st.text(alphabet=_SCANNER_ALPHABET, max_size=60) | _soup | _edited_programs())
+@settings(max_examples=1000, deadline=None)
+def test_tokenize_matches_reference_scanner(source):
+    assert _scan(tokenize, source) == _scan(reference_tokenize, source)

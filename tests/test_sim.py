@@ -301,20 +301,22 @@ class TestClip:
     def test_peaks_cover_all_elements(self, lorenz_design):
         model = build_dynamics(lorenz_design.config)
         trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0))
-        assert set(trace.peaks) == {"X", "Y", "I2", "M0", "M1"}
+        assert set(trace.peaks) == {"I0", "I1", "I2", "M0", "M1"}
         assert all(v >= 0 for v in trace.peaks.values())
 
-    def test_peak_of_a_shared_label_covers_both_elements(self, lorenz_source):
-        # state X renamed M0 shares its label with multiplier slot 0
+    def test_state_named_like_a_slot_keeps_separate_peaks(self, lorenz_source):
+        # state X renamed M0: elements are labelled by slot, so integrator 0
+        # and multiplier 0 keep one peak each while the state keeps its name
         _, _, design = pipeline(re.sub(r"\bX\b", "M0", lorenz_source))
         model = build_dynamics(_lorenz_with_multiplier_tap(design))
-        assert model.element_labels == ("M0", "Y", "I2", "M0", "M1")
+        assert model.state_labels == ("M0", "Y", "I2")
+        assert model.element_labels == ("I0", "I1", "I2", "M0", "M1")
         trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=5.0))
         state_peak = max(map(abs, trace.signals["M0"]))
         product_peak = max(map(abs, trace.signals["P"]))
-        assert product_peak == pytest.approx(0.4402, abs=1e-4)
-        assert trace.peaks["M0"] == max(state_peak, product_peak) == pytest.approx(0.7938, abs=1e-4)
-        assert set(trace.peaks) == {"M0", "Y", "I2", "M1"}
+        assert trace.peaks["I0"] == state_peak == pytest.approx(0.7938, abs=1e-4)
+        assert trace.peaks["M0"] == product_peak == pytest.approx(0.4402, abs=1e-4)
+        assert set(trace.peaks) == {"I0", "I1", "I2", "M0", "M1"}
 
 
 class TestProductOfSum:
@@ -558,7 +560,7 @@ class TestGeneratedEvaluator:
         ]
         model = self.check(lorenz_design.config, runs=runs)
         clipped = run(model, model.initial, runs[1])
-        assert {e.element for e in clipped.clip_events} == {"X", "Y", "I2"}
+        assert {e.element for e in clipped.clip_events} == {"I0", "I1", "I2"}
         # products clip only above a clip level of 1: |x*y| <= clip**2
         events = set()
         assert hexes(model.voltages([1.5, 1.5, -1.5], 2.0, events)) == hexes([1.5, 1.5, -1.5, 2.0, -2.0])
