@@ -169,8 +169,6 @@ class CircuitGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
     taps: tuple[tuple[str, int], ...] = ()
-    outputs: tuple[str, ...] = ()
-    plots: tuple[tuple[str, str], ...] = ()
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self.nodes if n.kind is kind]
@@ -227,11 +225,10 @@ def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[int]:
     raise LoopError((path[seen[key]:] + [key])[::-1])
 
 
-def build_circuit(
-    system: PolySystem,
-    program: Optional[Program] = None,
-    max_degree: int = 4,
-) -> CircuitGraph:
+MAX_DEGREE = 4  # highest monomial degree `build_circuit` accepts
+
+
+def build_circuit(system: PolySystem, program: Optional[Program] = None) -> CircuitGraph:
     """Construct the circuit graph for an expanded system.
 
     One integrator per state.  Every distinct degree>=2 product gets one
@@ -244,8 +241,8 @@ def build_circuit(
     """
     for terms in system.rhs:
         for term in terms:
-            if term.monomial.degree > max_degree:
-                raise DegreeError(term.monomial, max_degree)
+            if term.monomial.degree > MAX_DEGREE:
+                raise DegreeError(term.monomial, MAX_DEGREE)
 
     nodes: list[Node] = []
     int_id = {}
@@ -298,18 +295,14 @@ def build_circuit(
     edges.sort(key=lambda e: (e.src, e.dst, e.port.value))
 
     taps: list[tuple[str, int]] = []
-    outputs: tuple[str, ...] = ()
-    plots: tuple[tuple[str, str], ...] = ()
     if program is not None:
-        outputs = program.outputs
-        plots = program.plots
         seen = []
         for name in list(program.outputs) + [ax for pair in program.plots for ax in pair]:
             if name not in seen:
                 seen.append(name)
                 taps.append((name, int_id[name]))
 
-    return CircuitGraph(tuple(nodes), tuple(edges), tuple(taps), outputs, plots)
+    return CircuitGraph(tuple(nodes), tuple(edges), tuple(taps))
 
 
 def detect_algebraic_loops(graph: CircuitGraph) -> None:

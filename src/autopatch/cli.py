@@ -10,6 +10,7 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -143,6 +144,8 @@ def _cmd_simulate(args) -> int:
                 initial = [float(v) for v in args.ic.split(",")]
             except ValueError:
                 raise ValueError(f"malformed --ic {args.ic!r} (expected comma-separated numbers)") from None
+            if not all(map(math.isfinite, initial)):
+                raise ValueError(f"non-finite value in --ic {args.ic!r} (expected finite numbers)")
             if len(initial) != len(model.taps):
                 raise ValueError(f"--ic lists {len(initial)} values for {len(model.taps)} used integrators")
         trace = sim.run(model, initial, settings)

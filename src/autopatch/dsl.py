@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 # Deepest nesting of '(' and unary '-' in one expression.  The parser spends
@@ -64,8 +64,7 @@ class TokenKind(Enum):
     PUNCT = "punct"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int

@@ -15,9 +15,11 @@ round values (+-10, +-1, +-0.5, +-0.1).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
+
+from .circuit import NodeKind, Port
 
 HIGHRES_MIN = -2048
 HIGHRES_MAX = 2047
@@ -25,9 +27,6 @@ HIGHRES_LSB = 10.0 / 2048.0
 
 #: Decoded value per 3-bit low-res code, index == code.
 LOWRES_TABLE = (10.0, 1.0, 0.5, 0.1, -0.1, -0.5, -1.0, -10.0)
-
-#: Weights that a low-res lane can realize exactly.
-LOWRES_VALUES = frozenset(LOWRES_TABLE)
 
 
 class RangeWarning(UserWarning):
@@ -127,16 +126,6 @@ def lowres_code_for(value: float) -> Optional[int]:
 # machine geometry
 
 
-class RowRole(Enum):
-    INTEGRATOR_OUT = "IntegratorOut"
-    MULTIPLIER_OUT = "MultiplierOut"
-    CONST_ONE = "ConstOne"
-    RESERVED = "Reserved"
-    INTEGRATOR_IN = "IntegratorIn"
-    MUL_A = "MulA"
-    MUL_B = "MulB"
-
-
 #: Largest geometry the binary formats can address: a delta record carries
 #: its lane as a u16, and the row payload 0xFFFF means "no row".
 MAX_LANES = 65536
@@ -200,18 +189,20 @@ class MachineSpec:
             raise ValueError("machine has no constant-one row")
         return self.n_integrators + self.n_multipliers
 
-    def out_row_role(self, row: int) -> tuple[RowRole, int]:
+    def out_row_role(self, row: int) -> tuple[Optional[NodeKind], int]:
+        """The element that drives out-row `row`, as (kind, slot), or
+        (None, offset past the element rows) for a reserved row."""
         if not 0 <= row < self.out_rows:
             raise ValueError(f"out-row {row} outside [0, {self.out_rows})")
         if row < self.n_integrators:
-            return (RowRole.INTEGRATOR_OUT, row)
+            return (NodeKind.INTEGRATOR, row)
         row -= self.n_integrators
         if row < self.n_multipliers:
-            return (RowRole.MULTIPLIER_OUT, row)
+            return (NodeKind.MULTIPLIER, row)
         row -= self.n_multipliers
         if self.has_const_row and row == 0:
-            return (RowRole.CONST_ONE, 0)
-        return (RowRole.RESERVED, row)
+            return (NodeKind.CONST_ONE, 0)
+        return (None, row)
 
     # --- input rows
 
@@ -224,13 +215,14 @@ class MachineSpec:
     def mul_b_row(self, j: int) -> int:
         return self.n_integrators + 2 * self._checked(j, self.n_multipliers, "multiplier") + 1
 
-    def in_row_role(self, row: int) -> tuple[RowRole, int]:
+    def in_row_role(self, row: int) -> tuple[Port, int]:
+        """The element port that in-row `row` feeds, as (port, slot)."""
         if not 0 <= row < self.in_rows:
             raise ValueError(f"in-row {row} outside [0, {self.in_rows})")
         if row < self.n_integrators:
-            return (RowRole.INTEGRATOR_IN, row)
+            return (Port.INTEGRATOR_IN, row)
         row -= self.n_integrators
-        return (RowRole.MUL_A if row % 2 == 0 else RowRole.MUL_B, row // 2)
+        return (Port.MUL_A if row % 2 == 0 else Port.MUL_B, row // 2)
 
     @staticmethod
     def _checked(idx: int, limit: int, what: str) -> int:
@@ -287,7 +279,7 @@ def custom_spec(n_integrators: int, n_multipliers: int, n_lanes: int) -> Machine
 # routed configuration
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MachineConfig:
     """Full interconnect state: fan-out matrix, coefficients, fan-in matrix.
 
@@ -305,8 +297,8 @@ class MachineConfig:
     u_source: tuple[Optional[int], ...]
     coefficients: tuple[CoefficientCode, ...]
     i_dest: tuple[Optional[int], ...]
-    initial_states: tuple[float, ...] = ()
-    taps: tuple[tuple[str, int], ...] = ()
+    initial_states: tuple[float, ...] = field(default=(), compare=False)
+    taps: tuple[tuple[str, int], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         n = self.spec.n_lanes
@@ -316,19 +308,6 @@ class MachineConfig:
             object.__setattr__(self, "initial_states", (0.0,) * self.spec.n_integrators)
         elif len(self.initial_states) != self.spec.n_integrators:
             raise ValueError("initial_states must have one entry per integrator")
-
-    def __eq__(self, other):
-        if not isinstance(other, MachineConfig):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.u_source == other.u_source
-            and self.coefficients == other.coefficients
-            and self.i_dest == other.i_dest
-        )
-
-    def __hash__(self):
-        return hash((self.spec, self.u_source, self.coefficients, self.i_dest))
 
     @staticmethod
     def empty(spec: MachineSpec) -> "MachineConfig":

@@ -106,31 +106,21 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         raise ConstUnavailableError("graph needs a constant-one source but the machine has no constant row")
 
     # elements in graph node order onto ascending slots
-    slot: dict[int, tuple[NodeKind, int]] = {}
+    out_row: dict[int, int] = {}
+    in_row: dict[tuple[int, Port], int] = {}
+    initial = [0.0] * spec.n_integrators
     for k, node in enumerate(integrators):
-        slot[node.id] = (NodeKind.INTEGRATOR, k)
+        initial[k] = node.initial
+        out_row[node.id] = spec.integrator_out_row(k)
+        in_row[node.id, Port.INTEGRATOR_IN] = spec.integrator_in_row(k)
     for k, node in enumerate(multipliers):
-        slot[node.id] = (NodeKind.MULTIPLIER, k)
+        out_row[node.id] = spec.multiplier_out_row(k)
+        in_row[node.id, Port.MUL_A] = spec.mul_a_row(k)
+        in_row[node.id, Port.MUL_B] = spec.mul_b_row(k)
     for node in consts:
-        slot[node.id] = (NodeKind.CONST_ONE, 0)
+        out_row[node.id] = spec.const_row()
 
-    def out_row(node_id: int) -> int:
-        kind, k = slot[node_id]
-        if kind is NodeKind.INTEGRATOR:
-            return spec.integrator_out_row(k)
-        if kind is NodeKind.MULTIPLIER:
-            return spec.multiplier_out_row(k)
-        return spec.const_row()
-
-    def in_row(node_id: int, port: Port) -> int:
-        kind, k = slot[node_id]
-        if port is Port.INTEGRATOR_IN:
-            assert kind is NodeKind.INTEGRATOR
-            return spec.integrator_in_row(k)
-        assert kind is NodeKind.MULTIPLIER
-        return spec.mul_a_row(k) if port is Port.MUL_A else spec.mul_b_row(k)
-
-    routed = [(out_row(e.src), in_row(e.dst, e.port), e.weight) for e in graph.edges]
+    routed = [(out_row[e.src], in_row[e.dst, e.port], e.weight) for e in graph.edges]
     pairs = [(src, dst) for src, dst, _ in routed]
     if len(set(pairs)) != len(pairs):
         raise ValueError("parallel edges between one (source, destination) pair were not merged upstream")
@@ -162,10 +152,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         quant_errors.append((lane, abs(decode(c[lane]) - weight)))
         lane_weights.append((lane, weight))
 
-    initial = [0.0] * spec.n_integrators
-    for k, node in enumerate(integrators):
-        initial[k] = node.initial
-    taps = tuple((name, out_row(node_id)) for name, node_id in graph.taps)
+    taps = tuple((name, out_row[node_id]) for name, node_id in graph.taps)
 
     config = MachineConfig(
         spec=spec,

@@ -24,15 +24,16 @@ reassociation only.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .circuit import LoopError, PolySystem, dependency_order
+from .circuit import LoopError, NodeKind, PolySystem, Port, dependency_order
 from .dsl import Program
-from .machine import MachineConfig, RowRole, decode, validate_config
+from .machine import MachineConfig, decode, validate_config
 
 MAX_STEPS = 10**8  # most integration steps one run may take
 
@@ -248,9 +249,10 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
 class DynamicsModel:
     """Compiled hardware step.
 
-    Elements are laid out as one voltage vector: used integrators first
-    (ascending slot), then used multipliers, then the constant source if
-    any active lane draws from it.  `taps` maps signal names to element
+    Elements are laid out as one voltage vector in output-row order, which
+    the row convention makes used integrators first (ascending slot), then
+    used multipliers, then the constant source if an active lane draws
+    from it or a tap names it.  `taps` maps signal names to element
     positions.  `element_labels` name elements by slot (`I<k>`, `M<j>`,
     `const`), so no two coincide; `state_labels` name each integrator by
     its tap, or by its slot when it has none.
@@ -280,6 +282,9 @@ class DynamicsModel:
         return self.step(y, 0.0, 0, clip, clipped)[1]
 
 
+_LABELS = {NodeKind.INTEGRATOR: "I{}", NodeKind.MULTIPLIER: "M{}", NodeKind.CONST_ONE: "const"}
+
+
 def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, float]] = None) -> DynamicsModel:
     """Compile a valid configuration into a generated step function.
 
@@ -293,95 +298,64 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         raise ValueError("configuration invalid: " + "; ".join(problems))
     spec = config.spec
 
-    used_int: set[int] = set()
-    used_mul: set[int] = set()
-    const_used = False
-    active = config.active_lanes()
-    for lane in active:
-        role, k = spec.out_row_role(config.u_source[lane])
-        if role is RowRole.INTEGRATOR_OUT:
-            used_int.add(k)
-        elif role is RowRole.MULTIPLIER_OUT:
-            used_mul.add(k)
-        elif role is RowRole.CONST_ONE:
-            const_used = True
-        role, k = spec.in_row_role(config.i_dest[lane])
-        if role is RowRole.INTEGRATOR_IN:
-            used_int.add(k)
-        else:
-            used_mul.add(k)
-
-    tap_name_of_row = {}
-    for name, row in config.taps:
-        role, k = spec.out_row_role(row)
-        if role is RowRole.INTEGRATOR_OUT:
-            used_int.add(k)
-            tap_name_of_row.setdefault(row, name)
-        elif role is RowRole.MULTIPLIER_OUT:
-            used_mul.add(k)
-        elif role is RowRole.CONST_ONE:
-            const_used = True
-        else:
-            raise UnroutedTapError(f"tap {name} references reserved out-row {row}")
-
-    ints = sorted(used_int)
-    muls = sorted(used_mul)
-    state_pos = {k: i for i, k in enumerate(ints)}
-    mul_pos = {j: len(ints) + i for i, j in enumerate(muls)}
-    const_index = len(ints) + len(muls) if const_used else None
-
-    labels = [f"I{k}" for k in ints] + [f"M{j}" for j in muls] + (["const"] if const_used else [])
-
-    def source_index(row: int) -> Optional[int]:
-        role, k = spec.out_row_role(row)
-        if role is RowRole.INTEGRATOR_OUT:
-            return state_pos[k]
-        if role is RowRole.MULTIPLIER_OUT:
-            return mul_pos[k]
-        if role is RowRole.CONST_ONE:
-            return const_index
-        return None  # reserved row: idles at zero
-
-    int_terms: list[list[tuple[float, int]]] = [[] for _ in ints]
-    mul_a: dict[int, list[tuple[float, int]]] = {mul_pos[j]: [] for j in muls}
-    mul_b: dict[int, list[tuple[float, int]]] = {mul_pos[j]: [] for j in muls}
-    for lane in active:
+    # An element is named by its output row.  The row convention puts
+    # integrators first, then multipliers, then the constant, so the used
+    # rows in ascending order are the element order.
+    used: set[int] = set()
+    wires = []  # (gain, source row or None, destination element's row, port) per lane
+    for lane in config.active_lanes():
         gain = decode(config.coefficients[lane])
         if lane_weights is not None and lane in lane_weights:
             gain = lane_weights[lane]
-        src = source_index(config.u_source[lane])
-        if src is None:
-            continue
-        role, k = spec.in_row_role(config.i_dest[lane])
-        if role is RowRole.INTEGRATOR_IN:
-            int_terms[state_pos[k]].append((gain, src))
-        elif role is RowRole.MUL_A:
-            mul_a[mul_pos[k]].append((gain, src))
+        src = config.u_source[lane]
+        if spec.out_row_role(src)[0] is None:
+            src = None  # reserved row: idles at zero
         else:
-            mul_b[mul_pos[k]].append((gain, src))
+            used.add(src)
+        port, k = spec.in_row_role(config.i_dest[lane])
+        dst = spec.integrator_out_row(k) if port is Port.INTEGRATOR_IN else spec.multiplier_out_row(k)
+        used.add(dst)
+        wires.append((gain, src, dst, port))
+
+    tap_name_of_row: dict[int, str] = {}
+    for name, row in config.taps:
+        if spec.out_row_role(row)[0] is None:
+            raise UnroutedTapError(f"tap {name} references reserved out-row {row}")
+        used.add(row)
+        tap_name_of_row.setdefault(row, name)
+
+    rows = sorted(used)
+    position = {row: i for i, row in enumerate(rows)}
+    roles = [spec.out_row_role(row) for row in rows]
+    labels = [_LABELS[kind].format(k) for kind, k in roles]
+    n_states = sum(kind is NodeKind.INTEGRATOR for kind, _ in roles)
+    const_index = position.get(spec.const_row()) if spec.has_const_row else None
+
+    # each element port's (gain, source position) terms, in lane order
+    sums: dict[tuple[int, Port], list[tuple[float, int]]] = defaultdict(list)
+    for gain, src, dst, port in wires:
+        if src is not None:
+            sums[position[dst], port].append((gain, position[src]))
+    int_terms = [sums[i, Port.INTEGRATOR_IN] for i in range(n_states)]
+    muls = [i for i, (kind, _) in enumerate(roles) if kind is NodeKind.MULTIPLIER]
+    mul_ports = {i: (sums[i, Port.MUL_A], sums[i, Port.MUL_B]) for i in muls}
 
     # multipliers in dependency order; feedback among them (without an
     # integrator in between) is not evaluable
-    reads = {pos: [src for _, src in mul_a[pos] + mul_b[pos]] for pos in mul_a}
+    reads = {pos: [src for _, src in a + b] for pos, (a, b) in mul_ports.items()}
     try:
         order = dependency_order(reads)
     except LoopError as exc:
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_ops = [(pos, mul_a[pos], mul_b[pos]) for pos in order]
+    mul_ops = [(pos, *mul_ports[pos]) for pos in order]
 
-    taps = {}
-    for name, row in config.taps:
-        idx = source_index(row)
-        assert idx is not None
-        taps[name] = idx
-
-    source, namespace = _generate_evaluator(len(ints), len(labels), int_terms, mul_ops, const_index)
+    source, namespace = _generate_evaluator(n_states, len(labels), int_terms, mul_ops, const_index)
     exec(compile(source, "<autopatch step>", "exec"), namespace)
     return DynamicsModel(
-        state_labels=tuple(tap_name_of_row.get(spec.integrator_out_row(k), f"I{k}") for k in ints),
-        initial=tuple(config.initial_states[k] for k in ints),
+        state_labels=tuple(tap_name_of_row.get(row, labels[i]) for i, row in enumerate(rows[:n_states])),
+        initial=tuple(config.initial_states[k] for _, k in roles[:n_states]),
         element_labels=tuple(labels),
-        taps=taps,
+        taps={name: position[row] for name, row in config.taps},
         step=namespace["step"],
     )
 
@@ -512,12 +486,10 @@ def run_reference(system: PolySystem, settings: SimSettings) -> Trace:
     return run(model, model.initial, settings)
 
 
-def max_abs_deviation(a: Trace, b: Trace, names: Optional[Sequence[str]] = None) -> float:
-    """Largest pointwise |difference| over the shared (or given) signals."""
-    if names is None:
-        names = sorted(set(a.signals) & set(b.signals))
+def max_abs_deviation(a: Trace, b: Trace) -> float:
+    """Largest pointwise |difference| over the shared signals."""
     worst = 0.0
-    for name in names:
+    for name in sorted(set(a.signals) & set(b.signals)):
         xs, ys = a.signals[name], b.signals[name]
         if len(xs) != len(ys):
             raise ValueError(f"signal {name}: traces have {len(xs)} vs {len(ys)} samples")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import support
+from autopatch import circuit
 from autopatch.circuit import (
     DegreeError,
     Edge,
@@ -190,11 +191,12 @@ class TestBuildCircuit:
         without = build_circuit(normalize(program_for(X="-X")))
         assert count_kinds(without)[NodeKind.CONST_ONE] == 0
 
-    def test_degree_cap(self):
+    def test_degree_cap(self, monkeypatch):
         system = normalize(program_for(X="X * X * X * X * X"))
         with pytest.raises(DegreeError):
             build_circuit(system)
-        assert build_circuit(system, max_degree=5) is not None
+        monkeypatch.setattr(circuit, "MAX_DEGREE", 5)
+        assert build_circuit(system) is not None
 
     def test_taps_bound_to_integrators(self, lorenz_graph):
         taps = dict(lorenz_graph.taps)

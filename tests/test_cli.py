@@ -220,8 +220,11 @@ class TestSimulate:
         [
             (["--quantize", "off"], "--quantize off needs DSL input (an image holds only quantized coefficients)"),
             (["--ic", "1,2,x"], "malformed --ic '1,2,x' (expected comma-separated numbers)"),
+            (["--ic", "nan,0,0"], "non-finite value in --ic 'nan,0,0' (expected finite numbers)"),
+            (["--ic", "0,inf,0"], "non-finite value in --ic '0,inf,0' (expected finite numbers)"),
+            (["--ic", "0,0,1e400"], "non-finite value in --ic '0,0,1e400' (expected finite numbers)"),
         ],
-        ids=["quantize-off", "ic-not-a-number"],
+        ids=["quantize-off", "ic-not-a-number", "ic-nan", "ic-inf", "ic-1e400"],
     )
     def test_image_input_refuses_flag(self, tmp_path, capsys, flags, message):
         image = tmp_path / "l.acfg"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
+from autopatch.circuit import Port
 from autopatch.machine import (
     CoefKind,
     CoefficientCode,
@@ -14,7 +15,6 @@ from autopatch.machine import (
     MachineConfig,
     MachineSpec,
     RangeWarning,
-    RowRole,
     custom_spec,
     decode,
     format_config,
@@ -112,15 +112,15 @@ class TestSpecs:
         assert spec.integrator_out_row(0) == 0
         assert spec.multiplier_out_row(0) == 8
         assert spec.const_row() == 12
-        assert spec.out_row_role(13) == (RowRole.RESERVED, 1)
+        assert spec.out_row_role(13) == (None, 1)
         assert spec.mul_a_row(3) == 14
         assert spec.mul_b_row(3) == 15
         for row in range(spec.in_rows):
             role, k = spec.in_row_role(row)
             back = {
-                RowRole.INTEGRATOR_IN: spec.integrator_in_row,
-                RowRole.MUL_A: spec.mul_a_row,
-                RowRole.MUL_B: spec.mul_b_row,
+                Port.INTEGRATOR_IN: spec.integrator_in_row,
+                Port.MUL_A: spec.mul_a_row,
+                Port.MUL_B: spec.mul_b_row,
             }[role](k)
             assert back == row
 

@@ -7,7 +7,7 @@ import pytest
 
 import support
 from autopatch import sim
-from autopatch.circuit import LoopError, build_circuit, normalize
+from autopatch.circuit import LoopError, NodeKind, Port, build_circuit, dependency_order, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
@@ -475,14 +475,21 @@ class LoopModel:
         return out
 
 
-def build_both(config, lane_weights=None):
-    """The generated model and a LoopModel over the same compiled lanes."""
+def build_captured(config, lane_weights=None):
+    """The model `build_dynamics` returns and the arguments it passed to
+    `_generate_evaluator`."""
     captured = []
     generate = sim._generate_evaluator
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_generate_evaluator", lambda *args: captured.append(args) or generate(*args))
         model = build_dynamics(config, lane_weights)
     (args,) = captured
+    return model, args
+
+
+def build_both(config, lane_weights=None):
+    """The generated model and a LoopModel over the same compiled lanes."""
+    model, args = build_captured(config, lane_weights)
     return model, LoopModel(model, *args)
 
 
@@ -745,3 +752,136 @@ class TestGeneratedStep:
         # source and its compile time; 50070 is the length before it
         design = pipeline(support.synthetic_large_program(500), redac_tile_spec())[2]
         assert len(_generated_source(design.config)) <= 1.1 * 50_070
+
+
+# --------------------------------------------------------------------------
+# elements named by output row, against the role walk they replaced
+
+
+def role_walk(config, lane_weights=None):
+    """The element map `build_dynamics` built before it named elements by
+    their output rows: one index space per kind (`state_pos`, `mul_pos`,
+    `const_index`) over two passes of the lanes.  Kept here as the
+    reference; returns the model's (state_labels, initial, element_labels,
+    taps) and the arguments for `_generate_evaluator`."""
+    spec = config.spec
+    used_int, used_mul, const_used = set(), set(), False
+    active = config.active_lanes()
+    for lane in active:
+        kind, k = spec.out_row_role(config.u_source[lane])
+        if kind is NodeKind.INTEGRATOR:
+            used_int.add(k)
+        elif kind is NodeKind.MULTIPLIER:
+            used_mul.add(k)
+        elif kind is NodeKind.CONST_ONE:
+            const_used = True
+        port, k = spec.in_row_role(config.i_dest[lane])
+        (used_int if port is Port.INTEGRATOR_IN else used_mul).add(k)
+
+    tap_name_of_row = {}
+    for name, row in config.taps:
+        kind, k = spec.out_row_role(row)
+        if kind is NodeKind.INTEGRATOR:
+            used_int.add(k)
+            tap_name_of_row.setdefault(row, name)
+        elif kind is NodeKind.MULTIPLIER:
+            used_mul.add(k)
+        elif kind is NodeKind.CONST_ONE:
+            const_used = True
+        else:
+            raise UnroutedTapError(f"tap {name} references reserved out-row {row}")
+
+    ints, muls = sorted(used_int), sorted(used_mul)
+    state_pos = {k: i for i, k in enumerate(ints)}
+    mul_pos = {j: len(ints) + i for i, j in enumerate(muls)}
+    const_index = len(ints) + len(muls) if const_used else None
+    labels = [f"I{k}" for k in ints] + [f"M{j}" for j in muls] + (["const"] if const_used else [])
+
+    def source_index(row):
+        kind, k = spec.out_row_role(row)
+        if kind is NodeKind.INTEGRATOR:
+            return state_pos[k]
+        if kind is NodeKind.MULTIPLIER:
+            return mul_pos[k]
+        if kind is NodeKind.CONST_ONE:
+            return const_index
+        return None
+
+    int_terms = [[] for _ in ints]
+    mul_a = {mul_pos[j]: [] for j in muls}
+    mul_b = {mul_pos[j]: [] for j in muls}
+    for lane in active:
+        gain = decode_coeff(config.coefficients[lane])
+        if lane_weights is not None and lane in lane_weights:
+            gain = lane_weights[lane]
+        src = source_index(config.u_source[lane])
+        if src is None:
+            continue
+        port, k = spec.in_row_role(config.i_dest[lane])
+        if port is Port.INTEGRATOR_IN:
+            int_terms[state_pos[k]].append((gain, src))
+        elif port is Port.MUL_A:
+            mul_a[mul_pos[k]].append((gain, src))
+        else:
+            mul_b[mul_pos[k]].append((gain, src))
+
+    reads = {pos: [src for _, src in mul_a[pos] + mul_b[pos]] for pos in mul_a}
+    try:
+        order = dependency_order(reads)
+    except LoopError as exc:
+        raise LoopError([labels[pos] for pos in exc.cycle]) from None
+    mul_ops = [(pos, mul_a[pos], mul_b[pos]) for pos in order]
+
+    model = (
+        tuple(tap_name_of_row.get(spec.integrator_out_row(k), f"I{k}") for k in ints),
+        tuple(config.initial_states[k] for k in ints),
+        tuple(labels),
+        list({name: source_index(row) for name, row in config.taps}.items()),
+    )
+    return model, (len(ints), len(labels), int_terms, mul_ops, const_index)
+
+
+def annotated_config(spec, rng):
+    """A random valid configuration with random taps (reserved rows
+    included), initial states and partial lane weights, some non-finite."""
+    config = support.random_config(spec, rng, p_active=rng.choice([0.03, 0.1, 0.25, 0.5]))
+    taps = tuple(
+        (rng.choice(["X", "Y", "I0", "M1", "const"]), rng.randrange(spec.out_rows)) for _ in range(rng.randrange(5))
+    )
+    initial = tuple(rng.uniform(-1.0, 1.0) for _ in range(spec.n_integrators))
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    weights = {
+        lane: rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-12.0, 12.0)
+        for lane in rng.sample(range(spec.n_lanes), rng.randrange(spec.n_lanes + 1))
+    }
+    return dataclasses.replace(config, taps=taps, initial_states=initial), rng.choice([None, weights])
+
+
+def element_map_outcome(build, config, lane_weights):
+    """repr of what `build` returns, or the type and text of what it raises
+    (repr, so that NaN gains compare equal)."""
+    try:
+        return repr(build(config, lane_weights))
+    except (LoopError, UnroutedTapError) as exc:
+        return (type(exc), str(exc))
+
+
+def built_element_map(config, lane_weights):
+    model, args = build_captured(config, lane_weights)
+    return (model.state_labels, model.initial, model.element_labels, list(model.taps.items())), args
+
+
+class TestElementMap:
+    @pytest.mark.parametrize("spec", [lucidac_spec(), custom_spec(5, 3, 24)], ids=["lucidac", "custom-5-3-24"])
+    def test_matches_the_role_walk(self, spec):
+        rng = random.Random(31)
+        failures = set()
+        for _ in range(400):
+            config, lane_weights = annotated_config(spec, rng)
+            want = element_map_outcome(role_walk, config, lane_weights)
+            assert element_map_outcome(built_element_map, config, lane_weights) == want
+            if isinstance(want, tuple):
+                failures.add(want[0])
+        # the corpus reaches both refusals where the machine has reserved rows
+        reserved = spec.out_rows > spec.n_integrators + spec.n_multipliers + spec.has_const_row
+        assert failures == ({LoopError, UnroutedTapError} if reserved else {LoopError})
