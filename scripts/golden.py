@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Golden outputs: run a fixed corpus of CLI commands and print digests.
+
+Each command runs in process through `autopatch.cli.main`, inside one
+scratch directory that holds copies of the example programs and the
+500-state program of tests/support.py.  For every command the script
+prints one sha256 per output file it wrote or changed, and one each for
+its stdout, stderr and exit code, as `<hex digest>  <command>/<what>`.
+
+Usage: python3 scripts/golden.py          # print the digests
+       python3 scripts/golden.py --check  # compare with tests/golden.sha256
+
+Only the standard library is used, and autopatch is imported from this
+checkout's src/, so the script runs as is under any supported CPython.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "golden.sha256"
+
+#: (name, argv) in run order; later commands read the images earlier ones wrote.
+CORPUS = (
+    ("compile-lorenz", ["compile", "lorenz.odedsl", "--emit-ir"]),
+    ("route-lorenz", ["route", "lorenz.odedsl", "-o", "lorenz.acfg", "--emit-config"]),
+    ("simulate-lorenz-reference", ["simulate", "lorenz.odedsl", "--reference", "--out-dir", "reference"]),
+    ("simulate-lorenz-clip", ["simulate", "lorenz.odedsl", "--clip", "0.3", "--stride", "7", "--out-dir", "clip"]),
+    ("simulate-lorenz-image", ["simulate", "lorenz.acfg", "--ic", "0.2,-0.1,0.05", "--out-dir", "image"]),
+    ("route-s500", ["route", "s500.odedsl", "--machine", "redac", "-o", "s500.acfg"]),
+    ("simulate-s500", ["simulate", "s500.odedsl", "--machine", "redac", "--dt", "0.01", "--t-end", "1",
+                       "--out-dir", "s500"]),
+    ("route-decay", ["route", "decay.odedsl", "-o", "decay.acfg"]),
+    ("diff", ["diff", "lorenz.acfg", "decay.acfg", "-o", "lorenz-decay.acdl"]),
+    ("apply", ["apply", "lorenz.acfg", "lorenz-decay.acdl", "-o", "applied.acfg"]),
+    ("fabric-simstar", ["fabric", "--spec", "simstar", "--experiment", "--load", "320", "--trials", "1000",
+                        "--seed", "42"]),
+    ("route-decay-custom", ["route", "decay.odedsl", "--machine", "custom:i=3,m=1,l=8", "-o", "custom.acfg"]),
+    ("custom-too-many-lanes", ["route", "decay.odedsl", "--machine", "custom:i=-1,m=0,l=100000", "-o", "x.acfg"]),
+    ("custom-too-many-rows", ["route", "decay.odedsl", "--machine", "custom:i=70000,m=-1,l=8", "-o", "x.acfg"]),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(top: Path) -> dict[str, str]:
+    return {path.relative_to(top).as_posix(): _sha(path.read_bytes()) for path in top.rglob("*") if path.is_file()}
+
+
+def _large_program() -> str:
+    location = ROOT / "tests" / "support.py"
+    spec = importlib.util.spec_from_file_location("golden_support", location)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.synthetic_large_program(500)
+
+
+def run_corpus() -> list[str]:
+    """Run every command of CORPUS and return its digest lines."""
+    if str(ROOT / "src") not in sys.path:
+        sys.path.insert(0, str(ROOT / "src"))
+    from autopatch import cli
+
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("lorenz.odedsl", "decay.odedsl"):
+            shutil.copy(ROOT / "programs" / name, work / name)
+        (work / "s500.odedsl").write_text(_large_program(), encoding="utf-8")
+        os.chdir(work)
+        try:
+            for name, argv in CORPUS:
+                before = _files(work)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+                after = _files(work)
+                for path in sorted(after):
+                    if before.get(path) != after[path]:
+                        lines.append(f"{after[path]}  {name}/{path}")
+                for what, data in (("stdout", out.getvalue()), ("stderr", err.getvalue()), ("exit", str(code))):
+                    lines.append(f"{_sha(data.encode())}  {name}/{what}")
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv[1:] not in ([], ["--check"]):
+        print("usage: python3 scripts/golden.py [--check]", file=sys.stderr)
+        return 2
+    lines = run_corpus()
+    if argv[1:]:
+        want = DIGESTS.read_text(encoding="utf-8").splitlines()
+        if lines == want:
+            print(f"golden: {len(lines)} digests match {DIGESTS.name}")
+            return 0
+        got_names = {line.split("  ", 1)[1]: line for line in lines}
+        want_names = {line.split("  ", 1)[1]: line for line in want}
+        for key in sorted(got_names.keys() | want_names.keys()):
+            if got_names.get(key) != want_names.get(key):
+                print(f"golden: {key} differs", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
