@@ -14,7 +14,6 @@ from .machine import (
     CoefficientCode,
     MachineConfig,
     MachineSpec,
-    custom_spec,
     decode,
     lucidac_spec,
     quantize_highres,
@@ -31,7 +30,7 @@ __all__ = [
     "__version__",
     "Program", "compile_source", "parse", "tokenize", "validate",
     "CircuitGraph", "PolySystem", "build_circuit", "detect_algebraic_loops", "normalize",
-    "CoefficientCode", "MachineConfig", "MachineSpec", "custom_spec", "decode",
+    "CoefficientCode", "MachineConfig", "MachineSpec", "decode",
     "lucidac_spec", "quantize_highres", "redac_tile_spec", "validate_config",
     "PlaceRouteReport", "RoutedDesign", "route_design",
     "DeltaScript", "apply", "decode_delta", "diff", "encode", "encode_delta", "image_length", "decode_image",

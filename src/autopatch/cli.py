@@ -21,7 +21,6 @@ _PIPELINE_ERRORS = (
     circuit.DegreeError,
     circuit.LoopError,
     router.CapacityError,
-    router.ConstUnavailableError,
     bitstream.FormatError,
     bitstream.SpecMismatchError,
     bitstream.RangeError,
@@ -51,7 +50,7 @@ def _parse_machine(text: str) -> machine.MachineSpec:
             i, m, l = (int(fields[key]) for key in "iml")
         except (KeyError, ValueError):
             raise ValueError(f"malformed machine spec {text!r} ({expected})") from None
-        return machine.custom_spec(i, m, l)
+        return machine.MachineSpec(i, m, l)
     raise ValueError(f"unknown machine {text!r} (expected lucidac, redac, or custom:i=<n>,m=<n>,l=<n>)")
 
 
@@ -79,7 +78,10 @@ def _parse_fabric(text: str):
 def _parse_clip(text: str):
     if text == "off":
         return None
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (expected a number or 'off')") from None
 
 
 def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.CircuitGraph]:
@@ -215,8 +217,13 @@ def _cmd_fabric(args) -> int:
     raise ValueError("fabric needs --count or --experiment")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit code 1 like every diagnostic, not usage and exit code 2
+        self.exit(1, f"autopatch: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="autopatch",
         description="Compile ODE programs onto a switched analog interconnect, "
         "simulate them, and analyze switch fabrics.",

@@ -258,6 +258,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ivars: dict[str, str] = {}  # declared state -> independent variable
+        self.deferred: list[tuple[str, Token]] = []  # references met before their state's `fn`
         self.nesting = 0  # open '(' and unary '-' around the current token
 
     # --- token plumbing
@@ -313,7 +314,9 @@ class _Parser:
 
     def _check_ivar(self, state: str, tok: Token):
         declared = self.ivars.get(state)
-        if declared is not None and tok.lexeme != declared:
+        if declared is None:
+            self.deferred.append((state, tok))
+        elif tok.lexeme != declared:
             raise ParseError(
                 f"independent variable of {state} is {declared!r}, found {tok.lexeme!r}",
                 tok.line,
@@ -328,6 +331,9 @@ class _Parser:
         stmts = []
         while self._peek() is not None:
             stmts.append(self.statement())
+        for state, tok in self.deferred:
+            if state in self.ivars:
+                self._check_ivar(state, tok)
         return stmts
 
     def statement(self) -> Stmt:

@@ -132,49 +132,41 @@ MAX_LANES = 65536
 MAX_ROWS = 65534
 
 
-def _check_size(n_lanes: int, out_rows: int, in_rows: int) -> None:
-    if n_lanes > MAX_LANES:
-        raise ValueError(f"{n_lanes} lanes exceed the format limit of {MAX_LANES}")
-    for rows, what in ((out_rows, "output"), (in_rows, "input")):
-        if rows > MAX_ROWS:
-            raise ValueError(f"{rows} {what} rows exceed the format limit of {MAX_ROWS}")
-
-
 @dataclass(frozen=True)
 class MachineSpec:
     """Parametric geometry of one interconnect tile.
 
-    Row conventions (fixed so that bitstreams and tests are reproducible):
-    output rows list integrator outputs first, then multiplier outputs, then
-    the constant-one row (if present), then reserved rows; input rows list
+    The four constructor values are the whole geometry; `out_rows`,
+    `in_rows` and `lowres_lanes` follow from them.  Row conventions (fixed
+    so that bitstreams and tests are reproducible): output rows list
+    integrator outputs first, then multiplier outputs, then the constant-one
+    row, then `reserved_rows` rows that no element drives; input rows list
     integrator inputs first, then multiplier port pairs (A then B per
-    multiplier).
+    multiplier).  The top quarter of the lanes (rounded down) is low-res.
     """
 
     n_integrators: int
     n_multipliers: int
     n_lanes: int
-    out_rows: int
-    in_rows: int
-    lowres_lanes: frozenset[int]
-    has_const_row: bool
+    reserved_rows: int = 0
+    out_rows: int = field(init=False, repr=False, compare=False)
+    in_rows: int = field(init=False, repr=False, compare=False)
+    lowres_lanes: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if min(self.n_integrators, self.n_multipliers, self.n_lanes, self.out_rows, self.in_rows) < 0:
+        out_rows = self.n_integrators + self.n_multipliers + 1 + self.reserved_rows
+        in_rows = self.n_integrators + 2 * self.n_multipliers
+        # the format limits come first, so an oversized geometry is named as such
+        if self.n_lanes > MAX_LANES:
+            raise ValueError(f"{self.n_lanes} lanes exceed the format limit of {MAX_LANES}")
+        for rows, what in ((out_rows, "output"), (in_rows, "input")):
+            if rows > MAX_ROWS:
+                raise ValueError(f"{rows} {what} rows exceed the format limit of {MAX_ROWS}")
+        if min(self.n_integrators, self.n_multipliers, self.n_lanes, self.reserved_rows) < 0:
             raise ValueError("negative geometry")
-        _check_size(self.n_lanes, self.out_rows, self.in_rows)
-        if self.in_rows != self.n_integrators + 2 * self.n_multipliers:
-            raise ValueError(
-                f"in_rows must equal n_integrators + 2*n_multipliers "
-                f"({self.n_integrators} + 2*{self.n_multipliers} != {self.in_rows})"
-            )
-        needed = self.n_integrators + self.n_multipliers + (1 if self.has_const_row else 0)
-        if self.out_rows < needed:
-            raise ValueError(f"out_rows {self.out_rows} < {needed} element outputs")
-        if any(not 0 <= k < self.n_lanes for k in self.lowres_lanes):
-            raise ValueError("lowres lane index outside lane range")
-        if self.n_lanes and len(self.lowres_lanes) / self.n_lanes > 0.5:
-            raise ValueError("more than half the lanes are low-res")
+        object.__setattr__(self, "out_rows", out_rows)
+        object.__setattr__(self, "in_rows", in_rows)
+        object.__setattr__(self, "lowres_lanes", frozenset(range(self.n_lanes - self.n_lanes // 4, self.n_lanes)))
 
     # --- output rows
 
@@ -185,8 +177,6 @@ class MachineSpec:
         return self.n_integrators + self._checked(j, self.n_multipliers, "multiplier")
 
     def const_row(self) -> int:
-        if not self.has_const_row:
-            raise ValueError("machine has no constant-one row")
         return self.n_integrators + self.n_multipliers
 
     def out_row_role(self, row: int) -> tuple[Optional[NodeKind], int]:
@@ -200,7 +190,7 @@ class MachineSpec:
         if row < self.n_multipliers:
             return (NodeKind.MULTIPLIER, row)
         row -= self.n_multipliers
-        if self.has_const_row and row == 0:
+        if row == 0:
             return (NodeKind.CONST_ONE, 0)
         return (None, row)
 
@@ -231,48 +221,18 @@ class MachineSpec:
         return idx
 
 
-def _derived_spec(n_integrators: int, n_multipliers: int, n_lanes: int) -> MachineSpec:
-    # top quarter of the lane range is low-res, constant row present
-    n_low = n_lanes // 4
-    out_rows = n_integrators + n_multipliers + 1
-    in_rows = n_integrators + 2 * n_multipliers
-    _check_size(n_lanes, out_rows, in_rows)  # before the low-res lane set is built
-    return MachineSpec(
-        n_integrators=n_integrators,
-        n_multipliers=n_multipliers,
-        n_lanes=n_lanes,
-        out_rows=out_rows,
-        in_rows=in_rows,
-        lowres_lanes=frozenset(range(n_lanes - n_low, n_lanes)),
-        has_const_row=True,
-    )
-
-
 def lucidac_spec() -> MachineSpec:
     """Small-machine profile: 8 integrators, 4 multipliers, 32 lanes.
 
     The two switch matrices are 16x32 (voltage side) and 32x16 (current
-    side); lanes 24-31 are low-res.
+    side); lanes 24-31 are low-res and out-rows 13-15 are reserved.
     """
-    return MachineSpec(
-        n_integrators=8,
-        n_multipliers=4,
-        n_lanes=32,
-        out_rows=16,
-        in_rows=16,
-        lowres_lanes=frozenset(range(24, 32)),
-        has_const_row=True,
-    )
+    return MachineSpec(8, 4, 32, reserved_rows=3)
 
 
 def redac_tile_spec() -> MachineSpec:
     """Large-machine profile: 1000 integrators, 500 multipliers, 8000 lanes."""
-    return _derived_spec(1000, 500, 8000)
-
-
-def custom_spec(n_integrators: int, n_multipliers: int, n_lanes: int) -> MachineSpec:
-    """Ad-hoc profile with the same row/lane conventions as the presets."""
-    return _derived_spec(n_integrators, n_multipliers, n_lanes)
+    return MachineSpec(1000, 500, 8000)
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +271,11 @@ class MachineConfig:
 
     @staticmethod
     def empty(spec: MachineSpec) -> "MachineConfig":
-        coefficients = [CoefficientCode.highres(0)] * spec.n_lanes
-        for lane in spec.lowres_lanes:
-            coefficients[lane] = CoefficientCode.lowres(0)
+        n_low = len(spec.lowres_lanes)  # the low-res lanes are the top ones
         return MachineConfig(
             spec=spec,
             u_source=(None,) * spec.n_lanes,
-            coefficients=tuple(coefficients),
+            coefficients=(CoefficientCode.highres(0),) * (spec.n_lanes - n_low) + (CoefficientCode.lowres(0),) * n_low,
             i_dest=(None,) * spec.n_lanes,
         )
 

@@ -32,11 +32,6 @@ class CapacityError(Exception):
         self.available = available
 
 
-class ConstUnavailableError(Exception):
-    """The graph uses a constant-one source but the machine has no
-    constant row."""
-
-
 @dataclass(frozen=True)
 class PlaceRouteReport:
     integrators_used: int
@@ -72,24 +67,16 @@ def assign_lane_kinds(edges: list[tuple[int, int, float]], spec: MachineSpec) ->
     if len(edges) > spec.n_lanes:
         raise CapacityError("lanes", len(edges), spec.n_lanes)
     n_exact = sum(1 for _, _, w in edges if lowres_code_for(w) is not None)
-    n_low = len(spec.lowres_lanes)
-    n_high = spec.n_lanes - n_low
-    high_needed = (len(edges) - n_exact) + max(0, n_exact - n_low)
+    n_high = spec.n_lanes - len(spec.lowres_lanes)
+    high_needed = (len(edges) - n_exact) + max(0, n_exact - len(spec.lowres_lanes))
     if high_needed > n_high:
         raise CapacityError("high-res lanes", high_needed, n_high)
 
-    low_pool = sorted(spec.lowres_lanes)
-    high_pool = sorted(set(range(spec.n_lanes)) - spec.lowres_lanes)
-    low_at, high_at = 0, 0
+    low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
     assignment = [-1] * len(edges)
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    for i in order:
-        if lowres_code_for(edges[i][2]) is not None and low_at < len(low_pool):
-            assignment[i] = low_pool[low_at]
-            low_at += 1
-        else:
-            assignment[i] = high_pool[high_at]
-            high_at += 1
+    for i in sorted(range(len(edges)), key=lambda i: edges[i]):
+        lane = next(low_pool, None) if lowres_code_for(edges[i][2]) is not None else None
+        assignment[i] = next(high_pool) if lane is None else lane
     return assignment
 
 
@@ -97,13 +84,10 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     """Place every element, route every edge, quantize every weight."""
     integrators = graph.nodes_of_kind(NodeKind.INTEGRATOR)
     multipliers = graph.nodes_of_kind(NodeKind.MULTIPLIER)
-    consts = graph.nodes_of_kind(NodeKind.CONST_ONE)
     if len(integrators) > spec.n_integrators:
         raise CapacityError("integrators", len(integrators), spec.n_integrators)
     if len(multipliers) > spec.n_multipliers:
         raise CapacityError("multipliers", len(multipliers), spec.n_multipliers)
-    if consts and not spec.has_const_row:
-        raise ConstUnavailableError("graph needs a constant-one source but the machine has no constant row")
 
     # elements in graph node order onto ascending slots
     out_row: dict[int, int] = {}
@@ -117,7 +101,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         out_row[node.id] = spec.multiplier_out_row(k)
         in_row[node.id, Port.MUL_A] = spec.mul_a_row(k)
         in_row[node.id, Port.MUL_B] = spec.mul_b_row(k)
-    for node in consts:
+    for node in graph.nodes_of_kind(NodeKind.CONST_ONE):
         out_row[node.id] = spec.const_row()
 
     routed = [(out_row[e.src], in_row[e.dst, e.port], e.weight) for e in graph.edges]

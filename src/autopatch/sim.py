@@ -329,7 +329,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     roles = [spec.out_row_role(row) for row in rows]
     labels = [_LABELS[kind].format(k) for kind, k in roles]
     n_states = sum(kind is NodeKind.INTEGRATOR for kind, _ in roles)
-    const_index = position.get(spec.const_row()) if spec.has_const_row else None
+    const_index = position.get(spec.const_row())
 
     # each element port's (gain, source position) terms, in lane order
     sums: dict[tuple[int, Port], list[tuple[float, int]]] = defaultdict(list)

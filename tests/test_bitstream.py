@@ -27,7 +27,6 @@ from autopatch.machine import (
     CoefficientCode,
     MachineConfig,
     MachineSpec,
-    custom_spec,
     lucidac_spec,
     redac_tile_spec,
 )
@@ -86,8 +85,7 @@ class TestImage:
             decode(bytes(image), lucidac_spec())
 
     def test_row_bit_beyond_row_count_rejected(self):
-        spec = MachineSpec(8, 4, 32, out_rows=13, in_rows=16,
-                           lowres_lanes=frozenset(range(24, 32)), has_const_row=True)
+        spec = MachineSpec(8, 4, 32)
         image = bytearray(encode(MachineConfig.empty(spec)))
         image[6] = 0x80  # bit 15 of lane 0, but out_rows is 13
         with pytest.raises(FormatError, match="row 15"):
@@ -357,8 +355,8 @@ def loop_diff(old, new):
 
 
 # small custom machines: row counts on both sides of a multiple of 8 (and 0
-# input rows), a low-res top quarter from 4 lanes up
-_small_specs = st.builds(custom_spec, st.integers(0, 12), st.integers(0, 6), st.integers(0, 40))
+# input rows), a low-res top quarter from 4 lanes up, 0-3 reserved rows
+_small_specs = st.builds(MachineSpec, st.integers(0, 12), st.integers(0, 6), st.integers(0, 40), st.integers(0, 3))
 
 
 @st.composite

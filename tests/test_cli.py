@@ -289,10 +289,10 @@ class TestDiffApply:
 class TestMachineSizeBound:
     def test_diff_and_apply_at_lane_limit(self, tmp_path, capsys):
         from autopatch.bitstream import encode
-        from autopatch.machine import CoefficientCode, MachineConfig, custom_spec
+        from autopatch.machine import CoefficientCode, MachineConfig, MachineSpec
 
         machine = f"custom:i=1,m=0,l={MAX_LANES}"
-        empty = MachineConfig.empty(custom_spec(1, 0, MAX_LANES))
+        empty = MachineConfig.empty(MachineSpec(1, 0, MAX_LANES))
         wired = support.with_lanes(empty, (MAX_LANES - 1, 0, CoefficientCode.lowres(1), 0))
         old, new = tmp_path / "old.acfg", tmp_path / "new.acfg"
         old.write_bytes(encode(empty))
@@ -422,6 +422,32 @@ class TestMisc:
         with pytest.raises(SystemExit) as exit_info:
             main(["compile", LORENZ, "--what-is-this"])
         assert exit_info.value.code != 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", LORENZ, "--dt", "x"], "argument --dt: invalid float value: 'x'"),
+            (["simulate", LORENZ, "--clip", "abc"],
+             "argument --clip: invalid value 'abc' (expected a number or 'off')"),
+            (["compile", LORENZ, "--what-is-this"], "unrecognized arguments: --what-is-this"),
+            (["route", LORENZ], "the following arguments are required: -o/--output"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad_float", "bad_clip", "unknown_flag", "missing_output", "missing_subcommand"],
+    )
+    def test_argument_error_is_one_line_with_exit_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"autopatch: error: {message}\n"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["route", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: autopatch route")
 
     def test_diagnostics_go_to_stderr_only(self, tmp_path, capsys):
         src = write(tmp_path, "bad.odedsl", "fn X(t);")

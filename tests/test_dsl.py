@@ -465,6 +465,14 @@ _DIAGNOSTICS = [
     ("fn X(t); out X(s);", ParseError, "1:16: independent variable of X is 't', found 's'", 1, 16, "t", "s"),
     ("fn X(t); plot(x: X(s), y: X(t));", ParseError, "1:20: independent variable of X is 't', found 's'", 1, 20,
      "t", "s"),
+    # a reference placed before its `fn` is checked once the whole program has parsed, in source order
+    ("let diff[X, s] = -X; let X(u: 0) = 1; out X(w); fn X(t);", ParseError,
+     "1:13: independent variable of X is 't', found 's'", 1, 13, "t", "s"),
+    ("let X(u: 0) = 1;\nfn X(t);", ParseError, "1:7: independent variable of X is 't', found 'u'", 1, 7, "t", "u"),
+    ("out X(t); plot(x: X(s)); fn X(t);", ParseError, "1:21: independent variable of X is 't', found 's'", 1, 21,
+     "t", "s"),
+    ("out X(s); fn X(t); let", ParseError, "1:23: expected state name or 'diff', found end of input", 1, 23,
+     "state name or 'diff'", "end of input"),
     ("fn X(t);\n  $", LexError, "2:3: unexpected character '$'", 2, 3, None, None),
     ("fn Ⅹ(t);", LexError, "1:4: unexpected character 'Ⅹ'", 1, 4, None, None),
     ("fn é(t);", LexError, "1:4: unexpected character 'é'", 1, 4, None, None),

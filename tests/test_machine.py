@@ -15,7 +15,6 @@ from autopatch.machine import (
     MachineConfig,
     MachineSpec,
     RangeWarning,
-    custom_spec,
     decode,
     format_config,
     lowres_code_for,
@@ -96,7 +95,8 @@ class TestSpecs:
         assert spec.in_rows == 16
         assert spec.out_rows == 16
         assert spec.lowres_lanes == frozenset(range(24, 32))
-        assert spec.has_const_row
+        assert spec.reserved_rows == 3
+        assert spec == MachineSpec(8, 4, 32, reserved_rows=3)
 
     def test_large_profile(self):
         spec = redac_tile_spec()
@@ -124,24 +124,12 @@ class TestSpecs:
             }[role](k)
             assert back == row
 
-    def test_in_rows_invariant_enforced(self):
-        with pytest.raises(ValueError, match="in_rows"):
-            MachineSpec(8, 4, 32, out_rows=16, in_rows=15, lowres_lanes=frozenset(), has_const_row=True)
-
-    def test_out_rows_must_fit_elements(self):
-        with pytest.raises(ValueError, match="out_rows"):
-            MachineSpec(8, 4, 32, out_rows=12, in_rows=16, lowres_lanes=frozenset(), has_const_row=True)
-
-    def test_lowres_fraction_capped(self):
-        with pytest.raises(ValueError, match="half"):
-            MachineSpec(8, 4, 32, out_rows=16, in_rows=16,
-                        lowres_lanes=frozenset(range(17)), has_const_row=True)
-
     def test_custom_profile(self):
-        spec = custom_spec(2, 1, 8)
+        spec = MachineSpec(2, 1, 8)
         assert spec.in_rows == 4
         assert spec.out_rows == 4
         assert spec.lowres_lanes == frozenset({6, 7})
+        assert MachineSpec(2, 1, 8, reserved_rows=2).out_rows == 6
 
 
 class TestValidateConfig:
@@ -256,7 +244,7 @@ def _checked_configs(draw):
     """A custom-machine configuration whose lanes mix every case the checks
     tell apart: unused or not, rows in or out of range, dangling lanes, zero
     or nonzero codes of either kind, each a shared instance or a fresh one."""
-    spec = draw(st.builds(custom_spec, st.integers(0, 6), st.integers(0, 3), st.integers(0, 24)))
+    spec = draw(st.builds(MachineSpec, st.integers(0, 6), st.integers(0, 3), st.integers(0, 24), st.integers(0, 3)))
     u, c, d = [], [], []
     for lane in range(spec.n_lanes):
         unused = draw(st.booleans())
@@ -284,12 +272,14 @@ def test_format_config_lists_active_lanes_in_order(lorenz_design):
 
 class TestSizeBound:
     def test_largest_addressable_geometry(self):
-        assert custom_spec(1, 0, MAX_LANES).n_lanes == MAX_LANES
-        assert custom_spec(MAX_ROWS - 1, 0, 8).out_rows == MAX_ROWS
-        assert custom_spec(0, MAX_ROWS // 2, 8).in_rows == MAX_ROWS
-        spec = MachineSpec(0, 0, MAX_LANES, out_rows=MAX_ROWS, in_rows=0,
-                           lowres_lanes=frozenset(), has_const_row=False)
-        assert MachineConfig.empty(spec).coefficients[-1] is CoefficientCode.highres(0)
+        assert MachineSpec(1, 0, MAX_LANES).n_lanes == MAX_LANES
+        assert MachineSpec(MAX_ROWS - 1, 0, 8).out_rows == MAX_ROWS
+        assert MachineSpec(0, MAX_ROWS // 2, 8).in_rows == MAX_ROWS
+        spec = MachineSpec(0, 0, MAX_LANES, reserved_rows=MAX_ROWS - 1)
+        assert spec.out_rows == MAX_ROWS
+        empty = MachineConfig.empty(spec)
+        assert empty.coefficients[0] is CoefficientCode.highres(0)
+        assert empty.coefficients[-1] is CoefficientCode.lowres(0)
 
     @pytest.mark.parametrize(
         "geometry, problem",
@@ -298,18 +288,26 @@ class TestSizeBound:
             ((1, 0, 10**9), "1000000000 lanes exceed"),  # refused before the low-res lane set is built
             ((MAX_ROWS, 0, 8), f"{MAX_ROWS + 1} output rows exceed"),
             ((1, MAX_ROWS // 2, 8), f"{MAX_ROWS + 1} input rows exceed"),
+            # a geometry both oversized and negative is named by its size
+            ((-1, 0, 100000), "100000 lanes exceed"),
+            ((70000, -1, 8), "70000 output rows exceed"),
         ],
-        ids=["lanes", "billion_lanes", "output_rows", "input_rows"],
+        ids=["lanes", "billion_lanes", "output_rows", "input_rows", "lanes_and_negative", "rows_and_negative"],
     )
     def test_larger_geometry_refused(self, geometry, problem):
         with pytest.raises(ValueError, match=problem):
-            custom_spec(*geometry)
+            MachineSpec(*geometry)
 
     def test_spec_checks_the_bound_itself(self):
         with pytest.raises(ValueError, match="lanes exceed"):
-            MachineSpec(0, 0, MAX_LANES + 1, out_rows=0, in_rows=0, lowres_lanes=frozenset(), has_const_row=False)
-        with pytest.raises(ValueError, match="output rows exceed"):
-            MachineSpec(0, 0, 8, out_rows=MAX_ROWS + 1, in_rows=0, lowres_lanes=frozenset(), has_const_row=False)
+            MachineSpec(0, 0, MAX_LANES + 1)
+        with pytest.raises(ValueError, match=f"{MAX_ROWS + 1} output rows exceed"):
+            MachineSpec(0, 0, 8, reserved_rows=MAX_ROWS)
+
+    @pytest.mark.parametrize("geometry", [(1, -1, 8), (1, 0, 8, -1)], ids=["multipliers", "reserved_rows"])
+    def test_negative_geometry_refused(self, geometry):
+        with pytest.raises(ValueError, match="negative geometry"):
+            MachineSpec(*geometry)
 
 
 class TestSharedCodes:

@@ -5,14 +5,12 @@ from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefKind,
     HIGHRES_LSB,
-    MachineSpec,
     decode,
     lucidac_spec,
     validate_config,
 )
 from autopatch.router import (
     CapacityError,
-    ConstUnavailableError,
     assign_lane_kinds,
     format_report,
     route_design,
@@ -100,13 +98,6 @@ class TestPlaceAndRoute:
             route_design(graph_from("\n".join(lines)), lucidac_spec())
         assert err.value.kind == "high-res lanes"
         assert (err.value.needed, err.value.available) == (25, 24)
-
-    def test_const_requires_const_row(self):
-        spec = MachineSpec(2, 1, 8, out_rows=3, in_rows=4, lowres_lanes=frozenset(), has_const_row=False)
-        graph = graph_from("fn X(t); fn Y(t); let diff[X, t] = 1 - X; let diff[Y, t] = -Y;"
-                           " let X(t: 0) = 0; let Y(t: 0) = 0;")
-        with pytest.raises(ConstUnavailableError):
-            route_design(graph, spec)
 
     def test_parallel_edges_rejected(self):
         nodes = (Node(0, NodeKind.INTEGRATOR, "X", 0.0),)

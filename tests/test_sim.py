@@ -12,7 +12,7 @@ from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
     MachineConfig,
-    custom_spec,
+    MachineSpec,
     lucidac_spec,
     quantize_highres,
     redac_tile_spec,
@@ -636,7 +636,7 @@ class TestGeneratedEvaluator:
     def test_long_fan_in_is_added_left_to_right(self):
         # 3200 lanes into integrator 0 and 300 into each multiplier port:
         # far longer sums than one generated expression may hold
-        spec = custom_spec(1, 1, 3800)
+        spec = MachineSpec(1, 1, 3800)
         rng = random.Random(11)
         codes = tuple(
             CoefficientCode.lowres(rng.randrange(8)) if lane in spec.lowres_lanes
@@ -872,7 +872,7 @@ def built_element_map(config, lane_weights):
 
 
 class TestElementMap:
-    @pytest.mark.parametrize("spec", [lucidac_spec(), custom_spec(5, 3, 24)], ids=["lucidac", "custom-5-3-24"])
+    @pytest.mark.parametrize("spec", [lucidac_spec(), MachineSpec(5, 3, 24)], ids=["lucidac", "custom-5-3-24"])
     def test_matches_the_role_walk(self, spec):
         rng = random.Random(31)
         failures = set()
@@ -883,5 +883,4 @@ class TestElementMap:
             if isinstance(want, tuple):
                 failures.add(want[0])
         # the corpus reaches both refusals where the machine has reserved rows
-        reserved = spec.out_rows > spec.n_integrators + spec.n_multipliers + spec.has_const_row
-        assert failures == ({LoopError, UnroutedTapError} if reserved else {LoopError})
+        assert failures == ({LoopError, UnroutedTapError} if spec.reserved_rows else {LoopError})
