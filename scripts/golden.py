@@ -2,10 +2,11 @@
 """Golden outputs: run a fixed corpus of CLI commands and print digests.
 
 Each command runs in process through `autopatch.cli.main`, inside one
-scratch directory that holds copies of the example programs and the
-500-state program of tests/support.py.  For every command the script
-prints one sha256 per output file it wrote or changed, and one each for
-its stdout, stderr and exit code, as `<hex digest>  <command>/<what>`.
+scratch directory that holds copies of the example programs, the
+500-state program of tests/support.py and a program whose lucidac route
+overflows the low-res lanes and clamps coefficients.  For every command
+the script prints one sha256 per output file it wrote or changed, and one
+each for its stdout, stderr and exit code, as `<hex digest>  <command>/<what>`.
 
 Usage: python3 scripts/golden.py          # print the digests
        python3 scripts/golden.py --check  # compare with tests/golden.sha256
@@ -47,6 +48,7 @@ CORPUS = (
     ("route-decay-custom", ["route", "decay.odedsl", "--machine", "custom:i=3,m=1,l=8", "-o", "custom.acfg"]),
     ("custom-too-many-lanes", ["route", "decay.odedsl", "--machine", "custom:i=-1,m=0,l=100000", "-o", "x.acfg"]),
     ("custom-too-many-rows", ["route", "decay.odedsl", "--machine", "custom:i=70000,m=-1,l=8", "-o", "x.acfg"]),
+    ("route-clamp", ["route", "clamp.odedsl", "-o", "clamp.acfg", "--emit-config"]),
 )
 
 
@@ -66,6 +68,17 @@ def _large_program() -> str:
     return module.synthetic_large_program(500)
 
 
+def _clamp_program() -> str:
+    """Eight states on lucidac with nine exact `10 *` terms, one more than
+    the eight low-res lanes hold, and a `28 *` term that clamps."""
+    lines = [f"fn s{i}(t);" for i in range(8)]
+    lines.append("let diff[s0, t] = 10 * s1 + 10 * s2 + 28 * s0 - 0.3 * s3;")
+    lines += [f"let diff[s{i}, t] = 10 * s{(i + 1) % 8};" for i in range(1, 8)]
+    lines += [f"let s{i}(t: 0) = 0.1;" for i in range(8)]
+    lines.append("out s0(t);")
+    return "\n".join(lines) + "\n"
+
+
 def run_corpus() -> list[str]:
     """Run every command of CORPUS and return its digest lines."""
     if str(ROOT / "src") not in sys.path:
@@ -79,6 +92,7 @@ def run_corpus() -> list[str]:
         for name in ("lorenz.odedsl", "decay.odedsl"):
             shutil.copy(ROOT / "programs" / name, work / name)
         (work / "s500.odedsl").write_text(_large_program(), encoding="utf-8")
+        (work / "clamp.odedsl").write_text(_clamp_program(), encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:
