@@ -201,6 +201,7 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
         raise ValueError(f"load {load} outside [0, {spec.total_outputs}]")
     if trials < 1:
         raise ValueError("need at least one trial")
+    spec.check_wirable()  # before the per-output list, whose size the spec sets
     # draws are in range and outputs distinct, so route_request's checks are skipped
     n_inputs, n_outputs = spec.total_inputs, spec.total_outputs
     inputs_per_block, input_bits = spec.input.inputs_per_block, n_inputs.bit_length()

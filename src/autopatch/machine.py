@@ -15,7 +15,7 @@ round values (+-10, +-1, +-0.5, +-0.1).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -168,16 +168,22 @@ class MachineSpec:
         object.__setattr__(self, "in_rows", in_rows)
         object.__setattr__(self, "lowres_lanes", frozenset(range(self.n_lanes - self.n_lanes // 4, self.n_lanes)))
 
-    # --- output rows
-
-    def integrator_out_row(self, i: int) -> int:
-        return self._checked(i, self.n_integrators, "integrator")
-
-    def multiplier_out_row(self, j: int) -> int:
-        return self.n_integrators + self._checked(j, self.n_multipliers, "multiplier")
-
-    def const_row(self) -> int:
-        return self.n_integrators + self.n_multipliers
+    def out_row(self, kind: Optional[NodeKind], slot: int) -> int:
+        """The out-row that element `slot` of `kind` drives, or for kind None
+        the reserved row `slot` past the element rows: the inverse of
+        `out_row_role`."""
+        n_elements = self.n_integrators + self.n_multipliers
+        if kind is NodeKind.INTEGRATOR:
+            first, low, limit, what = 0, 0, self.n_integrators, "integrator"
+        elif kind is NodeKind.MULTIPLIER:
+            first, low, limit, what = self.n_integrators, 0, self.n_multipliers, "multiplier"
+        elif kind is NodeKind.CONST_ONE:
+            first, low, limit, what = n_elements, 0, 1, "constant"
+        else:  # the reserved rows follow the constant row
+            first, low, limit, what = n_elements, 1, 1 + self.reserved_rows, "reserved row"
+        if not low <= slot < limit:
+            raise ValueError(f"{what} index {slot} outside [{low}, {limit})")
+        return first + slot
 
     def out_row_role(self, row: int) -> tuple[Optional[NodeKind], int]:
         """The element that drives out-row `row`, as (kind, slot), or
@@ -194,16 +200,16 @@ class MachineSpec:
             return (NodeKind.CONST_ONE, 0)
         return (None, row)
 
-    # --- input rows
-
-    def integrator_in_row(self, i: int) -> int:
-        return self._checked(i, self.n_integrators, "integrator")
-
-    def mul_a_row(self, j: int) -> int:
-        return self.n_integrators + 2 * self._checked(j, self.n_multipliers, "multiplier")
-
-    def mul_b_row(self, j: int) -> int:
-        return self.n_integrators + 2 * self._checked(j, self.n_multipliers, "multiplier") + 1
+    def in_row(self, port: Port, slot: int) -> int:
+        """The in-row that feeds `port` of element `slot`: the inverse of
+        `in_row_role`."""
+        if port is Port.INTEGRATOR_IN:
+            first, width, limit, what = 0, 1, self.n_integrators, "integrator"
+        else:
+            first, width, limit, what = self.n_integrators + (port is Port.MUL_B), 2, self.n_multipliers, "multiplier"
+        if not 0 <= slot < limit:
+            raise ValueError(f"{what} index {slot} outside [0, {limit})")
+        return first + width * slot
 
     def in_row_role(self, row: int) -> tuple[Port, int]:
         """The element port that in-row `row` feeds, as (port, slot)."""
@@ -213,12 +219,6 @@ class MachineSpec:
             return (Port.INTEGRATOR_IN, row)
         row -= self.n_integrators
         return (Port.MUL_A if row % 2 == 0 else Port.MUL_B, row // 2)
-
-    @staticmethod
-    def _checked(idx: int, limit: int, what: str) -> int:
-        if not 0 <= idx < limit:
-            raise ValueError(f"{what} index {idx} outside [0, {limit})")
-        return idx
 
 
 def lucidac_spec() -> MachineSpec:
@@ -284,11 +284,6 @@ class MachineConfig:
 
     def active_lanes(self) -> list[int]:
         return [k for k in range(self.spec.n_lanes) if self.is_active(k)]
-
-    def with_coeff(self, lane: int, code: CoefficientCode) -> "MachineConfig":
-        c = list(self.coefficients)
-        c[lane] = code
-        return replace(self, coefficients=tuple(c))
 
 
 def validate_config(config: MachineConfig) -> list[str]:

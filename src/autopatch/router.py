@@ -1,11 +1,14 @@
 """Mapping a circuit graph onto a machine: elements to rows, edges to
 lanes, weights to coefficient codes.
 
-Every edge of the graph occupies exactly one lane (source row, coefficient,
-destination row).  Edges whose weight is one of the eight exact low-res
-values are steered onto low-res lanes while any remain; everything else is
-quantized onto a high-res lane.  All orderings are fixed so that identical
-inputs produce bit-identical configurations.
+Elements of each kind take ascending slots in graph node order, and
+`MachineSpec.out_row`/`in_row` give their rows.  Every edge of the graph
+occupies exactly one lane (source row, coefficient, destination row), taken
+in (source row, dest row, weight) order: an edge whose weight is one of the
+eight exact low-res values takes the next low-res lane while any remain,
+every other edge the next high-res lane, where its weight is quantized.  So
+identical inputs produce bit-identical configurations, and clamp warnings
+come in lane order.
 """
 
 from __future__ import annotations
@@ -56,30 +59,6 @@ class RoutedDesign:
         return dict(self.lane_weights)
 
 
-def assign_lane_kinds(edges: list[tuple[int, int, float]], spec: MachineSpec) -> list[int]:
-    """Assign one lane per (source row, dest row, weight) edge.
-
-    Edges are processed in (source row, dest row, weight) order; exact
-    low-res weights take ascending low-res lanes while any remain and fall
-    back to high-res lanes afterwards, never the other way around.  Returns
-    lane indices parallel to the input list.
-    """
-    if len(edges) > spec.n_lanes:
-        raise CapacityError("lanes", len(edges), spec.n_lanes)
-    n_exact = sum(1 for _, _, w in edges if lowres_code_for(w) is not None)
-    n_high = spec.n_lanes - len(spec.lowres_lanes)
-    high_needed = (len(edges) - n_exact) + max(0, n_exact - len(spec.lowres_lanes))
-    if high_needed > n_high:
-        raise CapacityError("high-res lanes", high_needed, n_high)
-
-    low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
-    assignment = [-1] * len(edges)
-    for i in sorted(range(len(edges)), key=lambda i: edges[i]):
-        lane = next(low_pool, None) if lowres_code_for(edges[i][2]) is not None else None
-        assignment[i] = next(high_pool) if lane is None else lane
-    return assignment
-
-
 def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     """Place every element, route every edge, quantize every weight."""
     integrators = graph.nodes_of_kind(NodeKind.INTEGRATOR)
@@ -89,54 +68,53 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     if len(multipliers) > spec.n_multipliers:
         raise CapacityError("multipliers", len(multipliers), spec.n_multipliers)
 
-    # elements in graph node order onto ascending slots
+    # elements of each kind in graph node order onto ascending slots
     out_row: dict[int, int] = {}
     in_row: dict[tuple[int, Port], int] = {}
-    initial = [0.0] * spec.n_integrators
-    for k, node in enumerate(integrators):
-        initial[k] = node.initial
-        out_row[node.id] = spec.integrator_out_row(k)
-        in_row[node.id, Port.INTEGRATOR_IN] = spec.integrator_in_row(k)
-    for k, node in enumerate(multipliers):
-        out_row[node.id] = spec.multiplier_out_row(k)
-        in_row[node.id, Port.MUL_A] = spec.mul_a_row(k)
-        in_row[node.id, Port.MUL_B] = spec.mul_b_row(k)
-    for node in graph.nodes_of_kind(NodeKind.CONST_ONE):
-        out_row[node.id] = spec.const_row()
+    for kind, nodes, ports in (
+        (NodeKind.INTEGRATOR, integrators, (Port.INTEGRATOR_IN,)),
+        (NodeKind.MULTIPLIER, multipliers, (Port.MUL_A, Port.MUL_B)),
+        (NodeKind.CONST_ONE, graph.nodes_of_kind(NodeKind.CONST_ONE), ()),
+    ):
+        for k, node in enumerate(nodes):
+            out_row[node.id] = spec.out_row(kind, k)
+            for port in ports:
+                in_row[node.id, port] = spec.in_row(port, k)
+    initial = [node.initial for node in integrators] + [0.0] * (spec.n_integrators - len(integrators))
 
-    routed = [(out_row[e.src], in_row[e.dst, e.port], e.weight) for e in graph.edges]
-    pairs = [(src, dst) for src, dst, _ in routed]
-    if len(set(pairs)) != len(pairs):
+    routed = sorted((out_row[e.src], in_row[e.dst, e.port], e.weight) for e in graph.edges)
+    if len({(src, dst) for src, dst, _ in routed}) != len(routed):
         raise ValueError("parallel edges between one (source, destination) pair were not merged upstream")
-    lanes = assign_lane_kinds(routed, spec)
+    if len(routed) > spec.n_lanes:
+        raise CapacityError("lanes", len(routed), spec.n_lanes)
+    n_high = spec.n_lanes - len(spec.lowres_lanes)
+    n_exact = sum(1 for _, _, w in routed if lowres_code_for(w) is not None)
+    lowres_used = min(n_exact, len(spec.lowres_lanes))
+    if len(routed) - lowres_used > n_high:
+        raise CapacityError("high-res lanes", len(routed) - lowres_used, n_high)
 
-    config = MachineConfig.empty(spec)
-    u = list(config.u_source)
-    c = list(config.coefficients)
-    d = list(config.i_dest)
+    u = [None] * spec.n_lanes
+    d = [None] * spec.n_lanes
+    c = list(MachineConfig.empty(spec).coefficients)
+    low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
     clamp_notes: list[str] = []
-    quant_errors: list[tuple[int, float]] = []
     lane_weights: list[tuple[int, float]] = []
-    lowres_used = 0
-    for (src, dst, weight), lane in zip(routed, lanes):
-        u[lane] = src
-        d[lane] = dst
-        if lane in spec.lowres_lanes:
-            code = lowres_code_for(weight)
-            assert code is not None
-            c[lane] = CoefficientCode.lowres(code)
-            lowres_used += 1
-        else:
+    for src, dst, weight in routed:
+        code = lowres_code_for(weight)
+        lane = None if code is None else next(low_pool, None)
+        if lane is None:
+            lane = next(high_pool)
             code, clamped = quantize_highres_info(weight)
             c[lane] = CoefficientCode.highres(code)
             if clamped:
                 clamp_notes.append(
                     f"lane {lane}: coefficient {weight} clamps to code {code} ({decode(c[lane])})"
                 )
-        quant_errors.append((lane, abs(decode(c[lane]) - weight)))
+        else:
+            c[lane] = CoefficientCode.lowres(code)
+        u[lane] = src
+        d[lane] = dst
         lane_weights.append((lane, weight))
-
-    taps = tuple((name, out_row[node_id]) for name, node_id in graph.taps)
 
     config = MachineConfig(
         spec=spec,
@@ -144,12 +122,11 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         coefficients=tuple(c),
         i_dest=tuple(d),
         initial_states=tuple(initial),
-        taps=taps,
+        taps=tuple((name, out_row[node_id]) for name, node_id in graph.taps),
     )
     problems = validate_config(config)
     assert not problems, f"routed configuration failed validation: {problems}"
 
-    quant_errors.sort()
     lane_weights.sort()
     report = PlaceRouteReport(
         integrators_used=len(integrators),
@@ -157,7 +134,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         lanes_used=len(routed),
         lowres_lanes_used=lowres_used,
         clamp_warnings=tuple(clamp_notes),
-        quantization_errors=tuple(quant_errors),
+        quantization_errors=tuple((lane, abs(decode(c[lane]) - weight)) for lane, weight in lane_weights),
     )
     return RoutedDesign(config, report, tuple(lane_weights))
 

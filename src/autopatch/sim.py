@@ -313,7 +313,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         else:
             used.add(src)
         port, k = spec.in_row_role(config.i_dest[lane])
-        dst = spec.integrator_out_row(k) if port is Port.INTEGRATOR_IN else spec.multiplier_out_row(k)
+        dst = spec.out_row(NodeKind.INTEGRATOR if port is Port.INTEGRATOR_IN else NodeKind.MULTIPLIER, k)
         used.add(dst)
         wires.append((gain, src, dst, port))
 
@@ -329,7 +329,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     roles = [spec.out_row_role(row) for row in rows]
     labels = [_LABELS[kind].format(k) for kind, k in roles]
     n_states = sum(kind is NodeKind.INTEGRATOR for kind, _ in roles)
-    const_index = position.get(spec.const_row())
+    const_index = position.get(spec.out_row(NodeKind.CONST_ONE, 0))
 
     # each element port's (gain, source position) terms, in lane order
     sums: dict[tuple[int, Port], list[tuple[float, int]]] = defaultdict(list)

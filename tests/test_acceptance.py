@@ -130,7 +130,7 @@ def test_criterion_6_bitstream_and_quantization():
         while not base.is_active(0):
             base = support.random_config(spec, rng)
         new_code = (base.coefficients[0].code + 1 - 2048) % 4096 - 2048
-        changed = base.with_coeff(0, CoefficientCode.highres(new_code))
+        changed = support.with_lanes(base, (0, base.u_source[0], CoefficientCode.highres(new_code), base.i_dest[0]))
         assert diff(base, changed).ops == (DeltaOp(OpCode.SET_COEFF, 0, new_code),)
 
         prev_code = None

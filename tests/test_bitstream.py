@@ -153,7 +153,7 @@ class TestDiffApply:
 
     def test_single_coefficient_change_is_one_op(self, lorenz_design):
         config = lorenz_design.config
-        changed = config.with_coeff(0, CoefficientCode.highres(777))
+        changed = support.with_lanes(config, (0, config.u_source[0], CoefficientCode.highres(777), config.i_dest[0]))
         script = diff(config, changed)
         assert script.ops == (DeltaOp(OpCode.SET_COEFF, 0, 777),)
 

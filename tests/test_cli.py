@@ -193,7 +193,7 @@ class TestSimulate:
 
     def test_image_with_multiplier_loop_is_refused(self, tmp_path, capsys):
         from autopatch.bitstream import encode
-        from autopatch.circuit import LoopError
+        from autopatch.circuit import LoopError, NodeKind, Port
         from autopatch.machine import CoefficientCode, MachineConfig, lucidac_spec
         from autopatch.sim import build_dynamics
 
@@ -202,9 +202,9 @@ class TestSimulate:
         code = CoefficientCode.highres(100)
         config = support.with_lanes(
             MachineConfig.empty(spec),
-            (0, spec.multiplier_out_row(0), code, spec.mul_a_row(1)),
-            (1, spec.multiplier_out_row(1), code, spec.mul_a_row(0)),
-            (2, spec.multiplier_out_row(1), code, spec.mul_a_row(2)),
+            (0, spec.out_row(NodeKind.MULTIPLIER, 0), code, spec.in_row(Port.MUL_A, 1)),
+            (1, spec.out_row(NodeKind.MULTIPLIER, 1), code, spec.in_row(Port.MUL_A, 0)),
+            (2, spec.out_row(NodeKind.MULTIPLIER, 1), code, spec.in_row(Port.MUL_A, 2)),
         )
         with pytest.raises(LoopError) as err:
             build_dynamics(config)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -342,3 +343,15 @@ class TestSizeBound:
             FabricState(spec)
         with pytest.raises(ValueError, match=f"at most {MAX_PORTS}"):
             blocking_experiment(spec, load=1, trials=1, seed=0)
+
+    def test_oversized_output_stage_refused_before_allocation(self):
+        # 2,000,000 declared outputs: the refusal must not first build a per-output list
+        spec = FabricSpec(StageSpec(20, 16, 20), StageSpec(20, 20, 32), StageSpec(2000, 22, 1000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"a fabric stage has 2000000 inputs or outputs; at most {MAX_PORTS}"):
+                blocking_experiment(spec, load=5, trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import support
-from autopatch.circuit import Port
+from autopatch.circuit import NodeKind, Port
 from autopatch.machine import (
     CoefKind,
     CoefficientCode,
@@ -109,20 +109,49 @@ class TestSpecs:
 
     def test_row_convention(self):
         spec = lucidac_spec()
-        assert spec.integrator_out_row(0) == 0
-        assert spec.multiplier_out_row(0) == 8
-        assert spec.const_row() == 12
+        assert spec.out_row(NodeKind.INTEGRATOR, 0) == 0
+        assert spec.out_row(NodeKind.MULTIPLIER, 0) == 8
+        assert spec.out_row(NodeKind.CONST_ONE, 0) == 12
+        assert spec.out_row(None, 1) == 13
         assert spec.out_row_role(13) == (None, 1)
-        assert spec.mul_a_row(3) == 14
-        assert spec.mul_b_row(3) == 15
-        for row in range(spec.in_rows):
-            role, k = spec.in_row_role(row)
-            back = {
-                Port.INTEGRATOR_IN: spec.integrator_in_row,
-                Port.MUL_A: spec.mul_a_row,
-                Port.MUL_B: spec.mul_b_row,
-            }[role](k)
-            assert back == row
+        assert spec.in_row(Port.INTEGRATOR_IN, 7) == 7
+        assert spec.in_row(Port.MUL_A, 3) == 14
+        assert spec.in_row(Port.MUL_B, 3) == 15
+
+    @given(st.builds(MachineSpec, st.integers(0, 6), st.integers(0, 4), st.integers(0, 8), st.integers(0, 3)))
+    @settings(max_examples=200)
+    def test_row_maps_invert_the_roles(self, spec):
+        out_slots = [(NodeKind.INTEGRATOR, k) for k in range(spec.n_integrators)]
+        out_slots += [(NodeKind.MULTIPLIER, k) for k in range(spec.n_multipliers)]
+        out_slots += [(NodeKind.CONST_ONE, 0)] + [(None, k) for k in range(1, 1 + spec.reserved_rows)]
+        assert [spec.out_row(kind, k) for kind, k in out_slots] == list(range(spec.out_rows))
+        assert [spec.out_row_role(spec.out_row(kind, k)) for kind, k in out_slots] == out_slots
+        in_slots = [(Port.INTEGRATOR_IN, k) for k in range(spec.n_integrators)]
+        in_slots += [(port, k) for k in range(spec.n_multipliers) for port in (Port.MUL_A, Port.MUL_B)]
+        assert [spec.in_row(port, k) for port, k in in_slots] == list(range(spec.in_rows))
+        assert [spec.in_row_role(spec.in_row(port, k)) for port, k in in_slots] == in_slots
+
+    @pytest.mark.parametrize(
+        "kind, port, slot, text",
+        [
+            (NodeKind.INTEGRATOR, Port.INTEGRATOR_IN, 8, "integrator index 8 outside [0, 8)"),
+            (NodeKind.INTEGRATOR, Port.INTEGRATOR_IN, -1, "integrator index -1 outside [0, 8)"),
+            (NodeKind.MULTIPLIER, Port.MUL_A, 4, "multiplier index 4 outside [0, 4)"),
+            (NodeKind.MULTIPLIER, Port.MUL_B, -1, "multiplier index -1 outside [0, 4)"),
+            (NodeKind.CONST_ONE, None, 1, "constant index 1 outside [0, 1)"),
+            (None, None, 0, "reserved row index 0 outside [1, 4)"),
+            (None, None, 4, "reserved row index 4 outside [1, 4)"),
+        ],
+    )
+    def test_slot_out_of_range(self, kind, port, slot, text):
+        spec = lucidac_spec()
+        with pytest.raises(ValueError) as err:
+            spec.out_row(kind, slot)
+        assert str(err.value) == text
+        if port is not None:
+            with pytest.raises(ValueError) as err:
+                spec.in_row(port, slot)
+            assert str(err.value) == text
 
     def test_custom_profile(self):
         spec = MachineSpec(2, 1, 8)
@@ -146,7 +175,7 @@ class TestValidateConfig:
         assert any("dangling" in p for p in validate_config(config))
 
     def test_kind_lane_mismatch(self):
-        config = MachineConfig.empty(lucidac_spec()).with_coeff(0, CoefficientCode.lowres(0))
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (0, None, CoefficientCode.lowres(0), None))
         assert any("kind/lane mismatch" in p for p in validate_config(config))
 
     def test_row_out_of_range(self):
@@ -154,7 +183,7 @@ class TestValidateConfig:
         assert any("source row 99" in p for p in validate_config(config))
 
     def test_unused_lane_must_carry_zero_code(self):
-        config = MachineConfig.empty(lucidac_spec()).with_coeff(1, CoefficientCode.highres(5))
+        config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (1, None, CoefficientCode.highres(5), None))
         assert any("unused lane" in p for p in validate_config(config))
 
     def test_fan_out_freedom(self):

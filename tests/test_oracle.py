@@ -54,7 +54,7 @@ def simulated(simulate, *args):
         return str(exc)
 
 
-@settings(max_examples=800, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 5), spec=st.sampled_from(SPECS))
 def test_random_program_matches_reference_and_image(seed, n_states, spec):
     program = random_program(seed, n_states)
@@ -68,20 +68,12 @@ def test_random_program_matches_reference_and_image(seed, n_states, spec):
     hw, ref = outcome(bypass), simulated(run_reference, system, SETTINGS)
     assume(not isinstance(ref, str))
     assert not isinstance(hw, str), hw
-    assert hw.times == ref.times
+    assert hw.times == ref.times and hw.signals.keys() == ref.signals.keys()
     scale = max([1.0] + [abs(v) for samples in ref.signals.values() for v in samples])
     assert max_abs_deviation(hw, ref) <= 1e-9 * scale
 
     config = design.config
     image = dataclasses.replace(decode(encode(config), spec), initial_states=config.initial_states, taps=config.taps)
     assert image == config
-    from_config, from_image = outcome(build_dynamics(config)), outcome(build_dynamics(image))
-    if isinstance(from_config, str):
-        assert from_image == from_config
-    else:
-        assert (from_image.times, from_image.signals, from_image.peaks, from_image.clip_events) == (
-            from_config.times,
-            from_config.signals,
-            from_config.peaks,
-            from_config.clip_events,
-        )
+    # a Trace compares times, signals, clip events and peaks
+    assert outcome(build_dynamics(image)) == outcome(build_dynamics(config))

@@ -1,17 +1,29 @@
+import dataclasses
+import random
+
 import pytest
 
+import support
 from autopatch.circuit import CircuitGraph, Edge, Node, NodeKind, Port, build_circuit, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
+    LOWRES_TABLE,
     CoefKind,
+    CoefficientCode,
     HIGHRES_LSB,
+    MachineConfig,
+    MachineSpec,
     decode,
+    lowres_code_for,
     lucidac_spec,
+    quantize_highres_info,
+    redac_tile_spec,
     validate_config,
 )
 from autopatch.router import (
     CapacityError,
-    assign_lane_kinds,
+    PlaceRouteReport,
+    RoutedDesign,
     format_report,
     route_design,
 )
@@ -153,11 +165,13 @@ class TestLaneAssignment:
         assert len(report.clamp_warnings) == 1
 
     def test_assignment_order_is_deterministic(self):
-        spec = lucidac_spec()
-        edges = [(1, 0, 0.25), (0, 0, -1.0), (0, 1, 1.0)]
-        lanes = assign_lane_kinds(edges, spec)
+        nodes = (Node(0, NodeKind.INTEGRATOR, "X"), Node(1, NodeKind.INTEGRATOR, "Y"))
+        edges = (Edge(1, 0, Port.INTEGRATOR_IN, 0.25), Edge(0, 0, Port.INTEGRATOR_IN, -1.0),
+                 Edge(0, 1, Port.INTEGRATOR_IN, 1.0))
+        config = route_design(CircuitGraph(nodes, edges), lucidac_spec()).config
+        lane_of = {(config.u_source[k], config.i_dest[k]): k for k in config.active_lanes()}
         # sorted order: (0,0,-1.0) low-res, (0,1,1.0) low-res, (1,0,0.25) high-res
-        assert lanes == [0, 24, 25]
+        assert [lane_of[e.src, e.dst] for e in edges] == [0, 24, 25]
 
     def test_never_puts_inexact_weight_on_lowres_lane(self, lorenz_design):
         config = lorenz_design.config
@@ -196,3 +210,170 @@ class TestRoutedConfigDecode:
         assert "lanes_used: 11" in text
         assert "integrators_used: 3" in text
         assert text.splitlines()[0] == "integrators_used: 3"
+
+
+def two_pass_assign_lane_kinds(edges, spec):
+    """The two-pass allocator that `route_design` replaced, kept as a
+    reference: lane indices parallel to `edges`."""
+    if len(edges) > spec.n_lanes:
+        raise CapacityError("lanes", len(edges), spec.n_lanes)
+    n_exact = sum(1 for _, _, w in edges if lowres_code_for(w) is not None)
+    n_high = spec.n_lanes - len(spec.lowres_lanes)
+    high_needed = (len(edges) - n_exact) + max(0, n_exact - len(spec.lowres_lanes))
+    if high_needed > n_high:
+        raise CapacityError("high-res lanes", high_needed, n_high)
+
+    low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
+    assignment = [-1] * len(edges)
+    for i in sorted(range(len(edges)), key=lambda i: edges[i]):
+        lane = next(low_pool, None) if lowres_code_for(edges[i][2]) is not None else None
+        assignment[i] = next(high_pool) if lane is None else lane
+    return assignment
+
+
+def two_pass_route_design(graph, spec):
+    """`route_design` with the reference allocator and its second lane loop,
+    placing elements by the row convention written out."""
+    integrators = graph.nodes_of_kind(NodeKind.INTEGRATOR)
+    multipliers = graph.nodes_of_kind(NodeKind.MULTIPLIER)
+    if len(integrators) > spec.n_integrators:
+        raise CapacityError("integrators", len(integrators), spec.n_integrators)
+    if len(multipliers) > spec.n_multipliers:
+        raise CapacityError("multipliers", len(multipliers), spec.n_multipliers)
+    out_row, in_row = {}, {}
+    initial = [0.0] * spec.n_integrators
+    for k, node in enumerate(integrators):
+        initial[k] = node.initial
+        out_row[node.id] = in_row[node.id, Port.INTEGRATOR_IN] = k
+    for k, node in enumerate(multipliers):
+        out_row[node.id] = spec.n_integrators + k
+        in_row[node.id, Port.MUL_A] = spec.n_integrators + 2 * k
+        in_row[node.id, Port.MUL_B] = spec.n_integrators + 2 * k + 1
+    for node in graph.nodes_of_kind(NodeKind.CONST_ONE):
+        out_row[node.id] = spec.n_integrators + spec.n_multipliers
+
+    routed = [(out_row[e.src], in_row[e.dst, e.port], e.weight) for e in graph.edges]
+    pairs = [(src, dst) for src, dst, _ in routed]
+    if len(set(pairs)) != len(pairs):
+        raise ValueError("parallel edges between one (source, destination) pair were not merged upstream")
+    lanes = two_pass_assign_lane_kinds(routed, spec)
+
+    config = MachineConfig.empty(spec)
+    u, c, d = list(config.u_source), list(config.coefficients), list(config.i_dest)
+    clamp_notes, quant_errors, lane_weights = [], [], []
+    lowres_used = 0
+    for (src, dst, weight), lane in zip(routed, lanes):
+        u[lane] = src
+        d[lane] = dst
+        if lane in spec.lowres_lanes:
+            code = lowres_code_for(weight)
+            assert code is not None
+            c[lane] = CoefficientCode.lowres(code)
+            lowres_used += 1
+        else:
+            code, clamped = quantize_highres_info(weight)
+            c[lane] = CoefficientCode.highres(code)
+            if clamped:
+                clamp_notes.append(f"lane {lane}: coefficient {weight} clamps to code {code} ({decode(c[lane])})")
+        quant_errors.append((lane, abs(decode(c[lane]) - weight)))
+        lane_weights.append((lane, weight))
+    taps = tuple((name, out_row[node_id]) for name, node_id in graph.taps)
+    config = MachineConfig(spec, tuple(u), tuple(c), tuple(d), tuple(initial), taps)
+    report = PlaceRouteReport(len(integrators), len(multipliers), len(routed), lowres_used, tuple(clamp_notes),
+                              tuple(sorted(quant_errors)))
+    return RoutedDesign(config, report, tuple(sorted(lane_weights)))
+
+
+#: exact low-res values, weights that clamp on a high-res lane, and inexact ones
+CLAMPING = (28.0, -12.5, 10.001, -10.01)
+INEXACT = (0.3, -1.8, 2.25, -0.07, 9.99)
+
+
+def random_graph(rng, spec, kind_ordered, edges_sorted):
+    """A hand-built graph that may exceed `spec` in elements or lanes and may
+    hold parallel edges; nodes come in kind order or shuffled, edges in the
+    documented (src, dst, port) order or shuffled."""
+    kinds = [NodeKind.INTEGRATOR] * rng.randint(0, spec.n_integrators + (rng.random() < 0.05))
+    kinds += [NodeKind.MULTIPLIER] * rng.randint(0, spec.n_multipliers + (rng.random() < 0.05))
+    kinds += [NodeKind.CONST_ONE] * (rng.random() < 0.5)
+    if not kind_ordered:
+        rng.shuffle(kinds)
+    nodes = tuple(Node(i, kind, f"n{i}", round(rng.uniform(-1, 1), 2)) for i, kind in enumerate(kinds))
+    sinks = [(n.id, Port.INTEGRATOR_IN) for n in nodes if n.kind is NodeKind.INTEGRATOR]
+    sinks += [(n.id, port) for n in nodes if n.kind is NodeKind.MULTIPLIER for port in (Port.MUL_A, Port.MUL_B)]
+    candidates = [(n.id, dst, port) for n in nodes for dst, port in sinks]
+    n_edges = rng.randint(0, min(len(candidates), spec.n_lanes + 3))
+    p_exact, p_clamp = rng.random(), rng.random() / 4
+    edges = []
+    for src, dst, port in rng.sample(candidates, n_edges):
+        draw = rng.random()
+        pool = LOWRES_TABLE if draw < p_exact else CLAMPING if draw < p_exact + p_clamp else INEXACT
+        edges.append(Edge(src, dst, port, rng.choice(pool)))
+    if edges and rng.random() < 0.03:  # a parallel edge: one (src, dst, port) twice
+        edges.append(dataclasses.replace(rng.choice(edges), weight=0.3))
+    if edges_sorted:
+        edges.sort(key=lambda e: (e.src, e.dst, e.port.value))
+    else:
+        rng.shuffle(edges)
+    taps = tuple((f"t{n.id}", n.id) for n in nodes if n.kind is NodeKind.INTEGRATOR and rng.random() < 0.5)
+    return CircuitGraph(nodes, tuple(edges), taps)
+
+
+def outcome(route, graph, spec):
+    try:
+        design = route(graph, spec)
+    except (CapacityError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return design
+
+
+def assert_same_routing(got, want, same_clamp_order):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    config, old = got.config, want.config
+    assert (config.u_source, config.coefficients, config.i_dest) == (old.u_source, old.coefficients, old.i_dest)
+    assert (config.initial_states, config.taps) == (old.initial_states, old.taps)
+    assert got.lane_weights == want.lane_weights
+    report, old_report = got.report, want.report
+    assert report.quantization_errors == old_report.quantization_errors
+    counts = ("integrators_used", "multipliers_used", "lanes_used", "lowres_lanes_used")
+    assert [getattr(report, f) for f in counts] == [getattr(old_report, f) for f in counts]
+    # clamp warnings come in lane order
+    lanes = [int(note.split(":")[0].split()[1]) for note in report.clamp_warnings]
+    assert lanes == sorted(lanes)
+    if same_clamp_order:
+        assert report.clamp_warnings == old_report.clamp_warnings
+    else:
+        assert sorted(report.clamp_warnings) == sorted(old_report.clamp_warnings)
+
+
+class TestMatchesTwoPassAllocator:
+    @pytest.mark.parametrize("spec", [lucidac_spec(), MachineSpec(8, 16, 64), MachineSpec(3, 2, 8, reserved_rows=1)])
+    def test_seeded_graphs(self, spec):
+        rng = random.Random(20261018)
+        seen = dict.fromkeys(("clamp", "overflow", "lanes", "high-res", "elements", "parallel"), 0)
+        for i in range(500):
+            kind_ordered, edges_sorted = i % 4 != 3, i % 4 < 2
+            graph = random_graph(rng, spec, kind_ordered, edges_sorted)
+            got, want = outcome(route_design, graph, spec), outcome(two_pass_route_design, graph, spec)
+            assert_same_routing(got, want, kind_ordered and edges_sorted)
+            if isinstance(want, tuple):
+                kind = want[1].split(":")[0]
+                seen["elements" if kind in ("integrators", "multipliers") else kind.split()[0]] += 1
+            else:
+                seen["clamp"] += bool(want.report.clamp_warnings)
+                n_exact = sum(lowres_code_for(w) is not None for _, w in want.lane_weights)
+                seen["overflow"] += n_exact > len(spec.lowres_lanes)
+        assert min(seen.values()) > 0, seen
+
+    def test_compiled_programs(self, lorenz_graph):
+        # nine exact 10 * terms against eight low-res lanes, and a 28 * term that clamps
+        lines = [f"fn s{i}(t);" for i in range(8)]
+        lines.append("let diff[s0, t] = 10 * s1 + 10 * s2 + 28 * s0 - 0.3 * s3;")
+        lines += [f"let diff[s{i}, t] = 10 * s{(i + 1) % 8};" for i in range(1, 8)]
+        lines += [f"let s{i}(t: 0) = 0.1;" for i in range(8)]
+        cases = [(lorenz_graph, lucidac_spec()), (graph_from("\n".join(lines)), lucidac_spec()),
+                 (graph_from(support.synthetic_large_program(500)), redac_tile_spec())]
+        for graph, spec in cases:
+            assert_same_routing(route_design(graph, spec), two_pass_route_design(graph, spec), True)

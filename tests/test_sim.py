@@ -84,8 +84,8 @@ class TestBuildDynamics:
         spec = lucidac_spec()
         config = support.with_lanes(
             MachineConfig.empty(spec),
-            (0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(1)),
-            (1, spec.multiplier_out_row(1), CoefficientCode.highres(100), spec.mul_a_row(0)),
+            (0, spec.out_row(NodeKind.MULTIPLIER, 0), CoefficientCode.highres(100), spec.in_row(Port.MUL_A, 1)),
+            (1, spec.out_row(NodeKind.MULTIPLIER, 1), CoefficientCode.highres(100), spec.in_row(Port.MUL_A, 0)),
         )
         with pytest.raises(LoopError):
             build_dynamics(config)
@@ -93,7 +93,8 @@ class TestBuildDynamics:
     def test_multiplier_self_loop_raises(self):
         spec = lucidac_spec()
         config = support.with_lanes(
-            MachineConfig.empty(spec), (0, spec.multiplier_out_row(0), CoefficientCode.highres(100), spec.mul_a_row(0))
+            MachineConfig.empty(spec),
+            (0, spec.out_row(NodeKind.MULTIPLIER, 0), CoefficientCode.highres(100), spec.in_row(Port.MUL_A, 0)),
         )
         with pytest.raises(LoopError):
             build_dynamics(config)
@@ -287,7 +288,7 @@ class TestClip:
         # dX/dt = +2 (const source), X crosses the clip threshold and stays
         config = support.with_lanes(
             MachineConfig.empty(spec),
-            (0, spec.const_row(), CoefficientCode.highres(quantize_highres(2.0)), 0),
+            (0, spec.out_row(NodeKind.CONST_ONE, 0), CoefficientCode.highres(quantize_highres(2.0)), 0),
             (24, 0, CoefficientCode.lowres(1), 1),
         )
         model = build_dynamics(config)
@@ -348,7 +349,7 @@ class TestProductOfSum:
         assert design.report.integrators_used == 4
         config = design.config
         spec = config.spec
-        b_port_lanes = [k for k in config.active_lanes() if config.i_dest[k] == spec.mul_b_row(0)]
+        b_port_lanes = [k for k in config.active_lanes() if config.i_dest[k] == spec.in_row(Port.MUL_B, 0)]
         assert len(b_port_lanes) == 2  # implicit summation at one port
 
     def test_integrates_the_product_of_the_sum(self):
@@ -546,7 +547,7 @@ CONST_ROW = (
 
 def _lorenz_with_multiplier_tap(design):
     config = design.config
-    return dataclasses.replace(config, taps=config.taps + (("P", config.spec.multiplier_out_row(0)),))
+    return dataclasses.replace(config, taps=config.taps + (("P", config.spec.out_row(NodeKind.MULTIPLIER, 0)),))
 
 
 class TestGeneratedEvaluator:
@@ -612,12 +613,12 @@ class TestGeneratedEvaluator:
         code = lambda w: CoefficientCode.highres(quantize_highres(w))
         config = support.with_lanes(
             MachineConfig.empty(spec),
-            (0, spec.integrator_out_row(0), code(2.0), spec.mul_a_row(0)),
-            (1, spec.integrator_out_row(1), code(2.0), spec.mul_b_row(0)),
-            (2, spec.multiplier_out_row(0), code(0.5), spec.mul_a_row(1)),
-            (3, spec.integrator_out_row(1), code(1.0), spec.mul_b_row(1)),
-            (4, spec.multiplier_out_row(1), code(1.0), spec.integrator_in_row(0)),
-            (5, spec.integrator_out_row(0), code(-1.0), spec.integrator_in_row(1)),
+            (0, spec.out_row(NodeKind.INTEGRATOR, 0), code(2.0), spec.in_row(Port.MUL_A, 0)),
+            (1, spec.out_row(NodeKind.INTEGRATOR, 1), code(2.0), spec.in_row(Port.MUL_B, 0)),
+            (2, spec.out_row(NodeKind.MULTIPLIER, 0), code(0.5), spec.in_row(Port.MUL_A, 1)),
+            (3, spec.out_row(NodeKind.INTEGRATOR, 1), code(1.0), spec.in_row(Port.MUL_B, 1)),
+            (4, spec.out_row(NodeKind.MULTIPLIER, 1), code(1.0), spec.in_row(Port.INTEGRATOR_IN, 0)),
+            (5, spec.out_row(NodeKind.INTEGRATOR, 0), code(-1.0), spec.in_row(Port.INTEGRATOR_IN, 1)),
         )
         config = dataclasses.replace(config, initial_states=(0.9, 0.8) + (0.0,) * 6)
         model = self.check(config, runs=[SimSettings(dt=1e-2, t_end=2.0, clip=1.2)])
@@ -643,10 +644,9 @@ class TestGeneratedEvaluator:
             else CoefficientCode.highres(rng.randrange(-2048, 2048))
             for lane in range(spec.n_lanes)
         )
-        sources = [spec.integrator_out_row(0)] * 600 + [
-            spec.multiplier_out_row(0) if lane % 2 else spec.integrator_out_row(0) for lane in range(600, 3800)
-        ]
-        dests = [spec.mul_a_row(0)] * 300 + [spec.mul_b_row(0)] * 300 + [spec.integrator_in_row(0)] * 3200
+        x, m = spec.out_row(NodeKind.INTEGRATOR, 0), spec.out_row(NodeKind.MULTIPLIER, 0)
+        sources = [x] * 600 + [m if lane % 2 else x for lane in range(600, 3800)]
+        dests = [spec.in_row(Port.MUL_A, 0)] * 300 + [spec.in_row(Port.MUL_B, 0)] * 300 + [spec.in_row(Port.INTEGRATOR_IN, 0)] * 3200
         config = MachineConfig(
             spec=spec, u_source=tuple(sources), coefficients=codes, i_dest=tuple(dests), initial_states=(0.01,)
         )
@@ -833,7 +833,7 @@ def role_walk(config, lane_weights=None):
     mul_ops = [(pos, mul_a[pos], mul_b[pos]) for pos in order]
 
     model = (
-        tuple(tap_name_of_row.get(spec.integrator_out_row(k), f"I{k}") for k in ints),
+        tuple(tap_name_of_row.get(spec.out_row(NodeKind.INTEGRATOR, k), f"I{k}") for k in ints),
         tuple(config.initial_states[k] for k in ints),
         tuple(labels),
         list({name: source_index(row) for name, row in config.taps}.items()),
