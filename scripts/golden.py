@@ -49,6 +49,7 @@ CORPUS = (
     ("custom-too-many-lanes", ["route", "decay.odedsl", "--machine", "custom:i=-1,m=0,l=100000", "-o", "x.acfg"]),
     ("custom-too-many-rows", ["route", "decay.odedsl", "--machine", "custom:i=70000,m=-1,l=8", "-o", "x.acfg"]),
     ("route-clamp", ["route", "clamp.odedsl", "-o", "clamp.acfg", "--emit-config"]),
+    ("simulate-lorenz-refclip", ["simulate", "lorenz.odedsl", "--reference", "--clip", "0.3", "--out-dir", "refclip"]),
 )
 
 

@@ -229,6 +229,41 @@ class TestDiffApply:
         assert updated.initial_states == config.initial_states
 
 
+class TestCodeRangeTexts:
+    """The exact code-range diagnostics of decode and apply on lucidac,
+    whose lanes 24-31 are low-res."""
+
+    @pytest.mark.parametrize(
+        "lane, word, text",
+        [
+            (31, 0x8001, "offset 131: lane 31: low-res code 32769 outside [0, 7]"),
+            (0, 0xF000, "offset 69: lane 0: high-res code -4096 outside [-2048, 2047]"),
+        ],
+    )
+    def test_decode(self, lane, word, text):
+        spec = lucidac_spec()
+        image = bytearray(encode(MachineConfig.empty(spec)))
+        struct.pack_into("<H", image, 5 + 32 * 2 + 2 * lane, word)
+        with pytest.raises(FormatError) as info:
+            decode(bytes(image), spec)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "lane, code, text",
+        [
+            (31, 8, "lane 31: low-res code 8 outside [0, 7]"),
+            (31, -1, "lane 31: low-res code -1 outside [0, 7]"),
+            (0, 2048, "lane 0: high-res code 2048 outside [-2048, 2047]"),
+            (0, -2049, "lane 0: high-res code -2049 outside [-2048, 2047]"),
+        ],
+    )
+    def test_apply(self, lane, code, text):
+        config = MachineConfig.empty(lucidac_spec())
+        with pytest.raises(RangeError) as info:
+            apply(config, DeltaScript((DeltaOp(OpCode.SET_COEFF, lane, code),)))
+        assert str(info.value) == text
+
+
 class TestDeltaWireFormat:
     def test_header_and_length(self):
         script = DeltaScript((DeltaOp(OpCode.SET_COEFF, 5, -1),))

@@ -79,6 +79,18 @@ class TestDecode:
         with pytest.raises(ValueError):
             CoefficientCode.lowres(8)
 
+    @pytest.mark.parametrize(
+        "kind, code, text",
+        [
+            (CoefKind.LOW_RES, 8, "low-res code 8 outside [0, 7]"),
+            (CoefKind.HIGH_RES, 2048, "high-res code 2048 outside [-2048, 2047]"),
+        ],
+    )
+    def test_code_range_texts(self, kind, code, text):
+        with pytest.raises(ValueError) as info:
+            CoefficientCode(kind, code)
+        assert str(info.value) == text
+
     def test_lowres_eligibility_is_exact(self):
         assert lowres_code_for(-1.0) == 6
         assert lowres_code_for(0.1) == 3
