@@ -24,14 +24,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import Optional
 
-from .machine import (
-    CoefficientCode,
-    HIGHRES_MAX,
-    HIGHRES_MIN,
-    MachineConfig,
-    MachineSpec,
-    validate_config,
-)
+from .machine import CoefficientCode, MachineConfig, MachineSpec, validate_config
 
 MAGIC = b"ACFG"
 DELTA_MAGIC = b"ACDL"
@@ -131,6 +124,14 @@ def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, wh
     return entries
 
 
+def _shared(make, code: int):
+    """`make(code)`, or the ValueError that says why `code` is out of range."""
+    try:
+        return make(code)
+    except ValueError as exc:
+        return exc
+
+
 def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     """Parse an image back into a configuration (the inverse of encode).
 
@@ -153,32 +154,19 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     u = _decode_row_section(image, u_base, spec, spec.out_rows, "source")
     d = _decode_row_section(image, i_base, spec, spec.in_rows, "destination")
 
-    # one shared code per distinct word; None marks a word outside the lane's range
+    # one shared code per distinct word and kind: high-res words are signed,
+    # low-res words unsigned, and a word outside its kind's range maps to the
+    # ValueError naming it, so the lowest such lane is reported
     words = struct.unpack_from(f"<{n}H", image, c_base)
-    distinct = set(words)
-    highres = {}
-    for word in distinct:
-        code = word - 0x10000 if word & 0x8000 else word
-        if HIGHRES_MIN <= code <= HIGHRES_MAX:
-            highres[word] = CoefficientCode.highres(code)
-    lowres = [CoefficientCode.lowres(code) for code in range(8)]
-    coeffs = list(map(highres.get, words))
-    valid = len(highres) == len(distinct)
+    high = {word: _shared(CoefficientCode.highres, word - 0x10000 if word & 0x8000 else word) for word in set(words)}
+    low = {word: _shared(CoefficientCode.lowres, word) for word in {words[lane] for lane in spec.lowres_lanes}}
+    coeffs = list(map(high.get, words))
     for lane in spec.lowres_lanes:
-        word = words[lane]
-        if word <= 7:
-            coeffs[lane] = lowres[word]
-        else:
-            coeffs[lane] = None
-            valid = False
-    if not valid:
-        lane = next(k for k, code in enumerate(coeffs) if code is None)
-        word = words[lane]
-        offset = c_base + lane * 2
-        if lane in spec.lowres_lanes:
-            raise FormatError(offset, f"lane {lane}: low-res code {word} outside [0, 7]")
-        code = word - 0x10000 if word & 0x8000 else word
-        raise FormatError(offset, f"lane {lane}: high-res code {code} outside [{HIGHRES_MIN}, {HIGHRES_MAX}]")
+        coeffs[lane] = low[words[lane]]
+    if not all(isinstance(code, CoefficientCode) for code in (*high.values(), *low.values())):
+        for lane, code in enumerate(coeffs):
+            if isinstance(code, ValueError):
+                raise FormatError(c_base + lane * 2, f"lane {lane}: {code}")
 
     return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(coeffs), i_dest=tuple(d))
 
@@ -246,16 +234,10 @@ def apply(config: MachineConfig, script: DeltaScript) -> MachineConfig:
         elif op.opcode is OpCode.SET_COEFF:
             if op.value is None:
                 raise RangeError(f"lane {op.lane}: coefficient op carries no code")
-            if op.lane in spec.lowres_lanes:
-                if not 0 <= op.value <= 7:
-                    raise RangeError(f"lane {op.lane}: low-res code {op.value} outside [0, 7]")
-                c[op.lane] = CoefficientCode.lowres(op.value)
-            else:
-                if not HIGHRES_MIN <= op.value <= HIGHRES_MAX:
-                    raise RangeError(
-                        f"lane {op.lane}: high-res code {op.value} outside [{HIGHRES_MIN}, {HIGHRES_MAX}]"
-                    )
-                c[op.lane] = CoefficientCode.highres(op.value)
+            code = _shared(CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres, op.value)
+            if isinstance(code, ValueError):
+                raise RangeError(f"lane {op.lane}: {code}")
+            c[op.lane] = code
         else:
             raise RangeError(f"unknown opcode {op.opcode}")
     updated = replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))

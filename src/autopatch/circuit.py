@@ -1,10 +1,11 @@
 """Polynomial normalization and summer-free circuit construction.
 
-`normalize` expands each derivative into a flat weighted sum of monomials
-(products of state variables); signs fold into the weights, so no inverter
-or summer elements are ever needed.  `build_circuit` turns the expanded
-system into a directed graph of integrators and multipliers where every
-weighted term is a single edge; additions happen implicitly wherever
+`normalize` expands each derivative into a flat weighted sum of monomials;
+a term is a weight and a monomial's sorted tuple of state-variable factors,
+with the empty tuple for the constant one.  Signs fold into the weights, so
+no inverter or summer elements are ever needed.  `build_circuit` turns the
+expanded system into a directed graph of integrators and multipliers where
+every weighted term is a single edge; additions happen implicitly wherever
 several edges land on the same input port.
 """
 
@@ -18,38 +19,22 @@ from typing import Iterable, Mapping, Optional
 
 from .dsl import Add, Const, Expr, Mul, Neg, Program, Sub, Var, postorder
 
-
-@dataclass(frozen=True)
-class Monomial:
-    """A product of state variables, canonically sorted; degree 0 is the
-    constant-one signal."""
-
-    factors: tuple[str, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def sort_key(self) -> tuple[int, tuple[str, ...]]:
-        return (self.degree, self.factors)
-
-    def __str__(self) -> str:
-        return "*".join(self.factors) if self.factors else "1"
-
-
-ONE = Monomial(())
+# Most monomials one expansion may hold at any point.  Each term of a
+# derivative needs a lane of its own, and the binary formats address at most
+# this many lanes (`machine.MAX_LANES`), so no machine could route more.
+MAX_TERMS = 65536
 
 
 @dataclass(frozen=True)
 class Term:
     weight: float
-    monomial: Monomial
+    factors: tuple[str, ...]  # sorted; () is the constant one
 
 
 @dataclass(frozen=True)
 class PolySystem:
     """Expanded ODE system: per state a duplicate-free list of weighted
-    monomials (canonical order, zero weights dropped)."""
+    monomials (ordered by degree, then factors; zero weights dropped)."""
 
     states: tuple[str, ...]
     rhs: tuple[tuple[Term, ...], ...]
@@ -59,8 +44,9 @@ class PolySystem:
         return sum(len(terms) for terms in self.rhs)
 
 
-def _expand(expr: Expr) -> dict[tuple[str, ...], float]:
-    """Weight per sorted factor tuple, folded over a post-order walk."""
+def _expand(expr: Expr, state: str) -> dict[tuple[str, ...], float]:
+    """Weight per sorted factor tuple, folded over a post-order walk.
+    Refuses once an operand or a partial product exceeds MAX_TERMS."""
     done: list[dict[tuple[str, ...], float]] = []  # expanded operands
     for node in postorder(expr):
         if isinstance(node, Const):
@@ -81,16 +67,20 @@ def _expand(expr: Expr) -> dict[tuple[str, ...], float]:
                 for m2, w2 in right.items():
                     key = tuple(sorted(m1 + m2))
                     out[key] = out.get(key, 0.0) + w1 * w2
+                if len(out) > MAX_TERMS:
+                    break
             done.append(out)
+        if len(done[-1]) > MAX_TERMS:
+            raise ValueError(f"derivative of {state} expands to more than {MAX_TERMS} monomials")
     return done.pop()
 
 
 def _to_terms(weights: Mapping[tuple[str, ...], float]) -> tuple[Term, ...]:
     for m, w in weights.items():
         if not math.isfinite(w):
-            raise ValueError(f"constant folding overflowed for monomial {Monomial(m)}")
-    terms = [Term(w, Monomial(m)) for m, w in weights.items() if w != 0.0]
-    terms.sort(key=lambda t: t.monomial.sort_key())
+            raise ValueError(f"constant folding overflowed for monomial {'*'.join(m) or '1'}")
+    terms = [Term(w, m) for m, w in weights.items() if w != 0.0]
+    terms.sort(key=lambda t: (len(t.factors), t.factors))
     return tuple(terms)
 
 
@@ -102,7 +92,7 @@ def normalize(program: Program) -> PolySystem:
     """
     return PolySystem(
         states=program.state_names(),
-        rhs=tuple(_to_terms(_expand(s.derivative)) for s in program.states),
+        rhs=tuple(_to_terms(_expand(s.derivative, s.name)) for s in program.states),
         initial=tuple(s.initial_value for s in program.states),
     )
 
@@ -175,9 +165,9 @@ class CircuitGraph:
 
 
 class DegreeError(Exception):
-    def __init__(self, monomial: Monomial, max_degree: int):
-        super().__init__(f"monomial {monomial} has degree {monomial.degree} > maximum {max_degree}")
-        self.monomial = monomial
+    def __init__(self, factors: tuple[str, ...], max_degree: int):
+        super().__init__(f"monomial {'*'.join(factors) or '1'} has degree {len(factors)} > maximum {max_degree}")
+        self.factors = factors
         self.max_degree = max_degree
 
 
@@ -241,8 +231,8 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
     """
     for terms in system.rhs:
         for term in terms:
-            if term.monomial.degree > MAX_DEGREE:
-                raise DegreeError(term.monomial, MAX_DEGREE)
+            if len(term.factors) > MAX_DEGREE:
+                raise DegreeError(term.factors, MAX_DEGREE)
 
     nodes: list[Node] = []
     int_id = {}
@@ -255,7 +245,7 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
     needs_const = False
     for terms in system.rhs:
         for term in terms:
-            factors = term.monomial.factors
+            factors = term.factors
             if not factors:
                 needs_const = True
             for k in range(2, len(factors) + 1):
@@ -280,17 +270,17 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
         edges.append(Edge(a_src, mid, Port.MUL_A, 1.0))
         edges.append(Edge(int_id[prefix[-1]], mid, Port.MUL_B, 1.0))
 
-    def source_of(monomial: Monomial) -> int:
-        if monomial.degree == 0:
+    def source_of(factors: tuple[str, ...]) -> int:
+        if not factors:
             assert const_id is not None
             return const_id
-        if monomial.degree == 1:
-            return int_id[monomial.factors[0]]
-        return mul_id[monomial.factors]
+        if len(factors) == 1:
+            return int_id[factors[0]]
+        return mul_id[factors]
 
     for name, terms in zip(system.states, system.rhs):
         for term in terms:
-            edges.append(Edge(source_of(term.monomial), int_id[name], Port.INTEGRATOR_IN, term.weight))
+            edges.append(Edge(source_of(term.factors), int_id[name], Port.INTEGRATOR_IN, term.weight))
 
     edges.sort(key=lambda e: (e.src, e.dst, e.port.value))
 

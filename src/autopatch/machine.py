@@ -90,7 +90,8 @@ def decode(coeff: CoefficientCode) -> float:
 
 def quantize_highres_info(value: float) -> tuple[int, bool]:
     """Nearest 12-bit code for a gain, plus whether it was clamped."""
-    raw = round(value * 2048.0 / 10.0)
+    # clamp to one step past the rails first: a huge gain scales to inf, which round() refuses
+    raw = round(min(max(value * 2048.0 / 10.0, HIGHRES_MIN - 1.0), HIGHRES_MAX + 1.0))
     code = min(HIGHRES_MAX, max(HIGHRES_MIN, raw))
     return code, code != raw
 

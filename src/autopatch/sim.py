@@ -10,15 +10,16 @@ machine that runs a whole RK4 or Euler step, with the evaluation written
 out once as straight-line code inside a loop over the stages, and compiles
 it with `exec`, in the manner of SymPy's `lambdify` or JiTCODE.  Each row
 sum keeps the lane order of a loop that accumulates from 0.0, and each
-stage keeps the arithmetic of `_step`, so the generated code rounds
-exactly as those loops would.
+stage keeps the arithmetic of `ReferenceModel.step`, so the generated code
+rounds exactly as those loops would.
 
 The reference path stays a plain interpreter over the expanded polynomial
-system, independent of the generated code, so it can check the hardware
-path; `run` steps it with `_step`.  Both paths go through the same `run`
-loop and the same stage arithmetic, so with quantization bypassed they are
-comparable step for step; residual differences are floating-point
-reassociation only.
+system (weight and factor tuple per term), independent of the generated
+code, so it can check the hardware path; the two share only `_clamper`.
+`run` steps every model through its `step`, so both paths go through the
+same loop and the same stage arithmetic, and with quantization bypassed
+they are comparable step for step; residual differences are
+floating-point reassociation only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -94,21 +94,13 @@ class NonFiniteError(Exception):
         self.element = element
 
 
-def _clamp(v: float, clip: float) -> float:
-    if v > clip:
-        return clip
-    if v < -clip:
-        return -clip
-    return v
-
-
 def _clamper(clip: float, clipped: Optional[set]):
     """The clamp to +-clip of one element voltage; it records the element's
     index in `clipped` when that changes the value (a NaN always counts,
     as NaN != NaN)."""
 
     def clamp(v: float, index: int) -> float:
-        c = _clamp(v, clip)
+        c = clip if v > clip else -clip if v < -clip else v
         if c != v and clipped is not None:
             clipped.add(index)
         return c
@@ -121,10 +113,10 @@ def _clamper(clip: float, clipped: Optional[set]):
 _SUM_CHUNK = 200
 
 # States are kept in scalar locals across the stages of a generated step up
-# to this count.  Past it they travel in lists, as in `_step`: on the
-# 500-state synthetic machine scalar stage code grows the source from 49 to
-# 158 kB, triples its compile time and takes the compiler's peak memory from
-# 4.3 to 19.7 MB.
+# to this count.  Past it they travel in lists, as in `ReferenceModel.step`:
+# on the 500-state synthetic machine scalar stage code grows the source from
+# 49 to 158 kB, triples its compile time and takes the compiler's peak memory
+# from 4.3 to 19.7 MB.
 _SCALAR_STATES = 64
 
 
@@ -137,7 +129,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     are the element voltages of the first stage, i.e. at y.  With 0 it
     only evaluates at y and returns the integrator input sums in place of
     a next state.  The evaluation is written once, in a loop over the
-    stages, and each stage's arithmetic is that of `_step`.
+    stages, and each stage's arithmetic is that of `ReferenceModel.step`.
 
     Element k is the local `e<k>`.  Every row sum is written out as
     `0.0 + g*e<src> + ...` in lane order, so the additions happen in the
@@ -223,7 +215,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     # a display of every state costs the compiler more memory than *x
     volts = f"[*{state}, " + "".join(f"e{k}, " for k in range(n_states, n_elements)) + "]"
 
-    # stage arithmetic, in the order and rounding of `_step`
+    # stage arithmetic, in the order and rounding of `ReferenceModel.step`
     body += [
         "if stage == 0:",
         f"    volts = {volts}",
@@ -361,29 +353,24 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
 
 
 class ReferenceModel:
-    """Direct evaluator for an expanded polynomial system, with the `rhs`
-    and `voltages` of DynamicsModel; `run` steps it with `_step`."""
+    """Direct evaluator for an expanded polynomial system, with the `rhs`,
+    `voltages` and `step` of DynamicsModel."""
 
     def __init__(self, system: PolySystem):
         self.state_labels = system.states
         self.element_labels = system.states
         self.initial = system.initial
         self.taps = {name: i for i, name in enumerate(system.states)}
-        index = {name: i for i, name in enumerate(system.states)}
         self._terms = tuple(
-            tuple((term.weight, tuple(index[f] for f in term.monomial.factors)) for term in terms)
+            tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms)
             for terms in system.rhs
         )
 
     def voltages(self, y, clip=None, clipped=None):
-        volts = list(y)
-        if clip is not None:
-            for i, v in enumerate(volts):
-                c = _clamp(v, clip)
-                if c != v and clipped is not None:
-                    clipped.add(i)
-                volts[i] = c
-        return volts
+        if clip is None:
+            return list(y)
+        lo, clamp = -clip, _clamper(clip, clipped)
+        return [v if lo <= v <= clip else clamp(v, i) for i, v in enumerate(y)]
 
     def rhs(self, y, clip=None, clipped=None):
         volts = self.voltages(y, clip, clipped)
@@ -398,28 +385,26 @@ class ReferenceModel:
             out.append(acc)
         return out
 
-
-def _step(model, y, h, stages, clip=None, clipped=None):
-    """The `step` of a model with only `rhs` and `voltages`, such as
-    ReferenceModel: its voltages at y, then one RK4 (4 stages) or Euler
-    (1 stage) step over its `rhs`, in the arithmetic that generated steps
-    write out."""
-    rhs = model.rhs
-    volts = model.voltages(y, clip, None)
-    # indexing is faster than zip() for the few states of a small machine
-    k1 = rhs(y, clip, clipped)
-    n = len(y)
-    if stages < 2:
-        return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
-    half = 0.5 * h
-    y2 = [y[i] + half * k1[i] for i in range(n)]
-    k2 = rhs(y2, clip, clipped)
-    y3 = [y[i] + half * k2[i] for i in range(n)]
-    k3 = rhs(y3, clip, clipped)
-    y4 = [y[i] + h * k3[i] for i in range(n)]
-    k4 = rhs(y4, clip, clipped)
-    s = h / 6.0
-    return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
+    def step(self, y, h, stages, clip=None, clipped=None):
+        """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)
+        step over `rhs`, in the arithmetic that generated steps write out;
+        with 0 stages, `rhs` at y in place of a next state."""
+        rhs = self.rhs
+        volts = self.voltages(y, clip, None)
+        # indexing is faster than zip() for the few states of a small machine
+        k1 = rhs(y, clip, clipped)
+        n = len(y)
+        if stages < 2:
+            return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
+        half = 0.5 * h
+        y2 = [y[i] + half * k1[i] for i in range(n)]
+        k2 = rhs(y2, clip, clipped)
+        y3 = [y[i] + half * k2[i] for i in range(n)]
+        k3 = rhs(y3, clip, clipped)
+        y4 = [y[i] + h * k3[i] for i in range(n)]
+        k4 = rhs(y4, clip, clipped)
+        s = h / 6.0
+        return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
 
 
 def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
@@ -448,7 +433,7 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     labels = model.element_labels
     peaks = dict.fromkeys(labels, 0.0)
     trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks=peaks)
-    step = getattr(model, "step", None) or partial(_step, model)
+    step = model.step
     stages = 4 if settings.method is Method.RK4 else 1
     tap_appends = [(trace.signals[name].append, idx) for name, idx in model.taps.items()]
 

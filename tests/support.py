@@ -4,7 +4,7 @@ programs, and the synthetic large-machine workload."""
 import dataclasses
 import random
 
-from autopatch.circuit import Monomial, PolySystem, Term
+from autopatch.circuit import PolySystem, Term
 from autopatch.machine import CoefficientCode, MachineConfig, MachineSpec
 
 
@@ -79,7 +79,7 @@ def random_polynomial_expr(rng: random.Random, names: list[str], max_degree: int
 
 def terms_to_system(states, per_state_terms, initial=None) -> PolySystem:
     rhs = tuple(
-        tuple(Term(w, Monomial(tuple(sorted(factors)))) for w, factors in terms)
+        tuple(Term(w, tuple(sorted(factors))) for w, factors in terms)
         for terms in per_state_terms
     )
     if initial is None:

@@ -1,15 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import support
+from autopatch.circuit import MAX_TERMS
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
 from autopatch.fabric import MAX_PORTS
 from autopatch.machine import MAX_LANES, MAX_ROWS
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "programs"
 LORENZ = str(PROGRAMS / "lorenz.odedsl")
 
 
@@ -112,6 +117,14 @@ class TestRoute:
         src = write(tmp_path, "nine.odedsl", "\n".join(lines))
         assert main(["route", src, "-o", str(tmp_path / "x.acfg")]) == 1
         assert "integrators: need 9, have 8" in capsys.readouterr().err
+
+    def test_huge_coefficient_clamps(self, tmp_path, capsys):
+        # a finite literal whose scaling to a code overflows to inf
+        src = write(tmp_path, "huge.odedsl", f"fn X(t);\nlet diff[X, t] = 17{'0' * 307} * X;\nlet X(t: 0) = 0.1;\nout X(t);\n")
+        assert main(["route", src, "-o", str(tmp_path / "huge.acfg")]) == 0
+        captured = capsys.readouterr()
+        assert "lane 0: coefficient 1.7e+308 clamps to code 2047 (9.9951171875)" in captured.out
+        assert captured.err == ""
 
     def test_large_machine_accepts_nine_integrators(self, tmp_path, capsys):
         lines = [f"fn s{i}(t);" for i in range(9)]
@@ -284,6 +297,43 @@ class TestDiffApply:
         bad.write_bytes(encode_delta(DeltaScript((DeltaOp(OpCode.SET_U_SOURCE, 0, 3),))))
         assert main(["apply", str(base), str(bad), "-o", str(tmp_path / "out.acfg")]) == 1
         assert "dangling" in capsys.readouterr().err
+
+
+# Compiles a program in a child process that may not map more than 1 GiB, so
+# a runaway expansion fails there, and prints the exit code and the
+# tracemalloc peak.
+_COMPILE_CHILD = """
+import resource, sys, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from autopatch.cli import main
+tracemalloc.start()
+status = main(["compile", sys.argv[1]])
+print(status, tracemalloc.get_traced_memory()[1])
+"""
+
+
+class TestExpansionBound:
+    def test_bound_is_the_lane_limit(self):
+        assert MAX_TERMS == MAX_LANES
+
+    @pytest.mark.parametrize("k", [12, 20])
+    def test_power_of_a_sum_is_refused(self, tmp_path, k):
+        # k copies of a ten-variable sum: 293,930 monomials of degree 12 at k = 12
+        names = "ABCDEFGHIJ"
+        lines = [f"fn {n}(t);" for n in names]
+        lines.append("let diff[A, t] = " + " * ".join(["(" + " + ".join(names) + ")"] * k) + ";")
+        lines += [f"let diff[{n}, t] = -{n};" for n in names[1:]]
+        lines += [f"let {n}(t: 0) = 0;" for n in names]
+        src = write(tmp_path, "power.odedsl", "\n".join(lines) + "\nout A(t);\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COMPILE_CHILD, src], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"autopatch: error: derivative of A expands to more than {MAX_TERMS} monomials\n"
+        status, peak = map(int, proc.stdout.split())
+        assert status == 1
+        assert peak < 64 << 20
 
 
 class TestMachineSizeBound:

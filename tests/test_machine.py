@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from autopatch.machine import (
     lowres_code_for,
     lucidac_spec,
     quantize_highres,
+    quantize_highres_info,
     redac_tile_spec,
     validate_config,
 )
@@ -51,6 +53,11 @@ class TestQuantize:
     def test_below_bottom_clamps(self):
         with pytest.warns(RangeWarning):
             assert quantize_highres(-10.01) == -2048
+
+    @pytest.mark.parametrize("value, code", [(1.7e308, 2047), (-1.7e308, -2048), (math.inf, 2047), (-math.inf, -2048)])
+    def test_huge_gain_clamps(self, value, code):
+        # 1.7e308 * 2048 overflows to inf, which round() refuses
+        assert quantize_highres_info(value) == (code, True)
 
     @given(st.floats(min_value=-10.0, max_value=9.99))
     @settings(max_examples=300)

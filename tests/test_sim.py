@@ -430,6 +430,8 @@ class LoopModel:
         self._mul_ops = mul_ops
         self._const_index = const_index
 
+    step = sim.ReferenceModel.step
+
     def voltages(self, y, clip=None, clipped=None):
         volts = [0.0] * len(self.element_labels)
         n = len(self.state_labels)
