@@ -124,7 +124,7 @@ def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, wh
     return entries
 
 
-def _shared(make, code: int):
+def _code_or_error(make, code: int):
     """`make(code)`, or the ValueError that says why `code` is out of range."""
     try:
         return make(code)
@@ -154,12 +154,13 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     u = _decode_row_section(image, u_base, spec, spec.out_rows, "source")
     d = _decode_row_section(image, i_base, spec, spec.in_rows, "destination")
 
-    # one shared code per distinct word and kind: high-res words are signed,
-    # low-res words unsigned, and a word outside its kind's range maps to the
-    # ValueError naming it, so the lowest such lane is reported
+    # one shared code per distinct word and lane kind (high-res words are
+    # signed, low-res words unsigned); a word outside its kind's range maps to
+    # the ValueError that names it, and the lowest lane holding one is reported
     words = struct.unpack_from(f"<{n}H", image, c_base)
-    high = {word: _shared(CoefficientCode.highres, word - 0x10000 if word & 0x8000 else word) for word in set(words)}
-    low = {word: _shared(CoefficientCode.lowres, word) for word in {words[lane] for lane in spec.lowres_lanes}}
+    signed = {word: word - 0x10000 if word & 0x8000 else word for word in set(words)}
+    high = {word: _code_or_error(CoefficientCode.highres, code) for word, code in signed.items()}
+    low = {word: _code_or_error(CoefficientCode.lowres, word) for word in {words[lane] for lane in spec.lowres_lanes}}
     coeffs = list(map(high.get, words))
     for lane in spec.lowres_lanes:
         coeffs[lane] = low[words[lane]]
@@ -234,7 +235,8 @@ def apply(config: MachineConfig, script: DeltaScript) -> MachineConfig:
         elif op.opcode is OpCode.SET_COEFF:
             if op.value is None:
                 raise RangeError(f"lane {op.lane}: coefficient op carries no code")
-            code = _shared(CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres, op.value)
+            make = CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres
+            code = _code_or_error(make, op.value)
             if isinstance(code, ValueError):
                 raise RangeError(f"lane {op.lane}: {code}")
             c[op.lane] = code
