@@ -3,10 +3,11 @@
 
 Each command runs in process through `autopatch.cli.main`, inside one
 scratch directory that holds copies of the example programs, the
-500-state program of tests/support.py and a program whose lucidac route
-overflows the low-res lanes and clamps coefficients.  For every command
-the script prints one sha256 per output file it wrote or changed, and one
-each for its stdout, stderr and exit code, as `<hex digest>  <command>/<what>`.
+500-state program of tests/support.py, a program whose lucidac route
+overflows the low-res lanes and clamps coefficients, and a program whose
+state becomes non-finite.  For every command the script prints one sha256
+per output file it wrote or changed, and one each for its stdout, stderr
+and exit code, as `<hex digest>  <command>/<what>`.
 
 Usage: python3 scripts/golden.py          # print the digests
        python3 scripts/golden.py --check  # compare with tests/golden.sha256
@@ -50,7 +51,13 @@ CORPUS = (
     ("custom-too-many-rows", ["route", "decay.odedsl", "--machine", "custom:i=70000,m=-1,l=8", "-o", "x.acfg"]),
     ("route-clamp", ["route", "clamp.odedsl", "-o", "clamp.acfg", "--emit-config"]),
     ("simulate-lorenz-refclip", ["simulate", "lorenz.odedsl", "--reference", "--clip", "0.3", "--out-dir", "refclip"]),
+    ("simulate-blowup", ["simulate", "blowup.odedsl", "--t-end", "1", "--out-dir", "blowup"]),
+    ("simulate-lorenz-euler", ["simulate", "lorenz.odedsl", "--method", "euler", "--stride", "3", "--t-end", "1.0005",
+                               "--out-dir", "euler"]),
 )
+
+#: one state that grows without bound, so `simulate` aborts when it becomes non-finite
+BLOWUP = "fn X(t);\nlet diff[X, t] = 5 * X * X;\nlet X(t: 0) = 0.9;\nout X(t);\n"
 
 
 def _sha(data: bytes) -> str:
@@ -94,6 +101,7 @@ def run_corpus() -> list[str]:
             shutil.copy(ROOT / "programs" / name, work / name)
         (work / "s500.odedsl").write_text(_large_program(), encoding="utf-8")
         (work / "clamp.odedsl").write_text(_clamp_program(), encoding="utf-8")
+        (work / "blowup.odedsl").write_text(BLOWUP, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:

@@ -2,12 +2,13 @@ import dataclasses
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 import support
 from autopatch import sim
-from autopatch.circuit import LoopError, NodeKind, Port, build_circuit, dependency_order, normalize
+from autopatch.circuit import LoopError, NodeKind, PolySystem, Port, build_circuit, dependency_order, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
@@ -39,6 +40,8 @@ def pipeline(source: str, spec=None):
     design = route_design(graph, spec or lucidac_spec())
     return program, system, design
 
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 DECAY = "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1.0;\nout X(t);\n"
 
@@ -512,13 +515,13 @@ def assert_same_evaluation(model, loop, points, clips=(None, 0.3, 1.2)):
                 assert hexes(getattr(model, method)(y, clip)) == hexes(want), (method, y, clip)
 
 
-def run_outcome(model, settings):
+def run_outcome(model, settings, initial=None, runner=run):
     """Everything a run reports, floats as hex; a non-finite abort counts
     as an outcome too."""
     try:
-        trace = run(model, model.initial, settings)
+        trace = runner(model, model.initial if initial is None else initial, settings)
     except NonFiniteError as exc:
-        return ("non-finite", float.hex(exc.t), exc.element)
+        return ("non-finite", str(exc), float.hex(exc.t), exc.element)
     return (
         hexes(trace.times),
         [(name, hexes(values)) for name, values in trace.signals.items()],
@@ -677,15 +680,15 @@ class TestGeneratedEvaluator:
 # generated step: one function per machine runs a whole RK4 or Euler step
 
 
-def _large_design(n_states):
+def _large_pipeline(n_states):
     """The synthetic system of `n_states` states routed on redac, with a
     constant term so the constant source is an element too, every state
     tapped, and initial states that differ, so the states do not move in
-    step."""
+    step: its program, polynomial system and design."""
     source = support.synthetic_large_program(n_states).replace("let diff[s0, t] = -s0", "let diff[s0, t] = 0.5 - s0")
     source = source.replace("out s0(t);", " ".join(f"out s{i}(t);" for i in range(n_states)))
     source = re.sub(r"let s(\d+)\(t: 0\) = 0.1;", lambda m: f"let s{m[1]}(t: 0) = {0.05 + 0.001 * (int(m[1]) * 37 % 101)};", source)
-    return pipeline(source, redac_tile_spec())[2]
+    return pipeline(source, redac_tile_spec())
 
 
 def _generated_source(config):
@@ -701,7 +704,7 @@ def _generated_source(config):
 class TestGeneratedStep:
     @pytest.mark.parametrize("n_states", [sim._SCALAR_STATES, sim._SCALAR_STATES + 1])
     def test_matches_the_loop_at_and_past_the_scalar_limit(self, n_states):
-        config = _large_design(n_states).config
+        config = _large_pipeline(n_states)[2].config
         model, loop = build_both(config)
         assert len(model.state_labels) == n_states and model.element_labels[-1] == "const"
         # the two emission forms: states in scalar locals, or in the list x
@@ -754,6 +757,128 @@ class TestGeneratedStep:
         # source and its compile time; 50070 is the length before it
         design = pipeline(support.synthetic_large_program(500), redac_tile_spec())[2]
         assert len(_generated_source(design.config)) <= 1.1 * 50_070
+
+
+# --------------------------------------------------------------------------
+# run against the driver that kept the peaks and the finiteness test itself
+
+
+def legacy_run(model, initial, settings):
+    """`run` as it was while it recorded each sample through a `record`
+    closure, kept the peaks in a dict keyed by label and tested every state
+    with `math.isfinite`.  Kept here as the reference for `run`'s trace."""
+    dt, t_end, stride, clip = settings.dt, settings.t_end, settings.record_stride, settings.clip
+    n_steps = int(math.floor(t_end / dt + 1e-9))
+    rem = t_end - n_steps * dt
+    if rem <= dt * 1e-9:
+        rem = 0.0
+    total_steps = n_steps + (1 if rem else 0)
+    labels = model.element_labels
+    peaks = dict.fromkeys(labels, 0.0)
+    trace = sim.Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks=peaks)
+    stages = 4 if settings.method is Method.RK4 else 1
+
+    def record(t, volts):
+        trace.times.append(t)
+        for name, idx in model.taps.items():
+            trace.signals[name].append(volts[idx])
+        for label, v in zip(labels, volts):
+            a = abs(v)
+            if a > peaks[label]:
+                peaks[label] = a
+
+    y = list(initial)
+    for k in range(total_steps):
+        t_start, h = k * dt, dt if k < n_steps else rem
+        clipped = set() if clip is not None else None
+        y_next, volts = model.step(y, h, stages, clip, clipped)
+        if k % stride == 0:
+            record(t_start, volts)
+        if clipped:
+            for idx in sorted(clipped):
+                trace.clip_events.append(sim.ClipEvent(t_start, labels[idx]))
+        for i, v in enumerate(y_next):
+            if not math.isfinite(v):
+                raise NonFiniteError(t_start + h, model.state_labels[i])
+        y = y_next
+    record(t_end if total_steps else 0.0, model.step(y, 0.0, 0, clip, None)[1])
+    return trace
+
+
+def _parity_case(name):
+    """(system, design, dt, clip level) of a parity case; each clip level
+    clamps some element within the first steps."""
+    if name == "lorenz":
+        source, dt, clip = (PROGRAMS / "lorenz.odedsl").read_text(encoding="utf-8"), 0.01, 0.05
+        _, system, design = pipeline(source)
+    elif name == "decay":
+        (_, system, design), dt, clip = pipeline(DECAY), 0.01, 0.5
+    else:
+        (_, system, design), dt, clip = _large_pipeline(int(name)), 0.1, 0.09
+    return system, design, dt, clip
+
+
+class TestRunParity:
+    @pytest.mark.parametrize("case", ["lorenz", "decay", str(sim._SCALAR_STATES), str(sim._SCALAR_STATES + 1)])
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_trace_matches_the_legacy_driver(self, case, path):
+        system, design, dt, clip = _parity_case(case)
+        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        runs = [
+            SimSettings(dt=dt, t_end=20 * dt),
+            SimSettings(dt=dt, t_end=20 * dt, clip=clip),
+            SimSettings(dt=dt, t_end=20 * dt, method=Method.EULER, clip=clip),
+            SimSettings(dt=dt, t_end=20.5 * dt, record_stride=4, clip=clip),
+            SimSettings(dt=dt, t_end=20.5 * dt, record_stride=7),
+            SimSettings(dt=dt, t_end=0.0),
+        ]
+        for settings in runs:
+            assert run_outcome(model, settings) == run_outcome(model, settings, runner=legacy_run), settings
+        assert run(model, model.initial, runs[1]).clip_events
+        assert len(run(model, model.initial, runs[3]).times) == 7  # steps 0, 4, ..., 20 and the landing sample
+        nan_state = list(model.initial)
+        nan_state[len(nan_state) // 2] = math.nan
+        for clip_level in (None, clip):
+            settings = SimSettings(dt=dt, t_end=20 * dt, clip=clip_level)
+            outcome = run_outcome(model, settings, nan_state)
+            assert outcome == run_outcome(model, settings, nan_state, legacy_run)
+            assert outcome[0] == "non-finite" and outcome[2] == float.hex(dt)
+
+
+def _tapped_only(n_states):
+    """`n_states` integrators tapped as S0, S1, ... and wired to nothing,
+    so every state keeps its initial value, and the same system for the
+    reference path."""
+    spec = lucidac_spec()
+    names = tuple(f"S{i}" for i in range(n_states))
+    config = dataclasses.replace(
+        MachineConfig.empty(spec), taps=tuple((name, spec.out_row(NodeKind.INTEGRATOR, i)) for i, name in enumerate(names))
+    )
+    system = PolySystem(states=names, rhs=((),) * n_states, initial=(0.0,) * n_states)
+    return build_dynamics(config), sim.ReferenceModel(system)
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_finite_states_whose_sum_overflows_do_not_abort(self, clip):
+        for model in _tapped_only(2):
+            trace = run(model, [1e308, 1.7e308], SimSettings(dt=0.1, t_end=1.0, clip=clip))
+            assert trace.signals["S1"][-1] == (0.5 if clip else 1.7e308)
+            assert len(trace.times) == 11
+            trace = run(model, [-1e308, -1.7e308], SimSettings(dt=0.1, t_end=1.0, clip=clip))
+            assert trace.signals["S0"][-1] == (-0.5 if clip else -1e308)
+
+    def test_opposite_infinities_name_the_lower_state(self):
+        for model in _tapped_only(3):
+            for initial in ([0.1, math.inf, -math.inf], [0.1, -math.inf, math.inf]):
+                with pytest.raises(NonFiniteError, match=r"^S1 became non-finite at t=0.1$") as err:
+                    run(model, initial, SimSettings(dt=0.1, t_end=1.0))
+                assert err.value.element == "S1"
+
+    def test_nan_in_the_last_state_names_it(self):
+        for model in _tapped_only(3):
+            with pytest.raises(NonFiniteError, match=r"^S2 became non-finite at t=0.1$"):
+                run(model, [0.1, 0.2, math.nan], SimSettings(dt=0.1, t_end=1.0, clip=0.5))
 
 
 # --------------------------------------------------------------------------
