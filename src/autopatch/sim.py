@@ -151,7 +151,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     def row_sum(terms, acc: str) -> str:
         """An expression for the row sum; a long one is first accumulated
         into the local `acc`, one chunk of terms per statement."""
-        products = [f"{gain(g)}*e{src}" for g, src in terms]
+        products = [f"e{src}" if g == 1.0 else f"{gain(g)}*e{src}" for g, src in terms]
         head = " + ".join(["0.0", *products[:_SUM_CHUNK]])
         if len(products) <= _SUM_CHUNK:
             return head
@@ -215,10 +215,16 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     # a display of every state costs the compiler more memory than *x
     volts = f"[*{state}, " + "".join(f"e{k}, " for k in range(n_states, n_elements)) + "]"
 
+    # stage 0 raises each element's peak to its |voltage|, written out per
+    # element where the states are scalar locals
+    peak = ["for k, a in enumerate(map(abs, volts)):", "    if a > peaks[k]: peaks[k] = a"]
+    if scalar:
+        peak = [line for k in range(n_elements) for line in (f"a = abs(e{k})", f"if a > peaks[{k}]: peaks[{k}] = a")]
     # stage arithmetic, in the order and rounding of `ReferenceModel.step`
+    body += ["if stage == 0:", f"    volts = {volts}"]
+    if n_elements:
+        body += ["    if peaks is not None:"] + [f"        {line}" for line in peak]
     body += [
-        "if stage == 0:",
-        f"    volts = {volts}",
         "    if stages < 2:",
         f"        return ({vector('y{i} + h * d{i}')} if stages else {names('d')}), volts",
         f"    {names('k1_')} = {names('d')}",
@@ -234,7 +240,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
         f"    return {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}, volts",
     ]
     lines = head + ["for stage in range(4):"] + [f"    {line}" for line in body]
-    source = "def step(y, h, stages, clip=None, clipped=None):\n" + "".join(f"    {line}\n" for line in lines)
+    source = "def step(y, h, stages, clip=None, clipped=None, peaks=None):\n" + "".join(f"    {line}\n" for line in lines)
     return source, namespace
 
 
@@ -373,7 +379,10 @@ class ReferenceModel:
         return [v if lo <= v <= clip else clamp(v, i) for i, v in enumerate(y)]
 
     def rhs(self, y, clip=None, clipped=None):
-        volts = self.voltages(y, clip, clipped)
+        return self.derivatives(self.voltages(y, clip, clipped))
+
+    def derivatives(self, volts):
+        """The right-hand sides at the element voltages `volts`."""
         out = []
         for terms in self._terms:
             acc = 0.0
@@ -385,14 +394,18 @@ class ReferenceModel:
             out.append(acc)
         return out
 
-    def step(self, y, h, stages, clip=None, clipped=None):
+    def step(self, y, h, stages, clip=None, clipped=None, peaks=None):
         """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)
         step over `rhs`, in the arithmetic that generated steps write out;
         with 0 stages, `rhs` at y in place of a next state."""
         rhs = self.rhs
-        volts = self.voltages(y, clip, None)
+        volts = self.voltages(y, clip, clipped)
+        if peaks is not None:
+            for k, a in enumerate(map(abs, volts)):
+                if a > peaks[k]:
+                    peaks[k] = a
         # indexing is faster than zip() for the few states of a small machine
-        k1 = rhs(y, clip, clipped)
+        k1 = self.derivatives(volts)
         n = len(y)
         if stages < 2:
             return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
@@ -431,37 +444,39 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
         raise ValueError(f"run needs {total_steps} steps, above the cap of {MAX_STEPS}")
 
     labels = model.element_labels
-    peaks = dict.fromkeys(labels, 0.0)
-    trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[], peaks=peaks)
+    peaks = [0.0] * len(labels)  # by element position, kept up by `step`
+    trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[])
     step = model.step
     stages = 4 if settings.method is Method.RK4 else 1
+    append_time = trace.times.append
     tap_appends = [(trace.signals[name].append, idx) for name, idx in model.taps.items()]
-
-    def record(t: float, volts):
-        trace.times.append(t)
-        for append, idx in tap_appends:
-            append(volts[idx])
-        for label, v in zip(labels, volts):
-            a = abs(v)
-            if a > peaks[label]:
-                peaks[label] = a
 
     y = list(initial)
     for k in range(total_steps):
         # the last step is the shortened landing step when t_end is off the grid
         t_start, h = k * dt, dt if k < n_steps else rem
         clipped = set() if clip is not None else None
-        y_next, volts = step(y, h, stages, clip, clipped)
-        if k % stride == 0:
-            record(t_start, volts)
+        if k % stride:
+            y_next, volts = step(y, h, stages, clip, clipped)
+        else:
+            y_next, volts = step(y, h, stages, clip, clipped, peaks)
+            append_time(t_start)
+            for append, idx in tap_appends:
+                append(volts[idx])
         if clipped:
             for idx in sorted(clipped):
                 trace.clip_events.append(ClipEvent(t_start, labels[idx]))
-        for i, v in enumerate(y_next):
-            if not math.isfinite(v):
-                raise NonFiniteError(t_start + h, model.state_labels[i])
+        # a sum is non-finite if any state is, or if finite states overflow it
+        if not math.isfinite(sum(y_next)):
+            for i, v in enumerate(y_next):
+                if not math.isfinite(v):
+                    raise NonFiniteError(t_start + h, model.state_labels[i])
         y = y_next
-    record(t_end if total_steps else 0.0, step(y, 0.0, 0, clip, None)[1])
+    volts = step(y, 0.0, 0, clip, None, peaks)[1]
+    append_time(t_end if total_steps else 0.0)
+    for append, idx in tap_appends:
+        append(volts[idx])
+    trace.peaks = dict(zip(labels, peaks))
     return trace
 
 

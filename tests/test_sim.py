@@ -471,7 +471,9 @@ class LoopModel:
         return volts
 
     def rhs(self, y, clip=None, clipped=None):
-        volts = self.voltages(y, clip, clipped)
+        return self.derivatives(self.voltages(y, clip, clipped))
+
+    def derivatives(self, volts):
         out = []
         for terms in self._int_terms:
             acc = 0.0
