@@ -11,7 +11,10 @@ out once as straight-line code inside a loop over the stages, and compiles
 it with `exec`, in the manner of SymPy's `lambdify` or JiTCODE.  Each row
 sum keeps the lane order of a loop that accumulates from 0.0, and each
 stage keeps the arithmetic of `ReferenceModel.step`, so the generated code
-rounds exactly as those loops would.
+rounds exactly as those loops would; a unit gain is left out of its
+product, since 1.0 * x is x bit for bit.  Given a `peaks` list, a step
+also raises each element's entry to the element's |voltage| at the step's
+start, so `run` keeps no per-sample loop over the elements.
 
 The reference path stays a plain interpreter over the expanded polynomial
 system (weight and factor tuple per term), independent of the generated
@@ -121,8 +124,9 @@ _SCALAR_STATES = 64
 
 
 def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
-    """Source and globals of `step(y, h, stages, clip=None, clipped=None)`
-    for one routed machine.
+    """Source and globals of
+    `step(y, h, stages, clip=None, clipped=None, peaks=None)` for one
+    routed machine.
 
     With `stages` = 4 the function takes one RK4 step of size h from y,
     with 1 an Euler step, and returns `(next state, volts)`, where volts
@@ -130,12 +134,19 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
     only evaluates at y and returns the integrator input sums in place of
     a next state.  The evaluation is written once, in a loop over the
     stages, and each stage's arithmetic is that of `ReferenceModel.step`.
+    When `peaks` is a list, the first stage sets `peaks[k]` to |e<k>|
+    where that is larger, written out per element when the states are
+    scalar locals and as one loop over the voltages otherwise; a machine
+    without elements gets no peak code.
 
     Element k is the local `e<k>`.  Every row sum is written out as
     `0.0 + g*e<src> + ...` in lane order, so the additions happen in the
     same order, and round the same way, as a loop that accumulates from
     0.0.  Finite gains are written with repr, which reads back exactly;
-    non-finite gains are passed in as globals.
+    non-finite gains are passed in as globals.  A unit gain is written as
+    the bare `e<src>`, as 1.0*x is x bit for bit for every double, +-0,
+    +-inf and NaN included; the leading `0.0 +` stays, as it turns -0.0
+    into 0.0.
     """
     namespace: dict[str, object] = {"_clamper": _clamper}
 
@@ -255,13 +266,14 @@ class DynamicsModel:
     `const`), so no two coincide; `state_labels` name each integrator by
     its tap, or by its slot when it has none.
 
-    `step(y, h, stages, clip=None, clipped=None)` is one Python function
-    generated per machine (see `_generate_evaluator`).  It takes a whole
-    RK4 (4 stages) or Euler (1 stage) step from y and returns the next
-    state with the element voltages at y, which is what `run` records; in
-    clip mode it clamps every stage's states and products.  With 0 stages
-    it only evaluates at y.  `rhs` and `voltages` are views on that
-    0-stage call.
+    `step(y, h, stages, clip=None, clipped=None, peaks=None)` is one
+    Python function generated per machine (see `_generate_evaluator`).  It
+    takes a whole RK4 (4 stages) or Euler (1 stage) step from y and returns
+    the next state with the element voltages at y, which is what `run`
+    records; in clip mode it clamps every stage's states and products.
+    Given a list `peaks` with one entry per element, it raises each entry
+    to that element's |voltage| at y.  With 0 stages it only evaluates at
+    y.  `rhs` and `voltages` are views on that 0-stage call.
     """
 
     def __init__(self, state_labels, initial, element_labels, taps, step):
@@ -397,7 +409,9 @@ class ReferenceModel:
     def step(self, y, h, stages, clip=None, clipped=None, peaks=None):
         """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)
         step over `rhs`, in the arithmetic that generated steps write out;
-        with 0 stages, `rhs` at y in place of a next state."""
+        with 0 stages, `rhs` at y in place of a next state.  The voltages
+        at y are clamped once and serve the first stage too; given a
+        `peaks` list, each entry is raised to its element's |voltage|."""
         rhs = self.rhs
         volts = self.voltages(y, clip, clipped)
         if peaks is not None:
@@ -427,9 +441,10 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     whole number of steps away the final step is shortened to land on it
     exactly.  A sample's voltages come from the first stage of the step
     that starts at it; only the final sample, with no step after it, costs
-    an evaluation of its own.  Clip events are recorded once per
-    (element, step) with the step's start time.  Any non-finite state
-    aborts the run.
+    an evaluation of its own, and only recorded samples raise the peaks.
+    Clip events are recorded once per (element, step) with the step's
+    start time.  Any non-finite state aborts the run, named by the first
+    such state.
     """
     if len(initial) != len(model.state_labels):
         raise ValueError(f"initial vector has {len(initial)} entries, model has {len(model.state_labels)} states")
