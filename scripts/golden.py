@@ -4,8 +4,8 @@
 Each command runs in process through `autopatch.cli.main`, inside one
 scratch directory that holds copies of the example programs, the
 500-state program of tests/support.py, a program whose lucidac route
-overflows the low-res lanes and clamps coefficients, and a program whose
-state becomes non-finite.  For every command the script prints one sha256
+overflows the low-res lanes and clamps coefficients, a program whose
+state becomes non-finite, and an image cut short.  For every command the script prints one sha256
 per output file it wrote or changed, and one each for its stdout, stderr
 and exit code, as `<hex digest>  <command>/<what>`.
 
@@ -54,10 +54,16 @@ CORPUS = (
     ("simulate-blowup", ["simulate", "blowup.odedsl", "--t-end", "1", "--out-dir", "blowup"]),
     ("simulate-lorenz-euler", ["simulate", "lorenz.odedsl", "--method", "euler", "--stride", "3", "--t-end", "1.0005",
                                "--out-dir", "euler"]),
+    ("version", ["--version"]),
+    ("fabric-count", ["fabric", "--spec", "simstar", "--count"]),
+    ("diff-short-image", ["diff", "short.acfg", "decay.acfg", "-o", "short.acdl"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
 BLOWUP = "fn X(t);\nlet diff[X, t] = 5 * X * X;\nlet X(t: 0) = 0.9;\nout X(t);\n"
+
+#: an image cut after its magic and version byte, which `diff` refuses by its length
+SHORT_IMAGE = b"ACFG\x01"
 
 
 def _sha(data: bytes) -> str:
@@ -102,6 +108,7 @@ def run_corpus() -> list[str]:
         (work / "s500.odedsl").write_text(_large_program(), encoding="utf-8")
         (work / "clamp.odedsl").write_text(_clamp_program(), encoding="utf-8")
         (work / "blowup.odedsl").write_text(BLOWUP, encoding="utf-8")
+        (work / "short.acfg").write_bytes(SHORT_IMAGE)
         os.chdir(work)
         try:
             for name, argv in CORPUS:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import support
+from autopatch import bitstream, circuit, cli, dsl, router, sim
 from autopatch.circuit import MAX_TERMS
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
@@ -505,3 +506,44 @@ class TestMisc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+
+class TestDiagnosticRule:
+    """Every pipeline error a command raises is one line on stderr and exit
+    code 1; any other exception propagates."""
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            dsl.SourceError("unexpected character", 2, 5),
+            circuit.DegreeError(("X", "X", "X"), 2),
+            circuit.LoopError(["M0", "M1", "M0"]),
+            router.CapacityError("integrators", 9, 8),
+            bitstream.FormatError(12, "truncated"),
+            bitstream.SpecMismatchError("image is for another machine"),
+            bitstream.RangeError("lane 70 outside [0, 32)"),
+            bitstream.ValidationError(["lane 3: dangling source"]),
+            sim.UnroutedTapError("X has no integrator"),
+            sim.NonFiniteError(0.5, "I0"),
+            ValueError("bad value"),
+            OSError("cannot read x"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_pipeline_error_is_one_line(self, monkeypatch, capsys, exc):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_fabric", fail)
+        assert main(["fabric", "--spec", "simstar", "--count"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"autopatch: error: {exc}\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def fail(args):
+            raise KeyError("lane")
+
+        monkeypatch.setattr(cli, "_cmd_fabric", fail)
+        with pytest.raises(KeyError):
+            main(["fabric", "--spec", "simstar", "--count"])
