@@ -14,10 +14,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, Optional
 
 from .dsl import Add, Const, Expr, Mul, Neg, Program, Sub, Var, postorder
+from .machine import NodeKind, Port
 
 # Most monomials one expansion may hold at any point.  Each term of a
 # derivative needs a lane of its own, and the binary formats address at most
@@ -120,18 +120,6 @@ def evaluate_expr(expr: Expr, values: Mapping[str, float]) -> float:
 
 # --------------------------------------------------------------------------
 # circuit graph
-
-
-class NodeKind(Enum):
-    INTEGRATOR = "Integrator"
-    MULTIPLIER = "Multiplier"
-    CONST_ONE = "ConstOne"
-
-
-class Port(Enum):
-    INTEGRATOR_IN = "IntegratorIn"
-    MUL_A = "MulA"
-    MUL_B = "MulB"
 
 
 @dataclass(frozen=True)

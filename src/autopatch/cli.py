@@ -4,7 +4,8 @@ Subcommands: `compile` (DSL to circuit IR), `route` (DSL to configuration
 image), `simulate` (DSL or image to CSV traces), `diff`/`apply` (sparse
 reconfiguration scripts), `fabric` (switch-fabric economics and blocking
 experiments).  Diagnostics go to stderr with exit code 1; data goes to
-files or stdout.
+files or stdout.  Each command imports only the modules it runs, so image
+and fabric commands never load the compiler or the simulator.
 """
 
 from __future__ import annotations
@@ -13,26 +14,17 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, bitstream, circuit, dsl, fabric, machine, router, sim
+from . import __version__
 
-_PIPELINE_ERRORS = (
-    dsl.SourceError,
-    circuit.DegreeError,
-    circuit.LoopError,
-    router.CapacityError,
-    bitstream.FormatError,
-    bitstream.SpecMismatchError,
-    bitstream.RangeError,
-    bitstream.ValidationError,
-    sim.UnroutedTapError,
-    sim.NonFiniteError,
-    ValueError,
-    OSError,
-)
+if TYPE_CHECKING:
+    from . import circuit, dsl, machine
 
 
 def _parse_machine(text: str) -> machine.MachineSpec:
+    from . import machine
+
     if text == "lucidac":
         return machine.lucidac_spec()
     if text == "redac":
@@ -56,6 +48,8 @@ def _parse_machine(text: str) -> machine.MachineSpec:
 
 def _parse_fabric(text: str):
     """Returns ('fabric', FabricSpec) or ('crossbar', StageSpec)."""
+    from . import fabric
+
     if text == "simstar":
         return ("fabric", fabric.simstar_spec())
     if text.startswith("crossbar:"):
@@ -85,6 +79,8 @@ def _parse_clip(text: str):
 
 
 def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.CircuitGraph]:
+    from . import circuit, dsl
+
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -102,6 +98,8 @@ def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.C
 
 
 def _cmd_compile(args) -> int:
+    from . import circuit
+
     _, _, graph = _compile_file(args.source)
     if args.emit_ir:
         print(circuit.format_circuit(graph))
@@ -109,6 +107,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    from . import bitstream, machine, router
+
     _, _, graph = _compile_file(args.source)
     spec = _parse_machine(args.machine)
     design = router.route_design(graph, spec)
@@ -122,6 +122,8 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import bitstream, router, sim
+
     settings = sim.SimSettings(
         dt=args.dt,
         t_end=args.t_end,
@@ -177,6 +179,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from . import bitstream
+
     spec = _parse_machine(args.machine)
     old = bitstream.decode(Path(args.old).read_bytes(), spec)
     new = bitstream.decode(Path(args.new).read_bytes(), spec)
@@ -187,6 +191,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from . import bitstream
+
     spec = _parse_machine(args.machine)
     base = bitstream.decode(Path(args.base).read_bytes(), spec)
     script = bitstream.decode_delta(Path(args.delta).read_bytes())
@@ -196,6 +202,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_fabric(args) -> int:
+    from . import fabric
+
     kind, spec = _parse_fabric(args.spec)
     if args.count and args.experiment:
         raise ValueError("--count and --experiment are separate runs; give one of them")
@@ -222,6 +230,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"autopatch: error: {message}\n")
 
 
+class _VersionAction(argparse.Action):
+    """--version, which loads the bitstream module for its format number
+    only when the flag is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .bitstream import FORMAT_VERSION
+
+        print(f"autopatch {__version__} (bitstream format v{FORMAT_VERSION})")
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="autopatch",
@@ -229,9 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate them, and analyze switch fabrics.",
     )
     parser.add_argument(
-        "--version",
-        action="version",
-        version=f"autopatch {__version__} (bitstream format v{bitstream.FORMAT_VERSION})",
+        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -292,7 +310,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PIPELINE_ERRORS as exc:
+    except Exception as exc:
+        # ValueError, OSError and the error classes of autopatch's own modules
+        # are diagnostics; anything else is a bug and keeps its traceback
+        if not isinstance(exc, (ValueError, OSError)) and not type(exc).__module__.startswith(__package__ + "."):
+            raise
         print(f"autopatch: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,14 +19,28 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .circuit import NodeKind, Port
-
 HIGHRES_MIN = -2048
 HIGHRES_MAX = 2047
 HIGHRES_LSB = 10.0 / 2048.0
 
 #: Decoded value per 3-bit low-res code, index == code.
 LOWRES_TABLE = (10.0, 1.0, 0.5, 0.1, -0.1, -0.5, -1.0, -10.0)
+
+
+class NodeKind(Enum):
+    """Kind of a circuit node, and of the machine output row it drives."""
+
+    INTEGRATOR = "Integrator"
+    MULTIPLIER = "Multiplier"
+    CONST_ONE = "ConstOne"
+
+
+class Port(Enum):
+    """Input port an edge lands on, and the machine input row it reads."""
+
+    INTEGRATOR_IN = "IntegratorIn"
+    MUL_A = "MulA"
+    MUL_B = "MulB"
 
 
 class RangeWarning(UserWarning):

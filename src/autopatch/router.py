@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import CircuitGraph, NodeKind, Port
+from .circuit import CircuitGraph
 from .machine import (
     CoefficientCode,
     MachineConfig,
     MachineSpec,
+    NodeKind,
+    Port,
     decode,
     lowres_code_for,
     quantize_highres_info,

@@ -34,9 +34,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .circuit import LoopError, NodeKind, PolySystem, Port, dependency_order
+from .circuit import LoopError, PolySystem, dependency_order
 from .dsl import Program
-from .machine import MachineConfig, decode, validate_config
+from .machine import MachineConfig, NodeKind, Port, decode, validate_config
 
 MAX_STEPS = 10**8  # most integration steps one run may take
 

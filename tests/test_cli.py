@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from autopatch.circuit import MAX_TERMS
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
 from autopatch.fabric import MAX_PORTS
-from autopatch.machine import MAX_LANES, MAX_ROWS
+from autopatch.machine import MAX_LANES, MAX_ROWS, MachineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "programs"
@@ -547,3 +548,44 @@ class TestDiagnosticRule:
         monkeypatch.setattr(cli, "_cmd_fabric", fail)
         with pytest.raises(KeyError):
             main(["fabric", "--spec", "simstar", "--count"])
+
+
+# Imports autopatch, runs each command of the JSON list in argv[1] through
+# cli.main, and prints the autopatch submodules then loaded as its last line.
+_FOOTPRINT_CHILD = """
+import json, sys
+import autopatch
+for argv in json.loads(sys.argv[1]):
+    from autopatch.cli import main
+    assert main(argv) == 0, argv
+print(*sorted(name for name in sys.modules if name.startswith("autopatch.")))
+"""
+
+
+def loaded_submodules(*commands):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImportFootprint:
+    """Each command loads only the layers it runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_submodules() == set()
+
+    def test_fabric_loads_only_the_fabric_model(self):
+        assert loaded_submodules(["fabric", "--spec", "simstar", "--count"]) == {"autopatch.cli", "autopatch.fabric"}
+
+    def test_diff_and_apply_load_only_the_image_layers(self, tmp_path, lorenz_design):
+        old, new = tmp_path / "old.acfg", tmp_path / "new.acfg"
+        old.write_bytes(bitstream.encode(MachineConfig.empty(lorenz_design.config.spec)))
+        new.write_bytes(bitstream.encode(lorenz_design.config))
+        delta, out = str(tmp_path / "d.acdl"), str(tmp_path / "out.acfg")
+        loaded = loaded_submodules(["diff", str(old), str(new), "-o", delta], ["apply", str(old), delta, "-o", out])
+        assert loaded == {"autopatch.cli", "autopatch.bitstream", "autopatch.machine"}
+        assert Path(out).read_bytes() == new.read_bytes()

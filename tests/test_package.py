@@ -1,0 +1,45 @@
+"""The package's public names: each loads its home module on first access."""
+
+import importlib
+
+import pytest
+
+import autopatch
+from autopatch import bitstream, circuit, machine
+
+
+@pytest.mark.parametrize("name", [name for name in autopatch.__all__ if name != "__version__"])
+def test_export_is_its_home_attribute(name):
+    value = getattr(autopatch, name)
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("autopatch.")
+    assert getattr(home, value.__name__) is value
+    assert vars(autopatch)[name] is value
+
+
+def test_decode_names():
+    assert autopatch.decode is machine.decode
+    assert autopatch.decode_image is bitstream.decode
+
+
+def test_row_vocabulary_lives_in_machine():
+    assert machine.NodeKind.__module__ == machine.Port.__module__ == "autopatch.machine"
+    assert circuit.NodeKind is machine.NodeKind
+    assert circuit.Port is machine.Port
+
+
+def test_version_is_eager():
+    assert "__version__" in vars(autopatch)
+    assert autopatch.__version__ == "0.1.0"
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="module 'autopatch' has no attribute 'no_such_name'"):
+        autopatch.no_such_name
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from autopatch import *", namespace)
+    for name in autopatch.__all__:
+        assert namespace[name] is getattr(autopatch, name)
