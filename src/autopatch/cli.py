@@ -4,8 +4,8 @@ Subcommands: `compile` (DSL to circuit IR), `route` (DSL to configuration
 image), `simulate` (DSL or image to CSV traces), `diff`/`apply` (sparse
 reconfiguration scripts), `fabric` (switch-fabric economics and blocking
 experiments).  Diagnostics go to stderr with exit code 1; data goes to
-files or stdout.  Each command imports only the modules it runs, so image
-and fabric commands never load the compiler or the simulator.
+files or stdout.  Each command imports only the modules it runs, so
+`diff`, `apply` and `fabric` never load the compiler or the simulator.
 """
 
 from __future__ import annotations
