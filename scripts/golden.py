@@ -5,9 +5,11 @@ Each command runs in process through `autopatch.cli.main`, inside one
 scratch directory that holds copies of the example programs, the
 500-state program of tests/support.py, a program whose lucidac route
 overflows the low-res lanes and clamps coefficients, a program whose
-state becomes non-finite, and an image cut short.  For every command the script prints one sha256
-per output file it wrote or changed, and one each for its stdout, stderr
-and exit code, as `<hex digest>  <command>/<what>`.
+state becomes non-finite, an image cut short, a product of degree 300
+and a program with a state that has no derivative.  For every command
+the script prints one sha256 per output file it wrote or changed, and
+one each for its stdout, stderr and exit code, as
+`<hex digest>  <command>/<what>`.
 
 Usage: python3 scripts/golden.py          # print the digests
        python3 scripts/golden.py --check  # compare with tests/golden.sha256
@@ -57,6 +59,8 @@ CORPUS = (
     ("version", ["--version"]),
     ("fabric-count", ["fabric", "--spec", "simstar", "--count"]),
     ("diff-short-image", ["diff", "short.acfg", "decay.acfg", "-o", "short.acdl"]),
+    ("compile-degree-300", ["compile", "deep.odedsl"]),
+    ("compile-missing-derivative", ["compile", "missing.odedsl"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -64,6 +68,12 @@ BLOWUP = "fn X(t);\nlet diff[X, t] = 5 * X * X;\nlet X(t: 0) = 0.9;\nout X(t);\n
 
 #: an image cut after its magic and version byte, which `diff` refuses by its length
 SHORT_IMAGE = b"ACFG\x01"
+
+#: a product of degree 300, refused by the degree check in one line
+DEEP = "fn X(t);\nlet diff[X, t] = " + " * ".join(["X"] * 300) + ";\nlet X(t: 0) = 0.5;\n"
+
+#: a second state with no derivative, declared at line 5, column 3
+MISSING = "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1;\n\n  fn Y(t); let Y(t: 0) = 0;\n"
 
 
 def _sha(data: bytes) -> str:
@@ -109,6 +119,8 @@ def run_corpus() -> list[str]:
         (work / "clamp.odedsl").write_text(_clamp_program(), encoding="utf-8")
         (work / "blowup.odedsl").write_text(BLOWUP, encoding="utf-8")
         (work / "short.acfg").write_bytes(SHORT_IMAGE)
+        (work / "deep.odedsl").write_text(DEEP, encoding="utf-8")
+        (work / "missing.odedsl").write_text(MISSING, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:

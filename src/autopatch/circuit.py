@@ -11,13 +11,12 @@ several edges land on the same input port.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
-from .dsl import Add, Const, Expr, Mul, Neg, Program, Sub, Var, postorder
-from .machine import NodeKind, Port
+from .dsl import Add, Const, Expr, Neg, Program, Sub, Var, postorder
+from .machine import LoopError, NodeKind, Port, dependency_order
 
 # Most monomials one expansion may hold at any point.  Each term of a
 # derivative needs a lane of its own, and the binary formats address at most
@@ -75,10 +74,19 @@ def _expand(expr: Expr, state: str) -> dict[tuple[str, ...], float]:
     return done.pop()
 
 
+def _monomial_text(factors: tuple[str, ...]) -> str:
+    """A sorted factor tuple as text, a repeated factor as a power:
+    `X^2*Y`, `X^300`, or `1` for the constant one."""
+    powers: dict[str, int] = {}
+    for f in factors:
+        powers[f] = powers.get(f, 0) + 1
+    return "*".join(f if p == 1 else f"{f}^{p}" for f, p in powers.items()) or "1"
+
+
 def _to_terms(weights: Mapping[tuple[str, ...], float]) -> tuple[Term, ...]:
     for m, w in weights.items():
         if not math.isfinite(w):
-            raise ValueError(f"constant folding overflowed for monomial {'*'.join(m) or '1'}")
+            raise ValueError(f"constant folding overflowed for monomial {_monomial_text(m)}")
     terms = [Term(w, m) for m, w in weights.items() if w != 0.0]
     terms.sort(key=lambda t: (len(t.factors), t.factors))
     return tuple(terms)
@@ -95,27 +103,6 @@ def normalize(program: Program) -> PolySystem:
         rhs=tuple(_to_terms(_expand(s.derivative, s.name)) for s in program.states),
         initial=tuple(s.initial_value for s in program.states),
     )
-
-
-def evaluate_expr(expr: Expr, values: Mapping[str, float]) -> float:
-    """The expression's value at `values`, folded over a post-order walk."""
-    done: list[float] = []  # operand values
-    for node in postorder(expr):
-        if isinstance(node, Const):
-            done.append(node.value)
-        elif isinstance(node, Var):
-            done.append(values[node.name])
-        elif isinstance(node, Neg):
-            done.append(-done.pop())
-        else:
-            right, left = done.pop(), done.pop()
-            if isinstance(node, Add):
-                done.append(left + right)
-            elif isinstance(node, Sub):
-                done.append(left - right)
-            else:
-                done.append(left * right)
-    return done.pop()
 
 
 # --------------------------------------------------------------------------
@@ -154,53 +141,9 @@ class CircuitGraph:
 
 class DegreeError(Exception):
     def __init__(self, factors: tuple[str, ...], max_degree: int):
-        super().__init__(f"monomial {'*'.join(factors) or '1'} has degree {len(factors)} > maximum {max_degree}")
+        super().__init__(f"monomial {_monomial_text(factors)} has degree {len(factors)} > maximum {max_degree}")
         self.factors = factors
         self.max_degree = max_degree
-
-
-class LoopError(Exception):
-    """A cycle with no integrator on it (an algebraic loop).  `cycle`
-    lists its elements in signal-flow order, the first repeated last."""
-
-    def __init__(self, cycle: list):
-        super().__init__(f"algebraic loop without an integrator: {' -> '.join(map(str, cycle))}")
-        self.cycle = cycle
-
-
-def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[int]:
-    """Order the keys of `reads` so that each comes after every key it
-    reads.  Values that are not keys are inputs and impose no order; among
-    keys whose reads are all placed, the smallest goes first.  Raises
-    LoopError naming one cycle when no such order exists.
-    """
-    pending = {k: {r for r in deps if r in reads} for k, deps in reads.items()}
-    readers: dict[int, list[int]] = {k: [] for k in reads}
-    for k, deps in pending.items():
-        for r in deps:
-            readers[r].append(k)
-    ready = [k for k, deps in pending.items() if not deps]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        k = heapq.heappop(ready)
-        order.append(k)
-        for reader in readers[k]:
-            pending[reader].discard(k)
-            if not pending[reader]:
-                heapq.heappush(ready, reader)
-    if len(order) == len(reads):
-        return order
-    # every key left over still reads another left-over key, so following
-    # those reads from any of them must come back to a key already seen
-    key = min(k for k, deps in pending.items() if deps)
-    path: list[int] = []
-    seen: dict[int, int] = {}
-    while key not in seen:
-        seen[key] = len(path)
-        path.append(key)
-        key = min(pending[key])
-    raise LoopError((path[seen[key]:] + [key])[::-1])
 
 
 MAX_DEGREE = 4  # highest monomial degree `build_circuit` accepts

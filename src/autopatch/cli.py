@@ -5,7 +5,9 @@ image), `simulate` (DSL or image to CSV traces), `diff`/`apply` (sparse
 reconfiguration scripts), `fabric` (switch-fabric economics and blocking
 experiments).  Diagnostics go to stderr with exit code 1; data goes to
 files or stdout.  Each command imports only the modules it runs, so
-`diff`, `apply` and `fabric` never load the compiler or the simulator.
+`diff`, `apply` and `fabric` never load the compiler or the simulator,
+and `simulate IMAGE.acfg` loads the image layers and the simulator but
+not the compiler (`dsl`, `circuit`, `router`).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import bitstream, router, sim
+    from . import sim
 
     settings = sim.SimSettings(
         dt=args.dt,
@@ -138,6 +140,8 @@ def _cmd_simulate(args) -> int:
             raise ValueError("--reference needs DSL input (an image carries no equations)")
         if args.quantize == "off":
             raise ValueError("--quantize off needs DSL input (an image holds only quantized coefficients)")
+        from . import bitstream
+
         spec = _parse_machine(args.machine)
         model = sim.build_dynamics(bitstream.decode(Path(args.input).read_bytes(), spec))
         # an image carries no signal names, so the model labels its used integrators I<slot>
@@ -157,6 +161,8 @@ def _cmd_simulate(args) -> int:
         names = sorted(trace.signals)
         sim.write_csv(out_dir / "out.csv", ["t"] + names, [trace.times] + [trace.signals[n] for n in names])
         return 0
+
+    from . import router
 
     if args.ic is not None:
         raise ValueError("--ic applies to .acfg inputs; DSL programs define their own initial conditions")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -507,17 +506,17 @@ def validate(stmts: list[Stmt]) -> Program:
 
     Raises ValidateError on: duplicate or missing `fn`/`diff`/initial
     statements, references to undeclared states, nonzero initial times,
-    plots with fewer than two axes, or duplicate `out` statements.
+    plots with fewer than two axes, or duplicate `out` statements.  A
+    missing derivative or initial condition is reported at the state's
+    `fn`.
     """
-    order: list[str] = []
-    ivars: dict[str, str] = {}
+    decls: dict[str, FnDecl] = {}  # in declaration order
     for stmt in stmts:
         if isinstance(stmt, FnDecl):
-            if stmt.name in ivars:
+            if stmt.name in decls:
                 raise ValidateError(f"duplicate declaration of state {stmt.name}", *stmt.pos)
-            ivars[stmt.name] = stmt.ivar
-            order.append(stmt.name)
-    if not order:
+            decls[stmt.name] = stmt
+    if not decls:
         line, col = (stmts[0].pos if stmts else (1, 1))
         raise ValidateError("no states declared", line, col)
 
@@ -527,17 +526,17 @@ def validate(stmts: list[Stmt]) -> Program:
     plots: list[tuple[str, str]] = []
     for stmt in stmts:
         if isinstance(stmt, DiffDef):
-            if stmt.state not in ivars:
+            if stmt.state not in decls:
                 raise ValidateError(f"derivative of undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in derivs:
                 raise ValidateError(f"duplicate derivative for state {stmt.state}", *stmt.pos)
             for var in postorder(stmt.expr):
-                if isinstance(var, Var) and var.name not in ivars:
+                if isinstance(var, Var) and var.name not in decls:
                     line, col = var.pos if var.pos != _NOPOS else stmt.pos
                     raise ValidateError(f"use of undeclared state {var.name}", line, col)
             derivs[stmt.state] = stmt.expr
         elif isinstance(stmt, InitDef):
-            if stmt.state not in ivars:
+            if stmt.state not in decls:
                 raise ValidateError(f"initial condition for undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in inits:
                 raise ValidateError(f"duplicate initial condition for state {stmt.state}", *stmt.pos)
@@ -545,107 +544,29 @@ def validate(stmts: list[Stmt]) -> Program:
                 raise ValidateError(f"initial conditions must be given at time 0, not {stmt.time}", *stmt.pos)
             inits[stmt.state] = stmt.value
         elif isinstance(stmt, OutStmt):
-            if stmt.state not in ivars:
+            if stmt.state not in decls:
                 raise ValidateError(f"out references undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in outputs:
                 raise ValidateError(f"duplicate out statement for state {stmt.state}", *stmt.pos)
             outputs.append(stmt.state)
         elif isinstance(stmt, PlotStmt):
             for _, state in stmt.axes:
-                if state not in ivars:
+                if state not in decls:
                     raise ValidateError(f"plot references undeclared state {state}", *stmt.pos)
             if len(stmt.axes) < 2:
                 raise ValidateError("plot requires at least two axes (x and y)", *stmt.pos)
             plots.append((stmt.axes[0][1], stmt.axes[1][1]))
 
-    for name in order:
+    for name, decl in decls.items():
         if name not in derivs:
-            raise ValidateError(f"state {name} has no derivative definition", 1, 1)
+            raise ValidateError(f"state {name} has no derivative definition", *decl.pos)
         if name not in inits:
-            raise ValidateError(f"state {name} has no initial condition", 1, 1)
+            raise ValidateError(f"state {name} has no initial condition", *decl.pos)
 
-    states = tuple(StateDef(name, ivars[name], derivs[name], inits[name]) for name in order)
+    states = tuple(StateDef(name, decl.ivar, derivs[name], inits[name]) for name, decl in decls.items())
     return Program(states, tuple(outputs), tuple(plots))
 
 
 def compile_source(source: str) -> Program:
     """tokenize + parse + validate in one call."""
     return validate(parse(tokenize(source)))
-
-
-# --------------------------------------------------------------------------
-# pretty printer
-
-
-def format_number(value: float) -> str:
-    """Render a nonnegative float as a plain decimal literal the lexer
-    accepts (no exponent notation)."""
-    text = repr(value)
-    if "e" in text or "E" in text:
-        text = format(Decimal(text), "f")
-    return text
-
-
-# binding strength of each node type in the grammar: a sum is an expr, a
-# product a term, a negation a factor; every other node is a primary
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Neg: 3}
-
-
-def format_expr(expr: Expr) -> str:
-    """Source text with only the parentheses that precedence and left
-    associativity need; re-parsing reproduces the tree.
-
-    A left operand of a binary node is wrapped when it binds less tightly
-    than the node, a right operand also when it binds equally.  A negative
-    constant, which has no literal, renders as `(-c)`.  The text is emitted
-    left to right from an explicit stack of pending nodes and text, so
-    long sums do not hit the recursion limit.
-    """
-    ops = {Add: "+", Sub: "-", Mul: "*"}
-    parts: list[str] = []
-    pending: list[Union[Expr, str]] = [expr]
-
-    def push(node: Expr, least: int) -> None:
-        if _PRECEDENCE.get(type(node), 4) < least:
-            pending.extend((")", node, "("))
-        else:
-            pending.append(node)
-
-    while pending:
-        node = pending.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, Const):
-            if node.value < 0:
-                parts.append(f"(-{format_number(-node.value)})")
-            else:
-                parts.append(format_number(node.value))
-        elif isinstance(node, Var):
-            parts.append(node.name)
-        elif isinstance(node, Neg):
-            parts.append("-")
-            push(node.operand, 3)
-        else:
-            level = _PRECEDENCE[type(node)]
-            push(node.right, level + 1)
-            pending.append(f" {ops[type(node)]} ")
-            push(node.left, level)
-    return "".join(parts)
-
-
-def format_program(program: Program) -> str:
-    """Canonical source text for a Program; parses back to an equal value."""
-    lines = []
-    for s in program.states:
-        lines.append(f"fn {s.name}({s.ivar});")
-    for s in program.states:
-        lines.append(f"let diff[{s.name}, {s.ivar}] = {format_expr(s.derivative)};")
-    for s in program.states:
-        sign = "-" if s.initial_value < 0 else ""
-        lines.append(f"let {s.name}({s.ivar}: 0) = {sign}{format_number(abs(s.initial_value))};")
-    by_name = {s.name: s for s in program.states}
-    for x, y in program.plots:
-        lines.append(f"plot(x: {x}({by_name[x].ivar}), y: {y}({by_name[y].ivar}));")
-    for name in program.outputs:
-        lines.append(f"out {name}({by_name[name].ivar});")
-    return "\n".join(lines) + "\n"

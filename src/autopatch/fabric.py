@@ -105,8 +105,9 @@ class FabricState:
     """Live link occupancy and routes of one fabric: bit j of `in_busy[i]`
     is set while the link from input block i to middle block j carries a
     route, bit j of `out_busy[b]` while the link from middle block j to
-    output block b does.  Mutating methods (`route_request`,
-    `remove_route`) either commit completely or leave the state untouched.
+    output block b does.  `route_request` either commits completely or
+    leaves the state untouched.  Routes are only added: a blocking trial
+    starts from a fresh state, so there is no `remove_route`.
     """
 
     def __init__(self, spec: FabricSpec):
@@ -156,20 +157,6 @@ class FabricState:
         path = RoutedPath(input, output, j)
         self.routes.append(path)
         return path
-
-    def remove_route(self, path: RoutedPath) -> None:
-        """Tear a route down, freeing its links and output."""
-        self.routes.remove(path)
-        self.in_busy[self.input_block(path.input)] &= ~(1 << path.middle_block)
-        self.out_busy[self.output_block(path.output)] &= ~(1 << path.middle_block)
-        self.output_used[path.output] = False
-
-    def check_invariants(self) -> None:
-        """Assert capacity and conservation invariants (test hook).  A link
-        used by two routes shows as a popcount below the route count."""
-        links = [sum(mask.bit_count() for mask in masks) for masks in (self.in_busy, self.out_busy)]
-        assert sum(self.output_used) == len(self.routes), "routes != occupied outputs"
-        assert links == [len(self.routes)] * 2, "link occupancy out of step with routes"
 
 
 @dataclass(frozen=True)

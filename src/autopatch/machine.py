@@ -10,14 +10,19 @@ machine has no summer elements at all.
 Two coefficient flavours exist: "high-res" lanes carry a signed 12-bit code
 over [-10, 10), "low-res" lanes carry a 3-bit code selecting one of eight
 round values (+-10, +-1, +-0.5, +-0.1).
+
+`dependency_order` orders elements by what they read, and `LoopError`
+names a cycle without an integrator; the compiler's loop check and the
+simulator's multiplier order both use them, so they live here, below both.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 HIGHRES_MIN = -2048
 HIGHRES_MAX = 2047
@@ -341,3 +346,51 @@ def format_config(config: MachineConfig) -> str:
             f"--[{decode(coeff)!r} ({coeff.kind.value},{coeff.code})]--> row{config.i_dest[lane]}"
         )
     return "\n".join(lines)
+
+
+# --------------------------------------------------------------------------
+# element ordering
+
+
+class LoopError(Exception):
+    """A cycle with no integrator on it (an algebraic loop).  `cycle`
+    lists its elements in signal-flow order, the first repeated last."""
+
+    def __init__(self, cycle: list):
+        super().__init__(f"algebraic loop without an integrator: {' -> '.join(map(str, cycle))}")
+        self.cycle = cycle
+
+
+def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[int]:
+    """Order the keys of `reads` so that each comes after every key it
+    reads.  Values that are not keys are inputs and impose no order; among
+    keys whose reads are all placed, the smallest goes first.  Raises
+    LoopError naming one cycle when no such order exists.
+    """
+    pending = {k: {r for r in deps if r in reads} for k, deps in reads.items()}
+    readers: dict[int, list[int]] = {k: [] for k in reads}
+    for k, deps in pending.items():
+        for r in deps:
+            readers[r].append(k)
+    ready = [k for k, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for reader in readers[k]:
+            pending[reader].discard(k)
+            if not pending[reader]:
+                heapq.heappush(ready, reader)
+    if len(order) == len(reads):
+        return order
+    # every key left over still reads another left-over key, so following
+    # those reads from any of them must come back to a key already seen
+    key = min(k for k, deps in pending.items() if deps)
+    path: list[int] = []
+    seen: dict[int, int] = {}
+    while key not in seen:
+        seen[key] = len(path)
+        path.append(key)
+        key = min(pending[key])
+    raise LoopError((path[seen[key]:] + [key])[::-1])

@@ -32,11 +32,13 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .circuit import LoopError, PolySystem, dependency_order
-from .dsl import Program
-from .machine import MachineConfig, NodeKind, Port, decode, validate_config
+from .machine import LoopError, MachineConfig, NodeKind, Port, decode, dependency_order, validate_config
+
+if TYPE_CHECKING:  # annotations only: an image run never loads the compiler
+    from .circuit import PolySystem
+    from .dsl import Program
 
 MAX_STEPS = 10**8  # most integration steps one run may take
 
@@ -273,7 +275,8 @@ class DynamicsModel:
     records; in clip mode it clamps every stage's states and products.
     Given a list `peaks` with one entry per element, it raises each entry
     to that element's |voltage| at y.  With 0 stages it only evaluates at
-    y.  `rhs` and `voltages` are views on that 0-stage call.
+    y, returning the integrator input sums and the voltages there; the
+    model has no separate `rhs` or `voltages` view on that call.
     """
 
     def __init__(self, state_labels, initial, element_labels, taps, step):
@@ -282,14 +285,6 @@ class DynamicsModel:
         self.element_labels: tuple[str, ...] = element_labels
         self.taps: dict[str, int] = taps
         self.step = step
-
-    def rhs(self, y, clip=None, clipped=None):
-        """The integrator input sums at y."""
-        return list(self.step(y, 0.0, 0, clip, clipped)[0])
-
-    def voltages(self, y, clip=None, clipped=None):
-        """The element voltages at y."""
-        return self.step(y, 0.0, 0, clip, clipped)[1]
 
 
 _LABELS = {NodeKind.INTEGRATOR: "I{}", NodeKind.MULTIPLIER: "M{}", NodeKind.CONST_ONE: "const"}
@@ -371,8 +366,10 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
 
 
 class ReferenceModel:
-    """Direct evaluator for an expanded polynomial system, with the `rhs`,
-    `voltages` and `step` of DynamicsModel."""
+    """Direct evaluator for an expanded polynomial system, with the
+    `step` of DynamicsModel.  Its `voltages`, `derivatives` and `rhs` are
+    the pieces `step` is built from; DynamicsModel has no such views, as
+    its generated step writes them out inline."""
 
     def __init__(self, system: PolySystem):
         self.state_labels = system.states

@@ -15,11 +15,10 @@ from autopatch.circuit import (
     build_circuit,
     dependency_order,
     detect_algebraic_loops,
-    evaluate_expr,
     format_circuit,
     normalize,
 )
-from autopatch.dsl import Add, Const, Mul, Neg, Program, StateDef, Sub, Var, compile_source
+from autopatch.dsl import Add, Const, Mul, Neg, Program, StateDef, Sub, Var, compile_source, postorder
 
 
 def program_for(**derivs):
@@ -28,6 +27,27 @@ def program_for(**derivs):
     lines += [f"let diff[{name}, t] = {rhs};" for name, rhs in derivs.items()]
     lines += [f"let {name}(t: 0) = 0;" for name in derivs]
     return compile_source("\n".join(lines))
+
+
+def evaluate_expr(expr, values):
+    """The expression's value at `values`, folded over a post-order walk."""
+    done = []  # operand values
+    for node in postorder(expr):
+        if isinstance(node, Const):
+            done.append(node.value)
+        elif isinstance(node, Var):
+            done.append(values[node.name])
+        elif isinstance(node, Neg):
+            done.append(-done.pop())
+        else:
+            right, left = done.pop(), done.pop()
+            if isinstance(node, Add):
+                done.append(left + right)
+            elif isinstance(node, Sub):
+                done.append(left - right)
+            else:
+                done.append(left * right)
+    return done.pop()
 
 
 def evaluate_terms(terms, values):
@@ -266,6 +286,14 @@ class TestDump:
         assert system.rhs[0] == system.rhs[1]
         assert system.rhs[0][0].factors == ("X", "Z")
         assert str(DegreeError((), 0)) == "monomial 1 has degree 0 > maximum 0"
+
+    def test_repeated_factors_print_as_powers(self):
+        assert str(DegreeError(("X", "X", "Y"), 2)) == "monomial X^2*Y has degree 3 > maximum 2"
+        assert str(DegreeError(("X",) * 300, 4)) == "monomial X^300 has degree 300 > maximum 4"
+        big = "9" * 200
+        with pytest.raises(ValueError) as err:
+            normalize(program_for(X=f"{big} * {big} * X * X * Y * Y * Y", Y="Y"))
+        assert str(err.value) == "constant folding overflowed for monomial X^2*Y^3"
 
 
 def recursive_evaluate_expr(expr, values):

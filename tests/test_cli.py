@@ -54,6 +54,13 @@ class TestCompile:
         assert "2:22" in err
         assert "Q" in err
 
+    def test_degree_300_product_is_refused_in_one_short_line(self, tmp_path, capsys):
+        src = write(tmp_path, "deep.odedsl", "fn X(t); let diff[X, t] = " + " * ".join(["X"] * 300) + "; let X(t: 0) = 0;")
+        assert main(["compile", src]) == 1
+        err = capsys.readouterr().err
+        assert err == "autopatch: error: monomial X^300 has degree 300 > maximum 4\n"
+        assert len(err) < 100
+
     def test_missing_file(self, capsys):
         assert main(["compile", "/nonexistent/f.odedsl"]) == 1
         assert "error" in capsys.readouterr().err
@@ -589,3 +596,10 @@ class TestImportFootprint:
         loaded = loaded_submodules(["diff", str(old), str(new), "-o", delta], ["apply", str(old), delta, "-o", out])
         assert loaded == {"autopatch.cli", "autopatch.bitstream", "autopatch.machine"}
         assert Path(out).read_bytes() == new.read_bytes()
+
+    def test_simulate_of_an_image_skips_the_compiler(self, tmp_path, lorenz_design):
+        image = tmp_path / "lorenz.acfg"
+        image.write_bytes(bitstream.encode(lorenz_design.config))
+        loaded = loaded_submodules(["simulate", str(image), "--t-end", "0.01", "--out-dir", str(tmp_path)])
+        assert loaded == {"autopatch.cli", "autopatch.bitstream", "autopatch.machine", "autopatch.sim"}
+        assert (tmp_path / "out.csv").read_text().startswith("t,I0,I1,I2\n")

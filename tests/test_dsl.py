@@ -1,6 +1,8 @@
 import math
 import re
 import string
+from decimal import Decimal
+from typing import Union
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from autopatch.dsl import (
     KEYWORDS,
     Add,
     Const,
+    Expr,
     LexError,
     Mul,
     Neg,
@@ -23,9 +26,6 @@ from autopatch.dsl import (
     ValidateError,
     Var,
     compile_source,
-    format_expr,
-    format_number,
-    format_program,
     parse,
     tokenize,
 )
@@ -42,6 +42,84 @@ def parse_derivative(source: str, state: str):
         if isinstance(stmt, DiffDef) and stmt.state == state:
             return stmt.expr
     raise AssertionError(f"no derivative for {state}")
+
+
+# pretty printer: canonical source text for expressions and programs,
+# the oracle of the round-trip tests
+
+
+def format_number(value: float) -> str:
+    """Render a nonnegative float as a plain decimal literal the lexer
+    accepts (no exponent notation)."""
+    text = repr(value)
+    if "e" in text or "E" in text:
+        text = format(Decimal(text), "f")
+    return text
+
+
+# binding strength of each node type in the grammar: a sum is an expr, a
+# product a term, a negation a factor; every other node is a primary
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Neg: 3}
+
+
+def format_expr(expr: Expr) -> str:
+    """Source text with only the parentheses that precedence and left
+    associativity need; re-parsing reproduces the tree.
+
+    A left operand of a binary node is wrapped when it binds less tightly
+    than the node, a right operand also when it binds equally.  A negative
+    constant, which has no literal, renders as `(-c)`.  The text is emitted
+    left to right from an explicit stack of pending nodes and text, so
+    long sums do not hit the recursion limit.
+    """
+    ops = {Add: "+", Sub: "-", Mul: "*"}
+    parts: list[str] = []
+    pending: list[Union[Expr, str]] = [expr]
+
+    def push(node: Expr, least: int) -> None:
+        if _PRECEDENCE.get(type(node), 4) < least:
+            pending.extend((")", node, "("))
+        else:
+            pending.append(node)
+
+    while pending:
+        node = pending.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, Const):
+            if node.value < 0:
+                parts.append(f"(-{format_number(-node.value)})")
+            else:
+                parts.append(format_number(node.value))
+        elif isinstance(node, Var):
+            parts.append(node.name)
+        elif isinstance(node, Neg):
+            parts.append("-")
+            push(node.operand, 3)
+        else:
+            level = _PRECEDENCE[type(node)]
+            push(node.right, level + 1)
+            pending.append(f" {ops[type(node)]} ")
+            push(node.left, level)
+    return "".join(parts)
+
+
+def format_program(program: Program) -> str:
+    """Canonical source text for a Program; parses back to an equal value."""
+    lines = []
+    for s in program.states:
+        lines.append(f"fn {s.name}({s.ivar});")
+    for s in program.states:
+        lines.append(f"let diff[{s.name}, {s.ivar}] = {format_expr(s.derivative)};")
+    for s in program.states:
+        sign = "-" if s.initial_value < 0 else ""
+        lines.append(f"let {s.name}({s.ivar}: 0) = {sign}{format_number(abs(s.initial_value))};")
+    by_name = {s.name: s for s in program.states}
+    for x, y in program.plots:
+        lines.append(f"plot(x: {x}({by_name[x].ivar}), y: {y}({by_name[y].ivar}));")
+    for name in program.outputs:
+        lines.append(f"out {name}({by_name[name].ivar});")
+    return "\n".join(lines) + "\n"
 
 
 class TestTokenize:
@@ -210,6 +288,19 @@ class TestValidate:
         with pytest.raises(ValidateError, match="no initial condition"):
             compile_source("fn X(t); let diff[X, t] = X;")
 
+    @pytest.mark.parametrize(
+        "missing, source",
+        [
+            ("no derivative definition", "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1;\n\n  fn Y(t); let Y(t: 0) = 0;\n"),
+            ("no initial condition", "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1;\n\n  fn Y(t); let diff[Y, t] = X;\n"),
+        ],
+        ids=["derivative", "initial"],
+    )
+    def test_missing_definition_points_at_the_fn(self, missing, source):
+        with pytest.raises(ValidateError) as err:
+            compile_source(source)
+        assert (err.value.message, err.value.line, err.value.column) == (f"state Y has {missing}", 5, 3)
+
     def test_nonzero_initial_time(self):
         with pytest.raises(ValidateError, match="time 0"):
             compile_source("fn X(t); let diff[X, t] = X; let X(t: 1) = 0;")
@@ -254,8 +345,6 @@ class TestRoundtrip:
 
     def test_small_decimal_formatting_stays_plain(self):
         # 1e-07 would be repr'd with an exponent; the formatter must not
-        from autopatch.dsl import format_number
-
         text = format_number(0.0000001)
         assert "e" not in text and "E" not in text
         assert float(text) == 0.0000001

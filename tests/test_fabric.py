@@ -52,6 +52,22 @@ class TestGeometry:
             FabricState(bad)
 
 
+def remove_route(state, path):
+    """Tear a route down, freeing its links and output."""
+    state.routes.remove(path)
+    state.in_busy[state.input_block(path.input)] &= ~(1 << path.middle_block)
+    state.out_busy[state.output_block(path.output)] &= ~(1 << path.middle_block)
+    state.output_used[path.output] = False
+
+
+def check_invariants(state):
+    """Assert capacity and conservation invariants.  A link used by two
+    routes shows as a popcount below the route count."""
+    links = [sum(mask.bit_count() for mask in masks) for masks in (state.in_busy, state.out_busy)]
+    assert sum(state.output_used) == len(state.routes), "routes != occupied outputs"
+    assert links == [len(state.routes)] * 2, "link occupancy out of step with routes"
+
+
 def snapshot(state):
     return tuple(state.in_busy), tuple(state.out_busy), tuple(state.output_used), tuple(state.routes)
 
@@ -67,7 +83,7 @@ class TestRouting:
         for k in range(320):
             result = state.route_request(k, k)
             assert isinstance(result, RoutedPath), f"request {k} blocked"
-        state.check_invariants()
+        check_invariants(state)
         assert len(state.routes) == 320
 
     def test_block_after_saturating_input_block_links(self):
@@ -105,7 +121,7 @@ class TestRouting:
         state.route_request(17, 33)
         before = snapshot(state)
         path = state.route_request(5, 100)
-        state.remove_route(path)
+        remove_route(state, path)
         assert snapshot(state) == before
 
     def test_invariants_under_random_churn(self):
@@ -114,12 +130,12 @@ class TestRouting:
         state = FabricState(spec)
         for _ in range(500):
             if state.routes and rng.random() < 0.4:
-                state.remove_route(rng.choice(state.routes))
+                remove_route(state, rng.choice(state.routes))
             else:
                 output = rng.randrange(spec.total_outputs)
                 if not state.output_used[output]:
                     state.route_request(rng.randrange(spec.total_inputs), output)
-            state.check_invariants()
+            check_invariants(state)
 
     def test_conservation(self):
         state = FabricState(simstar_spec())
@@ -266,7 +282,7 @@ class TestMatchesMatrixOccupancy:
             roll = rng.random()
             if ref.routes and roll < 0.3:
                 path = rng.choice(ref.routes)
-                state.remove_route(path)
+                remove_route(state, path)
                 ref.remove_route(path)
                 continue
             input = rng.randrange(-1, spec.total_inputs + 1)
@@ -277,7 +293,7 @@ class TestMatchesMatrixOccupancy:
             if isinstance(expected, Blocked):
                 unreachable = output // spec.output.outputs_per_block >= spec.middle.outputs_per_block
                 kinds.add("unreachable" if unreachable else "saturated")
-            state.check_invariants()
+            check_invariants(state)
             assert_same_occupancy(state, ref)
         assert {"RoutedPath", "saturated", OutputBusyError, IndexError} <= kinds
         assert ("unreachable" in kinds) == (spec is SMALL_SPEC)

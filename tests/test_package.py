@@ -28,6 +28,12 @@ def test_row_vocabulary_lives_in_machine():
     assert circuit.Port is machine.Port
 
 
+def test_dependency_order_lives_in_machine():
+    assert machine.LoopError.__module__ == machine.dependency_order.__module__ == "autopatch.machine"
+    assert circuit.LoopError is machine.LoopError
+    assert circuit.dependency_order is machine.dependency_order
+
+
 def test_version_is_eager():
     assert "__version__" in vars(autopatch)
     assert autopatch.__version__ == "0.1.0"

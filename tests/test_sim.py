@@ -33,6 +33,14 @@ from autopatch.sim import (
 )
 
 
+def evaluate(model, y, clip=None, clipped=None):
+    """The integrator input sums and the element voltages at y, from the
+    model's 0-stage step; a DynamicsModel, a ReferenceModel and a
+    LoopModel all answer it."""
+    derivs, volts = model.step(y, 0.0, 0, clip, clipped)
+    return list(derivs), volts
+
+
 def pipeline(source: str, spec=None):
     program = compile_source(source)
     system = normalize(program)
@@ -50,7 +58,7 @@ class TestBuildDynamics:
     def test_lorenz_rhs_matches_quantized_hand_evaluation(self, lorenz_design):
         model = build_dynamics(lorenz_design.config)
         assert model.state_labels == ("X", "Y", "I2")
-        d = model.rhs([0.1, 0.0, 0.0])
+        d, _ = evaluate(model, [0.1, 0.0, 0.0])
         # hand evaluation with decoded 12-bit coefficients
         g = lambda w: decode_coeff(CoefficientCode.highres(quantize_highres(w)))
         assert d[0] == -1.0 * 0.1 + g(1.8) * 0.0
@@ -60,7 +68,7 @@ class TestBuildDynamics:
 
     def test_bypass_rhs_matches_exact_weights(self, lorenz_system, lorenz_design):
         model = build_dynamics(lorenz_design.config, lane_weights=lorenz_design.lane_weight_map())
-        d = model.rhs([0.1, 0.0, 0.0])
+        d, _ = evaluate(model, [0.1, 0.0, 0.0])
         assert d[0] == -0.1
         assert d[1] == 1.56 * 0.1
         assert d[2] == 0.0
@@ -76,7 +84,7 @@ class TestBuildDynamics:
         spec = lucidac_spec()
         config = support.with_lanes(MachineConfig.empty(spec), (24, 0, CoefficientCode.lowres(6), 0))
         model = build_dynamics(config)
-        assert model.rhs([2.0]) == [-2.0]
+        assert evaluate(model, [2.0])[0] == [-2.0]
 
     def test_invalid_config_rejected(self):
         config = support.with_lanes(MachineConfig.empty(lucidac_spec()), (0, 1, CoefficientCode.highres(0), None))
@@ -113,7 +121,7 @@ class TestBuildDynamics:
         )
         _, system, design = pipeline(src)
         model = build_dynamics(design.config, lane_weights=design.lane_weight_map())
-        assert model.rhs(model.initial) == [0.0, 0.5 * 2.0 * 2.0 * 2.0]
+        assert evaluate(model, model.initial)[0] == [0.0, 0.5 * 2.0 * 2.0 * 2.0]
         trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0))
         assert trace.signals["X"][-1] == pytest.approx(4.0, rel=1e-12)
         ref = run_reference(system, SimSettings(dt=1e-3, t_end=1.0))
@@ -135,7 +143,7 @@ class TestBuildDynamics:
         spec = lucidac_spec()
         config = support.with_lanes(MachineConfig.empty(spec), (0, 13, CoefficientCode.highres(2047), 0))
         model = build_dynamics(config)
-        assert model.rhs([0.5]) == [0.0]
+        assert evaluate(model, [0.5])[0] == [0.0]
 
     def test_lane_contribution_scales_exactly_with_gain(self):
         spec = lucidac_spec()
@@ -143,7 +151,7 @@ class TestBuildDynamics:
         base = build_dynamics(config, lane_weights={0: 0.3})
         doubled = build_dynamics(config, lane_weights={0: 0.6})
         for x in (0.1, -0.7, 0.93):
-            assert doubled.rhs([x])[0] == 2.0 * base.rhs([x])[0]
+            assert evaluate(doubled, [x])[0][0] == 2.0 * evaluate(base, [x])[0][0]
 
 
 class TestRun:
@@ -509,12 +517,11 @@ def assert_same_evaluation(model, loop, points, clips=(None, 0.3, 1.2)):
     # products of clamped states exceed the clip level only when it is above 1
     for y in points:
         for clip in clips:
-            for method in ("rhs", "voltages"):
-                got_clipped, want_clipped = set(), set()
-                want = getattr(loop, method)(y, clip, want_clipped)
-                assert hexes(getattr(model, method)(y, clip, got_clipped)) == hexes(want), (method, y, clip)
-                assert got_clipped == want_clipped, (method, y, clip)
-                assert hexes(getattr(model, method)(y, clip)) == hexes(want), (method, y, clip)
+            got_clipped, want_clipped = set(), set()
+            want = [hexes(values) for values in evaluate(loop, y, clip, want_clipped)]
+            assert [hexes(values) for values in evaluate(model, y, clip, got_clipped)] == want, (y, clip)
+            assert got_clipped == want_clipped, (y, clip)
+            assert [hexes(values) for values in evaluate(model, y, clip)] == want, (y, clip)
 
 
 def run_outcome(model, settings, initial=None, runner=run):
@@ -578,7 +585,7 @@ class TestGeneratedEvaluator:
         assert {e.element for e in clipped.clip_events} == {"I0", "I1", "I2"}
         # products clip only above a clip level of 1: |x*y| <= clip**2
         events = set()
-        assert hexes(model.voltages([1.5, 1.5, -1.5], 2.0, events)) == hexes([1.5, 1.5, -1.5, 2.0, -2.0])
+        assert hexes(evaluate(model, [1.5, 1.5, -1.5], 2.0, events)[1]) == hexes([1.5, 1.5, -1.5, 2.0, -2.0])
         assert events == {3, 4}
 
     def test_constant_row(self):
@@ -604,7 +611,7 @@ class TestGeneratedEvaluator:
 
     def test_empty_configuration(self):
         model = self.check(MachineConfig.empty(lucidac_spec()), runs=[SimSettings(dt=0.1, t_end=1.0, clip=0.5)])
-        assert model.rhs(()) == [] and model.voltages((), 0.5, set()) == []
+        assert evaluate(model, ())[0] == [] and evaluate(model, (), 0.5, set())[1] == []
 
     def test_tap_on_multiplier_output(self, lorenz_design):
         config = _lorenz_with_multiplier_tap(lorenz_design)
@@ -631,13 +638,13 @@ class TestGeneratedEvaluator:
         model = self.check(config, runs=[SimSettings(dt=1e-2, t_end=2.0, clip=1.2)])
         events = set()
         half, one = decode_coeff(code(0.5)), decode_coeff(code(1.0))
-        assert model.voltages([0.9, 0.8], 1.2, events)[2:] == [1.2, (half * 1.2) * (one * 0.8)]
+        assert evaluate(model, [0.9, 0.8], 1.2, events)[1][2:] == [1.2, (half * 1.2) * (one * 0.8)]
         assert events == {2}
 
     def test_nan_voltage_records_a_clip_event(self, lorenz_design):
         model = build_dynamics(lorenz_design.config)
         clipped = set()
-        out = model.rhs([math.nan, 0.1, 0.1], 1.0, clipped)
+        out = evaluate(model, [math.nan, 0.1, 0.1], 1.0, clipped)[0]
         assert clipped == {0, 3, 4}  # X itself and both products that read it
         assert all(math.isnan(v) for v in out[:2])
 
