@@ -12,6 +12,7 @@ several edges land on the same input port.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -77,10 +78,7 @@ def _expand(expr: Expr, state: str) -> dict[tuple[str, ...], float]:
 def _monomial_text(factors: tuple[str, ...]) -> str:
     """A sorted factor tuple as text, a repeated factor as a power:
     `X^2*Y`, `X^300`, or `1` for the constant one."""
-    powers: dict[str, int] = {}
-    for f in factors:
-        powers[f] = powers.get(f, 0) + 1
-    return "*".join(f if p == 1 else f"{f}^{p}" for f, p in powers.items()) or "1"
+    return "*".join(f if p == 1 else f"{f}^{p}" for f, p in Counter(factors).items()) or "1"
 
 
 def _to_terms(weights: Mapping[tuple[str, ...], float]) -> tuple[Term, ...]:
