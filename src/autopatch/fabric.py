@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 
 MAX_PORTS = 1 << 16  # most inputs or outputs of any stage that a FabricState models
+MAX_REQUESTS = 10**8  # most requests, trials times load, that a blocking experiment issues
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,9 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
         raise ValueError(f"load {load} outside [0, {spec.total_outputs}]")
     if trials < 1:
         raise ValueError("need at least one trial")
+    requests = trials * max(load, 1)  # a trial at load 0 still costs a reseed
+    if requests > MAX_REQUESTS:
+        raise ValueError(f"{trials} trials at load {load} issue {requests} requests; at most {MAX_REQUESTS} are run")
     spec.check_wirable()  # before the per-output list, whose size the spec sets
     # draws are in range and outputs distinct, so route_request's checks are skipped
     n_inputs, n_outputs = spec.total_inputs, spec.total_outputs

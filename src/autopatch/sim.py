@@ -16,9 +16,10 @@ product, since 1.0 * x is x bit for bit.  Given a `peaks` list, a step
 also raises each element's entry to the element's |voltage| at the step's
 start, so `run` keeps no per-sample loop over the elements.
 
-The reference path stays a plain interpreter over the expanded polynomial
-system (weight and factor tuple per term), independent of the generated
-code, so it can check the hardware path; the two share only `_clamper`.
+The reference path evaluates the expanded polynomial system through its
+own monomial table (`ReferenceModel`), independent of the circuit and the
+generated code, so it can check the hardware path; the two share only
+`_clamper`.  It rounds exactly as a per-term product loop from 1.0 would.
 `run` steps every model through its `step`, so both paths go through the
 same loop and the same stage arithmetic, and with quantization bypassed
 they are comparable step for step; residual differences are
@@ -369,17 +370,30 @@ class ReferenceModel:
     """Direct evaluator for an expanded polynomial system, with the
     `step` of DynamicsModel.  Its `voltages`, `derivatives` and `rhs` are
     the pieces `step` is built from; DynamicsModel has no such views, as
-    its generated step writes them out inline."""
+    its generated step writes them out inline.
+
+    Slot i < n of the table is state i's voltage and slot n the constant
+    1.0; each later slot is a factor prefix of length >= 2, in (length,
+    factors) order, the product of its prefix one factor shorter and its
+    last factor.  A monomial is thus multiplied once however many terms
+    use it, left to right over its sorted factors, and a term is (weight,
+    slot): the products and sums of a per-term loop that starts each
+    product at 1.0, as 1.0 * x is x bit for bit."""
 
     def __init__(self, system: PolySystem):
         self.state_labels = system.states
         self.element_labels = system.states
         self.initial = system.initial
         self.taps = {name: i for i, name in enumerate(system.states)}
-        self._terms = tuple(
-            tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms)
-            for terms in system.rhs
-        )
+        n = len(system.states)
+        slot = {(name,): i for name, i in self.taps.items()}
+        slot[()] = n
+        prefixes = {t.factors[:k] for terms in system.rhs for t in terms for k in range(2, len(t.factors) + 1)}
+        self._chain = []
+        for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
+            slot[prefix] = k
+            self._chain.append((slot[prefix[:-1]], slot[prefix[-1:]]))
+        self._terms = tuple(tuple((t.weight, slot[t.factors]) for t in terms) for terms in system.rhs)
 
     def voltages(self, y, clip=None, clipped=None):
         if clip is None:
@@ -392,14 +406,14 @@ class ReferenceModel:
 
     def derivatives(self, volts):
         """The right-hand sides at the element voltages `volts`."""
+        v = [*volts, 1.0]
+        for a, b in self._chain:
+            v.append(v[a] * v[b])
         out = []
         for terms in self._terms:
             acc = 0.0
-            for weight, factors in terms:
-                prod = 1.0
-                for i in factors:
-                    prod *= volts[i]
-                acc += weight * prod
+            for weight, k in terms:
+                acc += weight * v[k]
             out.append(acc)
         return out
 

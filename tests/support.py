@@ -77,6 +77,20 @@ def random_polynomial_expr(rng: random.Random, names: list[str], max_degree: int
             return expr
 
 
+def random_program(seed: int, n_states: int):
+    """The random-program oracle's draw: states A, B, ... (at most five),
+    each with a random polynomial of degree <= 4 and a random initial value."""
+    from autopatch.dsl import Program, StateDef
+
+    rng = random.Random(seed)
+    names = ["A", "B", "C", "D", "E"][:n_states]
+    states = tuple(
+        StateDef(name, "t", random_polynomial_expr(rng, names, max_degree=4), round(rng.uniform(-0.5, 0.5), 3))
+        for name in names
+    )
+    return Program(states, tuple(names), ())
+
+
 def terms_to_system(states, per_state_terms, initial=None) -> PolySystem:
     rhs = tuple(
         tuple(Term(w, tuple(sorted(factors))) for w, factors in terms)

@@ -12,7 +12,7 @@ from autopatch import bitstream, circuit, cli, dsl, router, sim
 from autopatch.circuit import MAX_TERMS
 from autopatch.cli import main
 from autopatch.dsl import MAX_NESTING
-from autopatch.fabric import MAX_PORTS
+from autopatch.fabric import MAX_PORTS, MAX_REQUESTS
 from autopatch.machine import MAX_LANES, MAX_ROWS, MachineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,15 +309,18 @@ class TestDiffApply:
 
 
 # Compiles a program in a child process that may not map more than 1 GiB, so
-# a runaway expansion fails there, and prints the exit code and the
-# tracemalloc peak.
+# a runaway expansion fails there, and prints the exit code and the peak
+# resident size of the child's own image, interpreter included, in bytes.
+# That is VmHWM, which Linux reports in kB: ru_maxrss would carry the peak of
+# the test process across fork and exec, and tracemalloc, which counts only
+# Python allocations, slows the refusal more than tenfold.
 _COMPILE_CHILD = """
-import resource, sys, tracemalloc
+import re, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from autopatch.cli import main
-tracemalloc.start()
 status = main(["compile", sys.argv[1]])
-print(status, tracemalloc.get_traced_memory()[1])
+with open("/proc/self/status") as f:
+    print(status, int(re.search(r"^VmHWM:\\s+(\\d+) kB$", f.read(), re.M)[1]) * 1024)
 """
 
 
@@ -440,6 +443,15 @@ class TestFabric:
         assert captured.out == ""
         assert f"at most {MAX_PORTS}" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_experiment_past_request_bound_is_refused(self, capsys):
+        trials = 100_000_000_000
+        assert main(["fabric", "--spec", "simstar", "--experiment", "--load", "1", "--trials", str(trials)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"autopatch: error: {trials} trials at load 1 issue {trials} requests; at most {MAX_REQUESTS} are run\n"
+        )
 
     def test_count_stays_unbounded(self, capsys):
         assert main(["fabric", "--spec", "custom:1x1x1,1x1x1,1x1x1000000000", "--count"]) == 0

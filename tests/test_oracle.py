@@ -14,7 +14,6 @@ Programs the machine cannot hold (`CapacityError`) are skipped.
 """
 
 import dataclasses
-import random
 
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -22,24 +21,12 @@ import hypothesis.strategies as st
 import support
 from autopatch.bitstream import decode, encode
 from autopatch.circuit import build_circuit, normalize
-from autopatch.dsl import Program, StateDef
 from autopatch.machine import MachineSpec, lucidac_spec
 from autopatch.router import CapacityError, route_design
 from autopatch.sim import NonFiniteError, SimSettings, build_dynamics, max_abs_deviation, run, run_reference
 
-NAMES = ["A", "B", "C", "D", "E"]
 SPECS = [lucidac_spec(), MachineSpec(8, 16, 64)]
 SETTINGS = SimSettings(dt=0.01, t_end=0.5)
-
-
-def random_program(seed: int, n_states: int) -> Program:
-    rng = random.Random(seed)
-    names = NAMES[:n_states]
-    states = tuple(
-        StateDef(name, "t", support.random_polynomial_expr(rng, names, max_degree=4), round(rng.uniform(-0.5, 0.5), 3))
-        for name in names
-    )
-    return Program(states, tuple(names), ())
 
 
 def outcome(model):
@@ -57,7 +44,7 @@ def simulated(simulate, *args):
 @settings(max_examples=500, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 5), spec=st.sampled_from(SPECS))
 def test_random_program_matches_reference_and_image(seed, n_states, spec):
-    program = random_program(seed, n_states)
+    program = support.random_program(seed, n_states)
     system = normalize(program)
     try:
         design = route_design(build_circuit(system, program), spec)

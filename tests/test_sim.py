@@ -4,6 +4,8 @@ import random
 import re
 from pathlib import Path
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 import support
@@ -852,6 +854,84 @@ class TestRunParity:
             outcome = run_outcome(model, settings, nan_state)
             assert outcome == run_outcome(model, settings, nan_state, legacy_run)
             assert outcome[0] == "non-finite" and outcome[2] == float.hex(dt)
+
+
+# --------------------------------------------------------------------------
+# the reference's monomial table against the per-term factor loop
+
+
+class TermLoopModel(sim.ReferenceModel):
+    """The reference evaluator as it was while `derivatives` multiplied
+    out every term's factor tuple on each call, before each distinct
+    monomial got one product per call.  Kept here as the bit-for-bit
+    reference for `ReferenceModel.derivatives`."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self._factor_terms = tuple(
+            tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms) for terms in system.rhs
+        )
+
+    def derivatives(self, volts):
+        out = []
+        for terms in self._factor_terms:
+            acc = 0.0
+            for weight, factors in terms:
+                prod = 1.0
+                for i in factors:
+                    prod *= volts[i]
+                acc += weight * prod
+            out.append(acc)
+        return out
+
+
+# signed zeros, infinities, NaN, subnormals and magnitudes whose products overflow
+SPECIAL_VOLTS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]
+VOLTS = st.one_of(st.sampled_from(SPECIAL_VOLTS), st.floats(), st.floats(-2.0, 2.0))
+WEIGHTS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def term_systems(draw):
+    """A PolySystem over one to five states: either a normalized program of
+    the random-program oracle, or raw term lists with monomials of degree
+    up to 6, so repeated factors (A*A*B), constant terms and empty
+    right-hand sides occur; on request each monomial's prefixes join its
+    state's terms, so A*B sits next to A*B*C."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return normalize(support.random_program(draw(st.integers(0, 2**32 - 1)), n))
+    names = "ABCDE"[:n]
+    monomials = st.lists(st.sampled_from(names), max_size=6).map(lambda factors: tuple(sorted(factors)))
+    per_state = []
+    for _ in names:
+        terms = draw(st.lists(monomials, max_size=5))
+        if draw(st.booleans()):
+            terms += [m[:k] for m in terms for k in range(len(m))]
+        per_state.append([(draw(WEIGHTS), m) for m in terms])
+    return support.terms_to_system(names, per_state)
+
+
+class TestReferenceDerivatives:
+    @settings(max_examples=300, deadline=None)
+    @given(system=term_systems(), data=st.data())
+    def test_matches_the_term_loop(self, system, data):
+        n = len(system.states)
+        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        for volts in data.draw(st.lists(st.lists(VOLTS, min_size=n, max_size=n), min_size=1, max_size=4)):
+            assert hexes(model.derivatives(volts)) == hexes(loop.derivatives(volts)), volts
+
+    @settings(max_examples=4, deadline=None)
+    @given(system=term_systems(), data=st.data())
+    def test_run_reference_matches_the_term_loop(self, system, data):
+        n = len(system.states)
+        initial = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        system = dataclasses.replace(system, initial=tuple(initial))
+        loop = TermLoopModel(system)
+        for clip in (None, 0.3):
+            run_settings = SimSettings(dt=0.05, t_end=1.0, clip=clip)
+            reference = run_outcome(loop, run_settings, runner=lambda _model, _initial, s: run_reference(system, s))
+            assert reference == run_outcome(loop, run_settings)
 
 
 def _tapped_only(n_states):
