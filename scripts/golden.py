@@ -5,8 +5,9 @@ Each command runs in process through `autopatch.cli.main`, inside one
 scratch directory that holds copies of the example programs, the
 500-state program of tests/support.py, a program whose lucidac route
 overflows the low-res lanes and clamps coefficients, a program whose
-state becomes non-finite, an image cut short, a product of degree 300
-and a program with a state that has no derivative.  For every command
+state becomes non-finite, an image cut short, a product of degree 300,
+a program with a state that has no derivative, Lorenz with one
+coefficient changed and a script with an unknown opcode.  For every command
 the script prints one sha256 per output file it wrote or changed, and
 one each for its stdout, stderr and exit code, as
 `<hex digest>  <command>/<what>`.
@@ -61,6 +62,10 @@ CORPUS = (
     ("diff-short-image", ["diff", "short.acfg", "decay.acfg", "-o", "short.acdl"]),
     ("compile-degree-300", ["compile", "deep.odedsl"]),
     ("compile-missing-derivative", ["compile", "missing.odedsl"]),
+    ("route-lorenz-edit", ["route", "lorenz-edit.odedsl", "-o", "lorenz-edit.acfg"]),
+    ("diff-lorenz-edit", ["diff", "lorenz.acfg", "lorenz-edit.acfg", "-o", "lorenz-edit.acdl"]),
+    ("apply-lorenz-edit", ["apply", "lorenz.acfg", "lorenz-edit.acdl", "-o", "lorenz-edit-applied.acfg"]),
+    ("apply-bad-opcode", ["apply", "lorenz.acfg", "bad-opcode.acdl", "-o", "x.acfg"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -71,6 +76,9 @@ SHORT_IMAGE = b"ACFG\x01"
 
 #: a product of degree 300, refused by the degree check in one line
 DEEP = "fn X(t);\nlet diff[X, t] = " + " * ".join(["X"] * 300) + ";\nlet X(t: 0) = 0.5;\n"
+
+#: a script whose single record has opcode 9, which `apply` refuses at offset 9
+BAD_OPCODE = b"ACDL\x01\x01\x00\x00\x00\x09\x00\x00\x00\x00"
 
 #: a second state with no derivative, declared at line 5, column 3
 MISSING = "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1;\n\n  fn Y(t); let Y(t: 0) = 0;\n"
@@ -121,6 +129,10 @@ def run_corpus() -> list[str]:
         (work / "short.acfg").write_bytes(SHORT_IMAGE)
         (work / "deep.odedsl").write_text(DEEP, encoding="utf-8")
         (work / "missing.odedsl").write_text(MISSING, encoding="utf-8")
+        # the smallest program switch: one coefficient of Lorenz changed
+        lorenz = (work / "lorenz.odedsl").read_text(encoding="utf-8")
+        (work / "lorenz-edit.odedsl").write_text(lorenz.replace("1.8 * Y", "1.7 * Y"), encoding="utf-8")
+        (work / "bad-opcode.acdl").write_bytes(BAD_OPCODE)
         os.chdir(work)
         try:
             for name, argv in CORPUS:

@@ -14,17 +14,22 @@ of lanes and looks only at the set bytes.  Decoded coefficients are the
 shared per-code instances of `CoefficientCode`, read from one unpack of
 the coefficient words, and diff compares lanes identity first.  So the
 row-field work scales with the wired lanes, not with lanes x field width.
+
+Delta records are NamedTuples, packed and unpacked through one `Struct`,
+so the delta codec costs in proportion to the ops.  In a reconfiguration
+round the row sections still cost in proportion to the wired lanes, and
+the coefficient words, `apply` and its `validate_config` to all lanes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .machine import CoefficientCode, MachineConfig, MachineSpec, validate_config
+from .machine import CoefficientCode, MachineConfig, MachineSpec, shared_highres, shared_lowres, validate_config
 
 MAGIC = b"ACFG"
 DELTA_MAGIC = b"ACDL"
@@ -98,7 +103,9 @@ def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, wh
     """Row per lane.  A block of lanes whose fields are all zero is skipped
     with one comparison; in the other blocks the set bytes are found by
     translating the block to a 0/1 mark string and stepping through it.  So
-    the work scales with the wired lanes, not with lanes x field width."""
+    the work scales with the wired lanes, not with lanes x field width.
+    One `find` per set byte suffices: the next set byte is either a second
+    row in the same field or the next hit."""
     width = _row_field_bytes(rows)
     block = _SCAN_LANES * width
     zero = bytes(block)
@@ -114,13 +121,14 @@ def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, wh
             field = at - at % width
             lane = (start - base + field) // width
             byte = chunk[at]
-            if byte & (byte - 1) or marks.find(1, at + 1, field + width) >= 0:
+            following = marks.find(1, at + 1)
+            if byte & (byte - 1) or 0 <= following < field + width:
                 raise FormatError(start + field, f"lane {lane}: multiple {what} rows selected")
             row = 8 * (at - field) + byte.bit_length() - 1
             if row >= rows:
                 raise FormatError(start + field, f"lane {lane}: {what} row {row} outside [0, {rows})")
             entries[lane] = row
-            at = marks.find(1, field + width)
+            at = following
     return entries
 
 
@@ -155,12 +163,18 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     d = _decode_row_section(image, i_base, spec, spec.in_rows, "destination")
 
     # one shared code per distinct word and lane kind (high-res words are
-    # signed, low-res words unsigned); a word outside its kind's range maps to
-    # the ValueError that names it, and the lowest lane holding one is reported
+    # signed, low-res words unsigned), most often one hit among the shared
+    # instances; a word that misses is built or maps to the ValueError that
+    # names it, and the lowest lane holding such a word is reported
     words = struct.unpack_from(f"<{n}H", image, c_base)
     signed = {word: word - 0x10000 if word & 0x8000 else word for word in set(words)}
-    high = {word: _code_or_error(CoefficientCode.highres, code) for word, code in signed.items()}
-    low = {word: _code_or_error(CoefficientCode.lowres, word) for word in {words[lane] for lane in spec.lowres_lanes}}
+    high = {
+        word: shared_highres(code) or _code_or_error(CoefficientCode.highres, code) for word, code in signed.items()
+    }
+    low = {
+        word: shared_lowres(word) or _code_or_error(CoefficientCode.lowres, word)
+        for word in {words[lane] for lane in spec.lowres_lanes}
+    }
     coeffs = list(map(high.get, words))
     for lane in spec.lowres_lanes:
         coeffs[lane] = low[words[lane]]
@@ -182,8 +196,16 @@ class OpCode(IntEnum):
     SET_I_DEST = 3
 
 
-@dataclass(frozen=True)
-class DeltaOp:
+_OPCODES = {op.value: op for op in OpCode}
+# the members under module names: on CPython 3.11 looking a member up on the
+# enum class costs about 0.1 us, and the delta code names one or more per op
+_SET_U_SOURCE, _SET_COEFF, _SET_I_DEST = OpCode.SET_U_SOURCE, OpCode.SET_COEFF, OpCode.SET_I_DEST
+
+# one delta record: opcode byte, lane u16, payload u16
+_RECORD = struct.Struct("<BHH")
+
+
+class DeltaOp(NamedTuple):
     opcode: OpCode
     lane: int
     value: Optional[int]  # row index, None (disconnect), or coefficient code
@@ -205,11 +227,11 @@ def diff(old: MachineConfig, new: MachineConfig) -> DeltaScript:
         if u0 is u1 and c0 is c1 and d0 is d1:
             continue
         if u0 != u1:
-            ops.append(DeltaOp(OpCode.SET_U_SOURCE, lane, u1))
+            ops.append(DeltaOp(_SET_U_SOURCE, lane, u1))
         if c0 is not c1 and c0 != c1:
-            ops.append(DeltaOp(OpCode.SET_COEFF, lane, c1.code))
+            ops.append(DeltaOp(_SET_COEFF, lane, c1.code))
         if d0 != d1:
-            ops.append(DeltaOp(OpCode.SET_I_DEST, lane, d1))
+            ops.append(DeltaOp(_SET_I_DEST, lane, d1))
     return DeltaScript(tuple(ops))
 
 
@@ -218,31 +240,32 @@ def apply(config: MachineConfig, script: DeltaScript) -> MachineConfig:
     validated before it is returned, so a partial or invalid state is
     never observable."""
     spec = config.spec
+    n_lanes, out_rows, in_rows, lowres_lanes = spec.n_lanes, spec.out_rows, spec.in_rows, spec.lowres_lanes
     u = list(config.u_source)
     c = list(config.coefficients)
     d = list(config.i_dest)
-    for op in script.ops:
-        if not 0 <= op.lane < spec.n_lanes:
-            raise RangeError(f"lane {op.lane} outside [0, {spec.n_lanes})")
-        if op.opcode is OpCode.SET_U_SOURCE:
-            if op.value is not None and not 0 <= op.value < spec.out_rows:
-                raise RangeError(f"lane {op.lane}: source row {op.value} outside [0, {spec.out_rows})")
-            u[op.lane] = op.value
-        elif op.opcode is OpCode.SET_I_DEST:
-            if op.value is not None and not 0 <= op.value < spec.in_rows:
-                raise RangeError(f"lane {op.lane}: destination row {op.value} outside [0, {spec.in_rows})")
-            d[op.lane] = op.value
-        elif op.opcode is OpCode.SET_COEFF:
-            if op.value is None:
-                raise RangeError(f"lane {op.lane}: coefficient op carries no code")
-            make = CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres
-            code = _code_or_error(make, op.value)
+    for opcode, lane, value in script.ops:
+        if not 0 <= lane < n_lanes:
+            raise RangeError(f"lane {lane} outside [0, {n_lanes})")
+        if opcode is _SET_U_SOURCE:
+            if value is not None and not 0 <= value < out_rows:
+                raise RangeError(f"lane {lane}: source row {value} outside [0, {out_rows})")
+            u[lane] = value
+        elif opcode is _SET_I_DEST:
+            if value is not None and not 0 <= value < in_rows:
+                raise RangeError(f"lane {lane}: destination row {value} outside [0, {in_rows})")
+            d[lane] = value
+        elif opcode is _SET_COEFF:
+            if value is None:
+                raise RangeError(f"lane {lane}: coefficient op carries no code")
+            make = CoefficientCode.lowres if lane in lowres_lanes else CoefficientCode.highres
+            code = _code_or_error(make, value)
             if isinstance(code, ValueError):
-                raise RangeError(f"lane {op.lane}: {code}")
-            c[op.lane] = code
+                raise RangeError(f"lane {lane}: {code}")
+            c[lane] = code
         else:
-            raise RangeError(f"unknown opcode {op.opcode}")
-    updated = replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
+            raise RangeError(f"unknown opcode {opcode}")
+    updated = MachineConfig(spec, tuple(u), tuple(c), tuple(d), config.initial_states, config.taps)
     problems = validate_config(updated)
     if problems:
         raise ValidationError(problems)
@@ -253,12 +276,13 @@ def encode_delta(script: DeltaScript) -> bytes:
     """Serialize a script: magic, version, op count, then fixed-size
     records (opcode byte, lane u16, payload u16; 0xFFFF payload = none)."""
     out = [DELTA_MAGIC, bytes([FORMAT_VERSION]), struct.pack("<I", len(script.ops))]
-    for op in script.ops:
-        if op.opcode is OpCode.SET_COEFF:
-            payload = op.value & 0xFFFF
+    pack = _RECORD.pack
+    for opcode, lane, value in script.ops:
+        if opcode is _SET_COEFF:
+            payload = value & 0xFFFF
         else:
-            payload = NONE_PAYLOAD if op.value is None else op.value
-        out.append(struct.pack("<BHH", op.opcode, op.lane, payload))
+            payload = NONE_PAYLOAD if value is None else value
+        out.append(pack(opcode, lane, payload))
     return b"".join(out)
 
 
@@ -270,18 +294,15 @@ def decode_delta(data: bytes) -> DeltaScript:
     if data[4] != FORMAT_VERSION:
         raise FormatError(4, f"unsupported format version {data[4]}")
     (count,) = struct.unpack_from("<I", data, 5)
-    expected = 9 + count * 5
+    expected = 9 + count * _RECORD.size
     if len(data) != expected:
         raise FormatError(9, f"script is {len(data)} bytes, expected {expected} for {count} ops")
     ops = []
-    for k in range(count):
-        offset = 9 + k * 5
-        opcode_raw, lane, payload = struct.unpack_from("<BHH", data, offset)
-        try:
-            opcode = OpCode(opcode_raw)
-        except ValueError:
-            raise FormatError(offset, f"unknown opcode {opcode_raw}") from None
-        if opcode is OpCode.SET_COEFF:
+    for k, (opcode_raw, lane, payload) in enumerate(_RECORD.iter_unpack(data[9:])):
+        opcode = _OPCODES.get(opcode_raw)
+        if opcode is None:
+            raise FormatError(9 + k * _RECORD.size, f"unknown opcode {opcode_raw}")
+        if opcode is _SET_COEFF:
             value: Optional[int] = payload - 0x10000 if payload & 0x8000 else payload
         else:
             value = None if payload == NONE_PAYLOAD else payload

@@ -89,6 +89,10 @@ class CoefficientCode:
 # int codes are stored, so each dict holds at most 4096 or 8 entries.
 _HIGHRES_CODES: dict[int, CoefficientCode] = {}
 _LOWRES_CODES: dict[int, CoefficientCode] = {}
+# the shared instance for a code, or None while there is none: one dict
+# lookup, for a caller that resolves many codes and builds on a miss
+shared_highres = _HIGHRES_CODES.get
+shared_lowres = _LOWRES_CODES.get
 
 
 def _shared_code(shared: dict[int, CoefficientCode], kind: CoefKind, code: int) -> CoefficientCode:

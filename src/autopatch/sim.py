@@ -531,11 +531,10 @@ def max_abs_deviation(a: Trace, b: Trace) -> float:
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[float]]) -> None:
-    rows = len(columns[0]) if columns else 0
+    row = ",".join(["%.17g"] * len(columns)) + "\n"  # "%.17g" % x is f"{x:.17g}"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(rows):
-            fh.write(",".join(f"{col[r]:.17g}" for col in columns) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:

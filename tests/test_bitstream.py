@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -29,6 +30,7 @@ from autopatch.machine import (
     MachineSpec,
     lucidac_spec,
     redac_tile_spec,
+    validate_config,
 )
 
 
@@ -302,13 +304,35 @@ class TestDeltaWireFormat:
             decode_delta(b"WHAT\x01\x00\x00\x00\x00")
 
 
+class TestDeltaOpRecord:
+    def test_repr(self):
+        op = DeltaOp(OpCode.SET_COEFF, 0, 777)
+        assert repr(op) == "DeltaOp(opcode=<OpCode.SET_COEFF: 2>, lane=0, value=777)"
+        assert repr(decode_delta(encode_delta(DeltaScript((op,)))).ops[0]) == repr(op)
+
+    def test_equal_ops_hash_equal(self):
+        a, b = DeltaOp(OpCode.SET_I_DEST, 7, None), DeltaOp(OpCode.SET_I_DEST, 7, None)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, DeltaOp(OpCode.SET_I_DEST, 7, 0)}) == 2
+
+    @pytest.mark.parametrize("name", ["opcode", "lane", "value"])
+    def test_fields_are_read_only(self, name):
+        op = DeltaOp(OpCode.SET_U_SOURCE, 1, 2)
+        with pytest.raises(AttributeError):
+            setattr(op, name, 3)
+        assert op == DeltaOp(OpCode.SET_U_SOURCE, 1, 2)
+
+
 # --------------------------------------------------------------------------
 # parity with the lane-by-lane codec
 #
 # Test-local copies of the codec as it was before decode, encode and diff
-# learned to skip unwired lanes and to share coefficient codes.  The
-# properties below require the same bytes, the same configurations and
-# scripts, and the same FormatError (offset and reason) on malformed images.
+# learned to skip unwired lanes and to share coefficient codes, and of the
+# delta codec and apply as they were before delta records became tuples
+# packed through one Struct.  The properties below require the same bytes,
+# the same configurations and scripts, and the same FormatError (offset and
+# reason) on malformed images, and the same exception (class, text and
+# offset) from the delta path on malformed scripts.
 
 
 def _loop_row_section_bytes(rows):
@@ -389,6 +413,78 @@ def loop_diff(old, new):
     return DeltaScript(tuple(ops))
 
 
+def loop_apply(config, script):
+    spec = config.spec
+    u = list(config.u_source)
+    c = list(config.coefficients)
+    d = list(config.i_dest)
+    for op in script.ops:
+        if not 0 <= op.lane < spec.n_lanes:
+            raise RangeError(f"lane {op.lane} outside [0, {spec.n_lanes})")
+        if op.opcode is OpCode.SET_U_SOURCE:
+            if op.value is not None and not 0 <= op.value < spec.out_rows:
+                raise RangeError(f"lane {op.lane}: source row {op.value} outside [0, {spec.out_rows})")
+            u[op.lane] = op.value
+        elif op.opcode is OpCode.SET_I_DEST:
+            if op.value is not None and not 0 <= op.value < spec.in_rows:
+                raise RangeError(f"lane {op.lane}: destination row {op.value} outside [0, {spec.in_rows})")
+            d[op.lane] = op.value
+        elif op.opcode is OpCode.SET_COEFF:
+            if op.value is None:
+                raise RangeError(f"lane {op.lane}: coefficient op carries no code")
+            make = CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres
+            try:
+                code = make(op.value)
+            except ValueError as exc:
+                raise RangeError(f"lane {op.lane}: {exc}") from None
+            c[op.lane] = code
+        else:
+            raise RangeError(f"unknown opcode {op.opcode}")
+    updated = dataclasses.replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
+    problems = validate_config(updated)
+    if problems:
+        raise ValidationError(problems)
+    return updated
+
+
+def loop_encode_delta(script):
+    out = [b"ACDL", bytes([1]), struct.pack("<I", len(script.ops))]
+    for op in script.ops:
+        if op.opcode is OpCode.SET_COEFF:
+            payload = op.value & 0xFFFF
+        else:
+            payload = 0xFFFF if op.value is None else op.value
+        out.append(struct.pack("<BHH", op.opcode, op.lane, payload))
+    return b"".join(out)
+
+
+def loop_decode_delta(data):
+    if len(data) < 9:
+        raise FormatError(0, f"script is {len(data)} bytes, shorter than the 9-byte header")
+    if data[:4] != b"ACDL":
+        raise FormatError(0, f"bad magic {data[:4]!r}")
+    if data[4] != 1:
+        raise FormatError(4, f"unsupported format version {data[4]}")
+    (count,) = struct.unpack_from("<I", data, 5)
+    expected = 9 + count * 5
+    if len(data) != expected:
+        raise FormatError(9, f"script is {len(data)} bytes, expected {expected} for {count} ops")
+    ops = []
+    for k in range(count):
+        offset = 9 + k * 5
+        opcode_raw, lane, payload = struct.unpack_from("<BHH", data, offset)
+        try:
+            opcode = OpCode(opcode_raw)
+        except ValueError:
+            raise FormatError(offset, f"unknown opcode {opcode_raw}") from None
+        if opcode is OpCode.SET_COEFF:
+            value = payload - 0x10000 if payload & 0x8000 else payload
+        else:
+            value = None if payload == 0xFFFF else payload
+        ops.append(DeltaOp(opcode, lane, value))
+    return DeltaScript(tuple(ops))
+
+
 # small custom machines: row counts on both sides of a multiple of 8 (and 0
 # input rows), a low-res top quarter from 4 lanes up, 0-3 reserved rows
 _small_specs = st.builds(MachineSpec, st.integers(0, 12), st.integers(0, 6), st.integers(0, 40), st.integers(0, 3))
@@ -424,11 +520,17 @@ def _spec_and_configs(draw, count):
     return (spec,) + tuple(draw(_small_config(spec)) for _ in range(count))
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, errors=FormatError):
+    """What a call returns (a configuration with its annotations), or the
+    class, text and offset of one of the `errors` it raises; any other
+    exception propagates and fails the test."""
     try:
-        return ("ok", fn(*args))
-    except FormatError as exc:
-        return ("FormatError", exc.offset, exc.reason)
+        out = fn(*args)
+    except errors as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    if isinstance(out, MachineConfig):
+        return out, out.initial_states, out.taps
+    return out
 
 
 @st.composite
@@ -464,6 +566,66 @@ def _mutated_images(draw):
             cut = draw(st.integers(-3, 3).filter(bool))
             image = image[:cut] if cut < 0 else image + bytes(cut)
     return spec, bytes(image)
+
+
+@st.composite
+def _delta_bytes(draw):
+    """Random bytes, a well-formed header over random records, or the
+    encoding of a real script with bits set, words rewritten or the
+    length changed."""
+    kind = draw(st.sampled_from(["random", "records", "mutated"]))
+    if kind == "random":
+        return draw(st.binary(max_size=40))
+    if kind == "records":
+        count = draw(st.integers(0, 6))
+        return b"ACDL\x01" + struct.pack("<I", count) + draw(st.binary(min_size=5 * count, max_size=5 * count))
+    _, a, b = draw(_spec_and_configs(2))
+    data = bytearray(encode_delta(diff(a, b)))
+    faults = draw(st.lists(st.sampled_from(["bit", "word", "length"]), min_size=1, max_size=3))
+    # a wrong length goes last, so the other faults see at least the header
+    for fault in sorted(faults, key=lambda fault: fault == "length"):
+        if fault == "bit":
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] |= 1 << draw(st.integers(0, 7))
+        elif fault == "word" and len(data) >= 11:
+            struct.pack_into("<H", data, draw(st.integers(9, len(data) - 2)), draw(st.integers(0, 0xFFFF)))
+        elif fault == "length":
+            data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=6))
+    return bytes(data)
+
+
+@st.composite
+def _delta_ops(draw, spec):
+    """One op that may fault: an unknown opcode (a plain int, even one
+    equal to a member's value), a lane outside the machine or the u16
+    field, a row or code outside its range, a None coefficient payload, or
+    code -1 (wire 0xFFFF)."""
+    opcode = draw(st.sampled_from(OpCode) | st.integers(0, 9))
+    lane = st.sampled_from([-1, spec.n_lanes, 0xFFFF, 0x10000])
+    if spec.n_lanes:
+        lane |= st.integers(0, spec.n_lanes - 1)
+    if opcode is OpCode.SET_COEFF:
+        value = st.none() | st.integers(-1, 8) | st.sampled_from([-2049, -2048, 2047, 2048, 0x8000])
+    else:
+        value = st.none() | st.integers(-1, max(spec.out_rows, spec.in_rows)) | st.sampled_from([0xFFFF, 0x10000])
+    return DeltaOp(opcode, draw(lane), draw(value))
+
+
+@st.composite
+def _base_and_scripts(draw):
+    """A base configuration with random annotations, and the script of its
+    diff to another configuration with zero to three ops from `_delta_ops`
+    inserted anywhere."""
+    spec, a, b = draw(_spec_and_configs(2))
+    base = dataclasses.replace(
+        a,
+        initial_states=tuple(draw(st.floats(-1, 1)) for _ in range(spec.n_integrators)),
+        taps=tuple((f"T{k}", draw(st.integers(0, spec.out_rows - 1))) for k in range(draw(st.integers(0, 2)))),
+    )
+    ops = list(diff(a, b).ops)
+    for _ in range(draw(st.integers(0, 3))):
+        ops.insert(draw(st.integers(0, len(ops))), draw(_delta_ops(spec)))
+    return base, DeltaScript(tuple(ops))
 
 
 class TestMatchesLaneLoopCodec:
@@ -503,7 +665,7 @@ class TestMatchesLaneLoopCodec:
             bad = bytearray(image)
             bad[at] |= 0x81
             assert _outcome(decode, bytes(bad), spec) == _outcome(loop_decode, bytes(bad), spec)
-            assert _outcome(decode, bytes(bad), spec)[0] == "FormatError"
+            assert _outcome(decode, bytes(bad), spec)[0] is FormatError
 
     @pytest.mark.parametrize(
         "faults",
@@ -521,7 +683,25 @@ class TestMatchesLaneLoopCodec:
             image[at] = value
         outcome = _outcome(decode, bytes(image), spec)
         assert outcome == _outcome(loop_decode, bytes(image), spec)
-        assert outcome[0] == "FormatError"
+        assert outcome[0] is FormatError
+
+    @given(_base_and_scripts(), _delta_bytes())
+    @settings(max_examples=150, deadline=None)
+    def test_delta_codec_and_apply(self, case, data):
+        base, script = case
+        # encoding refuses a field outside u16 (struct.error) and a
+        # coefficient op without a code (TypeError); apply and decode_delta
+        # raise only their own errors
+        encoding, applying = (struct.error, TypeError), (RangeError, ValidationError)
+        encoded = _outcome(encode_delta, script, errors=encoding)
+        assert encoded == _outcome(loop_encode_delta, script, errors=encoding)
+        assert _outcome(apply, base, script, errors=applying) == _outcome(loop_apply, base, script, errors=applying)
+        for wire in (data, encoded) if isinstance(encoded, bytes) else (data,):
+            received = _outcome(decode_delta, wire)
+            assert received == _outcome(loop_decode_delta, wire)
+            if isinstance(received, DeltaScript):
+                applied = _outcome(apply, base, received, errors=applying)
+                assert applied == _outcome(loop_apply, base, received, errors=applying)
 
     def test_decoded_codes_are_shared(self):
         spec = lucidac_spec()
@@ -529,32 +709,6 @@ class TestMatchesLaneLoopCodec:
         for lane, code in enumerate(config.coefficients):
             shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
             assert code is shared(code.code)
-
-
-@st.composite
-def _delta_bytes(draw):
-    """Random bytes, a well-formed header over random records, or the
-    encoding of a real script with bits set, words rewritten or the
-    length changed."""
-    kind = draw(st.sampled_from(["random", "records", "mutated"]))
-    if kind == "random":
-        return draw(st.binary(max_size=40))
-    if kind == "records":
-        count = draw(st.integers(0, 6))
-        return b"ACDL\x01" + struct.pack("<I", count) + draw(st.binary(min_size=5 * count, max_size=5 * count))
-    _, a, b = draw(_spec_and_configs(2))
-    data = bytearray(encode_delta(diff(a, b)))
-    faults = draw(st.lists(st.sampled_from(["bit", "word", "length"]), min_size=1, max_size=3))
-    # a wrong length goes last, so the other faults see at least the header
-    for fault in sorted(faults, key=lambda fault: fault == "length"):
-        if fault == "bit":
-            at = draw(st.integers(0, len(data) - 1))
-            data[at] |= 1 << draw(st.integers(0, 7))
-        elif fault == "word" and len(data) >= 11:
-            struct.pack_into("<H", data, draw(st.integers(9, len(data) - 2)), draw(st.integers(0, 0xFFFF)))
-        elif fault == "length":
-            data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=6))
-    return bytes(data)
 
 
 @given(_spec_and_configs(1), _delta_bytes())
