@@ -7,7 +7,9 @@ scratch directory that holds copies of the example programs, the
 overflows the low-res lanes and clamps coefficients, a program whose
 state becomes non-finite, an image cut short, a product of degree 300,
 a program with a state that has no derivative, Lorenz with one
-coefficient changed and a script with an unknown opcode.  For every command
+coefficient changed, a script with an unknown opcode, a program laid out
+with CRLF line ends, tabs and comments (one at the end of the file with
+no newline), and a program whose lex error follows tabs.  For every command
 the script prints one sha256 per output file it wrote or changed, and
 one each for its stdout, stderr and exit code, as
 `<hex digest>  <command>/<what>`.
@@ -66,6 +68,9 @@ CORPUS = (
     ("diff-lorenz-edit", ["diff", "lorenz.acfg", "lorenz-edit.acfg", "-o", "lorenz-edit.acdl"]),
     ("apply-lorenz-edit", ["apply", "lorenz.acfg", "lorenz-edit.acdl", "-o", "lorenz-edit-applied.acfg"]),
     ("apply-bad-opcode", ["apply", "lorenz.acfg", "bad-opcode.acdl", "-o", "x.acfg"]),
+    ("compile-layout", ["compile", "layout.odedsl", "--emit-ir"]),
+    ("route-layout", ["route", "layout.odedsl", "-o", "layout.acfg", "--emit-config"]),
+    ("compile-lex-error-after-tabs", ["compile", "tabs.odedsl"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -82,6 +87,23 @@ BAD_OPCODE = b"ACDL\x01\x01\x00\x00\x00\x09\x00\x00\x00\x00"
 
 #: a second state with no derivative, declared at line 5, column 3
 MISSING = "fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1;\n\n  fn Y(t); let Y(t: 0) = 0;\n"
+
+#: an oscillator with CRLF line ends, tabs, end-of-line comments and a final
+#: comment with no newline; written as bytes, so the CRLFs reach the file
+LAYOUT = (
+    "# a damped oscillator\r\n"
+    "fn\tX(t);\tfn Y(t);  # two states\r\n"
+    "let diff[X,\tt]\t=\tY;\r\n"
+    "\tlet diff[Y, t] = -0.25 * X - 0.1 * Y;\t# spring and damper\r\n"
+    "\r\n"
+    "let X(t: 0) = 0.5;\tlet Y(t: 0) = 0;\r\n"
+    "plot(x: X(t), y: Y(t));\r\n"
+    "out X(t);\t\t# end-of-line comment\r\n"
+    "# a comment at the end of the file"
+)
+
+#: a lex error on a line that starts with two tabs: `$` is at line 2, column 20
+TABS = "fn X(t);\n\t\tlet diff[X, t] = $X;\nlet X(t: 0) = 1;\n"
 
 
 def _sha(data: bytes) -> str:
@@ -133,6 +155,8 @@ def run_corpus() -> list[str]:
         lorenz = (work / "lorenz.odedsl").read_text(encoding="utf-8")
         (work / "lorenz-edit.odedsl").write_text(lorenz.replace("1.8 * Y", "1.7 * Y"), encoding="utf-8")
         (work / "bad-opcode.acdl").write_bytes(BAD_OPCODE)
+        (work / "layout.odedsl").write_bytes(LAYOUT.encode())
+        (work / "tabs.odedsl").write_text(TABS, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:
