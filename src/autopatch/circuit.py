@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .dsl import Add, Const, Expr, Neg, Program, Sub, Var, postorder
+from .dsl import Const, Expr, Mul, Neg, Program, Sub, Var, postorder
 from .machine import LoopError, NodeKind, Port, dependency_order
 
 # Most monomials one expansion may hold at any point.  Each term of a
@@ -25,7 +25,7 @@ from .machine import LoopError, NodeKind, Port, dependency_order
 MAX_TERMS = 65536
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)  # not frozen: a frozen __init__ costs ~3x as much
 class Term:
     weight: float
     factors: tuple[str, ...]  # sorted; () is the constant one
@@ -44,35 +44,55 @@ class PolySystem:
         return sum(len(terms) for terms in self.rhs)
 
 
+def _times(m1: tuple, m2: tuple) -> tuple:
+    """Product of two monomials keyed by sorted (variable, power) pairs.
+    A pair whose variable is in one operand only is reused, not copied, so
+    a key holds about as much memory as the factor tuple it stands for."""
+    pairs = {pair[0]: pair for pair in m1}
+    for pair in m2:
+        var = pair[0]
+        have = pairs.get(var)
+        pairs[var] = pair if have is None else (var, have[1] + pair[1])
+    return tuple(sorted(pairs.values()))
+
+
 def _expand(expr: Expr, state: str) -> dict[tuple[str, ...], float]:
     """Weight per sorted factor tuple, folded over a post-order walk.
-    Refuses once an operand or a partial product exceeds MAX_TERMS."""
-    done: list[dict[tuple[str, ...], float]] = []  # expanded operands
+    Refuses once an operand or a partial product exceeds MAX_TERMS.
+
+    While folding, a monomial is keyed by its sorted (variable, power)
+    pairs (`X*X*Y` is `(("X", 2), ("Y", 1))`), so a product costs time in
+    the number of distinct variables, not in the degree: k copies of
+    `(1 + X)` take O(k^2) work, not O(k^3).  The keys returned are sorted
+    factor tuples again.
+    """
+    done: list[dict[tuple, float]] = []  # expanded operands
     for node in postorder(expr):
-        if isinstance(node, Const):
+        kind = type(node)
+        if kind is Var:
+            done.append({((node.name, 1),): 1.0})
+        elif kind is Const:
             done.append({(): node.value})
-        elif isinstance(node, Var):
-            done.append({(node.name,): 1.0})
-        elif isinstance(node, Neg):
-            done.append({m: -w for m, w in done.pop().items()})
-        elif isinstance(node, (Add, Sub)):
-            right, left = done.pop(), done[-1]
-            sign = -1.0 if isinstance(node, Sub) else 1.0
-            for m, w in right.items():
-                left[m] = left.get(m, 0.0) + sign * w
-        else:
+        elif kind is Mul:
             right, left = done.pop(), done.pop()
-            out: dict[tuple[str, ...], float] = {}
+            out: dict[tuple, float] = {}
             for m1, w1 in left.items():
                 for m2, w2 in right.items():
-                    key = tuple(sorted(m1 + m2))
+                    key = _times(m1, m2) if m1 and m2 else m1 or m2
                     out[key] = out.get(key, 0.0) + w1 * w2
                 if len(out) > MAX_TERMS:
                     break
             done.append(out)
+        elif kind is Neg:
+            done.append({m: -w for m, w in done.pop().items()})
+        else:  # Add or Sub
+            right, left = done.pop(), done[-1]
+            sign = -1.0 if kind is Sub else 1.0
+            for m, w in right.items():
+                left[m] = left.get(m, 0.0) + sign * w
         if len(done[-1]) > MAX_TERMS:
             raise ValueError(f"derivative of {state} expands to more than {MAX_TERMS} monomials")
-    return done.pop()
+    return {sum(((var,) * power for var, power in m), ()): w for m, w in done.pop().items()}
 
 
 def _monomial_text(factors: tuple[str, ...]) -> str:
@@ -82,10 +102,12 @@ def _monomial_text(factors: tuple[str, ...]) -> str:
 
 
 def _to_terms(weights: Mapping[tuple[str, ...], float]) -> tuple[Term, ...]:
+    terms = []
     for m, w in weights.items():
         if not math.isfinite(w):
             raise ValueError(f"constant folding overflowed for monomial {_monomial_text(m)}")
-    terms = [Term(w, m) for m, w in weights.items() if w != 0.0]
+        if w != 0.0:
+            terms.append(Term(w, m))
     terms.sort(key=lambda t: (len(t.factors), t.factors))
     return tuple(terms)
 

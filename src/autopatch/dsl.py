@@ -14,6 +14,14 @@ binary/unary `-`, `*`, and parentheses.  `*` binds over `+`/`-`, both
 associate left, unary minus binds tighter than `*`.  `#` starts a comment
 running to end of line.  The independent variable of every reference must
 match the one declared in the state's `fn` statement.
+
+The front end pays little per token and per tree node: `tokenize` makes one
+regular-expression match per token, blanks and comments included; the
+parser reads a token list that ends in a sentinel token, so no helper checks
+the list's length; and the tree nodes and statements are `slots` dataclasses
+that are not frozen, because a frozen `__init__` costs about four times as
+much.  Statements keep their field-wise hash (`unsafe_hash`), nodes their
+position-blind equality and hash (`_Node`); no code assigns to either.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Union
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 # Deepest nesting of '(' and unary '-' in one expression.  The parser spends
@@ -70,54 +78,68 @@ class Token(NamedTuple):
     column: int
 
 
-# Alternatives are tried in order; blanks and comments match no named group.
-# A digit run followed by a letter matches whole as `malformed`, so it is
-# refused rather than split into a number and a name.  re.ASCII keeps `\d`
-# to the ASCII digits, so `١` is an unexpected character.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<malformed>\d+(?:\.\d+)?[A-Za-z_])"
-    r"|(?P<number>\d+(?:\.\d*)?)"
-    r"|(?P<punct>[()\[\],:;=+\-*])"
-    r"|(?P<bad>.)",
+    r"[ \t\r]*(?:#[^\n]*)?(?:([()\[\],:;=+\-*])"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(\n)"
+    r"|(\d+(?:\.\d+)?[A-Za-z_])"
+    r"|(\d+(?:\.\d*)?)"
+    r"|(.)|\Z)",
     re.ASCII,
 )
-_KINDS = {"ident": TokenKind.IDENT, "number": TokenKind.NUMBER, "punct": TokenKind.PUNCT}
+_PUNCT, _IDENT, _NEWLINE, _MALFORMED, _NUMBER, _BAD = range(1, 7)
 
 
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, tracking 1-based line/column.
 
-    One regular expression, `_TOKEN`, scans the text; each match is read
-    by the name of its group.  Numbers are plain decimals (`12`, `0.5`);
-    exponent notation and a bare trailing dot are rejected.  Signs are
-    expression-level tokens, not part of number lexemes.
+    One regular expression, `_TOKEN`, scans the text with one match per
+    token or newline: the match skips the blanks and the comment before
+    its token, and one alternative captures the token, read by group
+    index (`lastindex`).  The text's end is one last match that captures
+    no group, so trailing blanks and a final comment match once and the
+    greedy prefix never backtracks into a blank that `.` would take; the
+    scan is linear in the text.  The alternatives are tried most frequent
+    first.  A digit run followed by a letter matches whole as malformed,
+    before the number alternative, so it is refused rather than split
+    into a number and a name.  re.ASCII keeps `\\d` to the ASCII digits,
+    so `١` is an unexpected character.
+
+    Numbers are plain decimals (`12`, `0.5`); exponent notation and a bare
+    trailing dot are rejected.  Signs are expression-level tokens, not
+    part of number lexemes.
     """
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    append, new = tokens.append, tuple.__new__  # Token(...) without its Python-level __new__
+    # members bound once: a member lookup on the enum class costs ~0.1 µs per token
+    keyword, ident, number, punct = TokenKind.KEYWORD, TokenKind.IDENT, TokenKind.NUMBER, TokenKind.PUNCT
+    line, before_line = 1, -1  # a token's column is its offset minus before_line
     for match in _TOKEN.finditer(source):
-        group = match.lastgroup
-        if group is None:
-            continue
-        if group == "newline":
+        group = match.lastindex
+        if group == _PUNCT:
+            append(new(Token, (punct, match[group], line, match.start(group) - before_line)))
+        elif group == _IDENT:
+            word = match[group]
+            append(new(Token, (keyword if word in KEYWORDS else ident, word, line, match.start(group) - before_line)))
+        elif group == _NEWLINE:
             line += 1
-            line_start = match.end()
-            continue
-        word = match.group()
-        col = match.start() - line_start + 1
-        if group == "number":
+            before_line = match.start(group)
+        elif group is None:
+            break  # the end of the text
+        else:
+            word = match[group]
+            col = match.start(group) - before_line
+            if group == _MALFORMED:
+                raise LexError(
+                    f"malformed number: {word!r} (exponent notation is not supported)", line, col + len(word) - 1
+                )
+            if group == _BAD:
+                raise LexError(f"unexpected character {word!r}", line, col)
             if word[-1] == ".":
                 raise LexError("digits required after decimal point", line, col + len(word) - 1)
             if not math.isfinite(float(word)):
                 raise LexError(f"number {word[:24]}... overflows the representable range", line, col)
-        elif group == "malformed":
-            raise LexError(
-                f"malformed number: {word!r} (exponent notation is not supported)", line, col + len(word) - 1
-            )
-        elif group == "bad":
-            raise LexError(f"unexpected character {word!r}", line, col)
-        tokens.append(Token(TokenKind.KEYWORD if word in KEYWORDS else _KINDS[group], word, line, col))
+            append(new(Token, (number, word, line, col)))
     return tokens
 
 
@@ -133,7 +155,12 @@ class _Node:
     their post-order sequences of (node type, leaf value or name) are,
     which with each type's fixed arity fixes the shape; positions do not
     count.  The walk is iterative, so deep trees compare and hash without
-    hitting the recursion limit."""
+    hitting the recursion limit.
+
+    The empty `__slots__` keeps the `slots` node types free of a
+    `__dict__`, which would make each node larger and slower to build."""
+
+    __slots__ = ()
 
     def _key(self) -> tuple:
         return tuple((type(n), getattr(n, "value", getattr(n, "name", None))) for n in postorder(self))
@@ -147,40 +174,40 @@ class _Node:
         return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Const(_Node):
     value: float
     pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Var(_Node):
     name: str
     pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Add(_Node):
     left: "Expr"
     right: "Expr"
     pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Sub(_Node):
     left: "Expr"
     right: "Expr"
     pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Mul(_Node):
     left: "Expr"
     right: "Expr"
     pos: Pos = field(default=_NOPOS, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Neg(_Node):
     operand: "Expr"
     pos: Pos = field(default=_NOPOS, repr=False)
@@ -213,21 +240,21 @@ def postorder(expr: Expr) -> Iterator[Expr]:
 # statements (parser output, pre-validation)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FnDecl:
     name: str
     ivar: str
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class DiffDef:
     state: str
     expr: Expr
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class InitDef:
     state: str
     time: float
@@ -235,13 +262,13 @@ class InitDef:
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class PlotStmt:
     axes: tuple[tuple[str, str], ...]  # (axis label, state name)
     pos: Pos
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class OutStmt:
     state: str
     pos: Pos
@@ -251,10 +278,18 @@ Stmt = Union[FnDecl, DiffDef, InitDef, PlotStmt, OutStmt]
 
 
 class _Parser:
-    """Recursive-descent parser over the token list."""
+    """Recursive-descent parser over the token list.
+
+    The parser works on a copy of the list that ends in a sentinel token
+    placed where input ends: no lexeme or kind matches it, so `_at`,
+    `_expect` and `_take` index the current token once without a bounds
+    check, and a diagnostic at the end names the sentinel's position.
+    """
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        last = tokens[-1] if tokens else Token(None, "", 1, 1)
+        self.end = Token(None, "", last.line, last.column + len(last.lexeme))
+        self.tokens = [*tokens, self.end]
         self.pos = 0
         self.ivars: dict[str, str] = {}  # declared state -> independent variable
         self.deferred: list[tuple[str, Token]] = []  # references met before their state's `fn`
@@ -262,43 +297,29 @@ class _Parser:
 
     # --- token plumbing
 
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _here(self) -> Pos:
-        tok = self._peek()
-        if tok is not None:
-            return (tok.line, tok.column)
-        if self.tokens:
-            last = self.tokens[-1]
-            return (last.line, last.column + len(last.lexeme))
-        return (1, 1)
-
     def _fail(self, expected: str) -> ParseError:
-        tok = self._peek()
-        found = f"{tok.lexeme!r}" if tok else "end of input"
-        line, col = self._here()
-        return ParseError(f"expected {expected}, found {found}", line, col, expected, found)
+        tok = self.tokens[self.pos]
+        found = "end of input" if tok is self.end else repr(tok.lexeme)
+        return ParseError(f"expected {expected}, found {found}", tok.line, tok.column, expected, found)
 
     def _at(self, symbol: str) -> bool:
         """Whether the current token is the punctuation mark or keyword
         `symbol`.  Only the lexeme is compared: no identifier or number
         spells one, since keywords lex as KEYWORD."""
-        tok = self._peek()
-        return tok is not None and tok.lexeme == symbol
+        return self.tokens[self.pos].lexeme == symbol
 
     def _expect(self, symbol: str) -> Token:
         """Consume the punctuation mark or keyword `symbol`."""
-        tok = self._peek()
-        if tok is None or tok.lexeme != symbol:
+        tok = self.tokens[self.pos]
+        if tok.lexeme != symbol:
             raise self._fail(f"'{symbol}'")
         self.pos += 1
         return tok
 
     def _take(self, kind: TokenKind, what: str) -> Token:
         """Consume an identifier or number, described as `what` if absent."""
-        tok = self._peek()
-        if tok is None or tok.kind is not kind:
+        tok = self.tokens[self.pos]
+        if tok.kind is not kind:
             raise self._fail(what)
         self.pos += 1
         return tok
@@ -307,28 +328,25 @@ class _Parser:
         """Enter one more '(' or unary '-' (the current token)."""
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            line, col = self._here()
+            tok = self.tokens[self.pos]
             expected = f"at most {MAX_NESTING} nested '(' and unary '-'"
-            raise ParseError(f"expression nested too deeply: {expected}", line, col, expected, repr(self._peek().lexeme))
+            raise ParseError(
+                f"expression nested too deeply: {expected}", tok.line, tok.column, expected, repr(tok.lexeme)
+            )
 
     def _check_ivar(self, state: str, tok: Token):
         declared = self.ivars.get(state)
         if declared is None:
             self.deferred.append((state, tok))
         elif tok.lexeme != declared:
-            raise ParseError(
-                f"independent variable of {state} is {declared!r}, found {tok.lexeme!r}",
-                tok.line,
-                tok.column,
-                declared,
-                tok.lexeme,
-            )
+            message = f"independent variable of {state} is {declared!r}, found {tok.lexeme!r}"
+            raise ParseError(message, tok.line, tok.column, declared, tok.lexeme)
 
     # --- grammar
 
     def program(self) -> list[Stmt]:
         stmts = []
-        while self._peek() is not None:
+        while self.tokens[self.pos] is not self.end:
             stmts.append(self.statement())
         for state, tok in self.deferred:
             if state in self.ivars:
@@ -419,41 +437,43 @@ class _Parser:
             self.pos += 1
         return sign * float(self._take(TokenKind.NUMBER, "number").lexeme)
 
-    # expr := term (("+" | "-") term)*
-    # term := factor ("*" factor)*
-    # factor := "-" factor | primary
-    # primary := Number | Ident | "(" expr ")"
-
     def expression(self) -> Expr:
+        """The expression grammar, one method per rule:
+
+            expr := term (("+" | "-") term)*
+            term := factor ("*" factor)*
+            factor := "-" factor | primary
+            primary := Number | Ident | "(" expr ")"
+        """
         node = self.term()
-        while self._at("+") or self._at("-"):
-            op = self._peek()
+        op = self.tokens[self.pos]
+        while op.lexeme == "+" or op.lexeme == "-":
             self.pos += 1
             node = (Add if op.lexeme == "+" else Sub)(node, self.term(), (op.line, op.column))
+            op = self.tokens[self.pos]
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self._at("*"):
-            pos = self._here()
+        op = self.tokens[self.pos]
+        while op.lexeme == "*":
             self.pos += 1
-            node = Mul(node, self.factor(), pos)
+            node = Mul(node, self.factor(), (op.line, op.column))
+            op = self.tokens[self.pos]
         return node
 
     def factor(self) -> Expr:
-        if self._at("-"):
-            pos = self._here()
-            self._nest()
-            self.pos += 1
-            node = Neg(self.factor(), pos)
-            self.nesting -= 1
-            return node
-        return self.primary()
+        tok = self.tokens[self.pos]
+        if tok.lexeme != "-":
+            return self.primary()
+        self._nest()
+        self.pos += 1
+        node = Neg(self.factor(), (tok.line, tok.column))
+        self.nesting -= 1
+        return node
 
     def primary(self) -> Expr:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("expression")
+        tok = self.tokens[self.pos]
         if tok.kind is TokenKind.NUMBER:
             self.pos += 1
             return Const(float(tok.lexeme), (tok.line, tok.column))
@@ -467,7 +487,7 @@ class _Parser:
             self._expect(")")
             self.nesting -= 1
             return node
-        raise self._fail("number, state name, or '('")
+        raise self._fail("expression" if tok is self.end else "number, state name, or '('")
 
 
 def parse(tokens: list[Token]) -> list[Stmt]:

@@ -90,7 +90,8 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     if len(routed) > spec.n_lanes:
         raise CapacityError("lanes", len(routed), spec.n_lanes)
     n_high = spec.n_lanes - len(spec.lowres_lanes)
-    n_exact = sum(1 for _, _, w in routed if lowres_code_for(w) is not None)
+    codes = [lowres_code_for(w) for _, _, w in routed]
+    n_exact = len(codes) - codes.count(None)
     lowres_used = min(n_exact, len(spec.lowres_lanes))
     if len(routed) - lowres_used > n_high:
         raise CapacityError("high-res lanes", len(routed) - lowres_used, n_high)
@@ -101,8 +102,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
     clamp_notes: list[str] = []
     lane_weights: list[tuple[int, float]] = []
-    for src, dst, weight in routed:
-        code = lowres_code_for(weight)
+    for (src, dst, weight), code in zip(routed, codes):
         lane = None if code is None else next(low_pool, None)
         if lane is None:
             lane = next(high_pool)

@@ -296,6 +296,50 @@ class TestDump:
         assert str(err.value) == "constant folding overflowed for monomial X^2*Y^3"
 
 
+def reference_expand(expr):
+    """Test-local copy of the expansion that keyed every monomial by its
+    sorted factor tuple and sorted the factors again for each product."""
+    done = []  # expanded operands
+    for node in postorder(expr):
+        if isinstance(node, Const):
+            done.append({(): node.value})
+        elif isinstance(node, Var):
+            done.append({(node.name,): 1.0})
+        elif isinstance(node, Neg):
+            done.append({m: -w for m, w in done.pop().items()})
+        elif isinstance(node, (Add, Sub)):
+            right, left = done.pop(), done[-1]
+            sign = -1.0 if isinstance(node, Sub) else 1.0
+            for m, w in right.items():
+                left[m] = left.get(m, 0.0) + sign * w
+        else:
+            right, left = done.pop(), done.pop()
+            out = {}
+            for m1, w1 in left.items():
+                for m2, w2 in right.items():
+                    key = tuple(sorted(m1 + m2))
+                    out[key] = out.get(key, 0.0) + w1 * w2
+            done.append(out)
+    return done.pop()
+
+
+class TestExpansionParity:
+    def test_same_weights_in_the_same_order(self):
+        # keyed by (variable, power) pairs, the fold adds the same products
+        # into the same monomials in the same order, so every weight is
+        # bit-identical and the monomials come out in the same order
+        rng = random.Random(20261019)
+        names = ["A", "B", "C", "D"]
+        exprs = [support.random_polynomial_expr(rng, names) for _ in range(500)]
+        exprs += [support.random_expr(rng, names, depth=6) for _ in range(500)]
+        power = Const(1.0)
+        for _ in range(40):  # high powers of one variable, and of two
+            power = Mul(power, Sub(Const(1.0), Var("A")))
+            exprs.append(Mul(power, Add(Var("B"), Var("A"))))
+        for expr in exprs:
+            assert list(circuit._expand(expr, "X").items()) == list(reference_expand(expr).items())
+
+
 def recursive_evaluate_expr(expr, values):
     """Test-local copy of the recursive evaluator that evaluate_expr replaced."""
     if isinstance(expr, Const):

@@ -324,9 +324,39 @@ with open("/proc/self/status") as f:
 """
 
 
+# Compiles a program in a child process and prints the exit code and the CPU
+# seconds the compile took, which another tenant of a shared host inflates
+# less than wall time.
+_TIMED_COMPILE_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from autopatch.cli import main
+started = time.process_time()
+status = main(["compile", sys.argv[1]])
+print(status, time.process_time() - started)
+"""
+
+
 class TestExpansionBound:
     def test_bound_is_the_lane_limit(self):
         assert MAX_TERMS == MAX_LANES
+
+    def test_power_of_one_variable_is_refused_quickly(self, tmp_path):
+        # k copies of (1 + X) keep only k + 1 monomials, of degree up to k; a
+        # product costs time in the distinct variables, not in the degree, so
+        # the binomial weights overflow and are refused in O(k^2) work
+        k = 1200
+        program = "fn X(t);\nlet diff[X, t] = " + " * ".join(["(1 + X)"] * k) + ";\nlet X(t: 0) = 0.5;\n"
+        src = write(tmp_path, "binomial.odedsl", program)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMED_COMPILE_CHILD, src], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "autopatch: error: constant folding overflowed for monomial X^339\n"
+        status, seconds = proc.stdout.split()
+        assert int(status) == 1
+        assert float(seconds) < 2.0
 
     @pytest.mark.parametrize("k", [12, 20])
     def test_power_of_a_sum_is_refused(self, tmp_path, k):

@@ -1,8 +1,9 @@
 import math
 import re
 import string
+import time
 from decimal import Decimal
-from typing import Union
+from typing import Optional, Union
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +11,20 @@ import hypothesis.strategies as st
 
 from autopatch.dsl import (
     KEYWORDS,
+    MAX_NESTING,
     Add,
     Const,
+    DiffDef,
     Expr,
+    FnDecl,
+    InitDef,
     LexError,
     Mul,
     Neg,
+    OutStmt,
     ParseError,
+    PlotStmt,
+    Pos,
     Program,
     SourceError,
     StateDef,
@@ -27,6 +35,7 @@ from autopatch.dsl import (
     Var,
     compile_source,
     parse,
+    postorder,
     tokenize,
 )
 
@@ -36,8 +45,6 @@ def kinds_and_lexemes(tokens):
 
 
 def parse_derivative(source: str, state: str):
-    from autopatch.dsl import DiffDef
-
     for stmt in parse(tokenize(source)):
         if isinstance(stmt, DiffDef) and stmt.state == state:
             return stmt.expr
@@ -655,3 +662,286 @@ _SCANNER_ALPHABET = string.ascii_letters + string.digits + " \t\r\n\f#.e()[],:;=
 @settings(max_examples=1000, deadline=None)
 def test_tokenize_matches_reference_scanner(source):
     assert _scan(tokenize, source) == _scan(reference_tokenize, source)
+
+
+@pytest.mark.parametrize(
+    "source, line",
+    [
+        ("out X(t);" + " " * 1_000_000, 1),
+        ("out X(t);\t\r\n# " + "c" * 1_000_000, 1),
+        ("\n" * 200_000 + "out X(t);", 200_001),
+    ],
+    ids=["1 MB of trailing blanks", "1 MB comment without a final newline", "200k blank lines"],
+)
+def test_tokenize_is_linear(source, line):
+    # blanks and a comment ride in front of the next token's match; at the
+    # end of the text they must match once, not backtrack blank by blank
+    started = time.process_time()
+    tokens = tokenize(source)
+    assert time.process_time() - started < 1.0
+    assert [(t.lexeme, t.line) for t in tokens] == [(lexeme, line) for lexeme in ["out", "X", "(", "t", ")", ";"]]
+
+
+class ReferenceParser:
+    """Test-local copy of the parser before its token list ended in a
+    sentinel: every helper checks the list's length through `_peek`."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.ivars: dict[str, str] = {}  # declared state -> independent variable
+        self.deferred: list[tuple[str, Token]] = []  # references met before their state's `fn`
+        self.nesting = 0  # open '(' and unary '-' around the current token
+
+    # --- token plumbing
+
+    def _peek(self) -> Optional[Token]:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _here(self) -> Pos:
+        tok = self._peek()
+        if tok is not None:
+            return (tok.line, tok.column)
+        if self.tokens:
+            last = self.tokens[-1]
+            return (last.line, last.column + len(last.lexeme))
+        return (1, 1)
+
+    def _fail(self, expected: str) -> ParseError:
+        tok = self._peek()
+        found = f"{tok.lexeme!r}" if tok else "end of input"
+        line, col = self._here()
+        return ParseError(f"expected {expected}, found {found}", line, col, expected, found)
+
+    def _at(self, symbol: str) -> bool:
+        """Whether the current token is the punctuation mark or keyword
+        `symbol`.  Only the lexeme is compared: no identifier or number
+        spells one, since keywords lex as KEYWORD."""
+        tok = self._peek()
+        return tok is not None and tok.lexeme == symbol
+
+    def _expect(self, symbol: str) -> Token:
+        """Consume the punctuation mark or keyword `symbol`."""
+        tok = self._peek()
+        if tok is None or tok.lexeme != symbol:
+            raise self._fail(f"'{symbol}'")
+        self.pos += 1
+        return tok
+
+    def _take(self, kind: TokenKind, what: str) -> Token:
+        """Consume an identifier or number, described as `what` if absent."""
+        tok = self._peek()
+        if tok is None or tok.kind is not kind:
+            raise self._fail(what)
+        self.pos += 1
+        return tok
+
+    def _nest(self) -> None:
+        """Enter one more '(' or unary '-' (the current token)."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            line, col = self._here()
+            expected = f"at most {MAX_NESTING} nested '(' and unary '-'"
+            raise ParseError(f"expression nested too deeply: {expected}", line, col, expected, repr(self._peek().lexeme))
+
+    def _check_ivar(self, state: str, tok: Token):
+        declared = self.ivars.get(state)
+        if declared is None:
+            self.deferred.append((state, tok))
+        elif tok.lexeme != declared:
+            raise ParseError(
+                f"independent variable of {state} is {declared!r}, found {tok.lexeme!r}",
+                tok.line,
+                tok.column,
+                declared,
+                tok.lexeme,
+            )
+
+    # --- grammar
+
+    def program(self) -> list:
+        stmts = []
+        while self._peek() is not None:
+            stmts.append(self.statement())
+        for state, tok in self.deferred:
+            if state in self.ivars:
+                self._check_ivar(state, tok)
+        return stmts
+
+    def statement(self) :
+        if self._at("fn"):
+            return self.fn_decl()
+        if self._at("let"):
+            return self.let_stmt()
+        if self._at("plot"):
+            return self.plot_stmt()
+        if self._at("out"):
+            return self.out_stmt()
+        raise self._fail("'fn', 'let', 'plot', or 'out'")
+
+    def fn_decl(self) -> FnDecl:
+        kw = self._expect("fn")
+        name = self._take(TokenKind.IDENT, "state name")
+        self._expect("(")
+        ivar = self._take(TokenKind.IDENT, "independent variable")
+        self._expect(")")
+        self._expect(";")
+        self.ivars.setdefault(name.lexeme, ivar.lexeme)
+        return FnDecl(name.lexeme, ivar.lexeme, (kw.line, kw.column))
+
+    def let_stmt(self) :
+        kw = self._expect("let")
+        if self._at("diff"):
+            self.pos += 1
+            self._expect("[")
+            state = self._take(TokenKind.IDENT, "state name")
+            self._expect(",")
+            self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+            self._expect("]")
+            self._expect("=")
+            expr = self.expression()
+            self._expect(";")
+            return DiffDef(state.lexeme, expr, (kw.line, kw.column))
+        state = self._take(TokenKind.IDENT, "state name or 'diff'")
+        self._expect("(")
+        self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+        self._expect(":")
+        time_tok = self._take(TokenKind.NUMBER, "number")
+        self._expect(")")
+        self._expect("=")
+        value = self.signed_number()
+        self._expect(";")
+        return InitDef(state.lexeme, float(time_tok.lexeme), value, (kw.line, kw.column))
+
+    def plot_stmt(self) -> PlotStmt:
+        kw = self._expect("plot")
+        self._expect("(")
+        axes = [self.plot_axis()]
+        while self._at(","):
+            self.pos += 1
+            axes.append(self.plot_axis())
+        self._expect(")")
+        self._expect(";")
+        return PlotStmt(tuple(axes), (kw.line, kw.column))
+
+    def plot_axis(self) -> tuple[str, str]:
+        label = self._take(TokenKind.IDENT, "axis label")
+        self._expect(":")
+        return (label.lexeme, self.reference())
+
+    def out_stmt(self) -> OutStmt:
+        kw = self._expect("out")
+        state = self.reference()
+        self._expect(";")
+        return OutStmt(state, (kw.line, kw.column))
+
+    def reference(self) -> str:
+        """`state(ivar)`, with the ivar checked against the declaration."""
+        state = self._take(TokenKind.IDENT, "state name")
+        self._expect("(")
+        self._check_ivar(state.lexeme, self._take(TokenKind.IDENT, "independent variable"))
+        self._expect(")")
+        return state.lexeme
+
+    def signed_number(self) -> float:
+        sign = 1.0
+        if self._at("-"):
+            self.pos += 1
+            sign = -1.0
+        elif self._at("+"):
+            self.pos += 1
+        return sign * float(self._take(TokenKind.NUMBER, "number").lexeme)
+
+    # expr := term (("+" | "-") term)*
+    # term := factor ("*" factor)*
+    # factor := "-" factor | primary
+    # primary := Number | Ident | "(" expr ")"
+
+    def expression(self) :
+        node = self.term()
+        while self._at("+") or self._at("-"):
+            op = self._peek()
+            self.pos += 1
+            node = (Add if op.lexeme == "+" else Sub)(node, self.term(), (op.line, op.column))
+        return node
+
+    def term(self) :
+        node = self.factor()
+        while self._at("*"):
+            pos = self._here()
+            self.pos += 1
+            node = Mul(node, self.factor(), pos)
+        return node
+
+    def factor(self) :
+        if self._at("-"):
+            pos = self._here()
+            self._nest()
+            self.pos += 1
+            node = Neg(self.factor(), pos)
+            self.nesting -= 1
+            return node
+        return self.primary()
+
+    def primary(self) :
+        tok = self._peek()
+        if tok is None:
+            raise self._fail("expression")
+        if tok.kind is TokenKind.NUMBER:
+            self.pos += 1
+            return Const(float(tok.lexeme), (tok.line, tok.column))
+        if tok.kind is TokenKind.IDENT:
+            self.pos += 1
+            return Var(tok.lexeme, (tok.line, tok.column))
+        if tok.lexeme == "(":
+            self._nest()
+            self.pos += 1
+            node = self.expression()
+            self._expect(")")
+            self.nesting -= 1
+            return node
+        raise self._fail("number, state name, or '('")
+
+
+def reference_parse(tokens):
+    return ReferenceParser(tokens).program()
+
+
+def _parsed(parser, tokens):
+    """Statements plus every expression node's position (`_Node.__eq__`
+    ignores positions), or the ParseError's type, text and fields."""
+    try:
+        stmts = parser(tokens)
+    except ParseError as exc:
+        return (type(exc), str(exc), exc.line, exc.column, exc.expected, exc.found)
+    positions = [[(type(n), n.pos) for n in postorder(s.expr)] for s in stmts if isinstance(s, DiffDef)]
+    return stmts, positions
+
+
+# lexemes that always lex, so most soups reach the parser
+_parse_soup = st.lists(
+    st.sampled_from(
+        ["fn", "let", "diff", "plot", "out", "X", "Y", "t", "s", "0", "1.5", "(", ")", "[", "]", ",", ":", ";",
+         "=", "+", "-", "*", "\n", "\t", "# note\n"]
+    ),
+    max_size=60,
+).map(" ".join)
+
+# one expression nested around MAX_NESTING deep, by '(' and by unary '-'
+_deep = st.tuples(st.integers(MAX_NESTING - 3, MAX_NESTING + 3), st.sampled_from(["(", "-", "-("])).map(
+    lambda depth_open: "fn X(t); let diff[X, t] = "
+    + depth_open[1] * depth_open[0]
+    + "X"
+    + ")" * (depth_open[0] * depth_open[1].count("("))
+    + ";"
+)
+
+
+@given(_parse_soup | _soup | _edited_programs() | _programs().map(format_program) | _deep)
+@settings(max_examples=1000, deadline=None)
+def test_parser_matches_reference_parser(source):
+    try:
+        tokens = tokenize(source)
+    except LexError:
+        return
+    assert _parsed(parse, tokens) == _parsed(reference_parse, tokens)

@@ -11,6 +11,7 @@ from autopatch.machine import (
     CoefKind,
     CoefficientCode,
     HIGHRES_LSB,
+    LOWRES_TABLE,
     MAX_LANES,
     MAX_ROWS,
     MachineConfig,
@@ -103,6 +104,17 @@ class TestDecode:
         assert lowres_code_for(0.1) == 3
         assert lowres_code_for(0.09999) is None
         assert lowres_code_for(1.8) is None
+
+    @pytest.mark.parametrize(
+        "value", [*LOWRES_TABLE, -0.0, 0.0, math.nan, math.inf, -math.inf, 1, -10, True, 0.09999, 0.1 + 1e-17, 1.8]
+    )
+    def test_lowres_lookup_matches_table_index(self, value):
+        # the reference: an exact search of the table, as `tuple.index` compares
+        try:
+            want = LOWRES_TABLE.index(value)
+        except ValueError:
+            want = None
+        assert lowres_code_for(value) == want
 
 
 class TestSpecs:
