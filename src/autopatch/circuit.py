@@ -48,6 +48,11 @@ def _times(m1: tuple, m2: tuple) -> tuple:
     """Product of two monomials keyed by sorted (variable, power) pairs.
     A pair whose variable is in one operand only is reused, not copied, so
     a key holds about as much memory as the factor tuple it stands for."""
+    if len(m1) == len(m2) == 1:  # a power of one variable times another's
+        (a, p), (b, q) = m1[0], m2[0]
+        if a == b:
+            return ((a, p + q),)
+        return m1 + m2 if a < b else m2 + m1
     pairs = {pair[0]: pair for pair in m1}
     for pair in m2:
         var = pair[0]

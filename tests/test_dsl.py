@@ -927,17 +927,16 @@ _parse_soup = st.lists(
     max_size=60,
 ).map(" ".join)
 
-# one expression nested around MAX_NESTING deep, by '(' and by unary '-'
-_deep = st.tuples(st.integers(MAX_NESTING - 3, MAX_NESTING + 3), st.sampled_from(["(", "-", "-("])).map(
-    lambda depth_open: "fn X(t); let diff[X, t] = "
-    + depth_open[1] * depth_open[0]
-    + "X"
-    + ")" * (depth_open[0] * depth_open[1].count("("))
-    + ";"
-)
+
+@st.composite
+def _deep(draw):
+    """One expression nested around MAX_NESTING deep, by '(' or unary '-'."""
+    depth = draw(st.integers(MAX_NESTING - 3, MAX_NESTING + 3))
+    opener = draw(st.sampled_from(["(", "-", "-("]))
+    return f"fn X(t); let diff[X, t] = {opener * depth}X{')' * (depth * opener.count('('))};"
 
 
-@given(_parse_soup | _soup | _edited_programs() | _programs().map(format_program) | _deep)
+@given(_parse_soup | _soup | _edited_programs() | _programs().map(format_program) | _deep())
 @settings(max_examples=1000, deadline=None)
 def test_parser_matches_reference_parser(source):
     try:
