@@ -71,6 +71,12 @@ CORPUS = (
     ("compile-layout", ["compile", "layout.odedsl", "--emit-ir"]),
     ("route-layout", ["route", "layout.odedsl", "-o", "layout.acfg", "--emit-config"]),
     ("compile-lex-error-after-tabs", ["compile", "tabs.odedsl"]),
+    # 2 * 4096 + 1 whole steps and a landing step: `sim.run` moves its samples
+    # into the trace arrays every 4096 steps, so this crosses two block edges
+    ("simulate-decay-blocks", ["simulate", "decay.odedsl", "--method", "euler", "--stride", "3", "--t-end",
+                               "8.1935", "--out-dir", "blocks"]),
+    ("simulate-decay-blocks-reference", ["simulate", "decay.odedsl", "--method", "euler", "--stride", "3",
+                                         "--t-end", "8.1935", "--reference", "--out-dir", "blocks-reference"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite

@@ -172,9 +172,11 @@ def _cmd_simulate(args) -> int:
     overrides = design.lane_weight_map() if args.quantize == "off" else None
     model = sim.build_dynamics(design.config, lane_weights=overrides)
     trace = sim.run(model, model.initial, settings)
+    # both runs finish before the first file is written, so a refused or
+    # non-finite reference run leaves no outputs behind
+    ref = sim.run_reference(system, settings) if args.reference else None
     sim.emit_traces(trace, program, out_dir)
-    if args.reference:
-        ref = sim.run_reference(system, settings)
+    if ref is not None:
         sim.write_csv(
             out_dir / "ref_out.csv",
             ["t"] + list(program.outputs),

@@ -24,11 +24,15 @@ generated code, so it can check the hardware path; the two share only
 same loop and the same stage arithmetic, and with quantization bypassed
 they are comparable step for step; residual differences are
 floating-point reassociation only.
+
+A trace's time and signal columns are `array('d')`, 8 bytes per value.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +46,7 @@ if TYPE_CHECKING:  # annotations only: an image run never loads the compiler
     from .dsl import Program
 
 MAX_STEPS = 10**8  # most integration steps one run may take
+MAX_VALUES = 10**8  # most values (times and tap samples) one trace may record: 0.8 GB of arrays
 
 
 class Method(Enum):
@@ -72,7 +77,7 @@ class SimSettings:
             raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step cap of {MAX_STEPS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipEvent:
     t: float
     element: str
@@ -81,10 +86,13 @@ class ClipEvent:
 @dataclass
 class Trace:
     """Sampled run: aligned time/signal rows, clip events, and the largest
-    |voltage| seen per element over the recorded samples."""
+    |voltage| seen per element over the recorded samples.
 
-    times: list[float]
-    signals: dict[str, list[float]]
+    `times` and each `signals` column are `array('d')`: they iterate and
+    index like lists, but compare equal only to arrays, not to lists."""
+
+    times: array[float]
+    signals: dict[str, array[float]]
     clip_events: list[ClipEvent]
     peaks: dict[str, float] = field(default_factory=dict)
 
@@ -445,6 +453,10 @@ class ReferenceModel:
         return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
 
 
+# steps between moves of `run`'s buffered samples into the trace arrays
+_BLOCK = 4096
+
+
 def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     """Integrate with a fixed step, sampling every `record_stride` steps.
 
@@ -455,7 +467,12 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     an evaluation of its own, and only recorded samples raise the peaks.
     Clip events are recorded once per (element, step) with the step's
     start time.  Any non-finite state aborts the run, named by the first
-    such state.
+    such state.  A run that would record more than `MAX_VALUES` values is
+    refused before its first step.
+
+    Each step appends its sample to plain lists, which are moved into the
+    trace's arrays every `_BLOCK` steps: a list append costs a third of an
+    array append or less, and an array holds a value in 8 bytes, not ~35.
     """
     if len(initial) != len(model.state_labels):
         raise ValueError(f"initial vector has {len(initial)} entries, model has {len(model.state_labels)} states")
@@ -468,40 +485,55 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
     total_steps = n_steps + (1 if rem else 0)
     if total_steps > MAX_STEPS:
         raise ValueError(f"run needs {total_steps} steps, above the cap of {MAX_STEPS}")
+    samples = -(-total_steps // stride) + 1  # every stride-th step's start, and t_end
+    values = samples * (1 + len(model.taps))
+    if values > MAX_VALUES:
+        raise ValueError(f"run would record {values} values, above the cap of {MAX_VALUES}; raise record_stride (--stride)")
 
     labels = model.element_labels
     peaks = [0.0] * len(labels)  # by element position, kept up by `step`
-    trace = Trace(times=[], signals={name: [] for name in model.taps}, clip_events=[])
+    trace = Trace(times=array("d"), signals={name: array("d") for name in model.taps}, clip_events=[])
     step = model.step
     stages = 4 if settings.method is Method.RK4 else 1
-    append_time = trace.times.append
-    tap_appends = [(trace.signals[name].append, idx) for name, idx in model.taps.items()]
+    # (array, buffer) per column, the time first; a step appends to the buffers
+    columns = [(trace.times, [])] + [(trace.signals[name], []) for name in model.taps]
+    time_buffer = columns[0][1]
+    tap_buffers = [(buffer, idx) for (_, buffer), idx in zip(columns[1:], model.taps.values())]
+
+    def flush():
+        for column, buffer in columns:
+            # struct converts the floats in half the time array.fromlist takes
+            column.frombytes(struct.pack(f"{len(buffer)}d", *buffer))
+            buffer.clear()
 
     y = list(initial)
-    for k in range(total_steps):
-        # the last step is the shortened landing step when t_end is off the grid
-        t_start, h = k * dt, dt if k < n_steps else rem
-        clipped = set() if clip is not None else None
-        if k % stride:
-            y_next, volts = step(y, h, stages, clip, clipped)
-        else:
-            y_next, volts = step(y, h, stages, clip, clipped, peaks)
-            append_time(t_start)
-            for append, idx in tap_appends:
-                append(volts[idx])
-        if clipped:
-            for idx in sorted(clipped):
-                trace.clip_events.append(ClipEvent(t_start, labels[idx]))
-        # a sum is non-finite if any state is, or if finite states overflow it
-        if not math.isfinite(sum(y_next)):
-            for i, v in enumerate(y_next):
-                if not math.isfinite(v):
-                    raise NonFiniteError(t_start + h, model.state_labels[i])
-        y = y_next
+    for block in range(0, total_steps, _BLOCK):
+        for k in range(block, min(block + _BLOCK, total_steps)):
+            # the last step is the shortened landing step when t_end is off the grid
+            t_start, h = k * dt, dt if k < n_steps else rem
+            clipped = set() if clip is not None else None
+            if k % stride:
+                y_next, volts = step(y, h, stages, clip, clipped)
+            else:
+                y_next, volts = step(y, h, stages, clip, clipped, peaks)
+                time_buffer.append(t_start)
+                for buffer, idx in tap_buffers:
+                    buffer.append(volts[idx])
+            if clipped:
+                for idx in sorted(clipped):
+                    trace.clip_events.append(ClipEvent(t_start, labels[idx]))
+            # a sum is non-finite if any state is, or if finite states overflow it
+            if not math.isfinite(sum(y_next)):
+                for i, v in enumerate(y_next):
+                    if not math.isfinite(v):
+                        raise NonFiniteError(t_start + h, model.state_labels[i])
+            y = y_next
+        flush()
     volts = step(y, 0.0, 0, clip, None, peaks)[1]
-    append_time(t_end if total_steps else 0.0)
-    for append, idx in tap_appends:
-        append(volts[idx])
+    time_buffer.append(t_end if total_steps else 0.0)
+    for buffer, idx in tap_buffers:
+        buffer.append(volts[idx])
+    flush()
     trace.peaks = dict(zip(labels, peaks))
     return trace
 

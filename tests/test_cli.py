@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,28 @@ class TestSimulate:
         assert main(["simulate", str(image), "--t-end", "0", "--out-dir", str(out_dir)] + flags) == 1
         assert capsys.readouterr().err.splitlines() == [f"autopatch: error: {message}"]
         assert not (out_dir / "out.csv").exists()
+
+    def test_run_past_value_cap_is_refused(self, tmp_path, capsys):
+        # 5 * 10^7 steps and the final sample, each of t and the taps X and Y
+        started = time.process_time()
+        assert main(["simulate", LORENZ, "--t-end", "50000", "--out-dir", str(tmp_path)]) == 1
+        assert time.process_time() - started < 1.0
+        assert capsys.readouterr().err.splitlines() == [
+            f"autopatch: error: run would record 150000003 values, above the cap of {sim.MAX_VALUES}; "
+            "raise record_stride (--stride)"
+        ]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_refused_reference_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # 1001 samples: the hardware trace records t, X and Y, the reference
+        # trace t and all three states
+        monkeypatch.setattr(sim, "MAX_VALUES", 3 * 1001)
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", LORENZ, "--t-end", "1", "--reference", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "autopatch: error: run would record 4004 values, above the cap of 3003; raise record_stride (--stride)"
+        ]
+        assert not out_dir.exists()
 
     def test_ic_rejected_for_source_input(self, capsys, tmp_path):
         assert main(["simulate", LORENZ, "--ic", "1,2,3", "--out-dir", str(tmp_path)]) == 1

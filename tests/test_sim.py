@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from array import array
+from functools import partial
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -167,8 +172,8 @@ class TestRun:
         _, _, design = pipeline(DECAY)
         model = build_dynamics(design.config)
         trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=0.0))
-        assert trace.times == [0.0]
-        assert trace.signals["X"] == [1.0]
+        assert trace.times == array("d", [0.0])
+        assert trace.signals["X"] == array("d", [1.0])
 
     def test_row_count_formula(self):
         _, _, design = pipeline(DECAY)
@@ -854,6 +859,106 @@ class TestRunParity:
             outcome = run_outcome(model, settings, nan_state)
             assert outcome == run_outcome(model, settings, nan_state, legacy_run)
             assert outcome[0] == "non-finite" and outcome[2] == float.hex(dt)
+
+
+# --------------------------------------------------------------------------
+# trace storage: typed arrays filled block by block, and the cap on values
+
+BLOWUP = "fn X(t);\nlet diff[X, t] = 5 * X * X;\nlet X(t: 0) = 0.9;\nout X(t);\n"
+
+
+class TestTraceStorage:
+    def test_columns_are_double_arrays(self, lorenz_system, lorenz_design):
+        settings = SimSettings(dt=0.01, t_end=1.0)
+        model = build_dynamics(lorenz_design.config)
+        for trace in (run(model, model.initial, settings), run_reference(lorenz_system, settings)):
+            for column in (trace.times, *trace.signals.values()):
+                assert type(column) is array and column.typecode == "d"
+                assert len(column) == 101
+
+    def test_clip_event_has_no_dict(self):
+        event = sim.ClipEvent(0.5, "I0")
+        assert not hasattr(event, "__dict__")
+        assert repr(event) == "ClipEvent(t=0.5, element='I0')"
+        assert event == sim.ClipEvent(0.5, "I0") and hash(event) == hash(sim.ClipEvent(0.5, "I0"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.t = 1.0
+
+    # total steps, each run ending in a shortened landing step
+    @pytest.mark.parametrize("steps", [sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1, 2 * sim._BLOCK + 1])
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_block_edges_match_the_legacy_driver(self, steps, path):
+        system, design, dt, clip = _parity_case("decay")
+        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        for stride in (1, 3, sim._BLOCK + 1):
+            settings = SimSettings(dt=dt, t_end=(steps - 0.5) * dt, record_stride=stride, clip=clip)
+            outcome = run_outcome(model, settings)
+            assert outcome == run_outcome(model, settings, runner=legacy_run), settings
+            assert len(outcome[0]) == -(-steps // stride) + 1
+            assert outcome[3]  # the clamp at 0.5 holds the decay for its first steps
+
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_non_finite_in_the_second_block(self, path):
+        _, system, design = pipeline(BLOWUP)
+        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        settings = SimSettings(dt=4e-5, t_end=1.0, method=Method.EULER)
+        outcome = run_outcome(model, settings)
+        assert outcome == run_outcome(model, settings, runner=legacy_run)
+        assert outcome[0] == "non-finite" and outcome[3] == "X"
+        assert sim._BLOCK < float.fromhex(outcome[2]) / settings.dt <= 2 * sim._BLOCK
+
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_value_cap_boundary(self, monkeypatch, path):
+        _, system, design = pipeline(DECAY)
+        model = build_dynamics(design.config)
+        settings = SimSettings(dt=0.01, t_end=0.995, record_stride=3)  # 100 steps, 34 + 1 samples of t and X
+        if path == "generated":
+            runner = partial(run, model, model.initial, settings)
+        else:
+            runner = partial(run_reference, system, settings)
+        monkeypatch.setattr(sim, "MAX_VALUES", 70)
+        assert len(runner().times) == 35
+        monkeypatch.setattr(sim, "MAX_VALUES", 69)
+        with pytest.raises(ValueError, match=r"^run would record 70 values, above the cap of 69; raise record_stride "
+                                              r"\(--stride\)$"):
+            runner()
+
+
+# Runs decay with Euler for 10^4, 10^6 and 2.5 * 10^6 steps in a child
+# process that may not map more than 200 MB, and prints each run's row count
+# and the peak resident size of the child's own image after it, in bytes.
+# That is VmHWM, as in the expansion bound of tests/test_cli.py.
+_RUN_CHILD = """
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+from autopatch import sim
+from autopatch.circuit import build_circuit, normalize
+from autopatch.dsl import compile_source
+from autopatch.machine import lucidac_spec
+from autopatch.router import route_design
+program = compile_source(sys.argv[1])
+model = sim.build_dynamics(route_design(build_circuit(normalize(program), program), lucidac_spec()).config)
+for steps in (10**4, 10**6, 2_500_000):
+    rows = len(sim.run(model, model.initial, sim.SimSettings(dt=1e-3, t_end=steps * 1e-3, method=sim.Method.EULER)).times)
+    with open("/proc/self/status") as f:
+        print(rows, int(re.search(r"^VmHWM:\\s+(\\d+) kB$", f.read(), re.M)[1]) * 1024)
+"""
+
+
+class TestTraceMemory:
+    def test_bytes_per_recorded_step(self):
+        # two array('d') columns (t and X) take 16 bytes per step; lists of
+        # boxed floats took ~79 and ran out of the 200 MB before 2.5 * 10^6
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CHILD, DECAY], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        (small_rows, small_peak), (large_rows, large_peak), (rows, _) = (
+            map(int, line.split()) for line in proc.stdout.splitlines()
+        )
+        assert (small_rows, large_rows, rows) == (10**4 + 1, 10**6 + 1, 2_500_001)
+        assert (large_peak - small_peak) / (large_rows - small_rows) <= 20
 
 
 # --------------------------------------------------------------------------
