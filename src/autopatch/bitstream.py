@@ -11,9 +11,11 @@ of changes instead of the machine size.
 The row sections are mostly zero on a large machine, so encode stores one
 byte per wired lane into a zeroed buffer, and decode skips all-zero blocks
 of lanes and looks only at the set bytes.  Decoded coefficients are the
-shared per-code instances of `CoefficientCode`, read from one unpack of
-the coefficient words, and diff compares lanes identity first.  So the
-row-field work scales with the wired lanes, not with lanes x field width.
+shared per-code instances of `CoefficientCode`, read from two unpacks of
+the coefficient words, one per lane range (signed words on the high-res
+lanes, unsigned on the low-res lanes above them), and diff compares lanes
+identity first.  So the row-field work scales with the wired lanes, not
+with lanes x field width.
 
 Delta records are NamedTuples, packed and unpacked through one `Struct`,
 so the delta codec costs in proportion to the ops.  In a reconfiguration
@@ -132,14 +134,6 @@ def _decode_row_section(data: bytes, base: int, spec: MachineSpec, rows: int, wh
     return entries
 
 
-def _code_or_error(make, code: int):
-    """`make(code)`, or the ValueError that says why `code` is out of range."""
-    try:
-        return make(code)
-    except ValueError as exc:
-        return exc
-
-
 def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     """Parse an image back into a configuration (the inverse of encode).
 
@@ -162,26 +156,25 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     u = _decode_row_section(image, u_base, spec, spec.out_rows, "source")
     d = _decode_row_section(image, i_base, spec, spec.in_rows, "destination")
 
-    # one shared code per distinct word and lane kind (high-res words are
-    # signed, low-res words unsigned), most often one hit among the shared
-    # instances; a word that misses is built or maps to the ValueError that
-    # names it, and the lowest lane holding such a word is reported
-    words = struct.unpack_from(f"<{n}H", image, c_base)
-    signed = {word: word - 0x10000 if word & 0x8000 else word for word in set(words)}
-    high = {
-        word: shared_highres(code) or _code_or_error(CoefficientCode.highres, code) for word, code in signed.items()
-    }
-    low = {
-        word: shared_lowres(word) or _code_or_error(CoefficientCode.lowres, word)
-        for word in {words[lane] for lane in spec.lowres_lanes}
-    }
-    coeffs = list(map(high.get, words))
-    for lane in spec.lowres_lanes:
-        coeffs[lane] = low[words[lane]]
-    if not all(isinstance(code, CoefficientCode) for code in (*high.values(), *low.values())):
-        for lane, code in enumerate(coeffs):
-            if isinstance(code, ValueError):
-                raise FormatError(c_base + lane * 2, f"lane {lane}: {code}")
+    # the high-res lanes' signed words, then the low-res lanes' unsigned
+    # words above them; each distinct word of a range is resolved once,
+    # most often to a hit among the shared instances, and an out-of-range
+    # word is reported at the lowest lane that holds one
+    coeffs: list[CoefficientCode] = []
+    for lanes, word_format, shared, make in (
+        (range(spec.lowres_lanes.start), "h", shared_highres, CoefficientCode.highres),
+        (spec.lowres_lanes, "H", shared_lowres, CoefficientCode.lowres),
+    ):
+        words = struct.unpack_from(f"<{len(lanes)}{word_format}", image, c_base + 2 * lanes.start)
+        try:
+            code_of = {word: shared(word) or make(word) for word in set(words)}
+        except ValueError:
+            for lane, word in zip(lanes, words):
+                try:
+                    make(word)
+                except ValueError as exc:
+                    raise FormatError(c_base + 2 * lane, f"lane {lane}: {exc}") from None
+        coeffs += map(code_of.__getitem__, words)
 
     return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(coeffs), i_dest=tuple(d))
 
@@ -259,10 +252,10 @@ def apply(config: MachineConfig, script: DeltaScript) -> MachineConfig:
             if value is None:
                 raise RangeError(f"lane {lane}: coefficient op carries no code")
             make = CoefficientCode.lowres if lane in lowres_lanes else CoefficientCode.highres
-            code = _code_or_error(make, value)
-            if isinstance(code, ValueError):
-                raise RangeError(f"lane {lane}: {code}")
-            c[lane] = code
+            try:
+                c[lane] = make(value)
+            except ValueError as exc:
+                raise RangeError(f"lane {lane}: {exc}") from None
         else:
             raise RangeError(f"unknown opcode {opcode}")
     updated = MachineConfig(spec, tuple(u), tuple(c), tuple(d), config.initial_states, config.taps)

@@ -49,17 +49,17 @@ def _parse_machine(text: str) -> machine.MachineSpec:
 
 
 def _parse_fabric(text: str):
-    """Returns ('fabric', FabricSpec) or ('crossbar', StageSpec)."""
+    """A FabricSpec, or a StageSpec for a crossbar."""
     from . import fabric
 
     if text == "simstar":
-        return ("fabric", fabric.simstar_spec())
+        return fabric.simstar_spec()
     if text.startswith("crossbar:"):
         try:
             n, m = (int(v) for v in text[len("crossbar:"):].split("x"))
         except ValueError:
             raise ValueError(f"malformed fabric spec {text!r} (expected crossbar:<n>x<m>)") from None
-        return ("crossbar", fabric.StageSpec(1, n, m))
+        return fabric.StageSpec(1, n, m)
     if text.startswith("custom:"):
         parts = text[len("custom:"):].split(",")
         try:
@@ -67,7 +67,7 @@ def _parse_fabric(text: str):
         except ValueError:
             raise ValueError(f"malformed fabric spec {text!r} (expected custom:BxNxM,BxNxM,BxNxM)") from None
         stages = fabric.StageSpec(b1, n1, m1), fabric.StageSpec(b2, n2, m2), fabric.StageSpec(b3, n3, m3)
-        return ("fabric", fabric.FabricSpec(*stages))
+        return fabric.FabricSpec(*stages)
     raise ValueError(f"unknown fabric spec {text!r} (expected simstar, crossbar:<n>x<m>, or custom:BxNxM,BxNxM,BxNxM)")
 
 
@@ -173,8 +173,13 @@ def _cmd_simulate(args) -> int:
     model = sim.build_dynamics(design.config, lane_weights=overrides)
     trace = sim.run(model, model.initial, settings)
     # both runs finish before the first file is written, so a refused or
-    # non-finite reference run leaves no outputs behind
-    ref = sim.run_reference(system, settings) if args.reference else None
+    # non-finite reference run leaves no outputs behind; the reference
+    # trace records the hardware trace's taps only, as many values
+    ref = None
+    if args.reference:
+        ref_model = sim.ReferenceModel(system)
+        ref_model.taps = {name: ref_model.taps[name] for name in model.taps}
+        ref = sim.run(ref_model, ref_model.initial, settings)
     sim.emit_traces(trace, program, out_dir)
     if ref is not None:
         sim.write_csv(
@@ -212,17 +217,15 @@ def _cmd_apply(args) -> int:
 def _cmd_fabric(args) -> int:
     from . import fabric
 
-    kind, spec = _parse_fabric(args.spec)
+    spec = _parse_fabric(args.spec)
+    crossbar = isinstance(spec, fabric.StageSpec)
     if args.count and args.experiment:
         raise ValueError("--count and --experiment are separate runs; give one of them")
     if args.count:
-        if kind == "crossbar":
-            print(spec.switch_count())
-        else:
-            print(fabric.switch_count(spec))
+        print(spec.switch_count() if crossbar else fabric.switch_count(spec))
         return 0
     if args.experiment:
-        if kind == "crossbar":
+        if crossbar:
             raise ValueError("blocking experiments need a three-stage fabric (a crossbar never blocks)")
         if args.load is None:
             raise ValueError("--experiment requires --load")

@@ -11,14 +11,14 @@ Two coefficient flavours exist: "high-res" lanes carry a signed 12-bit code
 over [-10, 10), "low-res" lanes carry a 3-bit code selecting one of eight
 round values (+-10, +-1, +-0.5, +-0.1).
 
-`dependency_order` orders elements by what they read, and `LoopError`
-names a cycle without an integrator; the compiler's loop check and the
-simulator's multiplier order both use them, so they live here, below both.
+`dependency_order` groups elements into levels by what they read, and
+`LoopError` names a cycle without an integrator; the compiler's loop check
+and the simulator's multiplier levels both use them, so they live here,
+below both.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -168,7 +168,8 @@ class MachineSpec:
     integrator outputs first, then multiplier outputs, then the constant-one
     row, then `reserved_rows` rows that no element drives; input rows list
     integrator inputs first, then multiplier port pairs (A then B per
-    multiplier).  The top quarter of the lanes (rounded down) is low-res.
+    multiplier).  The top quarter of the lanes (rounded down) is low-res:
+    `lowres_lanes` is that `range`, so its `start` is the first low-res lane.
     """
 
     n_integrators: int
@@ -177,7 +178,7 @@ class MachineSpec:
     reserved_rows: int = 0
     out_rows: int = field(init=False, repr=False, compare=False)
     in_rows: int = field(init=False, repr=False, compare=False)
-    lowres_lanes: frozenset[int] = field(init=False, repr=False, compare=False)
+    lowres_lanes: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out_rows = self.n_integrators + self.n_multipliers + 1 + self.reserved_rows
@@ -192,7 +193,7 @@ class MachineSpec:
             raise ValueError("negative geometry")
         object.__setattr__(self, "out_rows", out_rows)
         object.__setattr__(self, "in_rows", in_rows)
-        object.__setattr__(self, "lowres_lanes", frozenset(range(self.n_lanes - self.n_lanes // 4, self.n_lanes)))
+        object.__setattr__(self, "lowres_lanes", range(self.n_lanes - self.n_lanes // 4, self.n_lanes))
 
     def out_row(self, kind: Optional[NodeKind], slot: int) -> int:
         """The out-row that element `slot` of `kind` drives, or for kind None
@@ -297,11 +298,11 @@ class MachineConfig:
 
     @staticmethod
     def empty(spec: MachineSpec) -> "MachineConfig":
-        n_low = len(spec.lowres_lanes)  # the low-res lanes are the top ones
+        n_high, n_low = spec.lowres_lanes.start, len(spec.lowres_lanes)
         return MachineConfig(
             spec=spec,
             u_source=(None,) * spec.n_lanes,
-            coefficients=(CoefficientCode.highres(0),) * (spec.n_lanes - n_low) + (CoefficientCode.lowres(0),) * n_low,
+            coefficients=(CoefficientCode.highres(0),) * n_high + (CoefficientCode.lowres(0),) * n_low,
             i_dest=(None,) * spec.n_lanes,
         )
 
@@ -318,26 +319,30 @@ def validate_config(config: MachineConfig) -> list[str]:
     Each violation names the lane (or row) and the rule it breaks.
     """
     spec = config.spec
-    high_zero, low_zero = CoefficientCode.highres(0), CoefficientCode.lowres(0)
-    # bound once: a member lookup on the enum class costs ~0.1 µs per lane
-    low_res, high_res = CoefKind.LOW_RES, CoefKind.HIGH_RES
+    u, c, d = config.u_source, config.coefficients, config.i_dest
     violations = []
-    for lane, (src, coeff, dst) in enumerate(zip(config.u_source, config.coefficients, config.i_dest)):
-        # an unused lane holding its kind's shared zero code breaks no rule
-        if src is None and dst is None and coeff is (low_zero if lane in spec.lowres_lanes else high_zero):
-            continue
-        if src is not None and not 0 <= src < spec.out_rows:
-            violations.append(f"lane {lane}: source row {src} outside [0, {spec.out_rows})")
-        if dst is not None and not 0 <= dst < spec.in_rows:
-            violations.append(f"lane {lane}: destination row {dst} outside [0, {spec.in_rows})")
-        if (src is None) != (dst is None):
-            what = "destination but no source" if src is None else "source but no destination"
-            violations.append(f"lane {lane}: dangling lane ({what})")
-        want = low_res if lane in spec.lowres_lanes else high_res
-        if coeff.kind is not want:
-            violations.append(f"lane {lane}: kind/lane mismatch ({coeff.kind.value} code on a {want.value}-res lane)")
-        if src is None and dst is None and coeff.code != 0:
-            violations.append(f"lane {lane}: unused lane carries nonzero code {coeff.code}")
+    # the high-res lanes, then the low-res lanes above them, each with its
+    # kind and that kind's shared zero code
+    for lanes, want, zero in (
+        (range(spec.lowres_lanes.start), CoefKind.HIGH_RES, CoefficientCode.highres(0)),
+        (spec.lowres_lanes, CoefKind.LOW_RES, CoefficientCode.lowres(0)),
+    ):
+        part = slice(lanes.start, lanes.stop)
+        for lane, src, coeff, dst in zip(lanes, u[part], c[part], d[part]):
+            # an unused lane holding its kind's shared zero code breaks no rule
+            if src is None and dst is None and coeff is zero:
+                continue
+            if src is not None and not 0 <= src < spec.out_rows:
+                violations.append(f"lane {lane}: source row {src} outside [0, {spec.out_rows})")
+            if dst is not None and not 0 <= dst < spec.in_rows:
+                violations.append(f"lane {lane}: destination row {dst} outside [0, {spec.in_rows})")
+            if (src is None) != (dst is None):
+                what = "destination but no source" if src is None else "source but no destination"
+                violations.append(f"lane {lane}: dangling lane ({what})")
+            if coeff.kind is not want:
+                violations.append(f"lane {lane}: kind/lane mismatch ({coeff.kind.value} code on a {want.value}-res lane)")
+            if src is None and dst is None and coeff.code != 0:
+                violations.append(f"lane {lane}: unused lane carries nonzero code {coeff.code}")
     for name, row in config.taps:
         if not 0 <= row < spec.out_rows:
             violations.append(f"tap {name}: output row {row} outside [0, {spec.out_rows})")
@@ -369,29 +374,31 @@ class LoopError(Exception):
         self.cycle = cycle
 
 
-def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[int]:
-    """Order the keys of `reads` so that each comes after every key it
-    reads.  Values that are not keys are inputs and impose no order; among
-    keys whose reads are all placed, the smallest goes first.  Raises
-    LoopError naming one cycle when no such order exists.
+def dependency_order(reads: Mapping[int, Iterable[int]]) -> list[list[int]]:
+    """Group the keys of `reads` into levels, each sorted, so that every
+    key comes after each key it reads: level 0 holds the keys that read no
+    key, level j the keys that read a key of level j - 1 and none of a
+    later level.  Values that are not keys are inputs and impose no order.
+    Raises LoopError naming one cycle when no such grouping exists.
     """
     pending = {k: {r for r in deps if r in reads} for k, deps in reads.items()}
     readers: dict[int, list[int]] = {k: [] for k in reads}
     for k, deps in pending.items():
         for r in deps:
             readers[r].append(k)
-    ready = [k for k, deps in pending.items() if not deps]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        k = heapq.heappop(ready)
-        order.append(k)
-        for reader in readers[k]:
-            pending[reader].discard(k)
-            if not pending[reader]:
-                heapq.heappush(ready, reader)
-    if len(order) == len(reads):
-        return order
+    levels = []
+    level = sorted(k for k, deps in pending.items() if not deps)
+    while level:
+        levels.append(level)
+        ready = []  # the keys whose last pending read is in this level
+        for k in level:
+            for reader in readers[k]:
+                pending[reader].discard(k)
+                if not pending[reader]:
+                    ready.append(reader)
+        level = sorted(ready)
+    if not any(pending.values()):
+        return levels
     # every key left over still reads another left-over key, so following
     # those reads from any of them must come back to a key already seen
     key = min(k for k, deps in pending.items() if deps)

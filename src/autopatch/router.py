@@ -89,7 +89,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         raise ValueError("parallel edges between one (source, destination) pair were not merged upstream")
     if len(routed) > spec.n_lanes:
         raise CapacityError("lanes", len(routed), spec.n_lanes)
-    n_high = spec.n_lanes - len(spec.lowres_lanes)
+    n_high = spec.lowres_lanes.start
     codes = [lowres_code_for(w) for _, _, w in routed]
     n_exact = len(codes) - codes.count(None)
     lowres_used = min(n_exact, len(spec.lowres_lanes))
@@ -99,7 +99,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
     u = [None] * spec.n_lanes
     d = [None] * spec.n_lanes
     c = list(MachineConfig.empty(spec).coefficients)
-    low_pool, high_pool = iter(range(n_high, spec.n_lanes)), iter(range(n_high))
+    low_pool, high_pool = iter(spec.lowres_lanes), iter(range(n_high))
     clamp_notes: list[str] = []
     lane_weights: list[tuple[int, float]] = []
     for (src, dst, weight), code in zip(routed, codes):

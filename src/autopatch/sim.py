@@ -4,8 +4,8 @@ reference system.
 The hardware path evaluates exactly what the interconnect wires up:
 element output voltages fan out over lanes, each lane scales by its
 coefficient, currents sum per input row, multipliers form products of
-their two row sums in dependency order, and each integrator integrates its
-input row.  `build_dynamics` writes one Python function per routed
+their two row sums level by level (`machine.dependency_order`), and each
+integrator integrates its input row.  `build_dynamics` writes one Python function per routed
 machine that runs a whole RK4 or Euler step, with the evaluation written
 out once as straight-line code inside a loop over the stages, and compiles
 it with `exec`, in the manner of SymPy's `lambdify` or JiTCODE.  Each row
@@ -134,7 +134,7 @@ _SUM_CHUNK = 200
 _SCALAR_STATES = 64
 
 
-def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
+def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index):
     """Source and globals of
     `step(y, h, stages, clip=None, clipped=None, peaks=None)` for one
     routed machine.
@@ -211,20 +211,12 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_ops, const_index):
         head.append(f"e{k} = 1.0")
         head.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
 
-    # Multipliers go level by level: level 0 reads only states and the
-    # constant, level j reads at least one multiplier of level j - 1.  Each
-    # level is clamped in one statement before the next level reads it; a
-    # clamp statement per multiplier made up a third of the compile time.
-    levels: list[list] = []
-    level_of: dict[int, int] = {}
-    for op in mul_ops:
-        k, a_terms, b_terms = op
-        level = 1 + max((level_of.get(src, -1) for _, src in a_terms + b_terms), default=-1)
-        level_of[k] = level
-        if level == len(levels):
-            levels.append([])
-        levels[level].append(op)
-    for j, ops in enumerate(levels):
+    # Multipliers go level by level, as `dependency_order` groups them:
+    # level 0 reads only states and the constant, level j reads at least one
+    # multiplier of level j - 1.  Each level is clamped in one statement
+    # before the next level reads it; a clamp statement per multiplier made
+    # up a third of the compile time.
+    for j, ops in enumerate(mul_levels):
         for k, a_terms, b_terms in ops:
             a = row_sum(a_terms, "_a")
             b = row_sum(b_terms, "_b")
@@ -354,16 +346,16 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     muls = [i for i, (kind, _) in enumerate(roles) if kind is NodeKind.MULTIPLIER]
     mul_ports = {i: (sums[i, Port.MUL_A], sums[i, Port.MUL_B]) for i in muls}
 
-    # multipliers in dependency order; feedback among them (without an
+    # multipliers in dependency levels; feedback among them (without an
     # integrator in between) is not evaluable
     reads = {pos: [src for _, src in a + b] for pos, (a, b) in mul_ports.items()}
     try:
-        order = dependency_order(reads)
+        levels = dependency_order(reads)
     except LoopError as exc:
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_ops = [(pos, *mul_ports[pos]) for pos in order]
+    mul_levels = [[(pos, *mul_ports[pos]) for pos in level] for level in levels]
 
-    source, namespace = _generate_evaluator(n_states, len(labels), int_terms, mul_ops, const_index)
+    source, namespace = _generate_evaluator(n_states, len(labels), int_terms, mul_levels, const_index)
     exec(compile(source, "<autopatch step>", "exec"), namespace)
     return DynamicsModel(
         state_labels=tuple(tap_name_of_row.get(row, labels[i]) for i, row in enumerate(rows[:n_states])),

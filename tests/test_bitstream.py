@@ -673,6 +673,12 @@ class TestMatchesLaneLoopCodec:
             ((5 + 64 + 2 * 24, 9), (5 + 64 + 1, 0x09)),  # bad low-res word at lane 24, high-res at lane 0
             ((5 + 64 + 2 * 31, 8), (5 + 64 + 2 * 23 + 1, 0xF7)),  # lanes 31 and 23
             ((5 + 64 + 2 * 30, 8), (5 + 64 + 2 * 25, 9)),  # two low-res lanes
+            # two bad words in one range, each order: in a set 9 comes
+            # before 15, and 0x0901 before 0x0907, the unused lanes' 0 first
+            ((5 + 64 + 2 * 25, 15), (5 + 64 + 2 * 30, 9)),
+            ((5 + 64 + 2 * 25, 9), (5 + 64 + 2 * 30, 15)),
+            ((5 + 64 + 6, 0x07), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x01), (5 + 64 + 15, 0x09)),  # lanes 3 and 7
+            ((5 + 64 + 6, 0x01), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x07), (5 + 64 + 15, 0x09)),
             ((5 + 64 + 2 * 30, 8), (5 + 1, 0x03), (5 + 64 + 64 + 1, 0x81)),  # every section
         ],
     )

@@ -1,6 +1,9 @@
+import heapq
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import support
 from autopatch import circuit
@@ -231,6 +234,51 @@ class TestBuildCircuit:
         assert a == b
 
 
+def heap_dependency_order(reads):
+    """The flat order `dependency_order` returned before it grouped keys
+    into levels: among keys whose reads are all placed, the smallest goes
+    first.  Kept here as the reference for the levels and the cycles."""
+    pending = {k: {r for r in deps if r in reads} for k, deps in reads.items()}
+    readers = {k: [] for k in reads}
+    for k, deps in pending.items():
+        for r in deps:
+            readers[r].append(k)
+    ready = [k for k, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for reader in readers[k]:
+            pending[reader].discard(k)
+            if not pending[reader]:
+                heapq.heappush(ready, reader)
+    if len(order) == len(reads):
+        return order
+    key = min(k for k, deps in pending.items() if deps)
+    path, seen = [], {}
+    while key not in seen:
+        seen[key] = len(path)
+        path.append(key)
+        key = min(pending[key])
+    raise LoopError((path[seen[key]:] + [key])[::-1])
+
+
+@st.composite
+def reads_maps(draw):
+    """Up to 10 keys, each reading up to 4 keys or inputs; for half the
+    maps every key reads only keys earlier in a random rank, so no cycle
+    exists."""
+    keys = draw(st.lists(st.integers(0, 15), unique=True, max_size=10))
+    rank = {k: i for i, k in enumerate(draw(st.permutations(keys)))}
+    acyclic = draw(st.booleans())
+    reads = {}
+    for k in keys:
+        deps = draw(st.lists(st.integers(0, 19), max_size=4))
+        reads[k] = [r for r in deps if not (acyclic and r in rank and rank[r] >= rank[k])]
+    return reads
+
+
 class TestAlgebraicLoops:
     def test_lorenz_is_loop_free(self, lorenz_graph):
         detect_algebraic_loops(lorenz_graph)
@@ -253,7 +301,7 @@ class TestAlgebraicLoops:
         assert set(err.value.cycle) >= {0, 1}
 
     def test_dependency_order_puts_smallest_ready_key_first(self):
-        assert dependency_order({3: [1, 7], 1: [], 2: [3], 0: [5]}) == [0, 1, 3, 2]
+        assert dependency_order({3: [1, 7], 1: [], 2: [3], 0: [5]}) == [[0, 1], [3], [2]]
 
     @pytest.mark.parametrize(
         "reads, cycle",
@@ -267,6 +315,26 @@ class TestAlgebraicLoops:
         with pytest.raises(LoopError) as err:
             dependency_order(reads)
         assert err.value.cycle == cycle
+
+    @given(reads_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_levels_match_the_heap_order(self, reads):
+        try:
+            order = heap_dependency_order(reads)
+        except LoopError as exc:
+            with pytest.raises(LoopError) as err:
+                dependency_order(reads)
+            assert err.value.cycle == exc.cycle
+            return
+        # the rule the step generator applied to the flat order: one past
+        # the highest level read, where a value that is no key reads as -1
+        level_of = {}
+        for k in order:
+            level_of[k] = 1 + max((level_of.get(r, -1) for r in reads[k]), default=-1)
+        want = [[] for _ in range(1 + max(level_of.values(), default=-1))]
+        for k in sorted(level_of):
+            want[level_of[k]].append(k)
+        assert dependency_order(reads) == want
 
 
 class TestDump:

@@ -269,16 +269,26 @@ class TestSimulate:
         ]
         assert not (tmp_path / "out.csv").exists()
 
-    def test_refused_reference_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # 1001 samples: the hardware trace records t, X and Y, the reference
-        # trace t and all three states
+    def test_refused_reference_run_writes_nothing(self, tmp_path, capsys):
+        # routing clamps the gain 50 to 9.995, so the hardware run stays
+        # finite while the reference run overflows
+        src = write(tmp_path, "fast.odedsl", "fn X(t);\nlet diff[X, t] = 50 * X;\nlet X(t: 0) = 1.0;\nout X(t);\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", src, "--t-end", "20", "--reference", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["autopatch: error: X became non-finite at t=14.083"]
+        assert not out_dir.exists()
+
+    def test_reference_run_records_the_hardware_taps(self, tmp_path, capsys, monkeypatch):
+        # 1001 samples of t, X and Y in each trace: the reference trace
+        # records no state the hardware trace does not tap
         monkeypatch.setattr(sim, "MAX_VALUES", 3 * 1001)
         out_dir = tmp_path / "sim"
-        assert main(["simulate", LORENZ, "--t-end", "1", "--reference", "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "autopatch: error: run would record 4004 values, above the cap of 3003; raise record_stride (--stride)"
-        ]
-        assert not out_dir.exists()
+        assert main(["simulate", LORENZ, "--t-end", "1", "--reference", "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("out.csv", "ref_out.csv"):
+            rows = (out_dir / name).read_text().splitlines()
+            assert rows[0] == "t,X,Y"
+            assert len(rows) == 1002
 
     def test_ic_rejected_for_source_input(self, capsys, tmp_path):
         assert main(["simulate", LORENZ, "--ic", "1,2,3", "--out-dir", str(tmp_path)]) == 1

@@ -125,7 +125,7 @@ class TestSpecs:
         assert spec.n_lanes == 32
         assert spec.in_rows == 16
         assert spec.out_rows == 16
-        assert spec.lowres_lanes == frozenset(range(24, 32))
+        assert spec.lowres_lanes == range(24, 32)
         assert spec.reserved_rows == 3
         assert spec == MachineSpec(8, 4, 32, reserved_rows=3)
 
@@ -188,7 +188,7 @@ class TestSpecs:
         spec = MachineSpec(2, 1, 8)
         assert spec.in_rows == 4
         assert spec.out_rows == 4
-        assert spec.lowres_lanes == frozenset({6, 7})
+        assert spec.lowres_lanes == range(6, 8)
         assert MachineSpec(2, 1, 8, reserved_rows=2).out_rows == 6
 
 

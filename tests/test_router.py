@@ -27,7 +27,7 @@ from autopatch.router import (
     format_report,
     route_design,
 )
-from autopatch.bitstream import encode
+from autopatch.bitstream import decode as decode_image, encode
 
 
 def graph_from(source: str):
@@ -204,6 +204,24 @@ class TestRoutedConfigDecode:
                 assert got == wanted
             else:
                 assert abs(got - wanted) <= HIGHRES_LSB / 2
+
+    @pytest.mark.parametrize("n_lanes", range(6))
+    def test_few_lanes_through_the_image(self, n_lanes):
+        # up to three lanes hold no low-res lane; four and five hold one
+        spec = MachineSpec(2, 0, n_lanes)
+        nodes = (
+            Node(0, NodeKind.INTEGRATOR, "X", 1.0), Node(1, NodeKind.INTEGRATOR, "Y"), Node(2, NodeKind.CONST_ONE, "1")
+        )
+        pairs = ((2, 0), (0, 1), (1, 0), (0, 0), (2, 1))
+        weights = (1.0, 0.3, -0.5, 0.7, -10.0)
+        edges = tuple(Edge(src, dst, Port.INTEGRATOR_IN, w) for (src, dst), w in zip(pairs[:n_lanes], weights))
+        kinds = [CoefKind.HIGH_RES] * (n_lanes - n_lanes // 4) + [CoefKind.LOW_RES] * (n_lanes // 4)
+        for config in (MachineConfig.empty(spec), route_design(CircuitGraph(nodes, edges), spec).config):
+            assert [code.kind for code in config.coefficients] == kinds
+            assert len(config.active_lanes()) in (0, n_lanes)
+            decoded = decode_image(encode(config), spec)
+            assert decoded == config
+            assert validate_config(decoded) == []
 
     def test_report_format(self, lorenz_design):
         text = format_report(lorenz_design.report)

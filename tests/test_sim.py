@@ -439,13 +439,13 @@ class LoopModel:
     before `build_dynamics` generated straight-line code.  Kept here as
     the bit-for-bit reference for the generated evaluator."""
 
-    def __init__(self, model, _n_states, _n_elements, int_terms, mul_ops, const_index):
+    def __init__(self, model, _n_states, _n_elements, int_terms, mul_levels, const_index):
         self.state_labels = model.state_labels
         self.initial = model.initial
         self.element_labels = model.element_labels
         self.taps = model.taps
         self._int_terms = int_terms
-        self._mul_ops = mul_ops
+        self._mul_ops = [op for level in mul_levels for op in level]
         self._const_index = const_index
 
     step = sim.ReferenceModel.step
@@ -1148,10 +1148,10 @@ def role_walk(config, lane_weights=None):
 
     reads = {pos: [src for _, src in mul_a[pos] + mul_b[pos]] for pos in mul_a}
     try:
-        order = dependency_order(reads)
+        levels = dependency_order(reads)
     except LoopError as exc:
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_ops = [(pos, mul_a[pos], mul_b[pos]) for pos in order]
+    mul_levels = [[(pos, mul_a[pos], mul_b[pos]) for pos in level] for level in levels]
 
     model = (
         tuple(tap_name_of_row.get(spec.out_row(NodeKind.INTEGRATOR, k), f"I{k}") for k in ints),
@@ -1159,7 +1159,7 @@ def role_walk(config, lane_weights=None):
         tuple(labels),
         list({name: source_index(row) for name, row in config.taps}.items()),
     )
-    return model, (len(ints), len(labels), int_terms, mul_ops, const_index)
+    return model, (len(ints), len(labels), int_terms, mul_levels, const_index)
 
 
 def annotated_config(spec, rng):
