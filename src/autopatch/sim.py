@@ -17,9 +17,10 @@ also raises each element's entry to the element's |voltage| at the step's
 start, so `run` keeps no per-sample loop over the elements.
 
 The reference path evaluates the expanded polynomial system through its
-own monomial table (`ReferenceModel`), independent of the circuit and the
-generated code, so it can check the hardware path; the two share only
-`_clamper`.  It rounds exactly as a per-term product loop from 1.0 would.
+own generated function, written from its monomial table (`ReferenceModel`),
+independent of the circuit and of the hardware path's code, so it can
+check the hardware path; in arithmetic the two share only `_clamper`.  It
+rounds exactly as a per-term product loop from 1.0 would.
 `run` steps every model through its `step`, so both paths go through the
 same loop and the same stage arithmetic, and with quantization bypassed
 they are comparable step for step; residual differences are
@@ -366,11 +367,46 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     )
 
 
+def _generate_derivatives(n, chain, terms):
+    """`derivatives(volts)`, returning a list, of `ReferenceModel`'s table
+    compiled with `exec`.  Slot k is the local `v<k>`; chain entry (a, b)
+    sets the next slot to v<a> * v<b>.  State i's sum is `0.0 + w*v<k> + ...`
+    in term order, carried in `d<i>` every `_SUM_CHUNK` terms, so it rounds
+    as a loop that adds each product to 0.0 in turn.  Finite weights are
+    written with repr, which reads back exactly; others are globals."""
+    namespace: dict[str, object] = {}
+
+    def weight(w: float) -> str:
+        if math.isfinite(w):
+            return repr(w)
+        name = f"_w{len(namespace)}"
+        namespace[name] = w
+        return name
+
+    lines = ["[" + "".join(f"v{i}, " for i in range(n)) + "] = volts", f"v{n} = 1.0"]
+    lines += [f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(chain, n + 1)]
+    sums = []
+    for i, state_terms in enumerate(terms):
+        products = [f"{weight(w)}*v{k}" for w, k in state_terms]
+        expr = " + ".join(["0.0", *products[:_SUM_CHUNK]])
+        for start in range(_SUM_CHUNK, len(products), _SUM_CHUNK):
+            lines.append(f"d{i} = {expr}")
+            expr = " + ".join([f"d{i}", *products[start : start + _SUM_CHUNK]])
+        sums.append(expr)
+    lines.append("return [" + "".join(f"{expr}, " for expr in sums) + "]")
+    source = "def derivatives(volts):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, "<autopatch reference>", "exec"), namespace)
+    return namespace.pop("derivatives")  # so the function is not in a cycle with its globals
+
+
 class ReferenceModel:
     """Direct evaluator for an expanded polynomial system, with the
     `step` of DynamicsModel.  Its `voltages`, `derivatives` and `rhs` are
     the pieces `step` is built from; DynamicsModel has no such views, as
-    its generated step writes them out inline.
+    its generated step writes them out inline.  `derivatives(volts)`, the
+    right-hand sides at the element voltages, is a function generated per
+    instance from the table below (`_generate_derivatives`); it only reads
+    `volts`, so `rhs` hands it y itself when nothing is clipped.
 
     Slot i < n of the table is state i's voltage and slot n the constant
     1.0; each later slot is a factor prefix of length >= 2, in (length,
@@ -389,11 +425,12 @@ class ReferenceModel:
         slot = {(name,): i for name, i in self.taps.items()}
         slot[()] = n
         prefixes = {t.factors[:k] for terms in system.rhs for t in terms for k in range(2, len(t.factors) + 1)}
-        self._chain = []
+        chain = []
         for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
             slot[prefix] = k
-            self._chain.append((slot[prefix[:-1]], slot[prefix[-1:]]))
-        self._terms = tuple(tuple((t.weight, slot[t.factors]) for t in terms) for terms in system.rhs)
+            chain.append((slot[prefix[:-1]], slot[prefix[-1:]]))
+        terms = [[(t.weight, slot[t.factors]) for t in state_terms] for state_terms in system.rhs]
+        self.derivatives = _generate_derivatives(n, chain, terms)
 
     def voltages(self, y, clip=None, clipped=None):
         if clip is None:
@@ -402,20 +439,7 @@ class ReferenceModel:
         return [v if lo <= v <= clip else clamp(v, i) for i, v in enumerate(y)]
 
     def rhs(self, y, clip=None, clipped=None):
-        return self.derivatives(self.voltages(y, clip, clipped))
-
-    def derivatives(self, volts):
-        """The right-hand sides at the element voltages `volts`."""
-        v = [*volts, 1.0]
-        for a, b in self._chain:
-            v.append(v[a] * v[b])
-        out = []
-        for terms in self._terms:
-            acc = 0.0
-            for weight, k in terms:
-                acc += weight * v[k]
-            out.append(acc)
-        return out
+        return self.derivatives(y if clip is None else self.voltages(y, clip, clipped))
 
     def step(self, y, h, stages, clip=None, clipped=None, peaks=None):
         """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)

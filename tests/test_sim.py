@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from functools import partial
 from pathlib import Path
@@ -968,11 +969,13 @@ class TestTraceMemory:
 class TermLoopModel(sim.ReferenceModel):
     """The reference evaluator as it was while `derivatives` multiplied
     out every term's factor tuple on each call, before each distinct
-    monomial got one product per call.  Kept here as the bit-for-bit
-    reference for `ReferenceModel.derivatives`."""
+    monomial got one product per call and the table was written out as
+    generated code.  Kept here as the bit-for-bit reference for
+    `ReferenceModel.derivatives`."""
 
     def __init__(self, system):
         super().__init__(system)
+        del self.derivatives  # the generated function, which would shadow the loop below
         self._factor_terms = tuple(
             tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms) for terms in system.rhs
         )
@@ -1034,9 +1037,54 @@ class TestReferenceDerivatives:
         system = dataclasses.replace(system, initial=tuple(initial))
         loop = TermLoopModel(system)
         for clip in (None, 0.3):
-            run_settings = SimSettings(dt=0.05, t_end=1.0, clip=clip)
-            reference = run_outcome(loop, run_settings, runner=lambda _model, _initial, s: run_reference(system, s))
-            assert reference == run_outcome(loop, run_settings)
+            for method, stride in ((Method.RK4, 1), (Method.EULER, 1), (Method.RK4, 3)):
+                run_settings = SimSettings(dt=0.05, t_end=1.0, method=method, clip=clip, record_stride=stride)
+                reference = run_outcome(loop, run_settings, runner=lambda _model, _initial, s: run_reference(system, s))
+                assert reference == run_outcome(loop, run_settings)
+
+    def test_term_loop_is_not_the_generated_function(self):
+        system = support.terms_to_system("AB", [[(2.0, ("A", "B"))], []])
+        assert TermLoopModel(system).derivatives.__func__ is TermLoopModel.derivatives
+
+    @pytest.mark.parametrize(
+        "names, per_state",
+        [
+            # one sum over 450 distinct monomials A^a B^b C^c, more than _SUM_CHUNK, so it is accumulated in chunks
+            ("ABC", [[(0.25 * (k % 7) - 0.5, tuple("A" * (k % 5) + "B" * (k // 5 % 9) + "C" * (k // 45))) for k in range(450)], [], []]),
+            # many states, each reading its neighbours, one product and the constant
+            (
+                [f"S{i}" for i in range(120)],
+                [[(-1.0, (f"S{i}",)), (0.8, (f"S{(i + 1) % 120}",)), (-0.3, (f"S{i}", f"S{(i + 7) % 120}")), (0.1, ())]
+                 for i in range(120)],
+            ),
+            # weights the generated source cannot spell as a finite literal, and the smallest ones it can
+            ("AB", [[(math.inf, ("A",)), (-math.inf, ("B",)), (math.nan, ("A", "B"))],
+                    [(-0.0, ()), (5e-324, ("A", "A")), (-0.0, ("B",))]]),
+            # an empty right-hand side between two that are not
+            ("ABC", [[(1.5, ("B", "C"))], [], [(-2.0, ("A",)), (0.5, ())]]),
+        ],
+        ids=["chunked-sum", "120-states", "special-weights", "empty-rhs"],
+    )
+    def test_shapes_the_strategy_does_not_reach(self, names, per_state):
+        system = support.terms_to_system(names, per_state)
+        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        n, k = len(names), len(SPECIAL_VOLTS)
+        points = [[v] * n for v in SPECIAL_VOLTS]  # each special voltage on every state
+        points += [[SPECIAL_VOLTS[(i + j) % k] for i in range(n)] for j in range(k)]  # mixed, in every rotation
+        points.append([0.5 + 0.01 * i for i in range(n)])
+        for volts in points:
+            assert hexes(model.derivatives(volts)) == hexes(loop.derivatives(volts)), volts
+
+    def test_compile_memory_of_a_large_system(self):
+        # the straight-line function of 500 states peaks at ~3.3 MB on CPython 3.11
+        system = normalize(compile_source(support.synthetic_large_program(500)))
+        tracemalloc.start()
+        try:
+            sim.ReferenceModel(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 def _tapped_only(n_states):
