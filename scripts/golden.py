@@ -77,6 +77,10 @@ CORPUS = (
                                "8.1935", "--out-dir", "blocks"]),
     ("simulate-decay-blocks-reference", ["simulate", "decay.odedsl", "--method", "euler", "--stride", "3",
                                          "--t-end", "8.1935", "--reference", "--out-dir", "blocks-reference"]),
+    # the reference of a system with more states than `sim._SCALAR_STATES`,
+    # whose generated step keeps its states in lists, clamped
+    ("simulate-s500-reference", ["simulate", "s500.odedsl", "--machine", "redac", "--dt", "0.01", "--t-end", "0.2",
+                                 "--clip", "1.0", "--reference", "--out-dir", "s500-reference"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite

@@ -1,30 +1,32 @@
 """Fixed-step simulation of a routed configuration and of the polynomial
 reference system.
 
-The hardware path evaluates exactly what the interconnect wires up:
-element output voltages fan out over lanes, each lane scales by its
-coefficient, currents sum per input row, multipliers form products of
-their two row sums level by level (`machine.dependency_order`), and each
-integrator integrates its input row.  `build_dynamics` writes one Python function per routed
-machine that runs a whole RK4 or Euler step, with the evaluation written
-out once as straight-line code inside a loop over the stages, and compiles
-it with `exec`, in the manner of SymPy's `lambdify` or JiTCODE.  Each row
-sum keeps the lane order of a loop that accumulates from 0.0, and each
-stage keeps the arithmetic of `ReferenceModel.step`, so the generated code
-rounds exactly as those loops would; a unit gain is left out of its
-product, since 1.0 * x is x bit for bit.  Given a `peaks` list, a step
-also raises each element's entry to the element's |voltage| at the step's
-start, so `run` keeps no per-sample loop over the elements.
+Each model's `step` is one Python function that takes a whole RK4 or
+Euler step, compiled with `exec` in the manner of SymPy's `lambdify` or
+JiTCODE.  One stage writer (`_write_step`) writes the integrator: the
+state clamps, the stage arithmetic and the peaks, around a stage
+evaluation that each path writes out once as straight-line code.
 
-The reference path evaluates the expanded polynomial system through its
-own generated function, written from its monomial table (`ReferenceModel`),
-independent of the circuit and of the hardware path's code, so it can
-check the hardware path; in arithmetic the two share only `_clamper`.  It
-rounds exactly as a per-term product loop from 1.0 would.
-`run` steps every model through its `step`, so both paths go through the
-same loop and the same stage arithmetic, and with quantization bypassed
-they are comparable step for step; residual differences are
-floating-point reassociation only.
+The hardware path (`build_dynamics`) evaluates exactly what the
+interconnect wires up: element output voltages fan out over lanes, each
+lane scales by its coefficient, currents sum per input row, multipliers
+form products of their two row sums level by level
+(`machine.dependency_order`), and each integrator integrates its input
+row.  The reference path (`ReferenceModel`) evaluates the expanded
+polynomial system from its own monomial table, independent of the
+circuit and of the routed lanes, so it can check the hardware path; the
+two share only the stage writer, the sum writer and `_clamper`.
+
+Every sum keeps the term order of a loop that accumulates from 0.0, and
+every stage the arithmetic of the per-stage loop the generated step
+replaced, so the hardware path rounds exactly as a loop over its lanes
+and the reference as a per-term product loop from 1.0; a unit gain is
+left out of its product, since 1.0 * x is x bit for bit.  Given a
+`peaks` list, a step also raises each element's entry to the element's
+|voltage| at the step's start, so `run` keeps no per-sample loop over
+the elements.  With quantization bypassed the two paths are comparable
+step for step; residual differences are floating-point reassociation
+only.
 
 A trace's time and signal columns are `array('d')`, 8 bytes per value.
 """
@@ -128,39 +130,29 @@ def _clamper(clip: float, clipped: Optional[set]):
 _SUM_CHUNK = 200
 
 # States are kept in scalar locals across the stages of a generated step up
-# to this count.  Past it they travel in lists, as in `ReferenceModel.step`:
-# on the 500-state synthetic machine scalar stage code grows the source from
-# 49 to 158 kB, triples its compile time and takes the compiler's peak memory
-# from 4.3 to 19.7 MB.
+# to this count.  Past it they travel in lists: on the 500-state synthetic
+# machine scalar stage code grows the source from 49 to 158 kB, triples its
+# compile time and takes the compiler's peak memory from 4.3 to 19.7 MB.
 _SCALAR_STATES = 64
 
 
-def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index):
-    """Source and globals of
-    `step(y, h, stages, clip=None, clipped=None, peaks=None)` for one
-    routed machine.
+def _clamped(pairs: str) -> str:
+    """A list display of the voltages of (index, voltage) `pairs`, each
+    clamped by the step's `clamp` when it is outside [lo, clip]."""
+    return f"[v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
 
-    With `stages` = 4 the function takes one RK4 step of size h from y,
-    with 1 an Euler step, and returns `(next state, volts)`, where volts
-    are the element voltages of the first stage, i.e. at y.  With 0 it
-    only evaluates at y and returns the integrator input sums in place of
-    a next state.  The evaluation is written once, in a loop over the
-    stages, and each stage's arithmetic is that of `ReferenceModel.step`.
-    When `peaks` is a list, the first stage sets `peaks[k]` to |e<k>|
-    where that is larger, written out per element when the states are
-    scalar locals and as one loop over the voltages otherwise; a machine
-    without elements gets no peak code.
 
-    Element k is the local `e<k>`.  Every row sum is written out as
-    `0.0 + g*e<src> + ...` in lane order, so the additions happen in the
+def _sum_writer(namespace, lines):
+    """`row_sum(terms, acc)`: an expression for the sum of the (weight,
+    slot) `terms` over the locals `e<slot>`.  The sum is written out as
+    `0.0 + w*e<slot> + ...` in term order, so the additions happen in the
     same order, and round the same way, as a loop that accumulates from
-    0.0.  Finite gains are written with repr, which reads back exactly;
-    non-finite gains are passed in as globals.  A unit gain is written as
-    the bare `e<src>`, as 1.0*x is x bit for bit for every double, +-0,
-    +-inf and NaN included; the leading `0.0 +` stays, as it turns -0.0
-    into 0.0.
-    """
-    namespace: dict[str, object] = {"_clamper": _clamper}
+    0.0; a long one is first accumulated into the local `acc`, one
+    statement per `_SUM_CHUNK` terms appended to `lines`.  Finite weights
+    are written with repr, which reads back exactly; non-finite weights go
+    into `namespace` as globals.  A unit weight is written as the bare
+    `e<slot>`, as 1.0*x is x bit for bit for every double, +-0, +-inf and
+    NaN included; the leading `0.0 +` stays, as it turns -0.0 into 0.0."""
 
     def gain(g: float) -> str:
         if math.isfinite(g):
@@ -169,23 +161,37 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
         namespace[name] = g
         return name
 
-    body: list[str] = []
-
     def row_sum(terms, acc: str) -> str:
-        """An expression for the row sum; a long one is first accumulated
-        into the local `acc`, one chunk of terms per statement."""
         products = [f"e{src}" if g == 1.0 else f"{gain(g)}*e{src}" for g, src in terms]
         head = " + ".join(["0.0", *products[:_SUM_CHUNK]])
         if len(products) <= _SUM_CHUNK:
             return head
-        body.append(f"{acc} = {head}")
+        lines.append(f"{acc} = {head}")
         for start in range(_SUM_CHUNK, len(products), _SUM_CHUNK):
-            body.append(f"{acc} = " + " + ".join([acc, *products[start : start + _SUM_CHUNK]]))
+            lines.append(f"{acc} = " + " + ".join([acc, *products[start : start + _SUM_CHUNK]]))
         return acc
 
-    def clamped(pairs: str) -> str:
-        return f"[v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
+    return row_sum
 
+
+def _write_step(n_states, n_elements, head, evaluation, sums):
+    """Source of `step(y, h, stages, clip=None, clipped=None, peaks=None)`.
+
+    With `stages` = 4 the function takes one RK4 step of size h from y,
+    with 1 an Euler step, and returns `(next state, volts)`, where volts
+    are the element voltages of the first stage, i.e. at y.  With 0 it
+    only evaluates at y and returns the state derivatives in place of a
+    next state.  Element k is the local `e<k>`, and the states are the
+    first `n_states` elements.  The caller's `head` lines run once per
+    call; per stage, its `evaluation` lines run after the states are
+    clamped (in clip mode) and set, and `sums` are the expressions of the
+    state derivatives.  Each stage's arithmetic is that of the per-stage
+    loop it replaced, so a step rounds exactly as that loop would.  When
+    `peaks` is a list, the first stage sets `peaks[k]` to |e<k>| where
+    that is larger, written out per element when the states are scalar
+    locals and as one loop over the voltages otherwise; a step without
+    elements gets no peak code.
+    """
     # A vector over the states is n scalar locals on a small machine and one
     # list on a large one; `{i}` in a template stands for the state index.
     scalar = 0 < n_states <= _SCALAR_STATES
@@ -200,33 +206,17 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
 
     # the stage's states: e0, e1, ... themselves, or the list x they unpack from
     state = names("e") if scalar else "x"
-    head = ["clipping = clip is not None", "if clipping:", "    lo, clamp = -clip, _clamper(clip, clipped)"]
-    head += [f"{state} = y", "half = 0.5 * h"]
+    lines = ["clipping = clip is not None", "if clipping:", "    lo, clamp = -clip, _clamper(clip, clipped)"]
+    lines += [f"{state} = y", "half = 0.5 * h"]
     if scalar:
-        head.append(f"{names('y')} = y")
-    body.append(f"if clipping: {state} = {clamped(f'enumerate({state})')}")
+        lines.append(f"{names('y')} = y")
+    lines += head
+    body = [f"if clipping: {state} = {_clamped(f'enumerate({state})')}"]
     if n_states and not scalar:
         body.append("".join(f"e{i}, " for i in range(n_states)) + "= x")
-    if const_index is not None:
-        k = const_index
-        head.append(f"e{k} = 1.0")
-        head.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
-
-    # Multipliers go level by level, as `dependency_order` groups them:
-    # level 0 reads only states and the constant, level j reads at least one
-    # multiplier of level j - 1.  Each level is clamped in one statement
-    # before the next level reads it; a clamp statement per multiplier made
-    # up a third of the compile time.
-    for j, ops in enumerate(mul_levels):
-        for k, a_terms, b_terms in ops:
-            a = row_sum(a_terms, "_a")
-            b = row_sum(b_terms, "_b")
-            body.append(f"e{k} = ({a}) * ({b})")
-        level_names = "".join(f"e{k}, " for k, _, _ in ops)
-        namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
-        body.append(f"if clipping: {level_names}= {clamped(f'zip(_level{j}, ({level_names}))')}")
-    sums = "".join(row_sum(terms, f"_d{i}") + ", " for i, terms in enumerate(int_terms))
-    body.append(f"{names('d')} = " + (f"({sums})" if scalar else f"[{sums}]"))
+    body += evaluation
+    terms = "".join(f"{expr}, " for expr in sums)
+    body.append(f"{names('d')} = " + (f"({terms})" if scalar else f"[{terms}]"))
     # a display of every state costs the compiler more memory than *x
     volts = f"[*{state}, " + "".join(f"e{k}, " for k in range(n_states, n_elements)) + "]"
 
@@ -235,7 +225,6 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     peak = ["for k, a in enumerate(map(abs, volts)):", "    if a > peaks[k]: peaks[k] = a"]
     if scalar:
         peak = [line for k in range(n_elements) for line in (f"a = abs(e{k})", f"if a > peaks[{k}]: peaks[{k}] = a")]
-    # stage arithmetic, in the order and rounding of `ReferenceModel.step`
     body += ["if stage == 0:", f"    volts = {volts}"]
     if n_elements:
         body += ["    if peaks is not None:"] + [f"        {line}" for line in peak]
@@ -254,9 +243,50 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
         "    s = h / 6.0",
         f"    return {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}, volts",
     ]
-    lines = head + ["for stage in range(4):"] + [f"    {line}" for line in body]
-    source = "def step(y, h, stages, clip=None, clipped=None, peaks=None):\n" + "".join(f"    {line}\n" for line in lines)
-    return source, namespace
+    lines += ["for stage in range(4):"] + [f"    {line}" for line in body]
+    return "def step(y, h, stages, clip=None, clipped=None, peaks=None):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _compile_step(source, namespace):
+    """The `step` function of `_write_step`'s source, run in `namespace`
+    with `_clamper` added.  It is popped from its globals, so a model is
+    freed by reference counting, without waiting for the cyclic GC."""
+    namespace["_clamper"] = _clamper
+    exec(compile(source, "<autopatch step>", "exec"), namespace)
+    return namespace.pop("step")
+
+
+def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index):
+    """Source and globals of the generated step (`_write_step`) of one
+    routed machine: the element voltages of a stage, from the integrators'
+    input rows (`int_terms`) and the multiplier levels (`mul_levels`).
+
+    The constant source, if it is an element, is set and clamped once per
+    call.  Multipliers go level by level, as `dependency_order` groups
+    them: level 0 reads only states and the constant, level j reads at
+    least one multiplier of level j - 1.  Each multiplier is the product of
+    its two row sums (`_sum_writer`, terms in lane order), and each level
+    is clamped in one statement before the next level reads it; a clamp
+    statement per multiplier made up a third of the compile time.
+    """
+    namespace: dict[str, object] = {}
+    head: list[str] = []
+    if const_index is not None:
+        k = const_index
+        head.append(f"e{k} = 1.0")
+        head.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
+    evaluation: list[str] = []
+    row_sum = _sum_writer(namespace, evaluation)
+    for j, ops in enumerate(mul_levels):
+        for k, a_terms, b_terms in ops:
+            a = row_sum(a_terms, "_a")
+            b = row_sum(b_terms, "_b")
+            evaluation.append(f"e{k} = ({a}) * ({b})")
+        level_names = "".join(f"e{k}, " for k, _, _ in ops)
+        namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
+        evaluation.append(f"if clipping: {level_names}= {_clamped(f'zip(_level{j}, ({level_names}))')}")
+    sums = [row_sum(terms, f"_d{i}") for i, terms in enumerate(int_terms)]
+    return _write_step(n_states, n_elements, head, evaluation, sums), namespace
 
 
 class DynamicsModel:
@@ -271,7 +301,7 @@ class DynamicsModel:
     its tap, or by its slot when it has none.
 
     `step(y, h, stages, clip=None, clipped=None, peaks=None)` is one
-    Python function generated per machine (see `_generate_evaluator`).  It
+    Python function generated per machine (`_generate_evaluator`).  It
     takes a whole RK4 (4 stages) or Euler (1 stage) step from y and returns
     the next state with the element voltages at y, which is what `run`
     records; in clip mode it clamps every stage's states and products.
@@ -356,65 +386,31 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
     mul_levels = [[(pos, *mul_ports[pos]) for pos in level] for level in levels]
 
-    source, namespace = _generate_evaluator(n_states, len(labels), int_terms, mul_levels, const_index)
-    exec(compile(source, "<autopatch step>", "exec"), namespace)
+    step = _compile_step(*_generate_evaluator(n_states, len(labels), int_terms, mul_levels, const_index))
     return DynamicsModel(
         state_labels=tuple(tap_name_of_row.get(row, labels[i]) for i, row in enumerate(rows[:n_states])),
         initial=tuple(config.initial_states[k] for _, k in roles[:n_states]),
         element_labels=tuple(labels),
         taps={name: position[row] for name, row in config.taps},
-        step=namespace["step"],
+        step=step,
     )
 
 
-def _generate_derivatives(n, chain, terms):
-    """`derivatives(volts)`, returning a list, of `ReferenceModel`'s table
-    compiled with `exec`.  Slot k is the local `v<k>`; chain entry (a, b)
-    sets the next slot to v<a> * v<b>.  State i's sum is `0.0 + w*v<k> + ...`
-    in term order, carried in `d<i>` every `_SUM_CHUNK` terms, so it rounds
-    as a loop that adds each product to 0.0 in turn.  Finite weights are
-    written with repr, which reads back exactly; others are globals."""
-    namespace: dict[str, object] = {}
-
-    def weight(w: float) -> str:
-        if math.isfinite(w):
-            return repr(w)
-        name = f"_w{len(namespace)}"
-        namespace[name] = w
-        return name
-
-    lines = ["[" + "".join(f"v{i}, " for i in range(n)) + "] = volts", f"v{n} = 1.0"]
-    lines += [f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(chain, n + 1)]
-    sums = []
-    for i, state_terms in enumerate(terms):
-        products = [f"{weight(w)}*v{k}" for w, k in state_terms]
-        expr = " + ".join(["0.0", *products[:_SUM_CHUNK]])
-        for start in range(_SUM_CHUNK, len(products), _SUM_CHUNK):
-            lines.append(f"d{i} = {expr}")
-            expr = " + ".join([f"d{i}", *products[start : start + _SUM_CHUNK]])
-        sums.append(expr)
-    lines.append("return [" + "".join(f"{expr}, " for expr in sums) + "]")
-    source = "def derivatives(volts):\n" + "".join(f"    {line}\n" for line in lines)
-    exec(compile(source, "<autopatch reference>", "exec"), namespace)
-    return namespace.pop("derivatives")  # so the function is not in a cycle with its globals
-
-
 class ReferenceModel:
-    """Direct evaluator for an expanded polynomial system, with the
-    `step` of DynamicsModel.  Its `voltages`, `derivatives` and `rhs` are
-    the pieces `step` is built from; DynamicsModel has no such views, as
-    its generated step writes them out inline.  `derivatives(volts)`, the
-    right-hand sides at the element voltages, is a function generated per
-    instance from the table below (`_generate_derivatives`); it only reads
-    `volts`, so `rhs` hands it y itself when nothing is clipped.
+    """Direct evaluator for an expanded polynomial system, with the `step`
+    of DynamicsModel: one function generated per instance by the stage
+    writer the hardware path uses (`_write_step`), with the evaluation
+    written from the monomial table below.  Its elements are the states;
+    in clip mode a stage clamps the states, and never the constant 1.0 or
+    a product.
 
     Slot i < n of the table is state i's voltage and slot n the constant
     1.0; each later slot is a factor prefix of length >= 2, in (length,
     factors) order, the product of its prefix one factor shorter and its
-    last factor.  A monomial is thus multiplied once however many terms
-    use it, left to right over its sorted factors, and a term is (weight,
-    slot): the products and sums of a per-term loop that starts each
-    product at 1.0, as 1.0 * x is x bit for bit."""
+    last factor.  A monomial is thus multiplied once per stage however many
+    terms use it, left to right over its sorted factors, and a term is
+    (weight, slot): the products and sums of a per-term loop that starts
+    each product at 1.0, as 1.0 * x is x bit for bit."""
 
     def __init__(self, system: PolySystem):
         self.state_labels = system.states
@@ -425,48 +421,14 @@ class ReferenceModel:
         slot = {(name,): i for name, i in self.taps.items()}
         slot[()] = n
         prefixes = {t.factors[:k] for terms in system.rhs for t in terms for k in range(2, len(t.factors) + 1)}
-        chain = []
+        evaluation = []  # slot k = slot a * slot b, in slot order
         for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
             slot[prefix] = k
-            chain.append((slot[prefix[:-1]], slot[prefix[-1:]]))
-        terms = [[(t.weight, slot[t.factors]) for t in state_terms] for state_terms in system.rhs]
-        self.derivatives = _generate_derivatives(n, chain, terms)
-
-    def voltages(self, y, clip=None, clipped=None):
-        if clip is None:
-            return list(y)
-        lo, clamp = -clip, _clamper(clip, clipped)
-        return [v if lo <= v <= clip else clamp(v, i) for i, v in enumerate(y)]
-
-    def rhs(self, y, clip=None, clipped=None):
-        return self.derivatives(y if clip is None else self.voltages(y, clip, clipped))
-
-    def step(self, y, h, stages, clip=None, clipped=None, peaks=None):
-        """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)
-        step over `rhs`, in the arithmetic that generated steps write out;
-        with 0 stages, `rhs` at y in place of a next state.  The voltages
-        at y are clamped once and serve the first stage too; given a
-        `peaks` list, each entry is raised to its element's |voltage|."""
-        rhs = self.rhs
-        volts = self.voltages(y, clip, clipped)
-        if peaks is not None:
-            for k, a in enumerate(map(abs, volts)):
-                if a > peaks[k]:
-                    peaks[k] = a
-        # indexing is faster than zip() for the few states of a small machine
-        k1 = self.derivatives(volts)
-        n = len(y)
-        if stages < 2:
-            return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
-        half = 0.5 * h
-        y2 = [y[i] + half * k1[i] for i in range(n)]
-        k2 = rhs(y2, clip, clipped)
-        y3 = [y[i] + half * k2[i] for i in range(n)]
-        k3 = rhs(y3, clip, clipped)
-        y4 = [y[i] + h * k3[i] for i in range(n)]
-        k4 = rhs(y4, clip, clipped)
-        s = h / 6.0
-        return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
+            evaluation.append(f"e{k} = e{slot[prefix[:-1]]} * e{slot[prefix[-1:]]}")
+        namespace: dict[str, object] = {}
+        row_sum = _sum_writer(namespace, evaluation)
+        sums = [row_sum([(t.weight, slot[t.factors]) for t in terms], f"_d{i}") for i, terms in enumerate(system.rhs)]
+        self.step = _compile_step(_write_step(n, n, [f"e{n} = 1.0"], evaluation, sums), namespace)
 
 
 # steps between moves of `run`'s buffered samples into the trace arrays

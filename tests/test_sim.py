@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import random
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from array import array
 from functools import partial
 from pathlib import Path
@@ -435,6 +437,38 @@ def _loop_clamp(v, clip):
     return v
 
 
+def loop_step(self, y, h, stages, clip=None, clipped=None, peaks=None):
+    """The voltages at y, then one RK4 (4 stages) or Euler (1 stage)
+    step over `rhs`, in the arithmetic that generated steps write out;
+    with 0 stages, `rhs` at y in place of a next state.  The voltages
+    at y are clamped once and serve the first stage too; given a
+    `peaks` list, each entry is raised to its element's |voltage|.
+
+    The stage loop both paths ran before the whole step was generated,
+    as `ReferenceModel.step`; `LoopModel` and `TermLoopModel` step
+    through it with their own `voltages`, `rhs` and `derivatives`."""
+    rhs = self.rhs
+    volts = self.voltages(y, clip, clipped)
+    if peaks is not None:
+        for k, a in enumerate(map(abs, volts)):
+            if a > peaks[k]:
+                peaks[k] = a
+    # indexing is faster than zip() for the few states of a small machine
+    k1 = self.derivatives(volts)
+    n = len(y)
+    if stages < 2:
+        return ([y[i] + h * k1[i] for i in range(n)] if stages else k1), volts
+    half = 0.5 * h
+    y2 = [y[i] + half * k1[i] for i in range(n)]
+    k2 = rhs(y2, clip, clipped)
+    y3 = [y[i] + half * k2[i] for i in range(n)]
+    k3 = rhs(y3, clip, clipped)
+    y4 = [y[i] + h * k3[i] for i in range(n)]
+    k4 = rhs(y4, clip, clipped)
+    s = h / 6.0
+    return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
+
+
 class LoopModel:
     """The interpreter that walked the compiled lane tuples on every call,
     before `build_dynamics` generated straight-line code.  Kept here as
@@ -449,7 +483,7 @@ class LoopModel:
         self._mul_ops = [op for level in mul_levels for op in level]
         self._const_index = const_index
 
-    step = sim.ReferenceModel.step
+    step = loop_step
 
     def voltages(self, y, clip=None, clipped=None):
         volts = [0.0] * len(self.element_labels)
@@ -966,19 +1000,33 @@ class TestTraceMemory:
 # the reference's monomial table against the per-term factor loop
 
 
-class TermLoopModel(sim.ReferenceModel):
+class TermLoopModel:
     """The reference evaluator as it was while `derivatives` multiplied
     out every term's factor tuple on each call, before each distinct
-    monomial got one product per call and the table was written out as
-    generated code.  Kept here as the bit-for-bit reference for
-    `ReferenceModel.derivatives`."""
+    monomial got one product per call and the whole step was written out
+    as generated code.  Kept here as the bit-for-bit reference for
+    `ReferenceModel`: its stage loop is `loop_step`, and its `voltages`
+    clamp only the states."""
 
     def __init__(self, system):
-        super().__init__(system)
-        del self.derivatives  # the generated function, which would shadow the loop below
+        self.state_labels = system.states
+        self.element_labels = system.states
+        self.initial = system.initial
+        self.taps = {name: i for i, name in enumerate(system.states)}
         self._factor_terms = tuple(
             tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms) for terms in system.rhs
         )
+
+    step = loop_step
+
+    def voltages(self, y, clip=None, clipped=None):
+        if clip is None:
+            return list(y)
+        lo, clamp = -clip, sim._clamper(clip, clipped)
+        return [v if lo <= v <= clip else clamp(v, i) for i, v in enumerate(y)]
+
+    def rhs(self, y, clip=None, clipped=None):
+        return self.derivatives(self.voltages(y, clip, clipped))
 
     def derivatives(self, volts):
         out = []
@@ -1027,7 +1075,7 @@ class TestReferenceDerivatives:
         n = len(system.states)
         model, loop = sim.ReferenceModel(system), TermLoopModel(system)
         for volts in data.draw(st.lists(st.lists(VOLTS, min_size=n, max_size=n), min_size=1, max_size=4)):
-            assert hexes(model.derivatives(volts)) == hexes(loop.derivatives(volts)), volts
+            assert hexes(evaluate(model, volts)[0]) == hexes(loop.derivatives(volts)), volts
 
     @settings(max_examples=4, deadline=None)
     @given(system=term_systems(), data=st.data())
@@ -1041,10 +1089,6 @@ class TestReferenceDerivatives:
                 run_settings = SimSettings(dt=0.05, t_end=1.0, method=method, clip=clip, record_stride=stride)
                 reference = run_outcome(loop, run_settings, runner=lambda _model, _initial, s: run_reference(system, s))
                 assert reference == run_outcome(loop, run_settings)
-
-    def test_term_loop_is_not_the_generated_function(self):
-        system = support.terms_to_system("AB", [[(2.0, ("A", "B"))], []])
-        assert TermLoopModel(system).derivatives.__func__ is TermLoopModel.derivatives
 
     @pytest.mark.parametrize(
         "names, per_state",
@@ -1073,10 +1117,10 @@ class TestReferenceDerivatives:
         points += [[SPECIAL_VOLTS[(i + j) % k] for i in range(n)] for j in range(k)]  # mixed, in every rotation
         points.append([0.5 + 0.01 * i for i in range(n)])
         for volts in points:
-            assert hexes(model.derivatives(volts)) == hexes(loop.derivatives(volts)), volts
+            assert hexes(evaluate(model, volts)[0]) == hexes(loop.derivatives(volts)), volts
 
     def test_compile_memory_of_a_large_system(self):
-        # the straight-line function of 500 states peaks at ~3.3 MB on CPython 3.11
+        # the generated step of 500 states peaks at ~3.2 MB on CPython 3.11
         system = normalize(compile_source(support.synthetic_large_program(500)))
         tracemalloc.start()
         try:
@@ -1085,6 +1129,55 @@ class TestReferenceDerivatives:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def _ring_system(n):
+    """n states S0, S1, ..., each reading itself, its neighbour, a product,
+    a cubic term and a constant term, so that under clip 0.3 a clamp of the
+    constant slot (1.0) would show in every derivative."""
+    names = [f"S{i}" for i in range(n)]
+    per_state = [
+        [(-1.0, (names[i],)), (0.8, (names[(i + 1) % n],)), (-0.3, (names[i], names[(i + 7) % n])),
+         (1.0, (names[i], names[i], names[(i + 3) % n])), (0.5, ())]
+        for i in range(n)
+    ]
+    return support.terms_to_system(names, per_state)
+
+
+class TestReferenceStep:
+    @pytest.mark.parametrize("n", [sim._SCALAR_STATES, sim._SCALAR_STATES + 1])
+    def test_matches_the_stage_loop(self, n):
+        system = _ring_system(n)
+        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        # the two emission forms: states in scalar locals, or in the list x
+        assert ("x" in model.step.__code__.co_varnames) == (n > sim._SCALAR_STATES)
+        rng = random.Random(11)
+        for y in sample_points(n, rng, count=8):
+            for stages in (0, 1, 4):
+                for clip in (None, 0.3, 1.2):
+                    start = [rng.uniform(0.0, 1.0) for _ in range(n)]
+                    outcomes = []
+                    for m in (model, loop):
+                        clipped = set() if clip is not None else None
+                        peaks = list(start)
+                        values, volts = m.step(y, 0.05, stages, clip, clipped, peaks)
+                        outcomes.append((hexes(values), hexes(volts), hexes(peaks), clipped))
+                    assert outcomes[0] == outcomes[1], (y, stages, clip)
+
+
+class TestModelLifetime:
+    @pytest.mark.parametrize("case", ["lorenz", str(sim._SCALAR_STATES + 1)])
+    def test_step_dies_with_its_model_without_the_cyclic_gc(self, case):
+        system, design, _, _ = _parity_case(case)
+        gc.disable()
+        try:
+            for build in (partial(build_dynamics, design.config), partial(sim.ReferenceModel, system)):
+                model = build()
+                step = weakref.ref(model.step)
+                del model
+                assert step() is None, build
+        finally:
+            gc.enable()
 
 
 def _tapped_only(n_states):
