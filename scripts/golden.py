@@ -9,10 +9,10 @@ state becomes non-finite, an image cut short, a product of degree 300,
 a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
-no newline), and a program whose lex error follows tabs.  For every command
-the script prints one sha256 per output file it wrote or changed, and
-one each for its stdout, stderr and exit code, as
-`<hex digest>  <command>/<what>`.
+no newline), a program whose lex error follows tabs, and a ring of twelve
+states.  For every command the script prints one sha256 per output file
+it wrote or changed, and one each for its stdout, stderr and exit code,
+as `<hex digest>  <command>/<what>`.
 
 Usage: python3 scripts/golden.py          # print the digests
        python3 scripts/golden.py --check  # compare with tests/golden.sha256
@@ -81,6 +81,11 @@ CORPUS = (
     # whose generated step keeps its states in lists, clamped
     ("simulate-s500-reference", ["simulate", "s500.odedsl", "--machine", "redac", "--dt", "0.01", "--t-end", "0.2",
                                  "--clip", "1.0", "--reference", "--out-dir", "s500-reference"]),
+    # an image with twelve used integrators: its columns are in slot order,
+    # as --ic takes its values, so I10 and I11 come after I9
+    ("route-ring-custom", ["route", "ring.odedsl", "--machine", "custom:i=12,m=0,l=16", "-o", "ring.acfg"]),
+    ("simulate-ring-image", ["simulate", "ring.acfg", "--machine", "custom:i=12,m=0,l=16", "--t-end", "0.01",
+                             "--ic", ",".join(str(k) for k in range(12)), "--out-dir", "ring"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -110,6 +115,13 @@ LAYOUT = (
     "plot(x: X(t), y: Y(t));\r\n"
     "out X(t);\t\t# end-of-line comment\r\n"
     "# a comment at the end of the file"
+)
+
+#: twelve states in a ring, each driven by the next
+RING = "".join(
+    [f"fn s{i}(t);\n" for i in range(12)]
+    + [f"let diff[s{i}, t] = -0.5 * s{(i + 1) % 12};\n" for i in range(12)]
+    + [f"let s{i}(t: 0) = 0;\n" for i in range(12)]
 )
 
 #: a lex error on a line that starts with two tabs: `$` is at line 2, column 20
@@ -167,6 +179,7 @@ def run_corpus() -> list[str]:
         (work / "bad-opcode.acdl").write_bytes(BAD_OPCODE)
         (work / "layout.odedsl").write_bytes(LAYOUT.encode())
         (work / "tabs.odedsl").write_text(TABS, encoding="utf-8")
+        (work / "ring.odedsl").write_text(RING, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:

@@ -80,15 +80,21 @@ def _parse_clip(text: str):
         raise argparse.ArgumentTypeError(f"invalid value {text!r} (expected a number or 'off')") from None
 
 
-def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.CircuitGraph]:
-    from . import circuit, dsl
-
+def _read(path: str, text: bool = False):
+    """The bytes of the file at `path`, or with `text` its UTF-8 text; a
+    file that cannot be read is named in a one-line diagnostic."""
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: not UTF-8 text ({exc})") from None
+
+
+def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.CircuitGraph]:
+    from . import circuit, dsl
+
+    source = _read(path, text=True)
     try:
         program = dsl.compile_source(source)
     except dsl.SourceError as exc:
@@ -143,7 +149,7 @@ def _cmd_simulate(args) -> int:
         from . import bitstream
 
         spec = _parse_machine(args.machine)
-        model = sim.build_dynamics(bitstream.decode(Path(args.input).read_bytes(), spec))
+        model = sim.build_dynamics(bitstream.decode(_read(args.input), spec))
         # an image carries no signal names, so the model labels its used integrators I<slot>
         model.taps = {label: i for i, label in enumerate(model.state_labels)}
         initial = model.initial
@@ -158,8 +164,7 @@ def _cmd_simulate(args) -> int:
                 raise ValueError(f"--ic lists {len(initial)} values for {len(model.taps)} used integrators")
         trace = sim.run(model, initial, settings)
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = sorted(trace.signals)
-        sim.write_csv(out_dir / "out.csv", ["t"] + names, [trace.times] + [trace.signals[n] for n in names])
+        sim.write_signals(out_dir / "out.csv", trace, list(model.taps))  # slot order, as --ic
         return 0
 
     from . import router
@@ -177,16 +182,12 @@ def _cmd_simulate(args) -> int:
     # trace records the hardware trace's taps only, as many values
     ref = None
     if args.reference:
-        ref_model = sim.ReferenceModel(system)
+        ref_model = sim.build_reference(system)
         ref_model.taps = {name: ref_model.taps[name] for name in model.taps}
         ref = sim.run(ref_model, ref_model.initial, settings)
     sim.emit_traces(trace, program, out_dir)
     if ref is not None:
-        sim.write_csv(
-            out_dir / "ref_out.csv",
-            ["t"] + list(program.outputs),
-            [ref.times] + [ref.signals[n] for n in program.outputs],
-        )
+        sim.write_signals(out_dir / "ref_out.csv", ref, program.outputs)
         print(f"max_abs_deviation: {sim.max_abs_deviation(trace, ref):.17g}")
     return 0
 
@@ -195,8 +196,8 @@ def _cmd_diff(args) -> int:
     from . import bitstream
 
     spec = _parse_machine(args.machine)
-    old = bitstream.decode(Path(args.old).read_bytes(), spec)
-    new = bitstream.decode(Path(args.new).read_bytes(), spec)
+    old = bitstream.decode(_read(args.old), spec)
+    new = bitstream.decode(_read(args.new), spec)
     script = bitstream.diff(old, new)
     Path(args.output).write_bytes(bitstream.encode_delta(script))
     print(f"ops: {len(script.ops)}")
@@ -207,8 +208,8 @@ def _cmd_apply(args) -> int:
     from . import bitstream
 
     spec = _parse_machine(args.machine)
-    base = bitstream.decode(Path(args.base).read_bytes(), spec)
-    script = bitstream.decode_delta(Path(args.delta).read_bytes())
+    base = bitstream.decode(_read(args.base), spec)
+    script = bitstream.decode_delta(_read(args.delta))
     updated = bitstream.apply(base, script)
     Path(args.output).write_bytes(bitstream.encode(updated))
     return 0

@@ -1,9 +1,9 @@
 """Fixed-step simulation of a routed configuration and of the polynomial
 reference system.
 
-Each model's `step` is one Python function that takes a whole RK4 or
-Euler step, compiled with `exec` in the manner of SymPy's `lambdify` or
-JiTCODE.  One stage writer (`_write_step`) writes the integrator: the
+Both paths build a `Model`, whose `step` is one Python function that
+takes a whole RK4 or Euler step, compiled with `exec` in the manner of
+SymPy's `lambdify` or JiTCODE.  One stage writer (`_write_step`) writes the integrator: the
 state clamps, the stage arithmetic and the peaks, around a stage
 evaluation that each path writes out once as straight-line code.
 
@@ -12,7 +12,7 @@ interconnect wires up: element output voltages fan out over lanes, each
 lane scales by its coefficient, currents sum per input row, multipliers
 form products of their two row sums level by level
 (`machine.dependency_order`), and each integrator integrates its input
-row.  The reference path (`ReferenceModel`) evaluates the expanded
+row.  The reference path (`build_reference`) evaluates the expanded
 polynomial system from its own monomial table, independent of the
 circuit and of the routed lanes, so it can check the hardware path; the
 two share only the stage writer, the sum writer and `_clamper`.
@@ -29,6 +29,8 @@ step for step; residual differences are floating-point reassociation
 only.
 
 A trace's time and signal columns are `array('d')`, 8 bytes per value.
+`write_signals` writes every time-plus-signals CSV, the time first and
+the signals in the order given (an image's in slot order, as `--ic`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .machine import LoopError, MachineConfig, NodeKind, Port, decode, dependency_order, validate_config
 
@@ -289,41 +291,44 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     return _write_step(n_states, n_elements, head, evaluation, sums), namespace
 
 
-class DynamicsModel:
-    """Compiled hardware step.
-
-    Elements are laid out as one voltage vector in output-row order, which
-    the row convention makes used integrators first (ascending slot), then
-    used multipliers, then the constant source if an active lane draws
-    from it or a tap names it.  `taps` maps signal names to element
-    positions.  `element_labels` name elements by slot (`I<k>`, `M<j>`,
-    `const`), so no two coincide; `state_labels` name each integrator by
-    its tap, or by its slot when it has none.
+@dataclass(slots=True)
+class Model:
+    """A compiled model of either path.  Its first `len(state_labels)`
+    elements are the states, which start at `initial`; `element_labels`
+    name every element, no two alike, and `taps` maps each signal name to
+    an element position.
 
     `step(y, h, stages, clip=None, clipped=None, peaks=None)` is one
-    Python function generated per machine (`_generate_evaluator`).  It
-    takes a whole RK4 (4 stages) or Euler (1 stage) step from y and returns
-    the next state with the element voltages at y, which is what `run`
-    records; in clip mode it clamps every stage's states and products.
-    Given a list `peaks` with one entry per element, it raises each entry
-    to that element's |voltage| at y.  With 0 stages it only evaluates at
-    y, returning the integrator input sums and the voltages there; the
-    model has no separate `rhs` or `voltages` view on that call.
+    Python function generated per model (`_write_step`).  It takes a
+    whole RK4 (4 stages) or Euler (1 stage) step from y and returns the
+    next state with the element voltages at y, which is what `run`
+    records; in clip mode it clamps every stage's states, adding the
+    index of each element it clamps to `clipped`.  Given a list `peaks`
+    with one entry per element, it raises each entry to that element's
+    |voltage| at y.  With 0 stages it only evaluates at y, returning the
+    state derivatives and the voltages there.
     """
 
-    def __init__(self, state_labels, initial, element_labels, taps, step):
-        self.state_labels: tuple[str, ...] = state_labels
-        self.initial: tuple[float, ...] = initial
-        self.element_labels: tuple[str, ...] = element_labels
-        self.taps: dict[str, int] = taps
-        self.step = step
+    state_labels: tuple[str, ...]
+    initial: tuple[float, ...]
+    element_labels: tuple[str, ...]
+    taps: dict[str, int]
+    step: Callable
 
 
 _LABELS = {NodeKind.INTEGRATOR: "I{}", NodeKind.MULTIPLIER: "M{}", NodeKind.CONST_ONE: "const"}
 
 
-def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, float]] = None) -> DynamicsModel:
-    """Compile a valid configuration into a generated step function.
+def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, float]] = None) -> Model:
+    """The model of what a valid configuration wires up.
+
+    Elements are in output-row order, which the row convention makes used
+    integrators first (ascending slot), then used multipliers, then the
+    constant source if an active lane draws from it or a tap names it.
+    `element_labels` name elements by slot (`I<k>`, `M<j>`, `const`), and
+    `state_labels` name each integrator by its tap, or by its slot when it
+    has none.  In clip mode a stage also clamps the constant and each
+    multiplier's product.
 
     `lane_weights` substitutes exact pre-quantization gains for the decoded
     coefficient values (quantization bypass); lanes not listed fall back to
@@ -387,7 +392,7 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     mul_levels = [[(pos, *mul_ports[pos]) for pos in level] for level in levels]
 
     step = _compile_step(*_generate_evaluator(n_states, len(labels), int_terms, mul_levels, const_index))
-    return DynamicsModel(
+    return Model(
         state_labels=tuple(tap_name_of_row.get(row, labels[i]) for i, row in enumerate(rows[:n_states])),
         initial=tuple(config.initial_states[k] for _, k in roles[:n_states]),
         element_labels=tuple(labels),
@@ -396,13 +401,10 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     )
 
 
-class ReferenceModel:
-    """Direct evaluator for an expanded polynomial system, with the `step`
-    of DynamicsModel: one function generated per instance by the stage
-    writer the hardware path uses (`_write_step`), with the evaluation
-    written from the monomial table below.  Its elements are the states;
-    in clip mode a stage clamps the states, and never the constant 1.0 or
-    a product.
+def build_reference(system: PolySystem) -> Model:
+    """The model of an expanded polynomial system, evaluated from its own
+    monomial table.  Its elements are the states; in clip mode a stage
+    clamps the states, and never the constant 1.0 or a product.
 
     Slot i < n of the table is state i's voltage and slot n the constant
     1.0; each later slot is a factor prefix of length >= 2, in (length,
@@ -411,31 +413,27 @@ class ReferenceModel:
     terms use it, left to right over its sorted factors, and a term is
     (weight, slot): the products and sums of a per-term loop that starts
     each product at 1.0, as 1.0 * x is x bit for bit."""
-
-    def __init__(self, system: PolySystem):
-        self.state_labels = system.states
-        self.element_labels = system.states
-        self.initial = system.initial
-        self.taps = {name: i for i, name in enumerate(system.states)}
-        n = len(system.states)
-        slot = {(name,): i for name, i in self.taps.items()}
-        slot[()] = n
-        prefixes = {t.factors[:k] for terms in system.rhs for t in terms for k in range(2, len(t.factors) + 1)}
-        evaluation = []  # slot k = slot a * slot b, in slot order
-        for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
-            slot[prefix] = k
-            evaluation.append(f"e{k} = e{slot[prefix[:-1]]} * e{slot[prefix[-1:]]}")
-        namespace: dict[str, object] = {}
-        row_sum = _sum_writer(namespace, evaluation)
-        sums = [row_sum([(t.weight, slot[t.factors]) for t in terms], f"_d{i}") for i, terms in enumerate(system.rhs)]
-        self.step = _compile_step(_write_step(n, n, [f"e{n} = 1.0"], evaluation, sums), namespace)
+    n = len(system.states)
+    taps = {name: i for i, name in enumerate(system.states)}
+    slot = {(name,): i for name, i in taps.items()}
+    slot[()] = n
+    prefixes = {t.factors[:k] for terms in system.rhs for t in terms for k in range(2, len(t.factors) + 1)}
+    evaluation = []  # slot k = slot a * slot b, in slot order
+    for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
+        slot[prefix] = k
+        evaluation.append(f"e{k} = e{slot[prefix[:-1]]} * e{slot[prefix[-1:]]}")
+    namespace: dict[str, object] = {}
+    row_sum = _sum_writer(namespace, evaluation)
+    sums = [row_sum([(t.weight, slot[t.factors]) for t in terms], f"_d{i}") for i, terms in enumerate(system.rhs)]
+    step = _compile_step(_write_step(n, n, [f"e{n} = 1.0"], evaluation, sums), namespace)
+    return Model(system.states, system.initial, system.states, taps, step)
 
 
 # steps between moves of `run`'s buffered samples into the trace arrays
 _BLOCK = 4096
 
 
-def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
+def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
     """Integrate with a fixed step, sampling every `record_stride` steps.
 
     The trace always contains t = 0 and t = t_end; when t_end is not a
@@ -518,7 +516,7 @@ def run(model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
 def run_reference(system: PolySystem, settings: SimSettings) -> Trace:
     """Integrate the expanded system directly, with unquantized weights."""
-    model = ReferenceModel(system)
+    model = build_reference(system)
     return run(model, model.initial, settings)
 
 
@@ -547,6 +545,12 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[floa
         fh.writelines(row % values for values in zip(*columns))
 
 
+def write_signals(path: Path, trace: Trace, names: Sequence[str]) -> None:
+    """Write the time and the `names` signals of `trace`, in that order,
+    under the header `t,<names>`."""
+    write_csv(path, ["t", *names], [trace.times, *(trace.signals[name] for name in names)])
+
+
 def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
     """Write out.csv (time plus every `out` signal) and one
     plot_<x>_<y>.csv per plot statement.  17 significant digits, LF line
@@ -556,14 +560,8 @@ def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
     for name in list(program.outputs) + [ax for pair in program.plots for ax in pair]:
         if name not in trace.signals:
             raise ValueError(f"trace does not tap signal {name}")
-    written = []
-    out_path = out_dir / "out.csv"
-    write_csv(
-        out_path,
-        ["t"] + list(program.outputs),
-        [trace.times] + [trace.signals[name] for name in program.outputs],
-    )
-    written.append(out_path)
+    written = [out_dir / "out.csv"]
+    write_signals(written[0], trace, program.outputs)
     for x, y in program.plots:
         plot_path = out_dir / f"plot_{x}_{y}.csv"
         write_csv(plot_path, [x, y], [trace.signals[x], trace.signals[y]])

@@ -214,6 +214,22 @@ class TestSimulate:
         rows = (out_dir / "out.csv").read_text().splitlines()
         assert rows[1] == "0,0.10000000000000001,0,0"
 
+    def test_image_columns_are_in_slot_order_as_ic(self, tmp_path, capsys):
+        # 12 used integrators: sorted as strings, I10 and I11 would come before I2
+        n, machine = 12, "custom:i=12,m=0,l=16"
+        lines = [f"fn s{i}(t);" for i in range(n)]
+        lines += [f"let diff[s{i}, t] = -0.5 * s{(i + 1) % n};" for i in range(n)]
+        lines += [f"let s{i}(t: 0) = 0;" for i in range(n)]
+        src = write(tmp_path, "ring.odedsl", "\n".join(lines) + "\n")
+        image = tmp_path / "ring.acfg"
+        assert main(["route", src, "--machine", machine, "-o", str(image)]) == 0
+        out_dir = tmp_path / "sim"
+        ic = ",".join(str(k) for k in range(n))
+        argv = ["simulate", str(image), "--machine", machine, "--t-end", "0", "--ic", ic, "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        rows = (out_dir / "out.csv").read_text().splitlines()
+        assert rows == ["t," + ",".join(f"I{k}" for k in range(n)), "0," + ic]
+
     def test_image_with_multiplier_loop_is_refused(self, tmp_path, capsys):
         from autopatch.bitstream import encode
         from autopatch.circuit import LoopError, NodeKind, Port
@@ -290,6 +306,11 @@ class TestSimulate:
             assert rows[0] == "t,X,Y"
             assert len(rows) == 1002
 
+    def test_missing_image_names_the_file(self, tmp_path, capsys):
+        missing = tmp_path / "x.acfg"
+        assert main(["simulate", str(missing), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"autopatch: error: cannot read {missing}: No such file or directory\n"
+
     def test_ic_rejected_for_source_input(self, capsys, tmp_path):
         assert main(["simulate", LORENZ, "--ic", "1,2,3", "--out-dir", str(tmp_path)]) == 1
         assert ".acfg" in capsys.readouterr().err
@@ -328,6 +349,20 @@ class TestDiffApply:
         result = tmp_path / "patched.acfg"
         assert main(["apply", str(base), str(delta), "-o", str(result)]) == 0
         assert result.read_bytes() == target.read_bytes()
+
+    def test_diff_of_a_missing_image_names_the_file(self, tmp_path, capsys):
+        image, missing = tmp_path / "l.acfg", tmp_path / "x.acfg"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(image), str(missing), "-o", str(tmp_path / "d.acdl")]) == 1
+        assert capsys.readouterr().err == f"autopatch: error: cannot read {missing}: No such file or directory\n"
+
+    def test_apply_of_a_missing_delta_names_the_file(self, tmp_path, capsys):
+        image, missing = tmp_path / "l.acfg", tmp_path / "x.acdl"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        capsys.readouterr()
+        assert main(["apply", str(image), str(missing), "-o", str(tmp_path / "out.acfg")]) == 1
+        assert capsys.readouterr().err == f"autopatch: error: cannot read {missing}: No such file or directory\n"
 
     def test_apply_invalid_delta_fails(self, tmp_path, capsys):
         base = tmp_path / "empty.acfg"

@@ -45,8 +45,8 @@ from autopatch.sim import (
 
 def evaluate(model, y, clip=None, clipped=None):
     """The integrator input sums and the element voltages at y, from the
-    model's 0-stage step; a DynamicsModel, a ReferenceModel and a
-    LoopModel all answer it."""
+    model's 0-stage step; a `sim.Model` of either path and a LoopModel
+    both answer it."""
     derivs, volts = model.step(y, 0.0, 0, clip, clipped)
     return list(derivs), volts
 
@@ -445,7 +445,7 @@ def loop_step(self, y, h, stages, clip=None, clipped=None, peaks=None):
     `peaks` list, each entry is raised to its element's |voltage|.
 
     The stage loop both paths ran before the whole step was generated,
-    as `ReferenceModel.step`; `LoopModel` and `TermLoopModel` step
+    as the reference model's `step`; `LoopModel` and `TermLoopModel` step
     through it with their own `voltages`, `rhs` and `derivatives`."""
     rhs = self.rhs
     volts = self.voltages(y, clip, clipped)
@@ -874,7 +874,7 @@ class TestRunParity:
     @pytest.mark.parametrize("path", ["generated", "reference"])
     def test_trace_matches_the_legacy_driver(self, case, path):
         system, design, dt, clip = _parity_case(case)
-        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        model = build_dynamics(design.config) if path == "generated" else sim.build_reference(system)
         runs = [
             SimSettings(dt=dt, t_end=20 * dt),
             SimSettings(dt=dt, t_end=20 * dt, clip=clip),
@@ -924,7 +924,7 @@ class TestTraceStorage:
     @pytest.mark.parametrize("path", ["generated", "reference"])
     def test_block_edges_match_the_legacy_driver(self, steps, path):
         system, design, dt, clip = _parity_case("decay")
-        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        model = build_dynamics(design.config) if path == "generated" else sim.build_reference(system)
         for stride in (1, 3, sim._BLOCK + 1):
             settings = SimSettings(dt=dt, t_end=(steps - 0.5) * dt, record_stride=stride, clip=clip)
             outcome = run_outcome(model, settings)
@@ -935,7 +935,7 @@ class TestTraceStorage:
     @pytest.mark.parametrize("path", ["generated", "reference"])
     def test_non_finite_in_the_second_block(self, path):
         _, system, design = pipeline(BLOWUP)
-        model = build_dynamics(design.config) if path == "generated" else sim.ReferenceModel(system)
+        model = build_dynamics(design.config) if path == "generated" else sim.build_reference(system)
         settings = SimSettings(dt=4e-5, t_end=1.0, method=Method.EULER)
         outcome = run_outcome(model, settings)
         assert outcome == run_outcome(model, settings, runner=legacy_run)
@@ -1005,7 +1005,7 @@ class TermLoopModel:
     out every term's factor tuple on each call, before each distinct
     monomial got one product per call and the whole step was written out
     as generated code.  Kept here as the bit-for-bit reference for
-    `ReferenceModel`: its stage loop is `loop_step`, and its `voltages`
+    `build_reference`: its stage loop is `loop_step`, and its `voltages`
     clamp only the states."""
 
     def __init__(self, system):
@@ -1073,7 +1073,7 @@ class TestReferenceDerivatives:
     @given(system=term_systems(), data=st.data())
     def test_matches_the_term_loop(self, system, data):
         n = len(system.states)
-        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        model, loop = sim.build_reference(system), TermLoopModel(system)
         for volts in data.draw(st.lists(st.lists(VOLTS, min_size=n, max_size=n), min_size=1, max_size=4)):
             assert hexes(evaluate(model, volts)[0]) == hexes(loop.derivatives(volts)), volts
 
@@ -1111,7 +1111,7 @@ class TestReferenceDerivatives:
     )
     def test_shapes_the_strategy_does_not_reach(self, names, per_state):
         system = support.terms_to_system(names, per_state)
-        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        model, loop = sim.build_reference(system), TermLoopModel(system)
         n, k = len(names), len(SPECIAL_VOLTS)
         points = [[v] * n for v in SPECIAL_VOLTS]  # each special voltage on every state
         points += [[SPECIAL_VOLTS[(i + j) % k] for i in range(n)] for j in range(k)]  # mixed, in every rotation
@@ -1124,7 +1124,7 @@ class TestReferenceDerivatives:
         system = normalize(compile_source(support.synthetic_large_program(500)))
         tracemalloc.start()
         try:
-            sim.ReferenceModel(system)
+            sim.build_reference(system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1148,7 +1148,7 @@ class TestReferenceStep:
     @pytest.mark.parametrize("n", [sim._SCALAR_STATES, sim._SCALAR_STATES + 1])
     def test_matches_the_stage_loop(self, n):
         system = _ring_system(n)
-        model, loop = sim.ReferenceModel(system), TermLoopModel(system)
+        model, loop = sim.build_reference(system), TermLoopModel(system)
         # the two emission forms: states in scalar locals, or in the list x
         assert ("x" in model.step.__code__.co_varnames) == (n > sim._SCALAR_STATES)
         rng = random.Random(11)
@@ -1171,7 +1171,7 @@ class TestModelLifetime:
         system, design, _, _ = _parity_case(case)
         gc.disable()
         try:
-            for build in (partial(build_dynamics, design.config), partial(sim.ReferenceModel, system)):
+            for build in (partial(build_dynamics, design.config), partial(sim.build_reference, system)):
                 model = build()
                 step = weakref.ref(model.step)
                 del model
@@ -1190,7 +1190,7 @@ def _tapped_only(n_states):
         MachineConfig.empty(spec), taps=tuple((name, spec.out_row(NodeKind.INTEGRATOR, i)) for i, name in enumerate(names))
     )
     system = PolySystem(states=names, rhs=((),) * n_states, initial=(0.0,) * n_states)
-    return build_dynamics(config), sim.ReferenceModel(system)
+    return build_dynamics(config), sim.build_reference(system)
 
 
 class TestFiniteness:
