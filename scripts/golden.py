@@ -9,8 +9,8 @@ state becomes non-finite, an image cut short, a product of degree 300,
 a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
-no newline), a program whose lex error follows tabs, and a ring of twelve
-states.  For every command the script prints one sha256 per output file
+no newline), a program whose lex error follows tabs, a ring of twelve
+states, and a program with two undeclared names in one derivative.  For every command the script prints one sha256 per output file
 it wrote or changed, and one each for its stdout, stderr and exit code,
 as `<hex digest>  <command>/<what>`.
 
@@ -86,6 +86,10 @@ CORPUS = (
     ("route-ring-custom", ["route", "ring.odedsl", "--machine", "custom:i=12,m=0,l=16", "-o", "ring.acfg"]),
     ("simulate-ring-image", ["simulate", "ring.acfg", "--machine", "custom:i=12,m=0,l=16", "--t-end", "0.01",
                              "--ic", ",".join(str(k) for k in range(12)), "--out-dir", "ring"]),
+    # the 500-state circuit dump: every node and edge `build_circuit` makes
+    ("compile-s500", ["compile", "s500.odedsl", "--emit-ir"]),
+    # two undeclared names in one derivative: the first one in the source is named
+    ("compile-undeclared", ["compile", "undeclared.odedsl"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -126,6 +130,9 @@ RING = "".join(
 
 #: a lex error on a line that starts with two tabs: `$` is at line 2, column 20
 TABS = "fn X(t);\n\t\tlet diff[X, t] = $X;\nlet X(t: 0) = 1;\n"
+
+#: a derivative that uses two undeclared states: `A` at line 3, column 18 is the one reported
+UNDECLARED = "fn X(t);\nlet X(t: 0) = 1;\nlet diff[X, t] = A * B - X;\n"
 
 
 def _sha(data: bytes) -> str:
@@ -180,6 +187,7 @@ def run_corpus() -> list[str]:
         (work / "layout.odedsl").write_bytes(LAYOUT.encode())
         (work / "tabs.odedsl").write_text(TABS, encoding="utf-8")
         (work / "ring.odedsl").write_text(RING, encoding="utf-8")
+        (work / "undeclared.odedsl").write_text(UNDECLARED, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:
