@@ -10,9 +10,11 @@ a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
 no newline), a program whose lex error follows tabs, a ring of twelve
-states, and a program with two undeclared names in one derivative.  For every command the script prints one sha256 per output file
-it wrote or changed, and one each for its stdout, stderr and exit code,
-as `<hex digest>  <command>/<what>`.
+states, and a program with two undeclared names in one derivative; one
+command writes into a directory that does not exist.  For every command
+the script prints one sha256 per output file it wrote or changed, and one
+each for its stdout, stderr and exit code, as
+`<hex digest>  <command>/<what>`.
 
 Usage: python3 scripts/golden.py          # print the digests
        python3 scripts/golden.py --check  # compare with tests/golden.sha256
@@ -90,6 +92,8 @@ CORPUS = (
     ("compile-s500", ["compile", "s500.odedsl", "--emit-ir"]),
     # two undeclared names in one derivative: the first one in the source is named
     ("compile-undeclared", ["compile", "undeclared.odedsl"]),
+    # an output path whose directory does not exist: named in a one-line diagnostic
+    ("route-unwritable", ["route", "decay.odedsl", "-o", "no-such-dir/x.acfg"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite

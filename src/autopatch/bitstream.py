@@ -8,19 +8,25 @@ byte-aligned.  A delta script is a flat list of absolute set-operations,
 one per changed lane-field, so reconfiguration cost scales with the number
 of changes instead of the machine size.
 
-The row sections are mostly zero on a large machine, so encode stores one
-byte per wired lane into a zeroed buffer, and decode skips all-zero blocks
-of lanes and looks only at the set bytes.  Decoded coefficients are the
-shared per-code instances of `CoefficientCode`, read from two unpacks of
-the coefficient words, one per lane range (signed words on the high-res
-lanes, unsigned on the low-res lanes above them), and diff compares lanes
-identity first.  So the row-field work scales with the wired lanes, not
-with lanes x field width.
+The row sections are mostly zero on a large machine.  Encode builds the
+image with one `b"".join` of the header, each lane's field and the packed
+coefficient words.  A field is one `bytes` per row, made once per call,
+or the zero field that every unwired lane shares, so the image is the only
+large buffer written: no section is zero-filled first and copied after.
+Decode skips all-zero blocks of lanes and looks only at the set bytes.
+Decoded coefficients are the shared per-code instances of
+`CoefficientCode`, read from two unpacks of the coefficient words, one per
+lane range (signed words on the high-res lanes, unsigned on the low-res
+lanes above them), and diff compares lanes identity first.  So decode's
+and diff's row-field work scales with the wired lanes, not with lanes x
+field width, and encode looks each lane's field up once and leaves the
+bytes to the join.
 
 Delta records are NamedTuples, packed and unpacked through one `Struct`,
 so the delta codec costs in proportion to the ops.  In a reconfiguration
-round the row sections still cost in proportion to the wired lanes, and
-the coefficient words, `apply` and its `validate_config` to all lanes.
+round decoding the row sections costs in proportion to the wired lanes,
+and the coefficient words, `apply` with its `validate_config` and the
+final encode's lookups to all lanes.
 """
 
 from __future__ import annotations
@@ -79,13 +85,14 @@ def image_length(spec: MachineSpec) -> int:
     )
 
 
-def _encode_row_section(entries, rows: int) -> bytearray:
+def _encode_row_section(entries, rows: int) -> map:
+    """The fields of a row section, lane by lane: one `bytes` per row,
+    built once per call, and one zero field that every unwired lane
+    shares."""
     width = _row_field_bytes(rows)
-    section = bytearray(len(entries) * width)
-    for lane, row in enumerate(entries):
-        if row is not None:
-            section[lane * width + (row >> 3)] = 1 << (row & 7)
-    return section
+    fields = {row: (1 << row).to_bytes(width, "little") for row in set(entries).difference((None,))}
+    fields[None] = bytes(width)
+    return map(fields.__getitem__, entries)
 
 
 def encode(config: MachineConfig) -> bytes:
@@ -94,10 +101,10 @@ def encode(config: MachineConfig) -> bytes:
     return b"".join((
         MAGIC,
         bytes([FORMAT_VERSION]),
-        _encode_row_section(config.u_source, spec.out_rows),
+        *_encode_row_section(config.u_source, spec.out_rows),
         # a valid code fits a signed word, whose bytes are the code's low 16 bits
         struct.pack(f"<{spec.n_lanes}h", *map(attrgetter("code"), config.coefficients)),
-        _encode_row_section(config.i_dest, spec.in_rows),
+        *_encode_row_section(config.i_dest, spec.in_rows),
     ))
 
 

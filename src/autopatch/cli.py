@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -91,6 +92,22 @@ def _read(path: str, text: bool = False):
         raise ValueError(f"cannot read {path}: not UTF-8 text ({exc})") from None
 
 
+@contextmanager
+def _writing(path):
+    """Run the block that writes `path` (a file, or a directory and the
+    files in it); a write that fails is named in a one-line diagnostic,
+    by the path that failed."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write {exc.filename or path}: {exc.strerror}") from None
+
+
+def _write(path: str, data: bytes) -> None:
+    with _writing(path):
+        Path(path).write_bytes(data)
+
+
 def _compile_file(path: str) -> tuple[dsl.Program, circuit.PolySystem, circuit.CircuitGraph]:
     from . import circuit, dsl
 
@@ -120,7 +137,7 @@ def _cmd_route(args) -> int:
     _, _, graph = _compile_file(args.source)
     spec = _parse_machine(args.machine)
     design = router.route_design(graph, spec)
-    Path(args.output).write_bytes(bitstream.encode(design.config))
+    _write(args.output, bitstream.encode(design.config))
     print(router.format_report(design.report))
     if args.emit_config:
         dump = machine.format_config(design.config)
@@ -163,8 +180,9 @@ def _cmd_simulate(args) -> int:
             if len(initial) != len(model.taps):
                 raise ValueError(f"--ic lists {len(initial)} values for {len(model.taps)} used integrators")
         trace = sim.run(model, initial, settings)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sim.write_signals(out_dir / "out.csv", trace, list(model.taps))  # slot order, as --ic
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            sim.write_signals(out_dir / "out.csv", trace, list(model.taps))  # slot order, as --ic
         return 0
 
     from . import router
@@ -185,9 +203,11 @@ def _cmd_simulate(args) -> int:
         ref_model = sim.build_reference(system)
         ref_model.taps = {name: ref_model.taps[name] for name in model.taps}
         ref = sim.run(ref_model, ref_model.initial, settings)
-    sim.emit_traces(trace, program, out_dir)
+    with _writing(out_dir):
+        sim.emit_traces(trace, program, out_dir)
+        if ref is not None:
+            sim.write_signals(out_dir / "ref_out.csv", ref, program.outputs)
     if ref is not None:
-        sim.write_signals(out_dir / "ref_out.csv", ref, program.outputs)
         print(f"max_abs_deviation: {sim.max_abs_deviation(trace, ref):.17g}")
     return 0
 
@@ -199,7 +219,7 @@ def _cmd_diff(args) -> int:
     old = bitstream.decode(_read(args.old), spec)
     new = bitstream.decode(_read(args.new), spec)
     script = bitstream.diff(old, new)
-    Path(args.output).write_bytes(bitstream.encode_delta(script))
+    _write(args.output, bitstream.encode_delta(script))
     print(f"ops: {len(script.ops)}")
     return 0
 
@@ -211,7 +231,7 @@ def _cmd_apply(args) -> int:
     base = bitstream.decode(_read(args.base), spec)
     script = bitstream.decode_delta(_read(args.delta))
     updated = bitstream.apply(base, script)
-    Path(args.output).write_bytes(bitstream.encode(updated))
+    _write(args.output, bitstream.encode(updated))
     return 0
 
 

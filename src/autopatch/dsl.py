@@ -18,10 +18,15 @@ match the one declared in the state's `fn` statement.
 The front end pays little per token and per tree node: `tokenize` makes one
 regular-expression match per token, blanks and comments included; the
 parser reads a token list that ends in a sentinel token, so no helper checks
-the list's length; and the tree nodes and statements are `slots` dataclasses
-that are not frozen, because a frozen `__init__` costs about four times as
-much.  Statements keep their field-wise hash (`unsafe_hash`), nodes their
-position-blind equality and hash (`_Node`); no code assigns to either.
+the list's length; and the tree nodes, the statements and the validated
+program's `StateDef`s are `slots` dataclasses that are not frozen, because a
+frozen `__init__` costs about four times as much.  Statements and
+`StateDef`s keep their field-wise hash (`unsafe_hash`), nodes their
+position-blind equality and hash (`_Node`); no code assigns to any of them.
+Tree walks dispatch on `type(node)`, not on `isinstance` with class
+tuples.  `postorder` is one such walk; `validate` checks the state names
+with an explicit-stack walk of its own, which reaches the leaves left to
+right, as `postorder` yields them, without resuming a generator per node.
 """
 
 from __future__ import annotations
@@ -226,12 +231,13 @@ def postorder(expr: Expr) -> Iterator[Expr]:
     stack: list[tuple[Expr, bool]] = [(expr, False)]
     while stack:
         node, operands_done = stack.pop()
-        if operands_done or isinstance(node, (Const, Var)):
+        kind = type(node)
+        if operands_done or kind is Var or kind is Const:
             yield node
-        elif isinstance(node, Neg):
-            stack += ((node, True), (node.operand, False))
-        elif isinstance(node, (Add, Sub, Mul)):
+        elif kind is Mul or kind is Add or kind is Sub:
             stack += ((node, True), (node.right, False), (node.left, False))
+        elif kind is Neg:
+            stack += ((node, True), (node.operand, False))
         else:
             raise TypeError(f"not an expression node: {node!r}")
 
@@ -499,7 +505,7 @@ def parse(tokens: list[Token]) -> list[Stmt]:
 # validated program
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class StateDef:
     name: str
     ivar: str
@@ -550,10 +556,22 @@ def validate(stmts: list[Stmt]) -> Program:
                 raise ValidateError(f"derivative of undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in derivs:
                 raise ValidateError(f"duplicate derivative for state {stmt.state}", *stmt.pos)
-            for var in postorder(stmt.expr):
-                if isinstance(var, Var) and var.name not in decls:
-                    line, col = var.pos if var.pos != _NOPOS else stmt.pos
-                    raise ValidateError(f"use of undeclared state {var.name}", line, col)
+            # the leaves left to right, as `postorder` yields them, so the
+            # first undeclared name in the source is the one reported
+            stack = [stmt.expr]
+            while stack:
+                node = stack.pop()
+                kind = type(node)
+                if kind is Var:
+                    if node.name not in decls:
+                        line, col = node.pos if node.pos != _NOPOS else stmt.pos
+                        raise ValidateError(f"use of undeclared state {node.name}", line, col)
+                elif kind is Mul or kind is Add or kind is Sub:
+                    stack += (node.right, node.left)
+                elif kind is Neg:
+                    stack.append(node.operand)
+                elif kind is not Const:
+                    raise TypeError(f"not an expression node: {node!r}")
             derivs[stmt.state] = stmt.expr
         elif isinstance(stmt, InitDef):
             if stmt.state not in decls:

@@ -637,6 +637,29 @@ class TestMatchesLaneLoopCodec:
         assert image == loop_encode(config)
         assert decode(image, spec) == loop_decode(image, spec) == config
 
+    @pytest.mark.parametrize(
+        "spec",
+        [lucidac_spec(), MachineSpec(8, 0, 16), MachineSpec(7, 0, 9, 1), MachineSpec(0, 0, 8)],
+        ids=["lucidac", "8-bit rows", "rows past a byte", "0-byte input rows"],
+    )
+    @pytest.mark.parametrize("wired", ["none", "first", "last", "all"])
+    def test_encode_edge_cases(self, spec, wired):
+        """Lanes wired at the section edges, to the lowest and the highest
+        row of each side; on a machine without input rows, whose fields
+        are 0 bytes wide, the lanes get a source only."""
+        lanes = {"none": [], "first": [0], "last": [spec.n_lanes - 1], "all": range(spec.n_lanes)}[wired]
+        fields = []
+        for k, lane in enumerate(lanes):
+            make = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
+            source = spec.out_rows - 1 if k % 2 else 0
+            dest = (spec.in_rows - 1 if k % 3 else 0) if spec.in_rows else None
+            fields.append((lane, source, make(k % 8), dest))
+        config = support.with_lanes(MachineConfig.empty(spec), *fields)
+        image = encode(config)
+        assert image == loop_encode(config)
+        assert len(image) == image_length(spec)
+        assert decode(image, spec) == config
+
     @given(_spec_and_configs(2))
     @settings(max_examples=150, deadline=None)
     def test_diff(self, case):

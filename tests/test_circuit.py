@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 
@@ -335,6 +336,34 @@ class TestAlgebraicLoops:
         for k in sorted(level_of):
             want[level_of[k]].append(k)
         assert dependency_order(reads) == want
+
+
+class TestGraphRecords:
+    """`Node` and `Edge` are slots records that are not frozen, as `Term`:
+    field-wise equality and hash, no `__dict__`, the dataclass repr."""
+
+    @pytest.mark.parametrize(
+        "make, changed",
+        [
+            (lambda: Node(3, NodeKind.INTEGRATOR, "X", 0.5), {"initial": 0.25}),
+            (lambda: Node(4, NodeKind.MULTIPLIER, "X*Y"), {"label": "X*Z"}),
+            (lambda: Edge(0, 3, Port.MUL_A, 1.0), {"port": Port.MUL_B}),
+            (lambda: Edge(2, 0, Port.INTEGRATOR_IN, -0.3), {"weight": 0.3}),
+        ],
+        ids=["integrator", "multiplier", "feed edge", "term edge"],
+    )
+    def test_record(self, make, changed):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not hasattr(a, "__dict__")
+        other = dataclasses.replace(a, **changed)
+        assert other != a and type(other) is type(a)
+        assert dataclasses.replace(other, **{name: getattr(a, name) for name in changed}) == a
+        assert len({a, b, other}) == 2
+
+    def test_repr_and_defaults(self):
+        assert repr(Node(1, NodeKind.CONST_ONE, "1")) == "Node(id=1, kind=<NodeKind.CONST_ONE: 'ConstOne'>, label='1', initial=0.0)"
+        assert repr(Edge(0, 1, Port.MUL_B, 1.0)) == "Edge(src=0, dst=1, port=<Port.MUL_B: 'MulB'>, weight=1.0)"
 
 
 class TestDump:

@@ -405,6 +405,59 @@ print(status, time.process_time() - started)
 """
 
 
+class TestWriteFailures:
+    """A file or directory that cannot be written is named in one line with
+    the system's reason, as an unreadable input is, and the command exits 1."""
+
+    def assert_cannot_write(self, capsys, path, reason):
+        captured = capsys.readouterr()
+        assert captured.err == f"autopatch: error: cannot write {path}: {reason}\n"
+        assert captured.out == ""
+
+    def test_route(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.acfg"
+        assert main(["route", LORENZ, "-o", str(out)]) == 1
+        self.assert_cannot_write(capsys, out, "No such file or directory")
+
+    def test_diff(self, tmp_path, capsys):
+        image, out = tmp_path / "l.acfg", tmp_path / "no-such-dir" / "d.acdl"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        capsys.readouterr()
+        assert main(["diff", str(image), str(image), "-o", str(out)]) == 1
+        self.assert_cannot_write(capsys, out, "No such file or directory")
+
+    def test_apply(self, tmp_path, capsys):
+        image, delta = tmp_path / "l.acfg", tmp_path / "d.acdl"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        assert main(["diff", str(image), str(image), "-o", str(delta)]) == 0
+        capsys.readouterr()
+        assert main(["apply", str(image), str(delta), "-o", str(tmp_path)]) == 1
+        self.assert_cannot_write(capsys, tmp_path, "Is a directory")
+
+    def test_simulate_out_dir_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "x"
+        assert main(["simulate", LORENZ, "--t-end", "0.01", "--out-dir", str(out_dir)]) == 1
+        self.assert_cannot_write(capsys, out_dir, "Not a directory")
+
+    def test_simulate_image_out_dir_under_a_file(self, tmp_path, capsys):
+        image = tmp_path / "l.acfg"
+        assert main(["route", LORENZ, "-o", str(image)]) == 0
+        capsys.readouterr()
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "x"
+        assert main(["simulate", str(image), "--t-end", "0.01", "--out-dir", str(out_dir)]) == 1
+        self.assert_cannot_write(capsys, out_dir, "Not a directory")
+
+    @pytest.mark.parametrize("blocked", ["out.csv", "plot_X_Y.csv", "ref_out.csv"])
+    def test_simulate_names_the_csv_that_failed(self, tmp_path, capsys, blocked):
+        (tmp_path / blocked).mkdir()
+        argv = ["simulate", LORENZ, "--t-end", "0.01", "--reference", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        # the deviation is printed only once every file is written
+        self.assert_cannot_write(capsys, tmp_path / blocked, "Is a directory")
+
+
 class TestExpansionBound:
     def test_bound_is_the_lane_limit(self):
         assert MAX_TERMS == MAX_LANES

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import string
@@ -37,6 +38,7 @@ from autopatch.dsl import (
     parse,
     postorder,
     tokenize,
+    validate,
 )
 
 
@@ -427,6 +429,90 @@ def _programs(draw):
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_property(program):
     assert compile_source(format_program(program)) == program
+
+
+def isinstance_postorder(expr):
+    """`postorder` as it was before it dispatched on the node's type: the
+    same walk, each node tested with `isinstance` against class tuples.
+    The oracle of the type-dispatch walk."""
+    stack = [(expr, False)]
+    while stack:
+        node, operands_done = stack.pop()
+        if operands_done or isinstance(node, (Const, Var)):
+            yield node
+        elif isinstance(node, Neg):
+            stack += ((node, True), (node.operand, False))
+        elif isinstance(node, (Add, Sub, Mul)):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+
+
+def postorder_undeclared(stmts):
+    """The undeclared-name diagnostic `validate` gave when it filtered a
+    `postorder` walk of each derivative for `Var` nodes, as (message,
+    line, column), or None; the oracle of its own walk."""
+    decls = {stmt.name for stmt in stmts if isinstance(stmt, FnDecl)}
+    for stmt in stmts:
+        if isinstance(stmt, DiffDef):
+            for var in postorder(stmt.expr):
+                if isinstance(var, Var) and var.name not in decls:
+                    line, col = var.pos if var.pos != (0, 0) else stmt.pos
+                    return (f"use of undeclared state {var.name}", line, col)
+    return None
+
+
+@st.composite
+def _undeclared_programs(draw):
+    """Statements of a program whose derivatives may use the undeclared
+    names P and Q, each state with one `fn`, derivative and initial
+    condition: parsed from source text, so the nodes carry positions, or
+    built from trees without positions."""
+    names = draw(_names)
+    exprs = [draw(_exprs(names + ["P", "Q"])) for _ in names]
+    if draw(st.booleans()):
+        lines = [f"fn {n}(t);" for n in names]
+        lines += [f"let diff[{n}, t] = {format_expr(e)};" for n, e in zip(names, exprs)]
+        lines += [f"let {n}(t: 0) = 0;" for n in names]
+        return parse(tokenize("\n".join(lines)))
+    return (
+        [FnDecl(n, "t", (1 + k, 1)) for k, n in enumerate(names)]
+        + [DiffDef(n, e, (10 + k, 3)) for k, (n, e) in enumerate(zip(names, exprs))]
+        + [InitDef(n, 0.0, 0.0, (20 + k, 1)) for k, n in enumerate(names)]
+    )
+
+
+class TestTreeWalks:
+    @given(_exprs(["A", "B", "C"]))
+    @settings(max_examples=200, deadline=None)
+    def test_postorder_matches_isinstance_walk(self, expr):
+        assert list(map(id, postorder(expr))) == list(map(id, isinstance_postorder(expr)))
+
+    @pytest.mark.parametrize("expr", ["X", None, Add(Var("X"), "Y"), Neg(Mul(Const(1.0), 2.0))], ids=repr)
+    def test_postorder_refuses_a_non_node_as_before(self, expr):
+        with pytest.raises(TypeError) as want:
+            list(isinstance_postorder(expr))
+        with pytest.raises(TypeError, match=re.escape(str(want.value))):
+            list(postorder(expr))
+
+    @given(_undeclared_programs())
+    @settings(max_examples=100, deadline=None)
+    def test_validate_reports_the_undeclared_name_postorder_finds_first(self, stmts):
+        try:
+            validate(stmts)
+            got = None
+        except ValidateError as exc:
+            got = (exc.message, exc.line, exc.column)
+        assert got == postorder_undeclared(stmts)
+
+    def test_state_def_is_a_slots_record(self):
+        a = StateDef("X", "t", Add(Var("X"), Const(1.0)), 0.5)
+        b = StateDef("X", "t", Add(Var("X"), Const(1.0)), 0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != StateDef("X", "t", Add(Var("X"), Const(2.0)), 0.5)
+        assert not hasattr(a, "__dict__")
+        assert dataclasses.replace(a, initial_value=1.0) == StateDef("X", "t", a.derivative, 1.0)
+        assert repr(a) == "StateDef(name='X', ivar='t', derivative=Add(left=Var(name='X'), right=Const(value=1.0)), initial_value=0.5)"
 
 
 def recursive_format_expr(expr, least=0):
