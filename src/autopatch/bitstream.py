@@ -90,7 +90,7 @@ def _encode_row_section(entries, rows: int) -> map:
     built once per call, and one zero field that every unwired lane
     shares."""
     width = _row_field_bytes(rows)
-    fields = {row: (1 << row).to_bytes(width, "little") for row in set(entries).difference((None,))}
+    fields = {row: (1 << row).to_bytes(width, "little") for row in set(entries) if row is not None}
     fields[None] = bytes(width)
     return map(fields.__getitem__, entries)
 

@@ -489,11 +489,14 @@ class TestTreeWalks:
         assert list(map(id, postorder(expr))) == list(map(id, isinstance_postorder(expr)))
 
     @pytest.mark.parametrize("expr", ["X", None, Add(Var("X"), "Y"), Neg(Mul(Const(1.0), 2.0))], ids=repr)
-    def test_postorder_refuses_a_non_node_as_before(self, expr):
+    def test_walks_refuse_a_non_node_as_before(self, expr):
         with pytest.raises(TypeError) as want:
             list(isinstance_postorder(expr))
         with pytest.raises(TypeError, match=re.escape(str(want.value))):
             list(postorder(expr))
+        stmts = [FnDecl("X", "t", (1, 1)), DiffDef("X", expr, (2, 1)), InitDef("X", 0.0, 0.0, (3, 1))]
+        with pytest.raises(TypeError, match=re.escape(str(want.value))):
+            validate(stmts)
 
     @given(_undeclared_programs())
     @settings(max_examples=100, deadline=None)
