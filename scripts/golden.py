@@ -213,21 +213,37 @@ def run_corpus() -> list[str]:
     return lines
 
 
+def differences(got: list[str], want: list[str]) -> list[str]:
+    """How the digest lines `got` differ from the recorded `want`: one
+    text per entry whose digest differs or that is missing or extra, or
+    one for a change of order.  Empty exactly when `got == want`."""
+    got_of = {line.split("  ", 1)[1]: line for line in got}
+    want_of = {line.split("  ", 1)[1]: line for line in want}
+    found = []
+    for name in sorted(got_of.keys() | want_of.keys()):
+        if name not in got_of:
+            found.append(f"{name} missing")
+        elif name not in want_of:
+            found.append(f"{name} extra")
+        elif got_of[name] != want_of[name]:
+            found.append(f"{name} differs")
+    if not found and got != want:  # the same entries in another order, or one repeated
+        found.append("entries out of order")
+    return found
+
+
 def main(argv: list[str]) -> int:
     if argv[1:] not in ([], ["--check"]):
         print("usage: python3 scripts/golden.py [--check]", file=sys.stderr)
         return 2
     lines = run_corpus()
     if argv[1:]:
-        want = DIGESTS.read_text(encoding="utf-8").splitlines()
-        if lines == want:
+        found = differences(lines, DIGESTS.read_text(encoding="utf-8").splitlines())
+        if not found:
             print(f"golden: {len(lines)} digests match {DIGESTS.name}")
             return 0
-        got_names = {line.split("  ", 1)[1]: line for line in lines}
-        want_names = {line.split("  ", 1)[1]: line for line in want}
-        for key in sorted(got_names.keys() | want_names.keys()):
-            if got_names.get(key) != want_names.get(key):
-                print(f"golden: {key} differs", file=sys.stderr)
+        for text in found:
+            print(f"golden: {text}", file=sys.stderr)
         return 1
     print("\n".join(lines))
     return 0

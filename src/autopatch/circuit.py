@@ -246,15 +246,8 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
 
     edges.sort(key=lambda e: (e.src, e.dst, e.port.value))
 
-    taps: list[tuple[str, int]] = []
-    if program is not None:
-        seen = []
-        for name in list(program.outputs) + [ax for pair in program.plots for ax in pair]:
-            if name not in seen:
-                seen.append(name)
-                taps.append((name, int_id[name]))
-
-    return CircuitGraph(tuple(nodes), tuple(edges), tuple(taps))
+    taps = () if program is None else tuple((name, int_id[name]) for name in program.signals())
+    return CircuitGraph(tuple(nodes), tuple(edges), taps)
 
 
 def detect_algebraic_loops(graph: CircuitGraph) -> None:

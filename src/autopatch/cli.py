@@ -82,10 +82,12 @@ def _parse_clip(text: str):
 
 
 def _read(path: str, text: bool = False):
-    """The bytes of the file at `path`, or with `text` its UTF-8 text; a
-    file that cannot be read is named in a one-line diagnostic."""
+    """The bytes of the file at `path`, or with `text` its UTF-8 text
+    without a leading byte-order mark; a file that cannot be read is named
+    in a one-line diagnostic."""
     try:
-        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
+        # the mark is dropped after decoding, so a decode error names the byte's offset in the file
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff") if text else Path(path).read_bytes()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -24,9 +24,7 @@ frozen `__init__` costs about four times as much.  Statements and
 `StateDef`s keep their field-wise hash (`unsafe_hash`), nodes their
 position-blind equality and hash (`_Node`); no code assigns to any of them.
 Tree walks dispatch on `type(node)`, not on `isinstance` with class
-tuples.  `postorder` is one such walk; `validate` checks the state names
-with an explicit-stack walk of its own, which reaches the leaves left to
-right, as `postorder` yields them, without resuming a generator per node.
+tuples.
 """
 
 from __future__ import annotations
@@ -526,6 +524,11 @@ class Program:
     def state_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.states)
 
+    def signals(self) -> tuple[str, ...]:
+        """The states the program taps: the outputs, then the plot axes,
+        each once, at its first appearance."""
+        return tuple(dict.fromkeys((*self.outputs, *(axis for pair in self.plots for axis in pair))))
+
 
 def validate(stmts: list[Stmt]) -> Program:
     """Check declarations and references, producing a Program.
@@ -556,22 +559,10 @@ def validate(stmts: list[Stmt]) -> Program:
                 raise ValidateError(f"derivative of undeclared state {stmt.state}", *stmt.pos)
             if stmt.state in derivs:
                 raise ValidateError(f"duplicate derivative for state {stmt.state}", *stmt.pos)
-            # the leaves left to right, as `postorder` yields them, so the
-            # first undeclared name in the source is the one reported
-            stack = [stmt.expr]
-            while stack:
-                node = stack.pop()
-                kind = type(node)
-                if kind is Var:
-                    if node.name not in decls:
-                        line, col = node.pos if node.pos != _NOPOS else stmt.pos
-                        raise ValidateError(f"use of undeclared state {node.name}", line, col)
-                elif kind is Mul or kind is Add or kind is Sub:
-                    stack += (node.right, node.left)
-                elif kind is Neg:
-                    stack.append(node.operand)
-                elif kind is not Const:
-                    raise TypeError(f"not an expression node: {node!r}")
+            for node in postorder(stmt.expr):  # leaves left to right: the first undeclared name is reported
+                if type(node) is Var and node.name not in decls:
+                    line, col = node.pos if node.pos != _NOPOS else stmt.pos
+                    raise ValidateError(f"use of undeclared state {node.name}", line, col)
             derivs[stmt.state] = stmt.expr
         elif isinstance(stmt, InitDef):
             if stmt.state not in decls:

@@ -107,14 +107,14 @@ def _shared_code(shared: dict[int, CoefficientCode], kind: CoefKind, code: int) 
 def decode(coeff: CoefficientCode) -> float:
     """Return the exact gain a coefficient code configures."""
     if coeff.kind is CoefKind.HIGH_RES:
-        return coeff.code * 10.0 / 2048.0
+        return coeff.code * HIGHRES_LSB
     return LOWRES_TABLE[coeff.code]
 
 
 def quantize_highres_info(value: float) -> tuple[int, bool]:
     """Nearest 12-bit code for a gain, plus whether it was clamped."""
     # clamp to one step past the rails first: a huge gain scales to inf, which round() refuses
-    raw = round(min(max(value * 2048.0 / 10.0, HIGHRES_MIN - 1.0), HIGHRES_MAX + 1.0))
+    raw = round(min(max(value / HIGHRES_LSB, HIGHRES_MIN - 1.0), HIGHRES_MAX + 1.0))
     code = min(HIGHRES_MAX, max(HIGHRES_MIN, raw))
     return code, code != raw
 
@@ -122,7 +122,7 @@ def quantize_highres_info(value: float) -> tuple[int, bool]:
 def quantize_highres(value: float) -> int:
     """Quantize a gain to the nearest 12-bit code, clamping at the rails.
 
-    The code maps back to ``code * 10/2048``, so -10 is exactly
+    The code maps back to ``code * HIGHRES_LSB``, so -10 is exactly
     representable while the top code decodes to slightly below +10.
     Clamping emits a (non-fatal) :class:`RangeWarning`.
     """

@@ -557,7 +557,7 @@ def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
     endings."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in list(program.outputs) + [ax for pair in program.plots for ax in pair]:
+    for name in program.signals():
         if name not in trace.signals:
             raise ValueError(f"trace does not tap signal {name}")
     written = [out_dir / "out.csv"]

@@ -23,6 +23,8 @@ from autopatch.bitstream import (
     encode_delta,
     image_length,
 )
+from autopatch.circuit import build_circuit, normalize
+from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefKind,
     CoefficientCode,
@@ -32,6 +34,7 @@ from autopatch.machine import (
     redac_tile_spec,
     validate_config,
 )
+from autopatch.router import route_design
 
 
 class TestImage:
@@ -732,12 +735,16 @@ class TestMatchesLaneLoopCodec:
                 applied = _outcome(apply, base, received, errors=applying)
                 assert applied == _outcome(loop_apply, base, received, errors=applying)
 
-    def test_decoded_codes_are_shared(self):
-        spec = lucidac_spec()
-        config = decode(encode(support.random_config(spec, random.Random(8))), spec)
-        for lane, code in enumerate(config.coefficients):
-            shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
-            assert code is shared(code.code)
+    # `diff` compares codes by identity first and `validate_config` skips
+    # the zero code by identity, so decoded images must hold shared codes
+    def test_decoded_codes_are_shared(self, lorenz_design):
+        program = compile_source(support.synthetic_large_program(500))
+        large = route_design(build_circuit(normalize(program), program), redac_tile_spec())
+        for config in (support.random_config(lucidac_spec(), random.Random(8)), lorenz_design.config, large.config):
+            spec = config.spec
+            for lane, code in enumerate(decode(encode(config), spec).coefficients):
+                shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
+                assert code is shared(code.code)
 
 
 @given(_spec_and_configs(1), _delta_bytes())

@@ -229,6 +229,17 @@ class TestBuildCircuit:
             assert nodes[node_id].kind is NodeKind.INTEGRATOR
             assert nodes[node_id].label == name
 
+    def test_taps_follow_program_signals(self):
+        program = compile_source(
+            "fn X(t); fn Y(t); fn Z(t);"
+            " let diff[X, t] = Y; let diff[Y, t] = Z; let diff[Z, t] = -X;"
+            " let X(t: 0) = 0; let Y(t: 0) = 0; let Z(t: 0) = 0;"
+            " out X(t); out Y(t); plot(x: Y(t), y: X(t)); plot(x: X(t), y: Z(t));"
+        )
+        assert program.signals() == ("X", "Y", "Z")
+        graph = build_circuit(normalize(program), program)
+        assert [name for name, _ in graph.taps] == ["X", "Y", "Z"]
+
     def test_deterministic_construction(self, lorenz_system, lorenz_program):
         a = build_circuit(lorenz_system, lorenz_program)
         b = build_circuit(lorenz_system, lorenz_program)

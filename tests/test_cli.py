@@ -75,6 +75,15 @@ class TestCompile:
             " ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
         ]
 
+    def test_non_utf8_byte_after_byte_order_mark_is_named_at_its_file_offset(self, tmp_path, capsys):
+        src = tmp_path / "bad.odedsl"
+        src.write_bytes(b"\xef\xbb\xbffn\xff")
+        assert main(["compile", str(src)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"autopatch: error: cannot read {src}: not UTF-8 text"
+            " ('utf-8' codec can't decode byte 0xff in position 5: invalid start byte)"
+        ]
+
 
 class TestNesting:
     @staticmethod
@@ -154,6 +163,14 @@ class TestRoute:
         a, b = tmp_path / "a.acfg", tmp_path / "b.acfg"
         assert main(["route", LORENZ, "-o", str(a)]) == 0
         assert main(["route", LORENZ, "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_source_with_byte_order_mark_routes_as_without(self, tmp_path, capsys):
+        bom = tmp_path / "bom.odedsl"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(LORENZ).read_bytes())
+        a, b = tmp_path / "a.acfg", tmp_path / "b.acfg"
+        assert main(["route", LORENZ, "-o", str(a)]) == 0
+        assert main(["route", str(bom), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -21,8 +21,15 @@ def _golden():
 
 def test_corpus_matches_recorded_digests():
     golden = _golden()
-    want = golden.DIGESTS.read_text(encoding="utf-8").splitlines()
-    got = golden.run_corpus()
-    assert [line.split("  ", 1)[1] for line in got] == [line.split("  ", 1)[1] for line in want]
-    changed = [g.split("  ", 1)[1] for g, w in zip(got, want) if g != w]
-    assert not changed, f"outputs differ from {golden.DIGESTS.name}: {changed}"
+    found = golden.differences(golden.run_corpus(), golden.DIGESTS.read_text(encoding="utf-8").splitlines())
+    assert not found, f"outputs differ from {golden.DIGESTS.name}: {found}"
+
+
+def test_differences_name_each_kind_of_mismatch():
+    golden = _golden()
+    want = ["aa  x/stdout", "bb  x/exit", "cc  y/stdout"]
+    assert golden.differences(want, want) == []
+    assert golden.differences(["aa  x/stdout", "bf  x/exit", "cc  y/stdout"], want) == ["x/exit differs"]
+    assert golden.differences(["aa  x/stdout", "cc  y/stdout", "dd  z/exit"], want) == ["x/exit missing", "z/exit extra"]
+    assert golden.differences([want[1], want[0], want[2]], want) == ["entries out of order"]
+    assert golden.differences(want + want[:1], want) == ["entries out of order"]
