@@ -47,6 +47,11 @@ class Port(Enum):
     MUL_A = "MulA"
     MUL_B = "MulB"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; Enum's own __hash__ is Python code, and routing
+    # hashes a port for every edge.
+    __hash__ = object.__hash__
+
 
 class RangeWarning(UserWarning):
     """A coefficient value was clamped to the representable code range."""

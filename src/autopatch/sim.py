@@ -2,10 +2,14 @@
 reference system.
 
 Both paths build a `Model`, whose `step` is one Python function that
-takes a whole RK4 or Euler step, compiled with `exec` in the manner of
-SymPy's `lambdify` or JiTCODE.  One stage writer (`_write_step`) writes the integrator: the
-state clamps, the stage arithmetic and the peaks, around a stage
-evaluation that each path writes out once as straight-line code.
+takes a whole block of RK4 or Euler steps, compiled with `exec` in the
+manner of SymPy's `lambdify` or JiTCODE, which generates the integration
+loop and not only the right-hand side.  One stage writer (`_write_step`)
+writes the integrator: the loop over the steps, the state clamps, the
+stage arithmetic, the recorded samples, the peaks, the clip events and
+the finiteness test, around a stage evaluation that each path writes out
+once as straight-line code.  `run` only sizes the run, calls `step` once
+per block, moves the samples into the trace and raises `NonFiniteError`.
 
 The hardware path (`build_dynamics`) evaluates exactly what the
 interconnect wires up: element output voltages fan out over lanes, each
@@ -21,12 +25,9 @@ Every sum keeps the term order of a loop that accumulates from 0.0, and
 every stage the arithmetic of the per-stage loop the generated step
 replaced, so the hardware path rounds exactly as a loop over its lanes
 and the reference as a per-term product loop from 1.0; a unit gain is
-left out of its product, since 1.0 * x is x bit for bit.  Given a
-`peaks` list, a step also raises each element's entry to the element's
-|voltage| at the step's start, so `run` keeps no per-sample loop over
-the elements.  With quantization bypassed the two paths are comparable
-step for step; residual differences are floating-point reassociation
-only.
+left out of its product, since 1.0 * x is x bit for bit.  With
+quantization bypassed the two paths are comparable step for step;
+residual differences are floating-point reassociation only.
 
 A trace's time and signal columns are `array('d')`, 8 bytes per value.
 `write_signals` writes every time-plus-signals CSV, the time first and
@@ -177,22 +178,24 @@ def _sum_writer(namespace, lines):
 
 
 def _write_step(n_states, n_elements, head, evaluation, sums):
-    """Source of `step(y, h, stages, clip=None, clipped=None, peaks=None)`.
+    """Source of a model's `step(y, start, stop, h, dt, stages, clip,
+    stride, peaks, events, time, taps)`, whose contract `Model` states:
+    one loop over the steps, each of which runs the stage loop, then
+    appends the step's clip events in element order and tests the new
+    state for finiteness.  The finiteness test adds the states and looks
+    at them one by one only when that sum is not finite, so a sum that
+    overflows over finite states goes on to the next step.
 
-    With `stages` = 4 the function takes one RK4 step of size h from y,
-    with 1 an Euler step, and returns `(next state, volts)`, where volts
-    are the element voltages of the first stage, i.e. at y.  With 0 it
-    only evaluates at y and returns the state derivatives in place of a
-    next state.  Element k is the local `e<k>`, and the states are the
-    first `n_states` elements.  The caller's `head` lines run once per
-    call; per stage, its `evaluation` lines run after the states are
-    clamped (in clip mode) and set, and `sums` are the expressions of the
-    state derivatives.  Each stage's arithmetic is that of the per-stage
-    loop it replaced, so a step rounds exactly as that loop would.  When
-    `peaks` is a list, the first stage sets `peaks[k]` to |e<k>| where
-    that is larger, written out per element when the states are scalar
-    locals and as one loop over the voltages otherwise; a step without
-    elements gets no peak code.
+    Element k is the local `e<k>`, and the states are the first
+    `n_states` elements.  The caller's `head` lines run once per step;
+    per stage, its `evaluation` lines run after the states are clamped (in
+    clip mode) and set, and `sums` are the expressions of the state
+    derivatives.  The evaluation is written once, inside the stage loop.
+    The first stage of a recorded step lists the element voltages for the
+    taps and raises the peaks, written out per element when the states
+    are scalar locals and as one loop over the voltages otherwise.  Each
+    stage's arithmetic is that of the per-stage loop it replaced, so a
+    step rounds exactly as that loop would.
     """
     # A vector over the states is n scalar locals on a small machine and one
     # list on a large one; `{i}` in a template stands for the state index.
@@ -208,11 +211,10 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
 
     # the stage's states: e0, e1, ... themselves, or the list x they unpack from
     state = names("e") if scalar else "x"
-    lines = ["clipping = clip is not None", "if clipping:", "    lo, clamp = -clip, _clamper(clip, clipped)"]
-    lines += [f"{state} = y", "half = 0.5 * h"]
+    lines = ["clipped = set()", "clipping = clip is not None", "if clipping:"]
+    lines += ["    lo, clamp = -clip, _clamper(clip, clipped)", "half, s = 0.5 * h, h / 6.0"]
     if scalar:
         lines.append(f"{names('y')} = y")
-    lines += head
     body = [f"if clipping: {state} = {_clamped(f'enumerate({state})')}"]
     if n_states and not scalar:
         body.append("".join(f"e{i}, " for i in range(n_states)) + "= x")
@@ -222,17 +224,18 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     # a display of every state costs the compiler more memory than *x
     volts = f"[*{state}, " + "".join(f"e{k}, " for k in range(n_states, n_elements)) + "]"
 
-    # stage 0 raises each element's peak to its |voltage|, written out per
-    # element where the states are scalar locals
-    peak = ["for k, a in enumerate(map(abs, volts)):", "    if a > peaks[k]: peaks[k] = a"]
+    # a recorded step's sample, and each element's peak raised to its
+    # |voltage|, written out per element where the states are scalar locals
+    sample = ["time(index * dt)", f"volts = {volts}", "for append, i in taps: append(volts[i])"]
     if scalar:
-        peak = [line for k in range(n_elements) for line in (f"a = abs(e{k})", f"if a > peaks[{k}]: peaks[{k}] = a")]
-    body += ["if stage == 0:", f"    volts = {volts}"]
-    if n_elements:
-        body += ["    if peaks is not None:"] + [f"        {line}" for line in peak]
+        sample += [line for k in range(n_elements) for line in (f"a = abs(e{k})", f"if a > peaks[{k}]: peaks[{k}] = a")]
+    elif n_elements:
+        sample += ["for k, a in enumerate(map(abs, volts)):", "    if a > peaks[k]: peaks[k] = a"]
+    body += ["if stage == 0:", "    if not index % stride:"] + [f"        {line}" for line in sample]
     body += [
         "    if stages < 2:",
-        f"        return ({vector('y{i} + h * d{i}')} if stages else {names('d')}), volts",
+        f"        if stages: {names('y')} = {vector('y{i} + h * d{i}')}",
+        "        break",
         f"    {names('k1_')} = {names('d')}",
         f"    {state} = {vector('y{i} + half * d{i}')}",
         "elif stage == 1:",
@@ -242,18 +245,25 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
         f"    {names('k3_')} = {names('d')}",
         f"    {state} = {vector('y{i} + h * d{i}')}",
         "else:",
-        "    s = h / 6.0",
-        f"    return {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}, volts",
+        f"    {names('y')} = {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}",
     ]
-    lines += ["for stage in range(4):"] + [f"    {line}" for line in body]
-    return "def step(y, h, stages, clip=None, clipped=None, peaks=None):\n" + "".join(f"    {line}\n" for line in lines)
+    # a sum is non-finite if any state is, or if finite states overflow it
+    total = " + ".join(f"y{i}" for i in range(n_states)) if scalar else "sum(y)"
+    steps = [f"{state} = {names('y')}", *head, "for stage in range(4):", *(f"    {line}" for line in body)]
+    steps += ["if clipped:", "    for i in sorted(clipped): events.append((index * dt, i))", "    clipped.clear()"]
+    steps.append(f"if not stages: return {names('d')}, stop")
+    steps.append(f"if not isfinite({total}) and not all(map(isfinite, {names('y')})): return {names('y')}, index")
+    lines += ["for index in range(start, stop):", *(f"    {line}" for line in steps), f"return {names('y')}, stop"]
+    args = "y, start, stop, h, dt, stages, clip, stride, peaks, events, time, taps"
+    return f"def step({args}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 def _compile_step(source, namespace):
     """The `step` function of `_write_step`'s source, run in `namespace`
-    with `_clamper` added.  It is popped from its globals, so a model is
-    freed by reference counting, without waiting for the cyclic GC."""
-    namespace["_clamper"] = _clamper
+    with `_clamper` and `isfinite` added.  It is popped from its globals,
+    so a model is freed by reference counting, without waiting for the
+    cyclic GC."""
+    namespace["_clamper"], namespace["isfinite"] = _clamper, math.isfinite
     exec(compile(source, "<autopatch step>", "exec"), namespace)
     return namespace.pop("step")
 
@@ -298,15 +308,21 @@ class Model:
     name every element, no two alike, and `taps` maps each signal name to
     an element position.
 
-    `step(y, h, stages, clip=None, clipped=None, peaks=None)` is one
-    Python function generated per model (`_write_step`).  It takes a
-    whole RK4 (4 stages) or Euler (1 stage) step from y and returns the
-    next state with the element voltages at y, which is what `run`
-    records; in clip mode it clamps every stage's states, adding the
-    index of each element it clamps to `clipped`.  Given a list `peaks`
-    with one entry per element, it raises each entry to that element's
-    |voltage| at y.  With 0 stages it only evaluates at y, returning the
-    state derivatives and the voltages there.
+    `step(y, start, stop, h, dt, stages, clip, stride, peaks, events,
+    time, taps)` is one Python function generated per model
+    (`_write_step`).  It takes the RK4 (4 stages) or Euler (1 stage)
+    steps `start` to `stop` - 1 of size h from the states y, step k
+    starting at k * dt.  Every `stride`-th step it records the time with
+    `time(t)` and each (append, element position) of `taps` with
+    `append(voltage)`, the voltages at the step's start, and raises each
+    entry of `peaks` (one per element) to that element's |voltage|.  In
+    clip mode it clamps every stage's states and appends `(t, element
+    position)` to `events` once per element and step.  It returns the
+    state after its last step and `stop`, or the first non-finite state
+    and the step k that made it.  With 0 stages it only evaluates and
+    records step `start` and returns the state derivatives there.  `run`
+    hands it the taps of `model.taps` as it is at the run, so a caller may
+    reassign `taps` after the build.
     """
 
     state_labels: tuple[str, ...]
@@ -429,7 +445,8 @@ def build_reference(system: PolySystem) -> Model:
     return Model(system.states, system.initial, system.states, taps, step)
 
 
-# steps between moves of `run`'s buffered samples into the trace arrays
+# steps per call of a model's `step`, after each of which `run` moves the
+# buffered samples into the trace arrays
 _BLOCK = 4096
 
 
@@ -446,9 +463,11 @@ def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
     such state.  A run that would record more than `MAX_VALUES` values is
     refused before its first step.
 
-    Each step appends its sample to plain lists, which are moved into the
-    trace's arrays every `_BLOCK` steps: a list append costs a third of an
+    `model.step` takes `_BLOCK` steps per call, appending each recorded
+    sample to plain lists, which are moved into the trace's arrays after
+    each call, with its clip events: a list append costs a third of an
     array append or less, and an array holds a value in 8 bytes, not ~35.
+    The shortened landing step and the final sample take one call each.
     """
     if len(initial) != len(model.state_labels):
         raise ValueError(f"initial vector has {len(initial)} entries, model has {len(model.state_labels)} states")
@@ -468,47 +487,37 @@ def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
 
     labels = model.element_labels
     peaks = [0.0] * len(labels)  # by element position, kept up by `step`
+    events: list[tuple[float, int]] = []  # (step start, element position), appended by `step`
     trace = Trace(times=array("d"), signals={name: array("d") for name in model.taps}, clip_events=[])
-    step = model.step
     stages = 4 if settings.method is Method.RK4 else 1
-    # (array, buffer) per column, the time first; a step appends to the buffers
+    # (array, buffer) per column, the time first; `step` appends to the buffers
     columns = [(trace.times, [])] + [(trace.signals[name], []) for name in model.taps]
-    time_buffer = columns[0][1]
-    tap_buffers = [(buffer, idx) for (_, buffer), idx in zip(columns[1:], model.taps.values())]
+    time = columns[0][1].append
+    taps = [(buffer.append, idx) for (_, buffer), idx in zip(columns[1:], model.taps.values())]
 
     def flush():
         for column, buffer in columns:
             # struct converts the floats in half the time array.fromlist takes
             column.frombytes(struct.pack(f"{len(buffer)}d", *buffer))
             buffer.clear()
+        trace.clip_events += [ClipEvent(t, labels[idx]) for t, idx in events]
+        events.clear()
 
+    # (first step, end, step size) per call: whole blocks of full steps, then
+    # the landing step when t_end is off the grid
+    calls = [(k, min(k + _BLOCK, n_steps), dt) for k in range(0, n_steps, _BLOCK)]
+    if rem:
+        calls.append((n_steps, total_steps, rem))
     y = list(initial)
-    for block in range(0, total_steps, _BLOCK):
-        for k in range(block, min(block + _BLOCK, total_steps)):
-            # the last step is the shortened landing step when t_end is off the grid
-            t_start, h = k * dt, dt if k < n_steps else rem
-            clipped = set() if clip is not None else None
-            if k % stride:
-                y_next, volts = step(y, h, stages, clip, clipped)
-            else:
-                y_next, volts = step(y, h, stages, clip, clipped, peaks)
-                time_buffer.append(t_start)
-                for buffer, idx in tap_buffers:
-                    buffer.append(volts[idx])
-            if clipped:
-                for idx in sorted(clipped):
-                    trace.clip_events.append(ClipEvent(t_start, labels[idx]))
-            # a sum is non-finite if any state is, or if finite states overflow it
-            if not math.isfinite(sum(y_next)):
-                for i, v in enumerate(y_next):
-                    if not math.isfinite(v):
-                        raise NonFiniteError(t_start + h, model.state_labels[i])
-            y = y_next
+    for start, stop, h in calls:
+        y, k = model.step(y, start, stop, h, dt, stages, clip, stride, peaks, events, time, taps)
         flush()
-    volts = step(y, 0.0, 0, clip, None, peaks)[1]
-    time_buffer.append(t_end if total_steps else 0.0)
-    for buffer, idx in tap_buffers:
-        buffer.append(volts[idx])
+        if k < stop:
+            i = next(i for i, v in enumerate(y) if not math.isfinite(v))
+            raise NonFiniteError(k * dt + h, model.state_labels[i])
+    # the final sample is step 1 on a grid of its own time; with no step
+    # after it, its clamps are no clip events
+    model.step(y, 1, 2, 0.0, t_end if total_steps else 0.0, 0, clip, 1, peaks, [], time, taps)
     flush()
     trace.peaks = dict(zip(labels, peaks))
     return trace

@@ -43,11 +43,26 @@ from autopatch.sim import (
 )
 
 
+def one_step(model, y, h, stages, clip=None, clipped=None, peaks=None):
+    """One step of `model.step` from y, in the contract `step` had before
+    it ran whole blocks: the next state (with 0 stages, the derivatives at
+    y) and the element voltages at y.  The positions of the elements the
+    step clamps go into `clipped`, and `peaks`, if given, is raised as a
+    recorded step raises it.  A `sim.Model` of either path and a LoopModel
+    both answer it."""
+    volts, events = [], []
+    taps = [(volts.append, k) for k in range(len(model.element_labels))]
+    peaks = [0.0] * len(model.element_labels) if peaks is None else peaks
+    values, _ = model.step(y, 0, 1, h, 1.0, stages, clip, 1, peaks, events, lambda t: None, taps)
+    if clipped is not None:
+        clipped.update(k for _, k in events)
+    return values, volts
+
+
 def evaluate(model, y, clip=None, clipped=None):
     """The integrator input sums and the element voltages at y, from the
-    model's 0-stage step; a `sim.Model` of either path and a LoopModel
-    both answer it."""
-    derivs, volts = model.step(y, 0.0, 0, clip, clipped)
+    model's 0-stage step."""
+    derivs, volts = one_step(model, y, 0.0, 0, clip, clipped)
     return list(derivs), volts
 
 
@@ -446,7 +461,8 @@ def loop_step(self, y, h, stages, clip=None, clipped=None, peaks=None):
 
     The stage loop both paths ran before the whole step was generated,
     as the reference model's `step`; `LoopModel` and `TermLoopModel` step
-    through it with their own `voltages`, `rhs` and `derivatives`."""
+    through it, by way of `loop_block`, with their own `voltages`, `rhs`
+    and `derivatives`."""
     rhs = self.rhs
     volts = self.voltages(y, clip, clipped)
     if peaks is not None:
@@ -469,6 +485,30 @@ def loop_step(self, y, h, stages, clip=None, clipped=None, peaks=None):
     return [y[i] + s * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)], volts
 
 
+def loop_block(self, y, start, stop, h, dt, stages, clip, stride, peaks, events, time, taps):
+    """`loop_step` over the steps `start` to `stop` - 1, in the block
+    contract of the generated `step` (`sim._write_step`): the per-step
+    loop `run` kept while the generated function took one step per call,
+    with its sampling, clip events and finiteness test."""
+    for k in range(start, stop):
+        clipped = set() if clip is not None else None
+        recorded = not k % stride
+        y_next, volts = loop_step(self, y, h, stages, clip, clipped, peaks if recorded else None)
+        if recorded:
+            time(k * dt)
+            for append, i in taps:
+                append(volts[i])
+        if clipped:
+            for i in sorted(clipped):
+                events.append((k * dt, i))
+        if not stages:
+            return y_next, stop
+        if not all(map(math.isfinite, y_next)):
+            return y_next, k
+        y = y_next
+    return y, stop
+
+
 class LoopModel:
     """The interpreter that walked the compiled lane tuples on every call,
     before `build_dynamics` generated straight-line code.  Kept here as
@@ -483,7 +523,7 @@ class LoopModel:
         self._mul_ops = [op for level in mul_levels for op in level]
         self._const_index = const_index
 
-    step = loop_step
+    step = loop_block
 
     def voltages(self, y, clip=None, clipped=None):
         volts = [0.0] * len(self.element_labels)
@@ -742,13 +782,14 @@ def _large_pipeline(n_states):
     return pipeline(source, redac_tile_spec())
 
 
-def _generated_source(config):
-    generated = []
-    generate = sim._generate_evaluator
+def _step_source(build, *args):
+    """The source of the `step` that `build(*args)` generates."""
+    sources = []
+    compile_step = sim._compile_step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_generate_evaluator", lambda *args: generated.append(generate(*args)) or generated[-1])
-        build_dynamics(config)
-    ((source, _),) = generated
+        mp.setattr(sim, "_compile_step", lambda source, namespace: sources.append(source) or compile_step(source, namespace))
+        build(*args)
+    (source,) = sources
     return source
 
 
@@ -759,7 +800,7 @@ class TestGeneratedStep:
         model, loop = build_both(config)
         assert len(model.state_labels) == n_states and model.element_labels[-1] == "const"
         # the two emission forms: states in scalar locals, or in the list x
-        assert ("x = y" in _generated_source(config)) == (n_states > sim._SCALAR_STATES)
+        assert ("x = y" in _step_source(build_dynamics, config)) == (n_states > sim._SCALAR_STATES)
         # long steps, so that a change in the rounding of a step shows
         runs = [
             SimSettings(dt=0.1, t_end=2.0),
@@ -795,19 +836,28 @@ class TestGeneratedStep:
             assert run_outcome(model, settings) == run_outcome(loop, settings), settings
 
     def test_one_call_per_step_and_one_for_the_final_sample(self, lorenz_design):
+        # one call per block of full steps, one for the landing step and one for the final sample
         model = build_dynamics(lorenz_design.config)
         calls = []
         step = model.step
-        model.step = lambda y, h, stages, *clip: calls.append(stages) or step(y, h, stages, *clip)
-        trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=1.0, record_stride=1))
-        assert len(trace.times) == 1001
-        assert calls == [4] * 1000 + [0]
+        model.step = lambda y, start, stop, h, dt, stages, *rest: (
+            calls.append((start, stop, stages)) or step(y, start, stop, h, dt, stages, *rest)
+        )
+        block, n = sim._BLOCK, 2 * sim._BLOCK + 10
+        trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=(n + 0.5) * 1e-3, record_stride=1))
+        assert len(trace.times) == n + 2
+        assert calls == [(0, block, 4), (block, 2 * block, 4), (2 * block, n, 4), (n, n + 1, 4), (1, 2, 0)]
 
     def test_large_machine_source_stays_in_list_form(self):
         # scalar stage code for these 500 states more than triples the
         # source and its compile time; 50070 is the length before it
         design = pipeline(support.synthetic_large_program(500), redac_tile_spec())[2]
-        assert len(_generated_source(design.config)) <= 1.1 * 50_070
+        assert len(_step_source(build_dynamics, design.config)) <= 1.1 * 50_070
+
+    def test_large_reference_source_stays_in_list_form(self):
+        # 30380 is the length of this source while it took one step per call
+        system = normalize(compile_source(support.synthetic_large_program(500)))
+        assert len(_step_source(sim.build_reference, system)) <= 1.1 * 30_380
 
 
 # --------------------------------------------------------------------------
@@ -842,7 +892,7 @@ def legacy_run(model, initial, settings):
     for k in range(total_steps):
         t_start, h = k * dt, dt if k < n_steps else rem
         clipped = set() if clip is not None else None
-        y_next, volts = model.step(y, h, stages, clip, clipped)
+        y_next, volts = one_step(model, y, h, stages, clip, clipped)
         if k % stride == 0:
             record(t_start, volts)
         if clipped:
@@ -852,7 +902,7 @@ def legacy_run(model, initial, settings):
             if not math.isfinite(v):
                 raise NonFiniteError(t_start + h, model.state_labels[i])
         y = y_next
-    record(t_end if total_steps else 0.0, model.step(y, 0.0, 0, clip, None)[1])
+    record(t_end if total_steps else 0.0, one_step(model, y, 0.0, 0, clip)[1])
     return trace
 
 
@@ -1017,7 +1067,7 @@ class TermLoopModel:
             tuple((term.weight, tuple(self.taps[f] for f in term.factors)) for term in terms) for terms in system.rhs
         )
 
-    step = loop_step
+    step = loop_block
 
     def voltages(self, y, clip=None, clipped=None):
         if clip is None:
@@ -1160,7 +1210,7 @@ class TestReferenceStep:
                     for m in (model, loop):
                         clipped = set() if clip is not None else None
                         peaks = list(start)
-                        values, volts = m.step(y, 0.05, stages, clip, clipped, peaks)
+                        values, volts = one_step(m, y, 0.05, stages, clip, clipped, peaks)
                         outcomes.append((hexes(values), hexes(volts), hexes(peaks), clipped))
                     assert outcomes[0] == outcomes[1], (y, stages, clip)
 
@@ -1202,6 +1252,16 @@ class TestFiniteness:
             assert len(trace.times) == 11
             trace = run(model, [-1e308, -1.7e308], SimSettings(dt=0.1, t_end=1.0, clip=clip))
             assert trace.signals["S0"][-1] == (-0.5 if clip else -1e308)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_a_sum_that_overflows_on_every_step_continues_the_block(self, stride):
+        # past the first block, so each call of `step` runs to its end
+        steps, dt = sim._BLOCK + 2, 0.125
+        for model in _tapped_only(2):
+            trace = run(model, [1e308, 1.7e308], SimSettings(dt=dt, t_end=steps * dt, record_stride=stride))
+            assert list(trace.times) == [k * dt for k in range(0, steps, stride)] + [steps * dt]
+            assert set(trace.signals["S0"]) == {1e308} and set(trace.signals["S1"]) == {1.7e308}
+            assert len(trace.signals["S1"]) == len(trace.times)
 
     def test_opposite_infinities_name_the_lower_state(self):
         for model in _tapped_only(3):
