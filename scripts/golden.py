@@ -3,9 +3,10 @@
 
 Each command runs in process through `autopatch.cli.main`, inside one
 scratch directory that holds copies of the example programs, the
-500-state program of tests/support.py, a program whose lucidac route
-overflows the low-res lanes and clamps coefficients, a program whose
-state becomes non-finite, an image cut short, a product of degree 300,
+500-state program of tests/support.py and a copy of it that starts past
+the clip level, a program whose lucidac route overflows the low-res
+lanes and clamps coefficients, a program whose state becomes non-finite,
+an image cut short, a product of degree 300,
 a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
@@ -83,6 +84,10 @@ CORPUS = (
     # whose generated step keeps its states in lists, clamped
     ("simulate-s500-reference", ["simulate", "s500.odedsl", "--machine", "redac", "--dt", "0.01", "--t-end", "0.2",
                                  "--clip", "1.0", "--reference", "--out-dir", "s500-reference"]),
+    # the same reference from initial values past the clip level: the list-form
+    # step clamps states on every stage and the hardware step multipliers too
+    ("simulate-s500-hot-reference", ["simulate", "s500-hot.odedsl", "--machine", "redac", "--dt", "0.01",
+                                     "--t-end", "0.2", "--clip", "1.2", "--reference", "--out-dir", "s500-hot"]),
     # an image with twelve used integrators: its columns are in slot order,
     # as --ic takes its values, so I10 and I11 come after I9
     ("route-ring-custom", ["route", "ring.odedsl", "--machine", "custom:i=12,m=0,l=16", "-o", "ring.acfg"]),
@@ -179,6 +184,7 @@ def run_corpus() -> list[str]:
         for name in ("lorenz.odedsl", "decay.odedsl"):
             shutil.copy(ROOT / "programs" / name, work / name)
         (work / "s500.odedsl").write_text(_large_program(), encoding="utf-8")
+        (work / "s500-hot.odedsl").write_text(_large_program().replace("= 0.1;", "= 1.4;"), encoding="utf-8")
         (work / "clamp.odedsl").write_text(_clamp_program(), encoding="utf-8")
         (work / "blowup.odedsl").write_text(BLOWUP, encoding="utf-8")
         (work / "short.acfg").write_bytes(SHORT_IMAGE)

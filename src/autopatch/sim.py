@@ -10,6 +10,10 @@ stage arithmetic, the recorded samples, the peaks, the clip events and
 the finiteness test, around a stage evaluation that each path writes out
 once as straight-line code.  `run` only sizes the run, calls `step` once
 per block, moves the samples into the trace and raises `NonFiniteError`.
+In clip mode a clamp runs only where a range test fails: a chained test
+over the scalar states or a multiplier level guards its clamp, and
+states kept in a list are tested one by one as the list is built, so a
+stage with nothing out of range calls no clamp and builds no extra list.
 
 The hardware path (`build_dynamics`) evaluates exactly what the
 interconnect wires up: element output voltages fan out over lanes, each
@@ -76,7 +80,7 @@ class SimSettings:
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError("t_end must be nonnegative and finite")
         if self.clip is not None and not (math.isfinite(self.clip) and self.clip > 0):
-            raise ValueError("clip threshold must be positive")
+            raise ValueError("clip threshold must be positive and finite")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if self.t_end / self.dt > MAX_STEPS:
@@ -139,10 +143,18 @@ _SUM_CHUNK = 200
 _SCALAR_STATES = 64
 
 
-def _clamped(pairs: str) -> str:
-    """A list display of the voltages of (index, voltage) `pairs`, each
-    clamped by the step's `clamp` when it is outside [lo, clip]."""
-    return f"[v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
+def _clamped(names: Sequence[str], positions: str = "") -> str:
+    """A statement that clamps the locals `names` by the step's `clamp`,
+    each at its element position: the global tuple `positions`, or 0, 1,
+    ... when that is empty.  It runs in clip mode only, and only when one
+    chained test `lo <= e0 <= clip and lo <= e1 <= clip and ...` fails,
+    as it does for a NaN too; a voltage inside [lo, clip] would come out
+    of the clamp as it went in, so the guard changes no value and no clip
+    event, and a stage with nothing out of range builds no list."""
+    values = "(" + "".join(f"{name}, " for name in names) + ")"
+    pairs = f"zip({positions}, {values})" if positions else f"enumerate({values})"
+    test = " and ".join(f"lo <= {name} <= clip" for name in names)
+    return f"if clipping and not ({test}): {values} = [v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
 
 
 def _sum_writer(namespace, lines):
@@ -191,6 +203,10 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     per stage, its `evaluation` lines run after the states are clamped (in
     clip mode) and set, and `sums` are the expressions of the state
     derivatives.  The evaluation is written once, inside the stage loop.
+    Scalar states are clamped at the start of each stage by one guarded
+    `_clamped` statement.  List states are clamped where their list is
+    built, `v if lo <= (v := <input>) <= clip else clamp(v, i)` per
+    state: after the step-start `x = y` and in each later stage's list.
     The first stage of a recorded step lists the element voltages for the
     taps and raises the peaks, written out per element when the states
     are scalar locals and as one loop over the voltages otherwise.  Each
@@ -209,15 +225,27 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     def names(name):
         return vector(name + "{i}") if scalar else name
 
-    # the stage's states: e0, e1, ... themselves, or the list x they unpack from
+    def clamped(template):
+        # the list of the states `template`, each clamped where it is out of range
+        value = template.replace("{i}", "[i]")
+        return f"[v if lo <= (v := {value}) <= clip else clamp(v, i) for i in range({n_states})]"
+
+    # the stage's states: e0, e1, ... themselves, clamped at the stage's
+    # start, or the list x they unpack from, clamped as it is built
     state = names("e") if scalar else "x"
+
+    def stage_input(template):
+        if scalar:
+            return f"{state} = {vector(template)}"
+        return f"x = {clamped(template)} if clipping else {vector(template)}"
+
     lines = ["clipped = set()", "clipping = clip is not None", "if clipping:"]
     lines += ["    lo, clamp = -clip, _clamper(clip, clipped)", "half, s = 0.5 * h, h / 6.0"]
     if scalar:
         lines.append(f"{names('y')} = y")
-    body = [f"if clipping: {state} = {_clamped(f'enumerate({state})')}"]
-    if n_states and not scalar:
-        body.append("".join(f"e{i}, " for i in range(n_states)) + "= x")
+        body = [_clamped([f"e{i}" for i in range(n_states)])]
+    else:
+        body = ["".join(f"e{i}, " for i in range(n_states)) + "= x"] if n_states else []
     body += evaluation
     terms = "".join(f"{expr}, " for expr in sums)
     body.append(f"{names('d')} = " + (f"({terms})" if scalar else f"[{terms}]"))
@@ -237,19 +265,22 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
         f"        if stages: {names('y')} = {vector('y{i} + h * d{i}')}",
         "        break",
         f"    {names('k1_')} = {names('d')}",
-        f"    {state} = {vector('y{i} + half * d{i}')}",
+        f"    {stage_input('y{i} + half * d{i}')}",
         "elif stage == 1:",
         f"    {names('k2_')} = {names('d')}",
-        f"    {state} = {vector('y{i} + half * d{i}')}",
+        f"    {stage_input('y{i} + half * d{i}')}",
         "elif stage == 2:",
         f"    {names('k3_')} = {names('d')}",
-        f"    {state} = {vector('y{i} + h * d{i}')}",
+        f"    {stage_input('y{i} + h * d{i}')}",
         "else:",
         f"    {names('y')} = {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}",
     ]
     # a sum is non-finite if any state is, or if finite states overflow it
     total = " + ".join(f"y{i}" for i in range(n_states)) if scalar else "sum(y)"
-    steps = [f"{state} = {names('y')}", *head, "for stage in range(4):", *(f"    {line}" for line in body)]
+    steps = [f"{state} = {names('y')}"]
+    if not scalar:
+        steps.append(f"if clipping: x = {clamped('y{i}')}")
+    steps += [*head, "for stage in range(4):", *(f"    {line}" for line in body)]
     steps += ["if clipped:", "    for i in sorted(clipped): events.append((index * dt, i))", "    clipped.clear()"]
     steps.append(f"if not stages: return {names('d')}, stop")
     steps.append(f"if not isfinite({total}) and not all(map(isfinite, {names('y')})): return {names('y')}, index")
@@ -278,8 +309,9 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     them: level 0 reads only states and the constant, level j reads at
     least one multiplier of level j - 1.  Each multiplier is the product of
     its two row sums (`_sum_writer`, terms in lane order), and each level
-    is clamped in one statement before the next level reads it; a clamp
-    statement per multiplier made up a third of the compile time.
+    is clamped in one guarded statement (`_clamped`) before the next level
+    reads it; a clamp statement per multiplier made up a third of the
+    compile time.
     """
     namespace: dict[str, object] = {}
     head: list[str] = []
@@ -294,9 +326,8 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
             a = row_sum(a_terms, "_a")
             b = row_sum(b_terms, "_b")
             evaluation.append(f"e{k} = ({a}) * ({b})")
-        level_names = "".join(f"e{k}, " for k, _, _ in ops)
         namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
-        evaluation.append(f"if clipping: {level_names}= {_clamped(f'zip(_level{j}, ({level_names}))')}")
+        evaluation.append(_clamped([f"e{k}" for k, _, _ in ops], f"_level{j}"))
     sums = [row_sum(terms, f"_d{i}") for i, terms in enumerate(int_terms)]
     return _write_step(n_states, n_elements, head, evaluation, sums), namespace
 

@@ -339,6 +339,12 @@ class TestSimulate:
         assert main(["simulate", LORENZ, "--t-end", "0.5", "--clip", "0.3", "--out-dir", str(tmp_path)]) == 0
         assert main(["simulate", LORENZ, "--t-end", "0.5", "--clip", "off", "--out-dir", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("clip", ["inf", "nan"])
+    def test_non_finite_clip_is_refused_in_one_line(self, tmp_path, capsys, clip):
+        assert main(["simulate", LORENZ, "--clip", clip, "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "autopatch: error: clip threshold must be positive and finite\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestDiffApply:
     def test_diff_same_image_zero_ops(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import math
@@ -263,6 +264,9 @@ class TestRun:
             SimSettings(dt=0.1, t_end=1.0, record_stride=0)
         with pytest.raises(ValueError):
             SimSettings(dt=0.1, t_end=1.0, clip=0.0)
+        for clip in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^clip threshold must be positive and finite$"):
+                SimSettings(dt=0.1, t_end=1.0, clip=clip)
 
     def test_initial_length_checked(self):
         _, _, design = pipeline(DECAY)
@@ -858,6 +862,146 @@ class TestGeneratedStep:
         # 30380 is the length of this source while it took one step per call
         system = normalize(compile_source(support.synthetic_large_program(500)))
         assert len(_step_source(sim.build_reference, system)) <= 1.1 * 30_380
+
+
+# --------------------------------------------------------------------------
+# clip guard: a stage clamps only the voltages that fail a range test
+
+
+def _wide_level_pipeline(n_states):
+    """`n_states` states on redac, state i driven by its products with the
+    next four states (indices mod n): 4n distinct products, which read only
+    states and so form one multiplier level."""
+    n = n_states
+    lines = [f"fn s{i}(t);" for i in range(n)]
+    for i in range(n):
+        products = "".join(f" + 0.25 * s{i} * s{(i + k) % n}" for k in range(1, 5))
+        lines.append(f"let diff[s{i}, t] = -s{i}{products};")
+    lines += [f"let s{i}(t: 0) = 0.5;" for i in range(n)]
+    return pipeline("\n".join(lines) + "\n", redac_tile_spec())
+
+
+def clamp_guards(source):
+    """(range tests, assigned names) of each `if clipping and not ...`
+    statement of a step source, the tests as `ast.unparse` writes them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        test = node.test if isinstance(node, ast.If) else None
+        if not (isinstance(test, ast.BoolOp) and ast.unparse(test.values[0]) == "clipping"):
+            continue
+        tested = test.values[1].operand
+        tests = tested.values if isinstance(tested, ast.BoolOp) else [tested]
+        target = node.body[0].targets[0]
+        assigned = target.elts if isinstance(target, ast.Tuple) else [target]
+        found.append(([ast.unparse(test) for test in tests], [ast.unparse(name) for name in assigned]))
+    return found
+
+
+class TestClipGuard:
+    """The guarded clamps of the generated step against LoopModel, bit for
+    bit and with the clip events in order, at and past the scalar limit,
+    on a machine whose one multiplier level holds 4n >= 256 products."""
+
+    CLIP = 1.25
+
+    @pytest.fixture(scope="class", params=[sim._SCALAR_STATES, sim._SCALAR_STATES + 1])
+    def design(self, request):
+        return _wide_level_pipeline(request.param)[2]
+
+    def build(self, design, lane_weights=None):
+        """The generated model, a LoopModel over the same lanes, the
+        (position, A-port terms, B-port terms) of the level's multipliers,
+        and the (voltage, position) of every call of the step's clamp."""
+        calls = []
+        clamper = sim._clamper
+
+        def recording_clamper(clip, clipped):
+            clamp = clamper(clip, clipped)
+            return lambda v, index: calls.append((v, index)) or clamp(v, index)
+
+        weights = dict(design.lane_weight_map()) if lane_weights is None else lane_weights
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_clamper", recording_clamper)
+            model, args = build_captured(design.config, weights)
+        (level,) = args[3]
+        assert len(level) >= 250
+        return model, LoopModel(model, *args), level, calls
+
+    def check(self, built, y):
+        """The 0-stage, Euler and RK4 steps from y with step sizes 0.0 and
+        -0.0 (so every stage reads y itself) and 0.05, and a clipped run
+        from y, against the loop; returns the step's voltages at y and the
+        elements it clamps there.  No clamp call sees an in-range voltage."""
+        model, loop, _, calls = built
+        for h in (0.0, -0.0, 0.05):
+            for stages in (0, 1, 4):
+                got, want = set(), set()
+                values, volts = one_step(model, y, h, stages, self.CLIP, got)
+                assert [hexes(values), hexes(volts)] == [hexes(v) for v in one_step(loop, y, h, stages, self.CLIP, want)]
+                assert got == want, (h, stages)
+        settings = SimSettings(dt=0.05, t_end=0.5, clip=self.CLIP)
+        assert run_outcome(model, settings, y) == run_outcome(loop, settings, y)
+        assert not [(v, k) for v, k in calls if -self.CLIP <= v <= self.CLIP]
+        clipped = set()
+        return one_step(model, y, 0.0, 0, self.CLIP, clipped)[1], clipped
+
+    def test_every_clamp_tests_each_name_it_clamps(self, design):
+        model, _, level, _ = self.build(design)
+        n = len(model.state_labels)
+        guards = clamp_guards(_step_source(build_dynamics, design.config, dict(design.lane_weight_map())))
+        assert all(tests == [f"lo <= {name} <= clip" for name in names] for tests, names in guards)
+        # the scalar states, then the level; in list form the states are
+        # clamped as their list is built
+        assert [len(names) for _, names in guards] == [n] * (n <= sim._SCALAR_STATES) + [len(level)]
+
+    def test_voltages_at_the_clip_level_record_no_event(self, design):
+        built = self.build(design)
+        model, _, level, calls = built
+        n = len(model.state_labels)
+        # +-clip on every fifth state, +-1 on the rest: no product of two
+        # states four or fewer apart leaves [-clip, clip]
+        y = [(-1) ** i * (self.CLIP if i % 5 == 0 and i + 4 < n else 1.0) for i in range(n)]
+        volts, clipped = self.check(built, y)
+        assert not clipped and not calls
+        assert {volts[k] for k, _, _ in level} == {self.CLIP, -self.CLIP, 1.0, -1.0}
+
+    def test_only_the_last_multiplier_of_the_level_out_of_range(self, design):
+        built = self.build(design)
+        model, _, level, calls = built
+        last, ((_, a),), ((_, b),) = level[-1]
+        y = [0.5] * len(model.state_labels)
+        y[a] = y[b] = 1.2
+        volts, clipped = self.check(built, y)
+        assert clipped == {last} and volts[last] == self.CLIP
+        assert all(abs(volts[k]) <= 0.6 for k, _, _ in level[:-1])
+        assert (1.2 * 1.2, last) in calls
+
+    def test_nan_from_an_infinite_weight_with_every_state_in_range(self, design):
+        # inf * 0.0 on the last multiplier's A port makes its product NaN
+        weights = dict(design.lane_weight_map())
+        spec, config = design.config.spec, design.config
+        model, _, level, _ = self.build(design, weights)
+        slot = int(model.element_labels[level[-1][0]][1:])
+        (lane,) = [lane for lane in config.active_lanes() if config.i_dest[lane] == spec.in_row(Port.MUL_A, slot)]
+        weights[lane] = math.inf
+        built = self.build(design, weights)
+        last, ((gain, a),), _ = built[2][-1]
+        assert gain == math.inf
+        y = [0.5] * len(model.state_labels)
+        y[a] = 0.0
+        volts, clipped = self.check(built, y)
+        assert math.isnan(volts[last]) and clipped == {last}
+
+    def test_negative_zero_stage_inputs(self, design):
+        built = self.build(design)
+        model, _, _, calls = built
+        n = len(model.state_labels)
+        volts, clipped = self.check(built, [-0.0] * n)
+        assert not clipped and not calls
+        assert hexes(volts[:n]) == [float.hex(-0.0)] * n
+        # with a step of -0.0 each later stage reads y + -0.0 * d = -0.0 too
+        values, _ = one_step(model, [-0.0] * n, -0.0, 4, self.CLIP)
+        assert hexes(values) == [float.hex(-0.0)] * n
 
 
 # --------------------------------------------------------------------------
