@@ -7,11 +7,37 @@ reference system, and a three-stage switch-fabric model.
 
 `import autopatch` loads no submodule: each public name below imports its
 home module on first access, so a process pays only for the layers it uses.
+`_Record`, the base of the submodules' plain records, lives here because
+every submodule loads this module anyway.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class _Record:
+    """Field-wise equality, hash and repr over `__slots__`, in slot order.
+    A record writes its own `__init__`, so no class is built from generated
+    code at import; a mutable one sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
 
 #: public name -> (home module, attribute)
 _EXPORTS = {

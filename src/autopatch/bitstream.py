@@ -32,7 +32,6 @@ final encode's lookups to all lanes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -211,8 +210,7 @@ class DeltaOp(NamedTuple):
     value: Optional[int]  # row index, None (disconnect), or coefficient code
 
 
-@dataclass(frozen=True)
-class DeltaScript:
+class DeltaScript(NamedTuple):
     ops: tuple[DeltaOp, ...]
 
 

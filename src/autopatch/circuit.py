@@ -8,20 +8,23 @@ expanded system into a directed graph of integrators and multipliers where
 every weighted term is a single edge; additions happen implicitly wherever
 several edges land on the same input port.
 
-`Term`, `Node` and `Edge` are `slots` dataclasses with a field-wise hash
-(`unsafe_hash`) that are not frozen: a frozen `__init__` sets each field
-through `object.__setattr__`, which makes it about three times as costly,
-and a 500-state system builds thousands of these records per compile.  No
-code assigns to their fields.
+`Term`, `Node` and `Edge` are plain `__slots__` records (`_Record`: a
+field-wise equality, hash and repr), each with its own `__init__`, and are
+not frozen: a frozen `__init__` sets each field through
+`object.__setattr__`, which makes it about three times as costly, a
+NamedTuple's `__new__` costs almost twice as much, and a 500-state system
+builds thousands of these records per compile.  No code assigns to their
+fields.  `PolySystem` and `CircuitGraph`, built once per compile, are
+NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
+from . import _Record
 from .dsl import Const, Expr, Mul, Neg, Program, Sub, Var, postorder
 from .machine import LoopError, NodeKind, Port, dependency_order
 
@@ -31,14 +34,15 @@ from .machine import LoopError, NodeKind, Port, dependency_order
 MAX_TERMS = 65536
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class Term:
-    weight: float
-    factors: tuple[str, ...]  # sorted; () is the constant one
+class Term(_Record):
+    __slots__ = ("weight", "factors")
+
+    def __init__(self, weight: float, factors: tuple[str, ...]):
+        self.weight = weight
+        self.factors = factors  # sorted; () is the constant one
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(NamedTuple):
     """Expanded ODE system: per state a duplicate-free list of weighted
     monomials (ordered by degree, then factors; zero weights dropped)."""
 
@@ -140,24 +144,27 @@ def normalize(program: Program) -> PolySystem:
 # circuit graph
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class Node:
-    id: int
-    kind: NodeKind
-    label: str
-    initial: float = 0.0  # integrators only
+class Node(_Record):
+    __slots__ = ("id", "kind", "label", "initial")
+
+    def __init__(self, id: int, kind: NodeKind, label: str, initial: float = 0.0):
+        self.id = id
+        self.kind = kind
+        self.label = label
+        self.initial = initial  # integrators only
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class Edge:
-    src: int
-    dst: int
-    port: Port
-    weight: float
+class Edge(_Record):
+    __slots__ = ("src", "dst", "port", "weight")
+
+    def __init__(self, src: int, dst: int, port: Port, weight: float):
+        self.src = src
+        self.dst = dst
+        self.port = port
+        self.weight = weight
 
 
-@dataclass(frozen=True)
-class CircuitGraph:
+class CircuitGraph(NamedTuple):
     """Directed computing-element graph.  Node ids are dense; edges are
     stored sorted by (src, dst, port).  `taps` binds each out/plot signal
     name to its integrator node."""

@@ -19,9 +19,10 @@ The front end pays little per token and per tree node: `tokenize` makes one
 regular-expression match per token, blanks and comments included; the
 parser reads a token list that ends in a sentinel token, so no helper checks
 the list's length; and the tree nodes, the statements and the validated
-program's `StateDef`s are `slots` dataclasses that are not frozen, because a
-frozen `__init__` costs about four times as much.  Statements and
-`StateDef`s keep their field-wise hash (`unsafe_hash`), nodes their
+program's `StateDef`s are plain `__slots__` classes, each with its own
+`__init__`, that are not frozen, because a frozen `__init__` costs about four
+times as much and a NamedTuple's almost twice as much.  Statements and
+`StateDef`s compare and hash field-wise (`_Record`), nodes by their
 position-blind equality and hash (`_Node`); no code assigns to any of them.
 Tree walks dispatch on `type(node)`, not on `isinstance` with class
 tuples.
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple, Union
+
+from . import _Record
 
 KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 # Deepest nesting of '(' and unary '-' in one expression.  The parser spends
@@ -160,8 +162,9 @@ class _Node:
     count.  The walk is iterative, so deep trees compare and hash without
     hitting the recursion limit.
 
-    The empty `__slots__` keeps the `slots` node types free of a
-    `__dict__`, which would make each node larger and slower to build."""
+    The empty `__slots__` keeps the node types free of a `__dict__`, which
+    would make each node larger and slower to build.  Each type's last slot
+    is its position, which its repr leaves out."""
 
     __slots__ = ()
 
@@ -176,44 +179,60 @@ class _Node:
     def __hash__(self):
         return hash(self._key())
 
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(eq=False, slots=True)
+
 class Const(_Node):
-    value: float
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: float, pos: Pos = _NOPOS):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass(eq=False, slots=True)
 class Var(_Node):
-    name: str
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos = _NOPOS):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(eq=False, slots=True)
 class Add(_Node):
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(eq=False, slots=True)
 class Sub(_Node):
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(eq=False, slots=True)
 class Mul(_Node):
-    left: "Expr"
-    right: "Expr"
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
-@dataclass(eq=False, slots=True)
 class Neg(_Node):
-    operand: "Expr"
-    pos: Pos = field(default=_NOPOS, repr=False)
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Expr, pos: Pos = _NOPOS):
+        self.operand = operand
+        self.pos = pos
 
 
 Expr = Union[Const, Var, Add, Sub, Mul, Neg]
@@ -244,38 +263,48 @@ def postorder(expr: Expr) -> Iterator[Expr]:
 # statements (parser output, pre-validation)
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class FnDecl:
-    name: str
-    ivar: str
-    pos: Pos
+class FnDecl(_Record):
+    __slots__ = ("name", "ivar", "pos")
+
+    def __init__(self, name: str, ivar: str, pos: Pos):
+        self.name = name
+        self.ivar = ivar
+        self.pos = pos
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class DiffDef:
-    state: str
-    expr: Expr
-    pos: Pos
+class DiffDef(_Record):
+    __slots__ = ("state", "expr", "pos")
+
+    def __init__(self, state: str, expr: Expr, pos: Pos):
+        self.state = state
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class InitDef:
-    state: str
-    time: float
-    value: float
-    pos: Pos
+class InitDef(_Record):
+    __slots__ = ("state", "time", "value", "pos")
+
+    def __init__(self, state: str, time: float, value: float, pos: Pos):
+        self.state = state
+        self.time = time
+        self.value = value
+        self.pos = pos
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class PlotStmt:
-    axes: tuple[tuple[str, str], ...]  # (axis label, state name)
-    pos: Pos
+class PlotStmt(_Record):
+    __slots__ = ("axes", "pos")
+
+    def __init__(self, axes: tuple[tuple[str, str], ...], pos: Pos):
+        self.axes = axes  # (axis label, state name) pairs
+        self.pos = pos
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class OutStmt:
-    state: str
-    pos: Pos
+class OutStmt(_Record):
+    __slots__ = ("state", "pos")
+
+    def __init__(self, state: str, pos: Pos):
+        self.state = state
+        self.pos = pos
 
 
 Stmt = Union[FnDecl, DiffDef, InitDef, PlotStmt, OutStmt]
@@ -503,16 +532,17 @@ def parse(tokens: list[Token]) -> list[Stmt]:
 # validated program
 
 
-@dataclass(unsafe_hash=True, slots=True)
-class StateDef:
-    name: str
-    ivar: str
-    derivative: Expr
-    initial_value: float
+class StateDef(_Record):
+    __slots__ = ("name", "ivar", "derivative", "initial_value")
+
+    def __init__(self, name: str, ivar: str, derivative: Expr, initial_value: float):
+        self.name = name
+        self.ivar = ivar
+        self.derivative = derivative
+        self.initial_value = initial_value
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     """A checked program: unique states in declaration order, each with
     exactly one derivative and one initial condition; outputs and plots
     reference declared states only."""

@@ -21,28 +21,33 @@ int bitmask per input and per output block, so first-fit is one bit step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from . import _Record
 
 MAX_PORTS = 1 << 16  # most inputs or outputs of any stage that a FabricState models
 MAX_REQUESTS = 10**8  # most requests, trials times load, that a blocking experiment issues
 
 
-@dataclass(frozen=True)
-class StageSpec:
-    blocks: int
-    inputs_per_block: int
-    outputs_per_block: int
+class StageSpec(_Record):
+    """One stage: `blocks` crossbars of `inputs_per_block x
+    outputs_per_block` switches, checked when made.  No code assigns to a
+    field."""
 
-    def __post_init__(self):
-        if min(self.blocks, self.inputs_per_block, self.outputs_per_block) < 1:
+    __slots__ = ("blocks", "inputs_per_block", "outputs_per_block")
+
+    def __init__(self, blocks: int, inputs_per_block: int, outputs_per_block: int):
+        if min(blocks, inputs_per_block, outputs_per_block) < 1:
             raise ValueError("stage dimensions must be positive")
+        self.blocks = blocks
+        self.inputs_per_block = inputs_per_block
+        self.outputs_per_block = outputs_per_block
 
     def switch_count(self) -> int:
         return self.blocks * self.inputs_per_block * self.outputs_per_block
 
 
-@dataclass(frozen=True)
-class FabricSpec:
+class FabricSpec(NamedTuple):
     input: StageSpec
     middle: StageSpec
     output: StageSpec
@@ -86,16 +91,17 @@ def switch_count(spec: FabricSpec) -> int:
     return spec.input.switch_count() + spec.middle.switch_count() + spec.output.switch_count()
 
 
-@dataclass(frozen=True)
-class RoutedPath:
+class RoutedPath(NamedTuple):
     input: int
     output: int
     middle_block: int
 
 
-@dataclass(frozen=True)
-class Blocked:
-    """No middle block had both hops free; the state is unchanged."""
+class Blocked(_Record):
+    """No middle block had both hops free; the state is unchanged.  Every
+    `Blocked` equals every other and, like any object, is true."""
+
+    __slots__ = ()
 
 
 class OutputBusyError(Exception):
@@ -160,8 +166,7 @@ class FabricState:
         return path
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     blocked_fraction: float
     mean_routed: float
 

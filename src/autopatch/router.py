@@ -13,7 +13,7 @@ come in lane order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import CircuitGraph
 from .machine import (
@@ -37,8 +37,7 @@ class CapacityError(Exception):
         self.available = available
 
 
-@dataclass(frozen=True)
-class PlaceRouteReport:
+class PlaceRouteReport(NamedTuple):
     integrators_used: int
     multipliers_used: int
     lanes_used: int
@@ -47,8 +46,7 @@ class PlaceRouteReport:
     quantization_errors: tuple[tuple[int, float], ...]  # (lane, |decoded - requested|)
 
 
-@dataclass(frozen=True)
-class RoutedDesign:
+class RoutedDesign(NamedTuple):
     """The routed configuration and its report, plus the pre-quantization
     weight per lane (needed to drive the simulator with quantization
     bypassed)."""

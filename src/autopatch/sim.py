@@ -44,11 +44,11 @@ import math
 import struct
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
+from . import _Record
 from .machine import LoopError, MachineConfig, NodeKind, Port, decode, dependency_order, validate_config
 
 if TYPE_CHECKING:  # annotations only: an image run never loads the compiler
@@ -64,47 +64,58 @@ class Method(Enum):
     EULER = "euler"
 
 
-@dataclass(frozen=True)
-class SimSettings:
-    """Machine-time integration settings (time is dimensionless)."""
+class SimSettings(_Record):
+    """Machine-time integration settings (time is dimensionless), checked
+    when made.  No code assigns to a field."""
 
-    dt: float
-    t_end: float
-    method: Method = Method.RK4
-    clip: Optional[float] = None
-    record_stride: int = 1
+    __slots__ = ("dt", "t_end", "method", "clip", "record_stride")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+    def __init__(
+        self, dt: float, t_end: float, method: Method = Method.RK4, clip: Optional[float] = None, record_stride: int = 1
+    ):
+        if not (math.isfinite(dt) and dt > 0):
             raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+        if not (math.isfinite(t_end) and t_end >= 0):
             raise ValueError("t_end must be nonnegative and finite")
-        if self.clip is not None and not (math.isfinite(self.clip) and self.clip > 0):
+        if clip is not None and not (math.isfinite(clip) and clip > 0):
             raise ValueError("clip threshold must be positive and finite")
-        if self.record_stride < 1:
+        if record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.t_end / self.dt > MAX_STEPS:
-            raise ValueError(f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step cap of {MAX_STEPS}")
+        if t_end / dt > MAX_STEPS:
+            raise ValueError(f"t_end/dt = {t_end / dt:.3g} exceeds the step cap of {MAX_STEPS}")
+        self.dt = dt
+        self.t_end = t_end
+        self.method = method
+        self.clip = clip
+        self.record_stride = record_stride
 
 
-@dataclass(frozen=True, slots=True)
-class ClipEvent:
+class ClipEvent(NamedTuple):
     t: float
     element: str
 
 
-@dataclass
-class Trace:
+class Trace(_Record):
     """Sampled run: aligned time/signal rows, clip events, and the largest
     |voltage| seen per element over the recorded samples.
 
     `times` and each `signals` column are `array('d')`: they iterate and
     index like lists, but compare equal only to arrays, not to lists."""
 
-    times: array[float]
-    signals: dict[str, array[float]]
-    clip_events: list[ClipEvent]
-    peaks: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("times", "signals", "clip_events", "peaks")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        times: array[float],
+        signals: dict[str, array[float]],
+        clip_events: list[ClipEvent],
+        peaks: Optional[dict[str, float]] = None,
+    ):
+        self.times = times
+        self.signals = signals
+        self.clip_events = clip_events
+        self.peaks = {} if peaks is None else peaks
 
 
 class UnroutedTapError(Exception):
@@ -332,8 +343,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     return _write_step(n_states, n_elements, head, evaluation, sums), namespace
 
 
-@dataclass(slots=True)
-class Model:
+class Model(_Record):
     """A compiled model of either path.  Its first `len(state_labels)`
     elements are the states, which start at `initial`; `element_labels`
     name every element, no two alike, and `taps` maps each signal name to
@@ -356,11 +366,22 @@ class Model:
     reassign `taps` after the build.
     """
 
-    state_labels: tuple[str, ...]
-    initial: tuple[float, ...]
-    element_labels: tuple[str, ...]
-    taps: dict[str, int]
-    step: Callable
+    __slots__ = ("state_labels", "initial", "element_labels", "taps", "step")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        state_labels: tuple[str, ...],
+        initial: tuple[float, ...],
+        element_labels: tuple[str, ...],
+        taps: dict[str, int],
+        step: Callable,
+    ):
+        self.state_labels = state_labels
+        self.initial = initial
+        self.element_labels = element_labels
+        self.taps = taps
+        self.step = step
 
 
 _LABELS = {NodeKind.INTEGRATOR: "I{}", NodeKind.MULTIPLIER: "M{}", NodeKind.CONST_ONE: "const"}

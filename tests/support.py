@@ -37,6 +37,12 @@ def with_lanes(config: MachineConfig, *lanes) -> MachineConfig:
     return dataclasses.replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
 
 
+def replaced(record, **changes):
+    """A copy of a `__slots__` record (`autopatch._Record`) with `changes`
+    written over its fields, as a NamedTuple's `_replace` makes one."""
+    return type(record)(**{name: getattr(record, name) for name in record.__slots__} | changes)
+
+
 def random_expr(rng: random.Random, names: list[str], depth: int):
     """Random polynomial expression tree over the given state names."""
     from autopatch.dsl import Add, Const, Mul, Neg, Sub, Var

@@ -312,6 +312,11 @@ class TestDeltaOpRecord:
         op = DeltaOp(OpCode.SET_COEFF, 0, 777)
         assert repr(op) == "DeltaOp(opcode=<OpCode.SET_COEFF: 2>, lane=0, value=777)"
         assert repr(decode_delta(encode_delta(DeltaScript((op,)))).ops[0]) == repr(op)
+        script = DeltaScript((op, DeltaOp(OpCode.SET_I_DEST, 2, None)))
+        assert repr(script) == (
+            "DeltaScript(ops=(DeltaOp(opcode=<OpCode.SET_COEFF: 2>, lane=0, value=777), "
+            "DeltaOp(opcode=<OpCode.SET_I_DEST: 3>, lane=2, value=None)))"
+        )
 
     def test_equal_ops_hash_equal(self):
         a, b = DeltaOp(OpCode.SET_I_DEST, 7, None), DeltaOp(OpCode.SET_I_DEST, 7, None)

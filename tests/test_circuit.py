@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import random
 
@@ -16,6 +15,7 @@ from autopatch.circuit import (
     Node,
     NodeKind,
     Port,
+    Term,
     build_circuit,
     dependency_order,
     detect_algebraic_loops,
@@ -350,8 +350,9 @@ class TestAlgebraicLoops:
 
 
 class TestGraphRecords:
-    """`Node` and `Edge` are slots records that are not frozen, as `Term`:
-    field-wise equality and hash, no `__dict__`, the dataclass repr."""
+    """`Term`, `Node` and `Edge` are slots records that are not frozen:
+    field-wise equality and hash, no `__dict__`, the repr a dataclass gave
+    them.  `PolySystem` and `CircuitGraph` keep that repr too."""
 
     @pytest.mark.parametrize(
         "make, changed",
@@ -360,21 +361,32 @@ class TestGraphRecords:
             (lambda: Node(4, NodeKind.MULTIPLIER, "X*Y"), {"label": "X*Z"}),
             (lambda: Edge(0, 3, Port.MUL_A, 1.0), {"port": Port.MUL_B}),
             (lambda: Edge(2, 0, Port.INTEGRATOR_IN, -0.3), {"weight": 0.3}),
+            (lambda: Term(2.5, ("X", "Y")), {"weight": -2.5}),
+            (lambda: Term(1.0, ()), {"factors": ("X",)}),
         ],
-        ids=["integrator", "multiplier", "feed edge", "term edge"],
+        ids=["integrator", "multiplier", "feed edge", "term edge", "term", "constant term"],
     )
     def test_record(self, make, changed):
         a, b = make(), make()
         assert a is not b and a == b and hash(a) == hash(b)
         assert not hasattr(a, "__dict__")
-        other = dataclasses.replace(a, **changed)
+        other = support.replaced(a, **changed)
         assert other != a and type(other) is type(a)
-        assert dataclasses.replace(other, **{name: getattr(a, name) for name in changed}) == a
+        assert support.replaced(other, **{name: getattr(a, name) for name in changed}) == a
         assert len({a, b, other}) == 2
 
     def test_repr_and_defaults(self):
         assert repr(Node(1, NodeKind.CONST_ONE, "1")) == "Node(id=1, kind=<NodeKind.CONST_ONE: 'ConstOne'>, label='1', initial=0.0)"
         assert repr(Edge(0, 1, Port.MUL_B, 1.0)) == "Edge(src=0, dst=1, port=<Port.MUL_B: 'MulB'>, weight=1.0)"
+        assert repr(Term(2.5, ("X", "Y"))) == "Term(weight=2.5, factors=('X', 'Y'))"
+        program = compile_source("fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1.0;\nout X(t);\n")
+        system = normalize(program)
+        assert repr(system) == "PolySystem(states=('X',), rhs=((Term(weight=-1.0, factors=('X',)),),), initial=(1.0,))"
+        assert repr(build_circuit(system, program)) == (
+            "CircuitGraph(nodes=(Node(id=0, kind=<NodeKind.INTEGRATOR: 'Integrator'>, label='X', initial=1.0),), "
+            "edges=(Edge(src=0, dst=0, port=<Port.INTEGRATOR_IN: 'IntegratorIn'>, weight=-1.0),), taps=(('X', 0),))"
+        )
+        assert CircuitGraph((), ()).taps == ()
 
 
 class TestDump:

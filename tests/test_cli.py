@@ -744,21 +744,24 @@ class TestDiagnosticRule:
 
 
 # Imports autopatch, runs each command of the JSON list in argv[1] through
-# cli.main, and prints the autopatch submodules then loaded as its last line.
+# cli.main, asserts that no module named in the JSON list in argv[2] was
+# loaded, and prints the autopatch submodules then loaded as its last line.
 _FOOTPRINT_CHILD = """
 import json, sys
 import autopatch
 for argv in json.loads(sys.argv[1]):
     from autopatch.cli import main
     assert main(argv) == 0, argv
+for name in json.loads(sys.argv[2]):
+    assert name not in sys.modules, f"{name} was loaded"
 print(*sorted(name for name in sys.modules if name.startswith("autopatch.")))
 """
 
 
-def loaded_submodules(*commands):
+def loaded_submodules(*commands, unloaded=()):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(commands)],
+        [sys.executable, "-c", _FOOTPRINT_CHILD, json.dumps(commands), json.dumps(unloaded)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -772,7 +775,9 @@ class TestImportFootprint:
         assert loaded_submodules() == set()
 
     def test_fabric_loads_only_the_fabric_model(self):
-        assert loaded_submodules(["fabric", "--spec", "simstar", "--count"]) == {"autopatch.cli", "autopatch.fabric"}
+        """...and no `dataclasses`, nor the `inspect` it imports."""
+        loaded = loaded_submodules(["fabric", "--spec", "simstar", "--count"], unloaded=["dataclasses", "inspect"])
+        assert loaded == {"autopatch.cli", "autopatch.fabric"}
 
     def test_diff_and_apply_load_only_the_image_layers(self, tmp_path, lorenz_design):
         old, new = tmp_path / "old.acfg", tmp_path / "new.acfg"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import string
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import support
 from autopatch.dsl import (
     KEYWORDS,
     MAX_NESTING,
@@ -514,8 +514,50 @@ class TestTreeWalks:
         assert a == b and hash(a) == hash(b)
         assert a != StateDef("X", "t", Add(Var("X"), Const(2.0)), 0.5)
         assert not hasattr(a, "__dict__")
-        assert dataclasses.replace(a, initial_value=1.0) == StateDef("X", "t", a.derivative, 1.0)
+        assert support.replaced(a, initial_value=1.0) == StateDef("X", "t", a.derivative, 1.0)
         assert repr(a) == "StateDef(name='X', ivar='t', derivative=Add(left=Var(name='X'), right=Const(value=1.0)), initial_value=0.5)"
+        program = Program((StateDef("X", "t", Neg(Var("X")), 1.0),), ("X",), ())
+        assert repr(program) == (
+            "Program(states=(StateDef(name='X', ivar='t', derivative=Neg(operand=Var(name='X')), initial_value=1.0),), "
+            "outputs=('X',), plots=())"
+        )
+        assert program == compile_source("fn X(t);\nlet diff[X, t] = -X;\nlet X(t: 0) = 1.0;\nout X(t);\n")
+
+    @pytest.mark.parametrize(
+        "record, changed, text",
+        [
+            (FnDecl("X", "t", (1, 1)), {"ivar": "s"}, "FnDecl(name='X', ivar='t', pos=(1, 1))"),
+            (DiffDef("X", Neg(Var("X")), (2, 1)), {"expr": Var("X")}, "DiffDef(state='X', expr=Neg(operand=Var(name='X')), pos=(2, 1))"),
+            (InitDef("X", 0.0, 0.5, (3, 1)), {"value": 0.25}, "InitDef(state='X', time=0.0, value=0.5, pos=(3, 1))"),
+            (PlotStmt((("x", "X"), ("y", "Y")), (4, 1)), {"pos": (4, 2)}, "PlotStmt(axes=(('x', 'X'), ('y', 'Y')), pos=(4, 1))"),
+            (OutStmt("X", (5, 1)), {"state": "Y"}, "OutStmt(state='X', pos=(5, 1))"),
+        ],
+        ids=["fn", "diff", "init", "plot", "out"],
+    )
+    def test_statement_is_a_slots_record(self, record, changed, text):
+        """As `StateDef`: field-wise equality and hash, no `__dict__`, the
+        repr a dataclass gave it."""
+        copy, other = support.replaced(record), support.replaced(record, **changed)
+        assert copy is not record and copy == record and hash(copy) == hash(record)
+        assert other != record and len({record, copy, other}) == 2
+        assert not hasattr(record, "__dict__")
+        assert repr(record) == text
+
+    @pytest.mark.parametrize(
+        "node, text",
+        [
+            (Const(1.5, (3, 4)), "Const(value=1.5)"),
+            (Var("X", (3, 4)), "Var(name='X')"),
+            (Add(Var("X"), Const(1.0), (3, 4)), "Add(left=Var(name='X'), right=Const(value=1.0))"),
+            (Sub(Var("X"), Var("Y"), (3, 4)), "Sub(left=Var(name='X'), right=Var(name='Y'))"),
+            (Mul(Const(2.0), Var("Y"), (3, 4)), "Mul(left=Const(value=2.0), right=Var(name='Y'))"),
+            (Neg(Var("X"), (3, 4)), "Neg(operand=Var(name='X'))"),
+        ],
+        ids=["const", "var", "add", "sub", "mul", "neg"],
+    )
+    def test_node_repr_leaves_out_the_position(self, node, text):
+        assert repr(node) == text and node.pos == (3, 4)
+        assert not hasattr(node, "__dict__")
 
 
 def recursive_format_expr(expr, least=0):

@@ -51,6 +51,31 @@ class TestGeometry:
         with pytest.raises(ValueError, match="output links"):
             FabricState(bad)
 
+    @pytest.mark.parametrize(
+        "make, text",
+        [
+            (lambda: StageSpec(2, 3, 4), "StageSpec(blocks=2, inputs_per_block=3, outputs_per_block=4)"),
+            (
+                lambda: FabricSpec(StageSpec(1, 1, 2), StageSpec(2, 1, 1), StageSpec(1, 2, 1)),
+                "FabricSpec(input=StageSpec(blocks=1, inputs_per_block=1, outputs_per_block=2), "
+                "middle=StageSpec(blocks=2, inputs_per_block=1, outputs_per_block=1), "
+                "output=StageSpec(blocks=1, inputs_per_block=2, outputs_per_block=1))",
+            ),
+            (lambda: RoutedPath(0, 3, 1), "RoutedPath(input=0, output=3, middle_block=1)"),
+            (lambda: Blocked(), "Blocked()"),
+            (lambda: ExperimentResult(0.25, 3.5), "ExperimentResult(blocked_fraction=0.25, mean_routed=3.5)"),
+        ],
+        ids=["stage", "fabric", "routed path", "blocked", "experiment result"],
+    )
+    def test_record(self, make, text):
+        """Field-wise equality and hash, no `__dict__`, and the repr a
+        dataclass gave them; a `Blocked` is true."""
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b) and a
+        assert not hasattr(a, "__dict__")
+        assert repr(a) == text
+        assert a != RoutedPath(9, 9, 9)
+
 
 def remove_route(state, path):
     """Tear a route down, freeing its links and output."""

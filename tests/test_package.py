@@ -1,6 +1,8 @@
 """The package's public names: each loads its home module on first access."""
 
+import dataclasses
 import importlib
+import pkgutil
 
 import pytest
 
@@ -32,6 +34,21 @@ def test_dependency_order_lives_in_machine():
     assert machine.LoopError.__module__ == machine.dependency_order.__module__ == "autopatch.machine"
     assert circuit.LoopError is machine.LoopError
     assert circuit.dependency_order is machine.dependency_order
+
+
+def test_only_machine_records_are_dataclasses():
+    """Every other record is a NamedTuple or a plain `__slots__` class: a
+    dataclass costs its module generated code, run with `exec`, per class
+    at import."""
+    found = set()
+    for info in pkgutil.iter_modules(autopatch.__path__):
+        module = importlib.import_module(f"autopatch.{info.name}")
+        found |= {
+            f"{module.__name__}.{name}"
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
+        }
+    assert found == {"autopatch.machine.MachineSpec", "autopatch.machine.CoefficientCode", "autopatch.machine.MachineConfig"}
 
 
 def test_version_is_eager():

@@ -1110,8 +1110,22 @@ class TestTraceStorage:
         assert not hasattr(event, "__dict__")
         assert repr(event) == "ClipEvent(t=0.5, element='I0')"
         assert event == sim.ClipEvent(0.5, "I0") and hash(event) == hash(sim.ClipEvent(0.5, "I0"))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             event.t = 1.0
+
+    def test_settings_record(self):
+        """Checked when made; field-wise equality and hash, no `__dict__`,
+        the repr a dataclass gave it."""
+        settings = SimSettings(dt=0.1, t_end=1.0)
+        assert repr(settings) == "SimSettings(dt=0.1, t_end=1.0, method=<Method.RK4: 'rk4'>, clip=None, record_stride=1)"
+        assert repr(SimSettings(0.5, 2.0, Method.EULER, 1.0, 3)) == (
+            "SimSettings(dt=0.5, t_end=2.0, method=<Method.EULER: 'euler'>, clip=1.0, record_stride=3)"
+        )
+        assert settings == SimSettings(0.1, 1.0, Method.RK4, None, 1) and hash(settings) == hash(SimSettings(0.1, 1.0))
+        assert settings != SimSettings(dt=0.1, t_end=1.0, record_stride=2)
+        assert not hasattr(settings, "__dict__")
+        with pytest.raises(ValueError, match="record_stride must be >= 1"):
+            SimSettings(dt=0.1, t_end=1.0, record_stride=0)
 
     # total steps, each run ending in a shortened landing step
     @pytest.mark.parametrize("steps", [sim._BLOCK - 1, sim._BLOCK, sim._BLOCK + 1, 2 * sim._BLOCK + 1])
@@ -1276,7 +1290,7 @@ class TestReferenceDerivatives:
     def test_run_reference_matches_the_term_loop(self, system, data):
         n = len(system.states)
         initial = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
-        system = dataclasses.replace(system, initial=tuple(initial))
+        system = system._replace(initial=tuple(initial))
         loop = TermLoopModel(system)
         for clip in (None, 0.3):
             for method, stride in ((Method.RK4, 1), (Method.EULER, 1), (Method.RK4, 3)):
