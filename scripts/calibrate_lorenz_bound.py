@@ -2,9 +2,9 @@
 """Reference-oracle run fixing the machine-range regression bound.
 
 Integrates the expanded chaotic-oscillator system (unquantized weights)
-over a long horizon and reports the largest |signal|; the acceptance
-suite freezes a bound just above this value and asserts that the routed,
-quantized hardware run stays inside it.
+and the routed, quantized hardware over a long horizon and reports each
+path's peaks and largest |signal|; the acceptance suite freezes a bound
+just above these values and asserts that the hardware run stays inside it.
 
 Usage: python3 scripts/calibrate_lorenz_bound.py [t_end]
 """
@@ -34,6 +34,8 @@ def main() -> int:
     model = build_dynamics(design.config)
     hardware = run(model, model.initial, settings)
     hw_worst = max(hardware.peaks.values())
+    print(f"hardware peaks over [0, {t_end:g}]: "
+          f"{ {k: round(v, 6) for k, v in sorted(hardware.peaks.items())} }")
     print(f"hardware  max |signal|: {hw_worst:.6f} (quantized coefficients)")
     print(f"suggested frozen bound: {max(ref_worst, hw_worst) * 1.005 + 0.005:.2f}")
     return 0

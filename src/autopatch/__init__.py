@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 class _Record:
     """Field-wise equality, hash and repr over `__slots__`, in slot order.
     A record writes its own `__init__`, so no class is built from generated
-    code at import; a mutable one sets `__hash__ = None`."""
+    code at import."""
 
     __slots__ = ()
 

@@ -36,7 +36,7 @@ from enum import IntEnum
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .machine import CoefficientCode, MachineConfig, MachineSpec, shared_highres, shared_lowres, validate_config
+from .machine import CoefficientCode, MachineConfig, MachineSpec, validate_config
 
 MAGIC = b"ACFG"
 DELTA_MAGIC = b"ACDL"
@@ -48,22 +48,22 @@ NONE_PAYLOAD = 0xFFFF
 _SCAN_LANES = 32
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     def __init__(self, offset: int, reason: str):
         super().__init__(f"offset {offset}: {reason}")
         self.offset = offset
         self.reason = reason
 
 
-class SpecMismatchError(Exception):
+class SpecMismatchError(ValueError):
     pass
 
 
-class RangeError(Exception):
+class RangeError(ValueError):
     """A delta operation references a lane, row, or code outside the spec."""
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
@@ -167,13 +167,13 @@ def decode(image: bytes, spec: MachineSpec) -> MachineConfig:
     # most often to a hit among the shared instances, and an out-of-range
     # word is reported at the lowest lane that holds one
     coeffs: list[CoefficientCode] = []
-    for lanes, word_format, shared, make in (
-        (range(spec.lowres_lanes.start), "h", shared_highres, CoefficientCode.highres),
-        (spec.lowres_lanes, "H", shared_lowres, CoefficientCode.lowres),
+    for lanes, word_format, make in (
+        (range(spec.lowres_lanes.start), "h", CoefficientCode.highres),
+        (spec.lowres_lanes, "H", CoefficientCode.lowres),
     ):
         words = struct.unpack_from(f"<{len(lanes)}{word_format}", image, c_base + 2 * lanes.start)
         try:
-            code_of = {word: shared(word) or make(word) for word in set(words)}
+            code_of = {word: make(word) for word in set(words)}
         except ValueError:
             for lane, word in zip(lanes, words):
                 try:

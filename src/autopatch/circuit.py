@@ -177,7 +177,7 @@ class CircuitGraph(NamedTuple):
         return [n for n in self.nodes if n.kind is kind]
 
 
-class DegreeError(Exception):
+class DegreeError(ValueError):
     def __init__(self, factors: tuple[str, ...], max_degree: int):
         super().__init__(f"monomial {_monomial_text(factors)} has degree {len(factors)} > maximum {max_degree}")
         self.factors = factors

@@ -170,7 +170,7 @@ def _cmd_simulate(args) -> int:
         spec = _parse_machine(args.machine)
         model = sim.build_dynamics(bitstream.decode(_read(args.input), spec))
         # an image carries no signal names, so the model labels its used integrators I<slot>
-        model.taps = {label: i for i, label in enumerate(model.state_labels)}
+        model = model._replace(taps={label: i for i, label in enumerate(model.state_labels)})
         initial = model.initial
         if args.ic is not None:
             try:
@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> int:
     ref = None
     if args.reference:
         ref_model = sim.build_reference(system)
-        ref_model.taps = {name: ref_model.taps[name] for name in model.taps}
+        ref_model = ref_model._replace(taps={name: ref_model.taps[name] for name in model.taps})
         ref = sim.run(ref_model, ref_model.initial, settings)
     with _writing(out_dir):
         sim.emit_traces(trace, program, out_dir)
@@ -344,11 +344,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
-        # ValueError, OSError and the error classes of autopatch's own modules
-        # are diagnostics; anything else is a bug and keeps its traceback
-        if not isinstance(exc, (ValueError, OSError)) and not type(exc).__module__.startswith(__package__ + "."):
-            raise
+    except (ValueError, OSError) as exc:
+        # every autopatch error class is a ValueError; anything else is a bug
+        # and keeps its traceback
         print(f"autopatch: error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ KEYWORDS = frozenset({"fn", "let", "diff", "plot", "out"})
 MAX_NESTING = 200
 
 
-class SourceError(Exception):
+class SourceError(ValueError):
     """Base for diagnostics carrying a 1-based source position."""
 
     def __init__(self, message: str, line: int, column: int):

@@ -104,7 +104,7 @@ class Blocked(_Record):
     __slots__ = ()
 
 
-class OutputBusyError(Exception):
+class OutputBusyError(ValueError):
     pass
 
 

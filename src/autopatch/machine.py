@@ -94,10 +94,6 @@ class CoefficientCode:
 # int codes are stored, so each dict holds at most 4096 or 8 entries.
 _HIGHRES_CODES: dict[int, CoefficientCode] = {}
 _LOWRES_CODES: dict[int, CoefficientCode] = {}
-# the shared instance for a code, or None while there is none: one dict
-# lookup, for a caller that resolves many codes and builds on a miss
-shared_highres = _HIGHRES_CODES.get
-shared_lowres = _LOWRES_CODES.get
 
 
 def _shared_code(shared: dict[int, CoefficientCode], kind: CoefKind, code: int) -> CoefficientCode:
@@ -133,11 +129,13 @@ def quantize_highres(value: float) -> int:
     """
     code, clamped = quantize_highres_info(value)
     if clamped:
-        warnings.warn(
-            RangeWarning(f"coefficient {value} clamps to code {code} ({decode(CoefficientCode.highres(code))})"),
-            stacklevel=2,
-        )
+        warnings.warn(RangeWarning(clamp_note(value, code)), stacklevel=2)
     return code
+
+
+def clamp_note(value: float, code: int) -> str:
+    """The text that reports a gain clamped to a high-res code."""
+    return f"coefficient {value} clamps to code {code} ({decode(CoefficientCode.highres(code))})"
 
 
 _LOWRES_CODE_OF = {value: code for code, value in enumerate(LOWRES_TABLE)}
@@ -370,7 +368,7 @@ def format_config(config: MachineConfig) -> str:
 # element ordering
 
 
-class LoopError(Exception):
+class LoopError(ValueError):
     """A cycle with no integrator on it (an algebraic loop).  `cycle`
     lists its elements in signal-flow order, the first repeated last."""
 

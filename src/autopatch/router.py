@@ -22,6 +22,7 @@ from .machine import (
     MachineSpec,
     NodeKind,
     Port,
+    clamp_note,
     decode,
     lowres_code_for,
     quantize_highres_info,
@@ -29,7 +30,7 @@ from .machine import (
 )
 
 
-class CapacityError(Exception):
+class CapacityError(ValueError):
     def __init__(self, kind: str, needed: int, available: int):
         super().__init__(f"{kind}: need {needed}, have {available}")
         self.kind = kind
@@ -107,9 +108,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
             code, clamped = quantize_highres_info(weight)
             c[lane] = CoefficientCode.highres(code)
             if clamped:
-                clamp_notes.append(
-                    f"lane {lane}: coefficient {weight} clamps to code {code} ({decode(c[lane])})"
-                )
+                clamp_notes.append(f"lane {lane}: {clamp_note(weight, code)}")
         else:
             c[lane] = CoefficientCode.lowres(code)
         u[lane] = src
@@ -124,8 +123,7 @@ def route_design(graph: CircuitGraph, spec: MachineSpec) -> RoutedDesign:
         initial_states=tuple(initial),
         taps=tuple((name, out_row[node_id]) for name, node_id in graph.taps),
     )
-    problems = validate_config(config)
-    assert not problems, f"routed configuration failed validation: {problems}"
+    assert not (problems := validate_config(config)), f"routed configuration failed validation: {problems}"
 
     lane_weights.sort()
     report = PlaceRouteReport(

@@ -95,34 +95,24 @@ class ClipEvent(NamedTuple):
     element: str
 
 
-class Trace(_Record):
+class Trace(NamedTuple):
     """Sampled run: aligned time/signal rows, clip events, and the largest
     |voltage| seen per element over the recorded samples.
 
     `times` and each `signals` column are `array('d')`: they iterate and
     index like lists, but compare equal only to arrays, not to lists."""
 
-    __slots__ = ("times", "signals", "clip_events", "peaks")
-    __hash__ = None  # mutable
-
-    def __init__(
-        self,
-        times: array[float],
-        signals: dict[str, array[float]],
-        clip_events: list[ClipEvent],
-        peaks: Optional[dict[str, float]] = None,
-    ):
-        self.times = times
-        self.signals = signals
-        self.clip_events = clip_events
-        self.peaks = {} if peaks is None else peaks
+    times: array[float]
+    signals: dict[str, array[float]]
+    clip_events: list[ClipEvent]
+    peaks: dict[str, float]
 
 
-class UnroutedTapError(Exception):
+class UnroutedTapError(ValueError):
     pass
 
 
-class NonFiniteError(Exception):
+class NonFiniteError(ValueError):
     def __init__(self, t: float, element: str):
         super().__init__(f"{element} became non-finite at t={t}")
         self.t = t
@@ -343,7 +333,7 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     return _write_step(n_states, n_elements, head, evaluation, sums), namespace
 
 
-class Model(_Record):
+class Model(NamedTuple):
     """A compiled model of either path.  Its first `len(state_labels)`
     elements are the states, which start at `initial`; `element_labels`
     name every element, no two alike, and `taps` maps each signal name to
@@ -362,26 +352,14 @@ class Model(_Record):
     state after its last step and `stop`, or the first non-finite state
     and the step k that made it.  With 0 stages it only evaluates and
     records step `start` and returns the state derivatives there.  `run`
-    hands it the taps of `model.taps` as it is at the run, so a caller may
-    reassign `taps` after the build.
+    builds its `taps` from `model.taps`.
     """
 
-    __slots__ = ("state_labels", "initial", "element_labels", "taps", "step")
-    __hash__ = None  # mutable
-
-    def __init__(
-        self,
-        state_labels: tuple[str, ...],
-        initial: tuple[float, ...],
-        element_labels: tuple[str, ...],
-        taps: dict[str, int],
-        step: Callable,
-    ):
-        self.state_labels = state_labels
-        self.initial = initial
-        self.element_labels = element_labels
-        self.taps = taps
-        self.step = step
+    state_labels: tuple[str, ...]
+    initial: tuple[float, ...]
+    element_labels: tuple[str, ...]
+    taps: dict[str, int]
+    step: Callable
 
 
 _LABELS = {NodeKind.INTEGRATOR: "I{}", NodeKind.MULTIPLIER: "M{}", NodeKind.CONST_ONE: "const"}
@@ -540,10 +518,10 @@ def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
     labels = model.element_labels
     peaks = [0.0] * len(labels)  # by element position, kept up by `step`
     events: list[tuple[float, int]] = []  # (step start, element position), appended by `step`
-    trace = Trace(times=array("d"), signals={name: array("d") for name in model.taps}, clip_events=[])
+    times, signals, clip_events = array("d"), {name: array("d") for name in model.taps}, []
     stages = 4 if settings.method is Method.RK4 else 1
     # (array, buffer) per column, the time first; `step` appends to the buffers
-    columns = [(trace.times, [])] + [(trace.signals[name], []) for name in model.taps]
+    columns = [(times, [])] + [(signals[name], []) for name in model.taps]
     time = columns[0][1].append
     taps = [(buffer.append, idx) for (_, buffer), idx in zip(columns[1:], model.taps.values())]
 
@@ -552,7 +530,7 @@ def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
             # struct converts the floats in half the time array.fromlist takes
             column.frombytes(struct.pack(f"{len(buffer)}d", *buffer))
             buffer.clear()
-        trace.clip_events += [ClipEvent(t, labels[idx]) for t, idx in events]
+        clip_events.extend(ClipEvent(t, labels[idx]) for t, idx in events)
         events.clear()
 
     # (first step, end, step size) per call: whole blocks of full steps, then
@@ -571,8 +549,7 @@ def run(model: Model, initial: Sequence[float], settings: SimSettings) -> Trace:
     # after it, its clamps are no clip events
     model.step(y, 1, 2, 0.0, t_end if total_steps else 0.0, 0, clip, 1, peaks, [], time, taps)
     flush()
-    trace.peaks = dict(zip(labels, peaks))
-    return trace
+    return Trace(times, signals, clip_events, dict(zip(labels, peaks)))
 
 
 def run_reference(system: PolySystem, settings: SimSettings) -> Trace:
@@ -582,16 +559,20 @@ def run_reference(system: PolySystem, settings: SimSettings) -> Trace:
 
 
 def max_abs_deviation(a: Trace, b: Trace) -> float:
-    """Largest pointwise |difference| over the shared signals."""
+    """Largest pointwise |difference| over the shared signals.  Equal
+    samples differ by 0, equal infinities too, and a NaN on either side
+    makes the result NaN."""
     worst = 0.0
     for name in sorted(set(a.signals) & set(b.signals)):
         xs, ys = a.signals[name], b.signals[name]
         if len(xs) != len(ys):
             raise ValueError(f"signal {name}: traces have {len(xs)} vs {len(ys)} samples")
         for x, y in zip(xs, ys):
-            d = abs(x - y)
-            if d > worst:
-                worst = d
+            if x != y:
+                d = abs(x - y)
+                # no number compares above a NaN, so a NaN once kept stays
+                if d > worst or d != d:
+                    worst = d
     return worst
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pkgutil
+from array import array
 
 import pytest
 
@@ -49,6 +50,32 @@ def test_only_machine_records_are_dataclasses():
             if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value)
         }
     assert found == {"autopatch.machine.MachineSpec", "autopatch.machine.CoefficientCode", "autopatch.machine.MachineConfig"}
+
+
+def _module_classes():
+    """Every class that an autopatch module defines."""
+    for info in pkgutil.iter_modules(autopatch.__path__):
+        module = importlib.import_module(f"autopatch.{info.name}")
+        yield from (value for value in vars(module).values() if isinstance(value, type) and value.__module__ == module.__name__)
+
+
+def test_every_error_class_is_a_value_error():
+    """`cli.main` turns a `ValueError` into one diagnostic line, so every
+    error an autopatch layer raises is one by type."""
+    errors = [cls for cls in _module_classes() if issubclass(cls, Exception) and not issubclass(cls, Warning)]
+    assert len(errors) >= 14
+    assert [cls for cls in errors if not issubclass(cls, ValueError)] == []
+
+
+def test_models_and_traces_are_values():
+    from autopatch import sim
+
+    model = sim.Model((), (), (), {}, None)
+    trace = sim.Trace(array("d"), {}, [], {})
+    for record, field in ((model, "taps"), (trace, "peaks")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, {})
+    assert [cls for cls in _module_classes() if "__hash__" in vars(cls) and cls.__hash__ is None] == []
 
 
 def test_version_is_eager():

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -305,6 +306,17 @@ class TestOracleEquivalence:
         with pytest.raises(ValueError, match="samples"):
             max_abs_deviation(a, b)
 
+    def test_deviation_of_equal_and_nan_samples(self):
+        def trace(*xs):
+            return sim.Trace(array("d", range(len(xs))), {"X": array("d", xs)}, [], {})
+
+        inf, nan = math.inf, math.nan
+        assert max_abs_deviation(trace(1.0, inf, -inf), trace(1.0, inf, -inf)) == 0.0
+        assert max_abs_deviation(trace(inf, 5.0), trace(-inf, 5.0)) == inf
+        # a NaN on either side, before or after the largest difference
+        for a, b in [((nan, 5.0), (1.0, 5.0)), ((1.0, 5.0), (1.0, nan)), ((0.0, nan), (3.0, 5.0)), ((nan,), (nan,))]:
+            assert math.isnan(max_abs_deviation(trace(*a), trace(*b))), (a, b)
+
 
 class TestClip:
     def test_lorenz_unclipped_at_unit_range(self, lorenz_design):
@@ -338,6 +350,21 @@ class TestClip:
             key = (event.t, event.element)
             assert key not in by_step, "duplicate event within one step"
             by_step[key] = True
+
+    def test_hot_large_run_clips_each_element_once_per_step(self):
+        """The synthetic 500-state system on redac started at 1.4 and clipped
+        at 1.2, as golden `simulate-s500-hot-reference` runs it: every state
+        and multiplier overloads in each of the 20 steps, and records one
+        event per step, at the step's start, on its own element."""
+        source = support.synthetic_large_program(500).replace("= 0.1;", "= 1.4;")
+        _, system, design = pipeline(source, redac_tile_spec())
+        settings = SimSettings(dt=0.01, t_end=0.2, clip=1.2)
+        hardware, reference = build_dynamics(design.config), sim.build_reference(system)
+        assert len(hardware.element_labels) == 750 and len(reference.element_labels) == 500
+        for model, kinds in ((hardware, {"I": 10_000, "M": 5_000}), (reference, {"s": 10_000})):
+            events = run(model, model.initial, settings).clip_events
+            assert sorted(events) == sorted(sim.ClipEvent(k * 0.01, e) for k in range(20) for e in model.element_labels)
+            assert Counter(event.element[0] for event in events) == kinds
 
     def test_peaks_cover_all_elements(self, lorenz_design):
         model = build_dynamics(lorenz_design.config)
@@ -844,9 +871,9 @@ class TestGeneratedStep:
         model = build_dynamics(lorenz_design.config)
         calls = []
         step = model.step
-        model.step = lambda y, start, stop, h, dt, stages, *rest: (
+        model = model._replace(step=lambda y, start, stop, h, dt, stages, *rest: (
             calls.append((start, stop, stages)) or step(y, start, stop, h, dt, stages, *rest)
-        )
+        ))
         block, n = sim._BLOCK, 2 * sim._BLOCK + 10
         trace = run(model, model.initial, SimSettings(dt=1e-3, t_end=(n + 0.5) * 1e-3, record_stride=1))
         assert len(trace.times) == n + 2
