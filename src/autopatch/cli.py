@@ -4,16 +4,18 @@ Subcommands: `compile` (DSL to circuit IR), `route` (DSL to configuration
 image), `simulate` (DSL or image to CSV traces), `diff`/`apply` (sparse
 reconfiguration scripts), `fabric` (switch-fabric economics and blocking
 experiments).  Diagnostics go to stderr with exit code 1; data goes to
-files or stdout.  Each command imports only the modules it runs, so
-`diff`, `apply` and `fabric` never load the compiler or the simulator,
-and `simulate IMAGE.acfg` loads the image layers and the simulator but
-not the compiler (`dsl`, `circuit`, `router`).
+files or stdout, and a stdout whose reader has gone ends the command
+with one such diagnostic.  Each command imports only the modules it
+runs, so `diff`, `apply` and `fabric` never load the compiler or the
+simulator, and `simulate IMAGE.acfg` loads the image layers and the
+simulator but not the compiler (`dsl`, `circuit`, `router`).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -341,13 +343,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        # every autopatch error class is a ValueError; anything else is a bug
-        # and keeps its traceback
-        print(f"autopatch: error: {exc}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except (ValueError, OSError) as exc:
+            # every autopatch error class is a ValueError; anything else is a
+            # bug and keeps its traceback
+            print(f"autopatch: error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            sys.stdout.flush()  # so a reader of stdout that has gone shows here, not at exit
+    except BrokenPipeError as exc:
+        # what stdout still buffers goes to the null device, so the flush at
+        # exit does not fail a second time
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"autopatch: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 1
 
 

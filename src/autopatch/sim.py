@@ -10,6 +10,8 @@ stage arithmetic, the recorded samples, the peaks, the clip events and
 the finiteness test, around a stage evaluation that each path writes out
 once as straight-line code.  `run` only sizes the run, calls `step` once
 per block, moves the samples into the trace and raises `NonFiniteError`.
+Each distinct step source is compiled once per process, so a rerun of a
+system or configuration at other settings reuses its code.
 In clip mode a clamp runs only where a range test fails: a chained test
 over the scalar states or a multiplier level guards its clamp, and
 states kept in a list are tested one by one as the list is built, so a
@@ -45,6 +47,7 @@ import struct
 from array import array
 from collections import defaultdict
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -290,13 +293,27 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     return f"def step({args}):\n" + "".join(f"    {line}\n" for line in lines)
 
 
+# distinct step sources whose code objects `_compile_step` keeps; the code
+# of one 500-state step holds at most 0.6 MB
+_STEP_CACHE = 16
+
+
+@lru_cache(maxsize=_STEP_CACHE)
+def _step_code(source):
+    return compile(source, "<autopatch step>", "exec")
+
+
 def _compile_step(source, namespace):
     """The `step` function of `_write_step`'s source, run in `namespace`
-    with `_clamper` and `isfinite` added.  It is popped from its globals,
-    so a model is freed by reference counting, without waiting for the
-    cyclic GC."""
+    with `_clamper` and `isfinite` added.  The source depends on the
+    system alone, never on the run's settings, so its code object is
+    compiled once and kept (`_step_code`); each call runs it in the
+    model's own `namespace`, which holds the model's gains, levels and
+    clamper.  `step` is popped from its globals, and the cache holds code
+    only, so a model is freed by reference counting, without waiting for
+    the cyclic GC."""
     namespace["_clamper"], namespace["isfinite"] = _clamper, math.isfinite
-    exec(compile(source, "<autopatch step>", "exec"), namespace)
+    exec(_step_code(source), namespace)
     return namespace.pop("step")
 
 

@@ -480,6 +480,29 @@ class TestWriteFailures:
         # the deviation is printed only once every file is written
         self.assert_cannot_write(capsys, tmp_path / blocked, "Is a directory")
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["route", LORENZ, "-o", "{tmp}/l.acfg"], ["fabric", "--spec", "simstar", "--count"]], ids=["route", "fabric"]
+    )
+    def test_stdout_whose_reader_has_gone(self, tmp_path, argv, buffered):
+        """...ends the command with one line and exit code 1, and nothing
+        more at exit, whether stdout buffers its writes or not."""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "autopatch.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "autopatch: error: cannot write stdout: Broken pipe\n")
+
 
 class TestExpansionBound:
     def test_bound_is_the_lane_limit(self):

@@ -1355,8 +1355,10 @@ class TestReferenceDerivatives:
             assert hexes(evaluate(model, volts)[0]) == hexes(loop.derivatives(volts)), volts
 
     def test_compile_memory_of_a_large_system(self):
-        # the generated step of 500 states peaks at ~3.2 MB on CPython 3.11
+        # the generated step of 500 states peaks at ~3.2 MB on CPython 3.11;
+        # an empty step cache makes the build compile it
         system = normalize(compile_source(support.synthetic_large_program(500)))
+        sim._step_code.cache_clear()
         tracemalloc.start()
         try:
             sim.build_reference(system)
@@ -1401,18 +1403,83 @@ class TestReferenceStep:
 
 
 class TestModelLifetime:
+    @pytest.mark.parametrize("hit", [False, True], ids=["miss", "hit"])
     @pytest.mark.parametrize("case", ["lorenz", str(sim._SCALAR_STATES + 1)])
-    def test_step_dies_with_its_model_without_the_cyclic_gc(self, case):
+    def test_step_dies_with_its_model_without_the_cyclic_gc(self, case, hit):
+        """...whether the build compiled its step or took the code from the
+        step cache."""
         system, design, _, _ = _parity_case(case)
         gc.disable()
         try:
             for build in (partial(build_dynamics, design.config), partial(sim.build_reference, system)):
+                sim._step_code.cache_clear()
+                if hit:
+                    build()
                 model = build()
+                assert sim._step_code.cache_info().hits == hit
                 step = weakref.ref(model.step)
                 del model
                 assert step() is None, build
         finally:
             gc.enable()
+
+
+def _decay_system(rate):
+    return support.terms_to_system(["X"], [[(-rate, ("X",))]])
+
+
+class TestStepCache:
+    """Each distinct step source is compiled once; every build runs that
+    code in a namespace of its own."""
+
+    @pytest.mark.parametrize("case", ["lorenz", str(sim._SCALAR_STATES + 1)])
+    def test_builds_of_one_config_or_system_share_the_code(self, case):
+        system, design, _, _ = _parity_case(case)
+        for build in (partial(build_dynamics, design.config), partial(sim.build_reference, system)):
+            a, b = build(), build()
+            assert a.step.__code__ is b.step.__code__, build
+            assert a.step.__globals__ is not b.step.__globals__, build
+        # exact gains make another source, and so other code
+        bypass = build_dynamics(design.config, lane_weights=design.lane_weight_map())
+        assert bypass.step.__code__ is not build_dynamics(design.config).step.__code__
+
+    @pytest.mark.parametrize("case", ["lorenz", "decay", str(sim._SCALAR_STATES + 1)])
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_runs_on_a_miss_a_hit_and_after_a_clear_are_bit_identical(self, case, path):
+        system, design, dt, clip = _parity_case(case)
+        build = partial(build_dynamics, design.config) if path == "generated" else partial(sim.build_reference, system)
+        sim._step_code.cache_clear()
+        miss, hit = build(), build()
+        sim._step_code.cache_clear()
+        cleared = build()
+        assert miss.step.__code__ is hit.step.__code__ is not cleared.step.__code__
+        runs = [
+            SimSettings(dt=dt, t_end=20 * dt),
+            SimSettings(dt=dt, t_end=20 * dt, method=Method.EULER),
+            SimSettings(dt=dt, t_end=20 * dt, clip=clip),
+            SimSettings(dt=dt, t_end=20.5 * dt, record_stride=4, clip=clip),
+        ]
+        for settings in runs:
+            outcome = run_outcome(miss, settings)
+            assert run_outcome(hit, settings) == outcome == run_outcome(cleared, settings), settings
+
+    def test_holds_at_most_its_bound(self):
+        sim._step_code.cache_clear()
+        rates = [0.5 + k for k in range(sim._STEP_CACHE + 3)]
+        for rate in rates:
+            sim.build_reference(_decay_system(rate))
+        assert sim._step_code.cache_info().currsize == sim._STEP_CACHE
+        # the least recently built source went first
+        misses = sim._step_code.cache_info().misses
+        sim.build_reference(_decay_system(rates[-1]))
+        sim.build_reference(_decay_system(rates[0]))
+        assert sim._step_code.cache_info().misses == misses + 1
+
+    def test_each_build_still_hands_its_source_over_on_a_hit(self, lorenz_system):
+        sim._step_code.cache_clear()
+        first = _step_source(sim.build_reference, lorenz_system)
+        assert _step_source(sim.build_reference, lorenz_system) == first
+        assert sim._step_code.cache_info().hits == 1
 
 
 def _tapped_only(n_states):
