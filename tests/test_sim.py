@@ -1403,23 +1403,23 @@ class TestReferenceStep:
 
 
 class TestModelLifetime:
-    @pytest.mark.parametrize("hit", [False, True], ids=["miss", "hit"])
     @pytest.mark.parametrize("case", ["lorenz", str(sim._SCALAR_STATES + 1)])
-    def test_step_dies_with_its_model_without_the_cyclic_gc(self, case, hit):
+    def test_step_dies_with_its_model_without_the_cyclic_gc(self, case):
         """...whether the build compiled its step or took the code from the
         step cache."""
         system, design, _, _ = _parity_case(case)
         gc.disable()
         try:
             for build in (partial(build_dynamics, design.config), partial(sim.build_reference, system)):
-                sim._step_code.cache_clear()
-                if hit:
-                    build()
-                model = build()
-                assert sim._step_code.cache_info().hits == hit
-                step = weakref.ref(model.step)
-                del model
-                assert step() is None, build
+                for hit in (False, True):
+                    sim._step_code.cache_clear()
+                    if hit:
+                        build()
+                    model = build()
+                    assert sim._step_code.cache_info().hits == hit
+                    step = weakref.ref(model.step)
+                    del model
+                    assert step() is None, (build, hit)
         finally:
             gc.enable()
 
