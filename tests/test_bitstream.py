@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import struct
 
@@ -32,7 +31,6 @@ from autopatch.machine import (
     MachineSpec,
     lucidac_spec,
     redac_tile_spec,
-    validate_config,
 )
 from autopatch.router import route_design
 
@@ -89,12 +87,21 @@ class TestImage:
         with pytest.raises(FormatError, match="multiple source rows"):
             decode(bytes(image), lucidac_spec())
 
+    def test_rows_in_two_bytes_of_one_field_rejected(self):
+        image = bytearray(encode(MachineConfig.empty(lucidac_spec())))
+        image[5 + 2 * 3] = 0x01  # rows 0 and 15 of lane 3's two-byte field
+        image[5 + 2 * 3 + 1] = 0x80
+        with pytest.raises(FormatError) as err:
+            decode(bytes(image), lucidac_spec())
+        assert (err.value.offset, err.value.reason) == (11, "lane 3: multiple source rows selected")
+
     def test_row_bit_beyond_row_count_rejected(self):
         spec = MachineSpec(8, 4, 32)
         image = bytearray(encode(MachineConfig.empty(spec)))
         image[6] = 0x80  # bit 15 of lane 0, but out_rows is 13
-        with pytest.raises(FormatError, match="row 15"):
+        with pytest.raises(FormatError, match="row 15") as err:
             decode(bytes(image), spec)
+        assert err.value.offset == 5  # the start of the lane's field
 
     def test_lowres_code_out_of_range_rejected(self):
         spec = lucidac_spec()
@@ -116,6 +123,71 @@ class TestImage:
         spec = lucidac_spec()
         config = support.with_lanes(MachineConfig.empty(spec), (3, 1, CoefficientCode.highres(-2048), 2))
         assert decode(encode(config), spec) == config
+
+    @pytest.mark.parametrize(
+        "spec",
+        [lucidac_spec(), MachineSpec(8, 0, 16), MachineSpec(7, 0, 9, 1), MachineSpec(0, 0, 8)],
+        ids=["lucidac", "8-bit rows", "rows past a byte", "0-byte input rows"],
+    )
+    @pytest.mark.parametrize("wired", ["none", "first", "last", "all"])
+    def test_encode_edge_cases(self, spec, wired):
+        """Lanes wired at the section edges, to the lowest and the highest
+        row of each side; on a machine without input rows, whose fields
+        are 0 bytes wide, the lanes get a source only."""
+        lanes = {"none": [], "first": [0], "last": [spec.n_lanes - 1], "all": range(spec.n_lanes)}[wired]
+        fields = []
+        for k, lane in enumerate(lanes):
+            make = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
+            source = spec.out_rows - 1 if k % 2 else 0
+            dest = (spec.in_rows - 1 if k % 3 else 0) if spec.in_rows else None
+            fields.append((lane, source, make(k % 8), dest))
+        config = support.with_lanes(MachineConfig.empty(spec), *fields)
+        image = encode(config)
+        assert len(image) == image_length(spec)
+        assert decode(image, spec) == config
+
+    @pytest.mark.parametrize(
+        "faults, offset, reason",
+        [
+            # bad low-res word at lane 24, high-res at lane 0
+            (((5 + 64 + 2 * 24, 9), (5 + 64 + 1, 0x09)), 69, "lane 0: high-res code 2304 outside [-2048, 2047]"),
+            # lanes 31 and 23
+            (((5 + 64 + 2 * 31, 8), (5 + 64 + 2 * 23 + 1, 0xF7)), 115, "lane 23: high-res code -2304 outside [-2048, 2047]"),
+            # two low-res lanes
+            (((5 + 64 + 2 * 30, 8), (5 + 64 + 2 * 25, 9)), 119, "lane 25: low-res code 9 outside [0, 7]"),
+            # two bad words in one range, each order: in a set 9 comes
+            # before 15, and 0x0901 before 0x0907, the unused lanes' 0 first
+            (((5 + 64 + 2 * 25, 15), (5 + 64 + 2 * 30, 9)), 119, "lane 25: low-res code 15 outside [0, 7]"),
+            (((5 + 64 + 2 * 25, 9), (5 + 64 + 2 * 30, 15)), 119, "lane 25: low-res code 9 outside [0, 7]"),
+            # lanes 3 and 7
+            (((5 + 64 + 6, 0x07), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x01), (5 + 64 + 15, 0x09)), 75,
+             "lane 3: high-res code 2311 outside [-2048, 2047]"),
+            (((5 + 64 + 6, 0x01), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x07), (5 + 64 + 15, 0x09)), 75,
+             "lane 3: high-res code 2305 outside [-2048, 2047]"),
+            # every section
+            (((5 + 64 + 2 * 30, 8), (5 + 1, 0x03), (5 + 64 + 64 + 1, 0x81)), 5, "lane 0: multiple source rows selected"),
+        ],
+        ids=[f"faults{k}" for k in range(8)],
+    )
+    def test_first_faulty_lane_in_section_order_wins(self, faults, offset, reason):
+        spec = lucidac_spec()
+        image = bytearray(encode(MachineConfig.empty(spec)))
+        for at, value in faults:
+            image[at] = value
+        with pytest.raises(FormatError) as err:
+            decode(bytes(image), spec)
+        assert (err.value.offset, err.value.reason) == (offset, reason)
+
+    # `diff` compares codes by identity first and `validate_config` skips
+    # the zero code by identity, so decoded images must hold shared codes
+    def test_decoded_codes_are_shared(self, lorenz_design):
+        program = compile_source(support.synthetic_large_program(500))
+        large = route_design(build_circuit(normalize(program), program), redac_tile_spec())
+        for config in (support.random_config(lucidac_spec(), random.Random(8)), lorenz_design.config, large.config):
+            spec = config.spec
+            for lane, code in enumerate(decode(encode(config), spec).coefficients):
+                shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
+                assert code is shared(code.code)
 
 
 @st.composite
@@ -155,6 +227,11 @@ def test_delta_property(a, b):
 class TestDiffApply:
     def test_identical_configs_empty_script(self, lorenz_design):
         assert diff(lorenz_design.config, lorenz_design.config).ops == ()
+
+    def test_equal_codes_of_distinct_instances_are_no_change(self, lorenz_design):
+        config = lorenz_design.config
+        fresh = tuple(CoefficientCode(code.kind, code.code) for code in config.coefficients)
+        assert diff(config, MachineConfig(config.spec, config.u_source, fresh, config.i_dest)).ops == ()
 
     def test_single_coefficient_change_is_one_op(self, lorenz_design):
         config = lorenz_design.config
@@ -208,6 +285,11 @@ class TestDiffApply:
         config = MachineConfig.empty(lucidac_spec())
         with pytest.raises(RangeError, match="source row 16"):
             apply(config, DeltaScript((DeltaOp(OpCode.SET_U_SOURCE, 0, 16),)))
+        spec = MachineSpec(8, 4, 32)  # 13 output rows, 16 input rows
+        with pytest.raises(RangeError, match=r"^lane 0: destination row 16 outside \[0, 16\)$"):
+            apply(MachineConfig.empty(spec), DeltaScript((DeltaOp(OpCode.SET_I_DEST, 0, 16),)))
+        script = DeltaScript((DeltaOp(OpCode.SET_U_SOURCE, 0, 0), DeltaOp(OpCode.SET_I_DEST, 0, 14)))
+        assert apply(MachineConfig.empty(spec), script).i_dest[0] == 14
 
     def test_dangling_result_rejected_atomically(self):
         config = MachineConfig.empty(lucidac_spec())
@@ -301,6 +383,12 @@ class TestDeltaWireFormat:
         data[9] = 0x77
         with pytest.raises(FormatError, match="opcode"):
             decode_delta(bytes(data))
+        ops = (DeltaOp(OpCode.SET_COEFF, 0, 1), DeltaOp(OpCode.SET_COEFF, 1, 1))
+        data = bytearray(encode_delta(DeltaScript(ops)))
+        data[14] = 0x77  # the second record's opcode
+        with pytest.raises(FormatError) as err:
+            decode_delta(bytes(data))
+        assert (err.value.offset, err.value.reason) == (14, "unknown opcode 119")
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):
@@ -329,168 +417,6 @@ class TestDeltaOpRecord:
         with pytest.raises(AttributeError):
             setattr(op, name, 3)
         assert op == DeltaOp(OpCode.SET_U_SOURCE, 1, 2)
-
-
-# --------------------------------------------------------------------------
-# parity with the lane-by-lane codec
-#
-# Test-local copies of the codec as it was before decode, encode and diff
-# learned to skip unwired lanes and to share coefficient codes, and of the
-# delta codec and apply as they were before delta records became tuples
-# packed through one Struct.  The properties below require the same bytes,
-# the same configurations and scripts, and the same FormatError (offset and
-# reason) on malformed images, and the same exception (class, text and
-# offset) from the delta path on malformed scripts.
-
-
-def _loop_row_section_bytes(rows):
-    return (rows + 7) // 8
-
-
-def loop_encode(config):
-    def row_section(entries, rows):
-        width = _loop_row_section_bytes(rows)
-        return b"".join((0 if row is None else 1 << row).to_bytes(width, "little") for row in entries)
-
-    spec = config.spec
-    return b"".join([
-        b"ACFG",
-        bytes([1]),
-        row_section(config.u_source, spec.out_rows),
-        struct.pack(f"<{spec.n_lanes}H", *(c.code & 0xFFFF for c in config.coefficients)),
-        row_section(config.i_dest, spec.in_rows),
-    ])
-
-
-def loop_decode_row_section(data, base, spec, rows, what):
-    width = _loop_row_section_bytes(rows)
-    entries = []
-    for lane in range(spec.n_lanes):
-        offset = base + lane * width
-        value = int.from_bytes(data[offset:offset + width], "little")
-        if value == 0:
-            entries.append(None)
-            continue
-        if value & (value - 1):
-            raise FormatError(offset, f"lane {lane}: multiple {what} rows selected")
-        row = value.bit_length() - 1
-        if row >= rows:
-            raise FormatError(offset, f"lane {lane}: {what} row {row} outside [0, {rows})")
-        entries.append(row)
-    return entries
-
-
-def loop_decode(image, spec):
-    expected = image_length(spec)
-    if len(image) != expected:
-        raise FormatError(0, f"image is {len(image)} bytes, expected {expected}")
-    if image[:4] != b"ACFG":
-        raise FormatError(0, f"bad magic {image[:4]!r}")
-    if image[4] != 1:
-        raise FormatError(4, f"unsupported format version {image[4]}")
-    u_base = 5
-    c_base = u_base + spec.n_lanes * _loop_row_section_bytes(spec.out_rows)
-    i_base = c_base + spec.n_lanes * 2
-    u = loop_decode_row_section(image, u_base, spec, spec.out_rows, "source")
-    d = loop_decode_row_section(image, i_base, spec, spec.in_rows, "destination")
-    coeffs = []
-    for lane in range(spec.n_lanes):
-        offset = c_base + lane * 2
-        (word,) = struct.unpack_from("<H", image, offset)
-        if lane in spec.lowres_lanes:
-            if word > 7:
-                raise FormatError(offset, f"lane {lane}: low-res code {word} outside [0, 7]")
-            coeffs.append(CoefficientCode(CoefKind.LOW_RES, word))
-        else:
-            code = word - 0x10000 if word & 0x8000 else word
-            if not -2048 <= code <= 2047:
-                raise FormatError(offset, f"lane {lane}: high-res code {code} outside [-2048, 2047]")
-            coeffs.append(CoefficientCode(CoefKind.HIGH_RES, code))
-    return MachineConfig(spec=spec, u_source=tuple(u), coefficients=tuple(coeffs), i_dest=tuple(d))
-
-
-def loop_diff(old, new):
-    ops = []
-    for lane in range(old.spec.n_lanes):
-        if old.u_source[lane] != new.u_source[lane]:
-            ops.append(DeltaOp(OpCode.SET_U_SOURCE, lane, new.u_source[lane]))
-        if old.coefficients[lane] != new.coefficients[lane]:
-            ops.append(DeltaOp(OpCode.SET_COEFF, lane, new.coefficients[lane].code))
-        if old.i_dest[lane] != new.i_dest[lane]:
-            ops.append(DeltaOp(OpCode.SET_I_DEST, lane, new.i_dest[lane]))
-    return DeltaScript(tuple(ops))
-
-
-def loop_apply(config, script):
-    spec = config.spec
-    u = list(config.u_source)
-    c = list(config.coefficients)
-    d = list(config.i_dest)
-    for op in script.ops:
-        if not 0 <= op.lane < spec.n_lanes:
-            raise RangeError(f"lane {op.lane} outside [0, {spec.n_lanes})")
-        if op.opcode is OpCode.SET_U_SOURCE:
-            if op.value is not None and not 0 <= op.value < spec.out_rows:
-                raise RangeError(f"lane {op.lane}: source row {op.value} outside [0, {spec.out_rows})")
-            u[op.lane] = op.value
-        elif op.opcode is OpCode.SET_I_DEST:
-            if op.value is not None and not 0 <= op.value < spec.in_rows:
-                raise RangeError(f"lane {op.lane}: destination row {op.value} outside [0, {spec.in_rows})")
-            d[op.lane] = op.value
-        elif op.opcode is OpCode.SET_COEFF:
-            if op.value is None:
-                raise RangeError(f"lane {op.lane}: coefficient op carries no code")
-            make = CoefficientCode.lowres if op.lane in spec.lowres_lanes else CoefficientCode.highres
-            try:
-                code = make(op.value)
-            except ValueError as exc:
-                raise RangeError(f"lane {op.lane}: {exc}") from None
-            c[op.lane] = code
-        else:
-            raise RangeError(f"unknown opcode {op.opcode}")
-    updated = dataclasses.replace(config, u_source=tuple(u), coefficients=tuple(c), i_dest=tuple(d))
-    problems = validate_config(updated)
-    if problems:
-        raise ValidationError(problems)
-    return updated
-
-
-def loop_encode_delta(script):
-    out = [b"ACDL", bytes([1]), struct.pack("<I", len(script.ops))]
-    for op in script.ops:
-        if op.opcode is OpCode.SET_COEFF:
-            payload = op.value & 0xFFFF
-        else:
-            payload = 0xFFFF if op.value is None else op.value
-        out.append(struct.pack("<BHH", op.opcode, op.lane, payload))
-    return b"".join(out)
-
-
-def loop_decode_delta(data):
-    if len(data) < 9:
-        raise FormatError(0, f"script is {len(data)} bytes, shorter than the 9-byte header")
-    if data[:4] != b"ACDL":
-        raise FormatError(0, f"bad magic {data[:4]!r}")
-    if data[4] != 1:
-        raise FormatError(4, f"unsupported format version {data[4]}")
-    (count,) = struct.unpack_from("<I", data, 5)
-    expected = 9 + count * 5
-    if len(data) != expected:
-        raise FormatError(9, f"script is {len(data)} bytes, expected {expected} for {count} ops")
-    ops = []
-    for k in range(count):
-        offset = 9 + k * 5
-        opcode_raw, lane, payload = struct.unpack_from("<BHH", data, offset)
-        try:
-            opcode = OpCode(opcode_raw)
-        except ValueError:
-            raise FormatError(offset, f"unknown opcode {opcode_raw}") from None
-        if opcode is OpCode.SET_COEFF:
-            value = payload - 0x10000 if payload & 0x8000 else payload
-        else:
-            value = None if payload == 0xFFFF else payload
-        ops.append(DeltaOp(opcode, lane, value))
-    return DeltaScript(tuple(ops))
 
 
 # small custom machines: row counts on both sides of a multiple of 8 (and 0
@@ -528,54 +454,6 @@ def _spec_and_configs(draw, count):
     return (spec,) + tuple(draw(_small_config(spec)) for _ in range(count))
 
 
-def _outcome(fn, *args, errors=FormatError):
-    """What a call returns (a configuration with its annotations), or the
-    class, text and offset of one of the `errors` it raises; any other
-    exception propagates and fails the test."""
-    try:
-        out = fn(*args)
-    except errors as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
-    if isinstance(out, MachineConfig):
-        return out, out.initial_states, out.taps
-    return out
-
-
-@st.composite
-def _mutated_images(draw):
-    """An encoded configuration with one to three faults: a set bit
-    anywhere (an extra row in a lane, a bad coefficient word, a bad magic
-    byte), a padding bit past `rows`, an arbitrary coefficient word or
-    version byte, or a wrong length."""
-    spec, config = draw(_spec_and_configs(1))
-    image = bytearray(loop_encode(config))
-    u_width = _loop_row_section_bytes(spec.out_rows)
-    c_base = 5 + spec.n_lanes * u_width
-    i_base = c_base + 2 * spec.n_lanes
-    sections = ((5, u_width, spec.out_rows), (i_base, _loop_row_section_bytes(spec.in_rows), spec.in_rows))
-    faults = draw(st.lists(st.sampled_from(["bit", "bit", "padding", "word", "version", "length"]), min_size=1, max_size=3))
-    # a wrong length goes last: the other faults index the image at fixed offsets
-    for fault in sorted(faults, key=lambda fault: fault == "length"):
-        if fault == "bit":
-            at = draw(st.integers(0, len(image) - 1))
-            image[at] |= 1 << draw(st.integers(0, 7))
-        elif fault == "padding" and spec.n_lanes:
-            base, width, rows = draw(st.sampled_from(sections))
-            if rows % 8:
-                bit = draw(st.integers(rows, 8 * width - 1))
-                at = base + draw(st.integers(0, spec.n_lanes - 1)) * width + bit // 8
-                image[at] |= 1 << bit % 8
-        elif fault == "word" and spec.n_lanes:
-            lane = draw(st.integers(0, spec.n_lanes - 1))
-            struct.pack_into("<H", image, c_base + 2 * lane, draw(st.integers(0, 0xFFFF)))
-        elif fault == "version":
-            image[4] = draw(st.integers(0, 255))
-        elif fault == "length":
-            cut = draw(st.integers(-3, 3).filter(bool))
-            image = image[:cut] if cut < 0 else image + bytes(cut)
-    return spec, bytes(image)
-
-
 @st.composite
 def _delta_bytes(draw):
     """Random bytes, a well-formed header over random records, or the
@@ -600,156 +478,6 @@ def _delta_bytes(draw):
         elif fault == "length":
             data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=6))
     return bytes(data)
-
-
-@st.composite
-def _delta_ops(draw, spec):
-    """One op that may fault: an unknown opcode (a plain int, even one
-    equal to a member's value), a lane outside the machine or the u16
-    field, a row or code outside its range, a None coefficient payload, or
-    code -1 (wire 0xFFFF)."""
-    opcode = draw(st.sampled_from(OpCode) | st.integers(0, 9))
-    lane = st.sampled_from([-1, spec.n_lanes, 0xFFFF, 0x10000])
-    if spec.n_lanes:
-        lane |= st.integers(0, spec.n_lanes - 1)
-    if opcode is OpCode.SET_COEFF:
-        value = st.none() | st.integers(-1, 8) | st.sampled_from([-2049, -2048, 2047, 2048, 0x8000])
-    else:
-        value = st.none() | st.integers(-1, max(spec.out_rows, spec.in_rows)) | st.sampled_from([0xFFFF, 0x10000])
-    return DeltaOp(opcode, draw(lane), draw(value))
-
-
-@st.composite
-def _base_and_scripts(draw):
-    """A base configuration with random annotations, and the script of its
-    diff to another configuration with zero to three ops from `_delta_ops`
-    inserted anywhere."""
-    spec, a, b = draw(_spec_and_configs(2))
-    base = dataclasses.replace(
-        a,
-        initial_states=tuple(draw(st.floats(-1, 1)) for _ in range(spec.n_integrators)),
-        taps=tuple((f"T{k}", draw(st.integers(0, spec.out_rows - 1))) for k in range(draw(st.integers(0, 2)))),
-    )
-    ops = list(diff(a, b).ops)
-    for _ in range(draw(st.integers(0, 3))):
-        ops.insert(draw(st.integers(0, len(ops))), draw(_delta_ops(spec)))
-    return base, DeltaScript(tuple(ops))
-
-
-class TestMatchesLaneLoopCodec:
-    @given(_spec_and_configs(1))
-    @settings(max_examples=150, deadline=None)
-    def test_encode_and_decode(self, case):
-        spec, config = case
-        image = encode(config)
-        assert image == loop_encode(config)
-        assert decode(image, spec) == loop_decode(image, spec) == config
-
-    @pytest.mark.parametrize(
-        "spec",
-        [lucidac_spec(), MachineSpec(8, 0, 16), MachineSpec(7, 0, 9, 1), MachineSpec(0, 0, 8)],
-        ids=["lucidac", "8-bit rows", "rows past a byte", "0-byte input rows"],
-    )
-    @pytest.mark.parametrize("wired", ["none", "first", "last", "all"])
-    def test_encode_edge_cases(self, spec, wired):
-        """Lanes wired at the section edges, to the lowest and the highest
-        row of each side; on a machine without input rows, whose fields
-        are 0 bytes wide, the lanes get a source only."""
-        lanes = {"none": [], "first": [0], "last": [spec.n_lanes - 1], "all": range(spec.n_lanes)}[wired]
-        fields = []
-        for k, lane in enumerate(lanes):
-            make = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
-            source = spec.out_rows - 1 if k % 2 else 0
-            dest = (spec.in_rows - 1 if k % 3 else 0) if spec.in_rows else None
-            fields.append((lane, source, make(k % 8), dest))
-        config = support.with_lanes(MachineConfig.empty(spec), *fields)
-        image = encode(config)
-        assert image == loop_encode(config)
-        assert len(image) == image_length(spec)
-        assert decode(image, spec) == config
-
-    @given(_spec_and_configs(2))
-    @settings(max_examples=150, deadline=None)
-    def test_diff(self, case):
-        _, a, b = case
-        assert diff(a, b) == loop_diff(a, b)
-        assert diff(a, a) == loop_diff(a, a) == DeltaScript(())
-
-    @given(_mutated_images())
-    @settings(max_examples=400, deadline=None)
-    def test_malformed_image_same_error(self, case):
-        spec, image = case
-        assert _outcome(decode, image, spec) == _outcome(loop_decode, image, spec)
-
-    def test_redac_images(self):
-        spec = redac_tile_spec()
-        rng = random.Random(5)
-        a = support.random_config(spec, rng, p_active=0.05)
-        b = support.random_config(spec, rng, p_active=0.05)
-        image = encode(a)
-        assert image == loop_encode(a)
-        assert decode(image, spec) == loop_decode(image, spec) == a
-        assert diff(a, b) == loop_diff(a, b)
-        # a fault in the last lane of each section, past a run of unwired lanes
-        width = _loop_row_section_bytes(spec.out_rows)
-        for at in (5 + 8000 * width - 1, 5 + 8000 * (width + 2) - 1, image_length(spec) - 1):
-            bad = bytearray(image)
-            bad[at] |= 0x81
-            assert _outcome(decode, bytes(bad), spec) == _outcome(loop_decode, bytes(bad), spec)
-            assert _outcome(decode, bytes(bad), spec)[0] is FormatError
-
-    @pytest.mark.parametrize(
-        "faults",
-        [
-            ((5 + 64 + 2 * 24, 9), (5 + 64 + 1, 0x09)),  # bad low-res word at lane 24, high-res at lane 0
-            ((5 + 64 + 2 * 31, 8), (5 + 64 + 2 * 23 + 1, 0xF7)),  # lanes 31 and 23
-            ((5 + 64 + 2 * 30, 8), (5 + 64 + 2 * 25, 9)),  # two low-res lanes
-            # two bad words in one range, each order: in a set 9 comes
-            # before 15, and 0x0901 before 0x0907, the unused lanes' 0 first
-            ((5 + 64 + 2 * 25, 15), (5 + 64 + 2 * 30, 9)),
-            ((5 + 64 + 2 * 25, 9), (5 + 64 + 2 * 30, 15)),
-            ((5 + 64 + 6, 0x07), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x01), (5 + 64 + 15, 0x09)),  # lanes 3 and 7
-            ((5 + 64 + 6, 0x01), (5 + 64 + 7, 0x09), (5 + 64 + 14, 0x07), (5 + 64 + 15, 0x09)),
-            ((5 + 64 + 2 * 30, 8), (5 + 1, 0x03), (5 + 64 + 64 + 1, 0x81)),  # every section
-        ],
-    )
-    def test_first_faulty_lane_in_section_order_wins(self, faults):
-        spec = lucidac_spec()
-        image = bytearray(encode(MachineConfig.empty(spec)))
-        for at, value in faults:
-            image[at] = value
-        outcome = _outcome(decode, bytes(image), spec)
-        assert outcome == _outcome(loop_decode, bytes(image), spec)
-        assert outcome[0] is FormatError
-
-    @given(_base_and_scripts(), _delta_bytes())
-    @settings(max_examples=150, deadline=None)
-    def test_delta_codec_and_apply(self, case, data):
-        base, script = case
-        # encoding refuses a field outside u16 (struct.error) and a
-        # coefficient op without a code (TypeError); apply and decode_delta
-        # raise only their own errors
-        encoding, applying = (struct.error, TypeError), (RangeError, ValidationError)
-        encoded = _outcome(encode_delta, script, errors=encoding)
-        assert encoded == _outcome(loop_encode_delta, script, errors=encoding)
-        assert _outcome(apply, base, script, errors=applying) == _outcome(loop_apply, base, script, errors=applying)
-        for wire in (data, encoded) if isinstance(encoded, bytes) else (data,):
-            received = _outcome(decode_delta, wire)
-            assert received == _outcome(loop_decode_delta, wire)
-            if isinstance(received, DeltaScript):
-                applied = _outcome(apply, base, received, errors=applying)
-                assert applied == _outcome(loop_apply, base, received, errors=applying)
-
-    # `diff` compares codes by identity first and `validate_config` skips
-    # the zero code by identity, so decoded images must hold shared codes
-    def test_decoded_codes_are_shared(self, lorenz_design):
-        program = compile_source(support.synthetic_large_program(500))
-        large = route_design(build_circuit(normalize(program), program), redac_tile_spec())
-        for config in (support.random_config(lucidac_spec(), random.Random(8)), lorenz_design.config, large.config):
-            spec = config.spec
-            for lane, code in enumerate(decode(encode(config), spec).coefficients):
-                shared = CoefficientCode.lowres if lane in spec.lowres_lanes else CoefficientCode.highres
-                assert code is shared(code.code)
 
 
 @given(_spec_and_configs(1), _delta_bytes())

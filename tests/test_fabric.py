@@ -197,7 +197,9 @@ class TestBlockingExperiment:
 class MatrixFabric:
     """The boolean-matrix occupancy that `FabricState` replaced, kept as a
     reference: `in_mid[i][j]` / `mid_out[j][b]` mark the link from input
-    block i to middle block j / from middle block j to output block b."""
+    block i to middle block j / from middle block j to output block b.
+    A specification, not a transitional copy: it pins the fabric's
+    random draws against `randrange`."""
 
     def __init__(self, spec):
         spec.check_wirable()

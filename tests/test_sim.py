@@ -20,7 +20,7 @@ import pytest
 
 import support
 from autopatch import sim
-from autopatch.circuit import LoopError, NodeKind, PolySystem, Port, build_circuit, dependency_order, normalize
+from autopatch.circuit import LoopError, NodeKind, PolySystem, Port, build_circuit, normalize
 from autopatch.dsl import compile_source
 from autopatch.machine import (
     CoefficientCode,
@@ -156,15 +156,40 @@ class TestBuildDynamics:
 
     def test_reserved_tap_rejected(self):
         spec = lucidac_spec()
-        config = MachineConfig(
-            spec=spec,
-            u_source=(None,) * 32,
-            coefficients=MachineConfig.empty(spec).coefficients,
-            i_dest=(None,) * 32,
-            taps=(("X", 13),),
+        for row in (13, 15):  # the first and the last reserved row
+            config = MachineConfig(
+                spec=spec,
+                u_source=(None,) * 32,
+                coefficients=MachineConfig.empty(spec).coefficients,
+                i_dest=(None,) * 32,
+                taps=(("X", row),),
+            )
+            with pytest.raises(UnroutedTapError, match=f"^tap X references reserved out-row {row}$"):
+                build_dynamics(config)
+
+    def test_element_map_of_scattered_slots(self):
+        """Integrator slots 2, 5 and 7, multiplier slot 1 and the constant,
+        a lane from a reserved row and two taps on slot 5's row: elements
+        come in row order, a state is named by the first tap on its row or
+        else by its slot, and each sum keeps its lanes' order."""
+        h = CoefficientCode.highres
+        config = support.with_lanes(
+            MachineConfig.empty(lucidac_spec()),
+            (0, 5, h(100), 2), (1, 12, h(-50), 2), (2, 2, h(200), 10), (3, 5, h(300), 11),
+            (4, 9, h(400), 5), (5, 2, h(-7), 2), (6, 14, h(5), 5), (7, 7, h(1), 7),
         )
-        with pytest.raises(UnroutedTapError):
-            build_dynamics(config)
+        config = dataclasses.replace(
+            config,
+            initial_states=tuple(0.125 * k for k in range(8)),
+            taps=(("B", 5), ("A", 2), ("C", 5), ("P", 9), ("K", 12)),
+        )
+        model, args = build_captured(config)
+        assert model.state_labels == ("A", "B", "I7")
+        assert model.initial == (0.25, 0.625, 0.875)
+        assert model.element_labels == ("I2", "I5", "I7", "M1", "const")
+        assert model.taps == {"B": 1, "A": 0, "C": 1, "P": 3, "K": 4}
+        int_terms = [[(0.48828125, 1), (-0.244140625, 4), (-0.0341796875, 0)], [(1.953125, 3)], [(0.0048828125, 2)]]
+        assert args == (3, 5, int_terms, [[(3, [(0.9765625, 0)], [(1.46484375, 1)])]], 4)
 
     def test_reserved_source_row_idles_at_zero(self):
         spec = lucidac_spec()
@@ -476,6 +501,7 @@ class TestEmit:
 
 
 def _loop_clamp(v, clip):
+    """A specification, not a transitional copy: the clamp that generated steps claim bit for bit."""
     if v > clip:
         return clip
     if v < -clip:
@@ -493,7 +519,10 @@ def loop_step(self, y, h, stages, clip=None, clipped=None, peaks=None):
     The stage loop both paths ran before the whole step was generated,
     as the reference model's `step`; `LoopModel` and `TermLoopModel` step
     through it, by way of `loop_block`, with their own `voltages`, `rhs`
-    and `derivatives`."""
+    and `derivatives`.
+    A specification, not a transitional copy: it states the arithmetic
+    that generated steps claim bit for bit, independently of `sim`, which
+    acceptance criterion 2 needs."""
     rhs = self.rhs
     volts = self.voltages(y, clip, clipped)
     if peaks is not None:
@@ -520,7 +549,9 @@ def loop_block(self, y, start, stop, h, dt, stages, clip, stride, peaks, events,
     """`loop_step` over the steps `start` to `stop` - 1, in the block
     contract of the generated `step` (`sim._write_step`): the per-step
     loop `run` kept while the generated function took one step per call,
-    with its sampling, clip events and finiteness test."""
+    with its sampling, clip events and finiteness test.
+    A specification, not a transitional copy: it states the block contract
+    that every generated `step` claims."""
     for k in range(start, stop):
         clipped = set() if clip is not None else None
         recorded = not k % stride
@@ -543,7 +574,9 @@ def loop_block(self, y, start, stop, h, dt, stages, clip, stride, peaks, events,
 class LoopModel:
     """The interpreter that walked the compiled lane tuples on every call,
     before `build_dynamics` generated straight-line code.  Kept here as
-    the bit-for-bit reference for the generated evaluator."""
+    the bit-for-bit reference for the generated evaluator.
+    A specification, not a transitional copy: `TestClipGuard` and the
+    block contract rest on it."""
 
     def __init__(self, model, _n_states, _n_elements, int_terms, mul_levels, const_index):
         self.state_labels = model.state_labels
@@ -1038,7 +1071,9 @@ class TestClipGuard:
 def legacy_run(model, initial, settings):
     """`run` as it was while it recorded each sample through a `record`
     closure, kept the peaks in a dict keyed by label and tested every state
-    with `math.isfinite`.  Kept here as the reference for `run`'s trace."""
+    with `math.isfinite`.  Kept here as the reference for `run`'s trace.
+    A specification, not a transitional copy: it pins the trace that any
+    rewrite of the one driver must keep."""
     dt, t_end, stride, clip = settings.dt, settings.t_end, settings.record_stride, settings.clip
     n_steps = int(math.floor(t_end / dt + 1e-9))
     rem = t_end - n_steps * dt
@@ -1241,7 +1276,9 @@ class TermLoopModel:
     monomial got one product per call and the whole step was written out
     as generated code.  Kept here as the bit-for-bit reference for
     `build_reference`: its stage loop is `loop_step`, and its `voltages`
-    clamp only the states."""
+    clamp only the states.
+    A specification, not a transitional copy: acceptance criterion 2's
+    reference path is checked against it, independently of `sim`."""
 
     def __init__(self, system):
         self.state_labels = system.states
@@ -1526,135 +1563,3 @@ class TestFiniteness:
         for model in _tapped_only(3):
             with pytest.raises(NonFiniteError, match=r"^S2 became non-finite at t=0.1$"):
                 run(model, [0.1, 0.2, math.nan], SimSettings(dt=0.1, t_end=1.0, clip=0.5))
-
-
-# --------------------------------------------------------------------------
-# elements named by output row, against the role walk they replaced
-
-
-def role_walk(config, lane_weights=None):
-    """The element map `build_dynamics` built before it named elements by
-    their output rows: one index space per kind (`state_pos`, `mul_pos`,
-    `const_index`) over two passes of the lanes.  Kept here as the
-    reference; returns the model's (state_labels, initial, element_labels,
-    taps) and the arguments for `_generate_evaluator`."""
-    spec = config.spec
-    used_int, used_mul, const_used = set(), set(), False
-    active = config.active_lanes()
-    for lane in active:
-        kind, k = spec.out_row_role(config.u_source[lane])
-        if kind is NodeKind.INTEGRATOR:
-            used_int.add(k)
-        elif kind is NodeKind.MULTIPLIER:
-            used_mul.add(k)
-        elif kind is NodeKind.CONST_ONE:
-            const_used = True
-        port, k = spec.in_row_role(config.i_dest[lane])
-        (used_int if port is Port.INTEGRATOR_IN else used_mul).add(k)
-
-    tap_name_of_row = {}
-    for name, row in config.taps:
-        kind, k = spec.out_row_role(row)
-        if kind is NodeKind.INTEGRATOR:
-            used_int.add(k)
-            tap_name_of_row.setdefault(row, name)
-        elif kind is NodeKind.MULTIPLIER:
-            used_mul.add(k)
-        elif kind is NodeKind.CONST_ONE:
-            const_used = True
-        else:
-            raise UnroutedTapError(f"tap {name} references reserved out-row {row}")
-
-    ints, muls = sorted(used_int), sorted(used_mul)
-    state_pos = {k: i for i, k in enumerate(ints)}
-    mul_pos = {j: len(ints) + i for i, j in enumerate(muls)}
-    const_index = len(ints) + len(muls) if const_used else None
-    labels = [f"I{k}" for k in ints] + [f"M{j}" for j in muls] + (["const"] if const_used else [])
-
-    def source_index(row):
-        kind, k = spec.out_row_role(row)
-        if kind is NodeKind.INTEGRATOR:
-            return state_pos[k]
-        if kind is NodeKind.MULTIPLIER:
-            return mul_pos[k]
-        if kind is NodeKind.CONST_ONE:
-            return const_index
-        return None
-
-    int_terms = [[] for _ in ints]
-    mul_a = {mul_pos[j]: [] for j in muls}
-    mul_b = {mul_pos[j]: [] for j in muls}
-    for lane in active:
-        gain = decode_coeff(config.coefficients[lane])
-        if lane_weights is not None and lane in lane_weights:
-            gain = lane_weights[lane]
-        src = source_index(config.u_source[lane])
-        if src is None:
-            continue
-        port, k = spec.in_row_role(config.i_dest[lane])
-        if port is Port.INTEGRATOR_IN:
-            int_terms[state_pos[k]].append((gain, src))
-        elif port is Port.MUL_A:
-            mul_a[mul_pos[k]].append((gain, src))
-        else:
-            mul_b[mul_pos[k]].append((gain, src))
-
-    reads = {pos: [src for _, src in mul_a[pos] + mul_b[pos]] for pos in mul_a}
-    try:
-        levels = dependency_order(reads)
-    except LoopError as exc:
-        raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_levels = [[(pos, mul_a[pos], mul_b[pos]) for pos in level] for level in levels]
-
-    model = (
-        tuple(tap_name_of_row.get(spec.out_row(NodeKind.INTEGRATOR, k), f"I{k}") for k in ints),
-        tuple(config.initial_states[k] for k in ints),
-        tuple(labels),
-        list({name: source_index(row) for name, row in config.taps}.items()),
-    )
-    return model, (len(ints), len(labels), int_terms, mul_levels, const_index)
-
-
-def annotated_config(spec, rng):
-    """A random valid configuration with random taps (reserved rows
-    included), initial states and partial lane weights, some non-finite."""
-    config = support.random_config(spec, rng, p_active=rng.choice([0.03, 0.1, 0.25, 0.5]))
-    taps = tuple(
-        (rng.choice(["X", "Y", "I0", "M1", "const"]), rng.randrange(spec.out_rows)) for _ in range(rng.randrange(5))
-    )
-    initial = tuple(rng.uniform(-1.0, 1.0) for _ in range(spec.n_integrators))
-    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0]
-    weights = {
-        lane: rng.choice(specials) if rng.random() < 0.1 else rng.uniform(-12.0, 12.0)
-        for lane in rng.sample(range(spec.n_lanes), rng.randrange(spec.n_lanes + 1))
-    }
-    return dataclasses.replace(config, taps=taps, initial_states=initial), rng.choice([None, weights])
-
-
-def element_map_outcome(build, config, lane_weights):
-    """repr of what `build` returns, or the type and text of what it raises
-    (repr, so that NaN gains compare equal)."""
-    try:
-        return repr(build(config, lane_weights))
-    except (LoopError, UnroutedTapError) as exc:
-        return (type(exc), str(exc))
-
-
-def built_element_map(config, lane_weights):
-    model, args = build_captured(config, lane_weights)
-    return (model.state_labels, model.initial, model.element_labels, list(model.taps.items())), args
-
-
-class TestElementMap:
-    @pytest.mark.parametrize("spec", [lucidac_spec(), MachineSpec(5, 3, 24)], ids=["lucidac", "custom-5-3-24"])
-    def test_matches_the_role_walk(self, spec):
-        rng = random.Random(31)
-        failures = set()
-        for _ in range(400):
-            config, lane_weights = annotated_config(spec, rng)
-            want = element_map_outcome(role_walk, config, lane_weights)
-            assert element_map_outcome(built_element_map, config, lane_weights) == want
-            if isinstance(want, tuple):
-                failures.add(want[0])
-        # the corpus reaches both refusals where the machine has reserved rows
-        assert failures == ({LoopError, UnroutedTapError} if spec.reserved_rows else {LoopError})
