@@ -11,7 +11,8 @@ a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
 no newline), a program whose lex error follows tabs, a ring of twelve
-states, and a program with two undeclared names in one derivative; one
+states, a program with two undeclared names in one derivative, and one
+with a constant term and a chain of two multiplier levels; one
 command writes into a directory that does not exist.  For every command
 the script prints one sha256 per output file it wrote or changed, and one
 each for its stdout, stderr and exit code, as
@@ -99,6 +100,14 @@ CORPUS = (
     ("compile-undeclared", ["compile", "undeclared.odedsl"]),
     # an output path whose directory does not exist: named in a one-line diagnostic
     ("route-unwritable", ["route", "decay.odedsl", "-o", "no-such-dir/x.acfg"]),
+    # exact pre-quantization gains against the reference: the README's Lorenz demo
+    ("simulate-lorenz-bypass", ["simulate", "lorenz.odedsl", "--quantize", "off", "--reference", "--out-dir",
+                                "bypass"]),
+    # a constant element and a multiplier chain two levels deep (X*Y, then X*Y*Y)
+    ("compile-chain", ["compile", "chain.odedsl", "--emit-ir"]),
+    ("route-chain", ["route", "chain.odedsl", "-o", "chain.acfg", "--emit-config"]),
+    # the constant clamps on every step
+    ("simulate-chain-clip", ["simulate", "chain.odedsl", "--reference", "--clip", "0.5", "--out-dir", "chain"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -139,6 +148,15 @@ RING = "".join(
 
 #: a lex error on a line that starts with two tabs: `$` is at line 2, column 20
 TABS = "fn X(t);\n\t\tlet diff[X, t] = $X;\nlet X(t: 0) = 1;\n"
+
+#: a constant term and a product of three factors, X*Y*Y, which reads the product X*Y
+CHAIN = (
+    "fn X(t);\nfn Y(t);\n"
+    "let diff[X, t] = 0.5 - X * Y * Y;\n"
+    "let diff[Y, t] = 0.4 * X * (1 + Y) - Y;\n"
+    "let X(t: 0) = 0.2;\nlet Y(t: 0) = -0.3;\n"
+    "out X(t);\nout Y(t);\n"
+)
 
 #: a derivative that uses two undeclared states: `A` at line 3, column 18 is the one reported
 UNDECLARED = "fn X(t);\nlet X(t: 0) = 1;\nlet diff[X, t] = A * B - X;\n"
@@ -198,6 +216,7 @@ def run_corpus() -> list[str]:
         (work / "tabs.odedsl").write_text(TABS, encoding="utf-8")
         (work / "ring.odedsl").write_text(RING, encoding="utf-8")
         (work / "undeclared.odedsl").write_text(UNDECLARED, encoding="utf-8")
+        (work / "chain.odedsl").write_text(CHAIN, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:

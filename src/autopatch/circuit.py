@@ -198,11 +198,6 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
     edge into its state's integrator.  A single constant-one source node is
     created only if some degree-0 term survived expansion.
     """
-    for terms in system.rhs:
-        for term in terms:
-            if len(term.factors) > MAX_DEGREE:
-                raise DegreeError(term.factors, MAX_DEGREE)
-
     nodes: list[Node] = []
     int_id = {}
     for name, init in zip(system.states, system.initial):
@@ -215,6 +210,8 @@ def build_circuit(system: PolySystem, program: Optional[Program] = None) -> Circ
     for terms in system.rhs:
         for term in terms:
             factors = term.factors
+            if len(factors) > MAX_DEGREE:
+                raise DegreeError(factors, MAX_DEGREE)
             if not factors:
                 needs_const = True
             for k in range(2, len(factors) + 1):

@@ -19,11 +19,12 @@ The front end pays little per token and per tree node: `tokenize` makes one
 regular-expression match per token, blanks and comments included; the
 parser reads a token list that ends in a sentinel token, so no helper checks
 the list's length; and the tree nodes, the statements and the validated
-program's `StateDef`s are plain `__slots__` classes, each with its own
-`__init__`, that are not frozen, because a frozen `__init__` costs about four
-times as much and a NamedTuple's almost twice as much.  Statements and
-`StateDef`s compare and hash field-wise (`_Record`), nodes by their
-position-blind equality and hash (`_Node`); no code assigns to any of them.
+program's `StateDef`s are plain `__slots__` classes with a hand-written
+`__init__` (`Add`, `Sub` and `Mul` share `_Binary`'s), that are not frozen,
+because a frozen `__init__` costs about four times as much and a
+NamedTuple's almost twice as much.  All are `_Record`s: statements and
+`StateDef`s compare and hash field-wise, nodes by their position-blind
+equality and hash (`_Node`); no code assigns to any of them.
 Tree walks dispatch on `type(node)`, not on `isinstance` with class
 tuples.
 """
@@ -155,7 +156,7 @@ Pos = tuple[int, int]
 _NOPOS: Pos = (0, 0)
 
 
-class _Node:
+class _Node(_Record):
     """Equality and hashing of expression trees.  Two trees are equal when
     their post-order sequences of (node type, leaf value or name) are,
     which with each type's fixed arity fixes the shape; positions do not
@@ -164,9 +165,12 @@ class _Node:
 
     The empty `__slots__` keeps the node types free of a `__dict__`, which
     would make each node larger and slower to build.  Each type's last slot
-    is its position, which its repr leaves out."""
+    is its position, which `_fields`, and so `_Record`'s repr, leaves out."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
 
     def _key(self) -> tuple:
         return tuple((type(n), getattr(n, "value", getattr(n, "name", None))) for n in postorder(self))
@@ -178,10 +182,6 @@ class _Node:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
-        return f"{type(self).__name__}({fields})"
 
 
 class Const(_Node):
@@ -200,8 +200,8 @@ class Var(_Node):
         self.pos = pos
 
 
-class Add(_Node):
-    __slots__ = ("left", "right", "pos")
+class _Binary(_Node):
+    __slots__ = ()
 
     def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
         self.left = left
@@ -209,22 +209,16 @@ class Add(_Node):
         self.pos = pos
 
 
-class Sub(_Node):
+class Add(_Binary):
     __slots__ = ("left", "right", "pos")
 
-    def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
-        self.left = left
-        self.right = right
-        self.pos = pos
 
-
-class Mul(_Node):
+class Sub(_Binary):
     __slots__ = ("left", "right", "pos")
 
-    def __init__(self, left: Expr, right: Expr, pos: Pos = _NOPOS):
-        self.left = left
-        self.right = right
-        self.pos = pos
+
+class Mul(_Binary):
+    __slots__ = ("left", "right", "pos")
 
 
 class Neg(_Node):

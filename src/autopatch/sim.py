@@ -28,12 +28,12 @@ circuit and of the routed lanes, so it can check the hardware path; the
 two share only the stage writer, the sum writer and `_clamper`.
 
 Every sum keeps the term order of a loop that accumulates from 0.0, and
-every stage the arithmetic of the per-stage loop the generated step
-replaced, so the hardware path rounds exactly as a loop over its lanes
-and the reference as a per-term product loop from 1.0; a unit gain is
-left out of its product, since 1.0 * x is x bit for bit.  With
-quantization bypassed the two paths are comparable step for step;
-residual differences are floating-point reassociation only.
+every stage the arithmetic of the per-stage loop that `loop_step` and
+`LoopModel` in tests/test_sim.py specify, so the hardware path rounds
+exactly as a loop over its lanes and the reference as a per-term product
+loop from 1.0; a unit gain is left out of its product, since 1.0 * x is
+x bit for bit.  With quantization bypassed the two paths are comparable
+step for step; residual differences are floating-point reassociation only.
 
 A trace's time and signal columns are `array('d')`, 8 bytes per value.
 `write_signals` writes every time-plus-signals CSV, the time first and
@@ -147,41 +147,38 @@ _SUM_CHUNK = 200
 _SCALAR_STATES = 64
 
 
-def _clamped(names: Sequence[str], positions: str = "") -> str:
+def _clamped(names: Sequence[str], positions: Sequence[int]) -> str:
     """A statement that clamps the locals `names` by the step's `clamp`,
-    each at its element position: the global tuple `positions`, or 0, 1,
-    ... when that is empty.  It runs in clip mode only, and only when one
+    each at its element position in `positions`, which the statement
+    writes out: as `enumerate`'s start for a contiguous run, as a literal
+    tuple otherwise.  It runs in clip mode only, and only when one
     chained test `lo <= e0 <= clip and lo <= e1 <= clip and ...` fails,
     as it does for a NaN too; a voltage inside [lo, clip] would come out
     of the clamp as it went in, so the guard changes no value and no clip
     event, and a stage with nothing out of range builds no list."""
     values = "(" + "".join(f"{name}, " for name in names) + ")"
-    pairs = f"zip({positions}, {values})" if positions else f"enumerate({values})"
+    first, positions = positions[0], tuple(positions)
+    contiguous = positions == tuple(range(first, first + len(positions)))
+    pairs = f"enumerate({values}, {first})" if contiguous else f"zip({positions}, {values})"
     test = " and ".join(f"lo <= {name} <= clip" for name in names)
     return f"if clipping and not ({test}): {values} = [v if lo <= v <= clip else clamp(v, k) for k, v in {pairs}]"
 
 
-def _sum_writer(namespace, lines):
+def _sum_writer(lines):
     """`row_sum(terms, acc)`: an expression for the sum of the (weight,
     slot) `terms` over the locals `e<slot>`.  The sum is written out as
     `0.0 + w*e<slot> + ...` in term order, so the additions happen in the
     same order, and round the same way, as a loop that accumulates from
     0.0; a long one is first accumulated into the local `acc`, one
-    statement per `_SUM_CHUNK` terms appended to `lines`.  Finite weights
-    are written with repr, which reads back exactly; non-finite weights go
-    into `namespace` as globals.  A unit weight is written as the bare
-    `e<slot>`, as 1.0*x is x bit for bit for every double, +-0, +-inf and
-    NaN included; the leading `0.0 +` stays, as it turns -0.0 into 0.0."""
-
-    def gain(g: float) -> str:
-        if math.isfinite(g):
-            return repr(g)
-        name = f"_g{len(namespace)}"
-        namespace[name] = g
-        return name
+    statement per `_SUM_CHUNK` terms appended to `lines`.  Weights are
+    written with repr, which reads a finite weight back exactly and names
+    a non-finite one `inf`, `-inf` or `nan`, globals of every step; a NaN
+    weight so loses its sign and payload.  A unit weight is written as the
+    bare `e<slot>`, as 1.0*x is x bit for bit for every double, +-0, +-inf
+    and NaN included; the leading `0.0 +` stays, as it turns -0.0 into 0.0."""
 
     def row_sum(terms, acc: str) -> str:
-        products = [f"e{src}" if g == 1.0 else f"{gain(g)}*e{src}" for g, src in terms]
+        products = [f"e{src}" if g == 1.0 else f"{g!r}*e{src}" for g, src in terms]
         head = " + ".join(["0.0", *products[:_SUM_CHUNK]])
         if len(products) <= _SUM_CHUNK:
             return head
@@ -214,8 +211,9 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     The first stage of a recorded step lists the element voltages for the
     taps and raises the peaks, written out per element when the states
     are scalar locals and as one loop over the voltages otherwise.  Each
-    stage's arithmetic is that of the per-stage loop it replaced, so a
-    step rounds exactly as that loop would.
+    stage's arithmetic is that of the per-stage loop `loop_step` in
+    tests/test_sim.py specifies, so a step rounds exactly as that loop
+    would.
     """
     # A vector over the states is n scalar locals on a small machine and one
     # list on a large one; `{i}` in a template stands for the state index.
@@ -247,7 +245,7 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     lines += ["    lo, clamp = -clip, _clamper(clip, clipped)", "half, s = 0.5 * h, h / 6.0"]
     if scalar:
         lines.append(f"{names('y')} = y")
-        body = [_clamped([f"e{i}" for i in range(n_states)])]
+        body = [_clamped([f"e{i}" for i in range(n_states)], range(n_states))]
     else:
         body = ["".join(f"e{i}, " for i in range(n_states)) + "= x"] if n_states else []
     body += evaluation
@@ -303,27 +301,26 @@ def _step_code(source):
     return compile(source, "<autopatch step>", "exec")
 
 
-def _compile_step(source, namespace):
-    """The `step` function of `_write_step`'s source, run in `namespace`
-    with `_clamper` and `isfinite` added.  The source depends on the
+def _compile_step(source):
+    """The `step` function of `_write_step`'s source.  The source holds
+    every gain and element position of its model and depends on the
     system alone, never on the run's settings, so its code object is
-    compiled once and kept (`_step_code`); each call runs it in the
-    model's own `namespace`, which holds the model's gains, levels and
-    clamper.  `step` is popped from its globals, and the cache holds code
-    only, so a model is freed by reference counting, without waiting for
-    the cyclic GC."""
-    namespace["_clamper"], namespace["isfinite"] = _clamper, math.isfinite
+    compiled once and kept (`_step_code`).  Each call runs it in fresh
+    globals, which hold only `_clamper`, `isfinite`, `inf` and `nan`;
+    `step` is popped from them, and the cache holds code only, so a model
+    is freed by reference counting, without waiting for the cyclic GC."""
+    namespace = {"_clamper": _clamper, "isfinite": math.isfinite, "inf": math.inf, "nan": math.nan}
     exec(_step_code(source), namespace)
     return namespace.pop("step")
 
 
-def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index):
-    """Source and globals of the generated step (`_write_step`) of one
-    routed machine: the element voltages of a stage, from the integrators'
-    input rows (`int_terms`) and the multiplier levels (`mul_levels`).
+def _generate_evaluator(n_states, n_elements, int_terms, levels, const_index):
+    """Source of the generated step (`_write_step`) of one routed machine:
+    the element voltages of a stage, from the integrators' input rows
+    (`int_terms`) and the multiplier levels (`levels`).
 
     The constant source, if it is an element, is set and clamped once per
-    call.  Multipliers go level by level, as `dependency_order` groups
+    step.  Multipliers go level by level, as `dependency_order` groups
     them: level 0 reads only states and the constant, level j reads at
     least one multiplier of level j - 1.  Each multiplier is the product of
     its two row sums (`_sum_writer`, terms in lane order), and each level
@@ -331,23 +328,19 @@ def _generate_evaluator(n_states, n_elements, int_terms, mul_levels, const_index
     reads it; a clamp statement per multiplier made up a third of the
     compile time.
     """
-    namespace: dict[str, object] = {}
     head: list[str] = []
     if const_index is not None:
-        k = const_index
-        head.append(f"e{k} = 1.0")
-        head.append(f"if clipping and not lo <= e{k} <= clip: e{k} = clamp(e{k}, {k})")
+        head += [f"e{const_index} = 1.0", _clamped([f"e{const_index}"], [const_index])]
     evaluation: list[str] = []
-    row_sum = _sum_writer(namespace, evaluation)
-    for j, ops in enumerate(mul_levels):
+    row_sum = _sum_writer(evaluation)
+    for ops in levels:
         for k, a_terms, b_terms in ops:
             a = row_sum(a_terms, "_a")
             b = row_sum(b_terms, "_b")
             evaluation.append(f"e{k} = ({a}) * ({b})")
-        namespace[f"_level{j}"] = tuple(k for k, _, _ in ops)
-        evaluation.append(_clamped([f"e{k}" for k, _, _ in ops], f"_level{j}"))
+        evaluation.append(_clamped([f"e{k}" for k, _, _ in ops], [k for k, _, _ in ops]))
     sums = [row_sum(terms, f"_d{i}") for i, terms in enumerate(int_terms)]
-    return _write_step(n_states, n_elements, head, evaluation, sums), namespace
+    return _write_step(n_states, n_elements, head, evaluation, sums)
 
 
 class Model(NamedTuple):
@@ -449,12 +442,11 @@ def build_dynamics(config: MachineConfig, lane_weights: Optional[Mapping[int, fl
     # integrator in between) is not evaluable
     reads = {pos: [src for _, src in a + b] for pos, (a, b) in mul_ports.items()}
     try:
-        levels = dependency_order(reads)
+        levels = [[(pos, *mul_ports[pos]) for pos in level] for level in dependency_order(reads)]
     except LoopError as exc:
         raise LoopError([labels[pos] for pos in exc.cycle]) from None
-    mul_levels = [[(pos, *mul_ports[pos]) for pos in level] for level in levels]
 
-    step = _compile_step(*_generate_evaluator(n_states, len(labels), int_terms, mul_levels, const_index))
+    step = _compile_step(_generate_evaluator(n_states, len(labels), int_terms, levels, const_index))
     return Model(
         state_labels=tuple(tap_name_of_row.get(row, labels[i]) for i, row in enumerate(rows[:n_states])),
         initial=tuple(config.initial_states[k] for _, k in roles[:n_states]),
@@ -485,10 +477,9 @@ def build_reference(system: PolySystem) -> Model:
     for k, prefix in enumerate(sorted(prefixes, key=lambda p: (len(p), p)), n + 1):
         slot[prefix] = k
         evaluation.append(f"e{k} = e{slot[prefix[:-1]]} * e{slot[prefix[-1:]]}")
-    namespace: dict[str, object] = {}
-    row_sum = _sum_writer(namespace, evaluation)
+    row_sum = _sum_writer(evaluation)
     sums = [row_sum([(t.weight, slot[t.factors]) for t in terms], f"_d{i}") for i, terms in enumerate(system.rhs)]
-    step = _compile_step(_write_step(n, n, [f"e{n} = 1.0"], evaluation, sums), namespace)
+    step = _compile_step(_write_step(n, n, [f"e{n} = 1.0"], evaluation, sums))
     return Model(system.states, system.initial, system.states, taps, step)
 
 

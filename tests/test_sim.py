@@ -705,6 +705,30 @@ CONST_ROW = (
 )
 
 
+def _split_level_config():
+    """Two states on lucidac whose multiplier M1 reads M0 while M2 reads
+    only states: level 0 holds M0 and M2, at element positions 2 and 4,
+    and level 1 holds M1, between them.  At the initial state both
+    products of level 0 lie above a clip level of 1.2."""
+    spec = lucidac_spec()
+    code = lambda w: CoefficientCode.highres(quantize_highres(w))
+    x, y = spec.out_row(NodeKind.INTEGRATOR, 0), spec.out_row(NodeKind.INTEGRATOR, 1)
+    m0, m1, m2 = (spec.out_row(NodeKind.MULTIPLIER, j) for j in range(3))
+    config = support.with_lanes(
+        MachineConfig.empty(spec),
+        (0, x, code(2.0), spec.in_row(Port.MUL_A, 0)),
+        (1, y, code(2.0), spec.in_row(Port.MUL_B, 0)),
+        (2, m0, code(0.5), spec.in_row(Port.MUL_A, 1)),
+        (3, y, code(1.0), spec.in_row(Port.MUL_B, 1)),
+        (4, x, code(1.0), spec.in_row(Port.MUL_A, 2)),
+        (5, x, code(1.5), spec.in_row(Port.MUL_B, 2)),
+        (6, m1, code(1.0), spec.in_row(Port.INTEGRATOR_IN, 0)),
+        (7, x, code(-1.0), spec.in_row(Port.INTEGRATOR_IN, 1)),
+        (8, m2, code(-0.5), spec.in_row(Port.INTEGRATOR_IN, 1)),
+    )
+    return dataclasses.replace(config, initial_states=(0.9, 0.8) + (0.0,) * 6)
+
+
 def _lorenz_with_multiplier_tap(design):
     config = design.config
     return dataclasses.replace(config, taps=config.taps + (("P", config.spec.out_row(NodeKind.MULTIPLIER, 0)),))
@@ -787,6 +811,22 @@ class TestGeneratedEvaluator:
         assert evaluate(model, [0.9, 0.8], 1.2, events)[1][2:] == [1.2, (half * 1.2) * (one * 0.8)]
         assert events == {2}
 
+    def test_multiplier_level_whose_positions_are_not_contiguous(self):
+        config = _split_level_config()
+        _, args = build_captured(config)
+        assert [[k for k, _, _ in level] for level in args[3]] == [[2, 4], [3]]
+        runs = [SimSettings(dt=1e-2, t_end=2.0), SimSettings(dt=1e-2, t_end=2.0, clip=1.2)]
+        model = self.check(config, runs=runs)
+        assert model.element_labels == ("I0", "I1", "M0", "M1", "M2")
+        # each of level 0's clamps lands on its own element, and M1 reads M0's
+        events = set()
+        half, one = (decode_coeff(CoefficientCode.highres(quantize_highres(w))) for w in (0.5, 1.0))
+        volts = evaluate(model, [0.9, 0.8], 1.2, events)[1]
+        assert volts[2:] == [1.2, (half * 1.2) * (one * 0.8), 1.2]
+        assert events == {2, 4}
+        trace = run(model, model.initial, runs[1])
+        assert {"M0", "M2"} <= {e.element for e in trace.clip_events}
+
     def test_nan_voltage_records_a_clip_event(self, lorenz_design):
         model = build_dynamics(lorenz_design.config)
         clipped = set()
@@ -851,7 +891,7 @@ def _step_source(build, *args):
     sources = []
     compile_step = sim._compile_step
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_compile_step", lambda source, namespace: sources.append(source) or compile_step(source, namespace))
+        mp.setattr(sim, "_compile_step", lambda source: sources.append(source) or compile_step(source))
         build(*args)
     (source,) = sources
     return source
@@ -1459,6 +1499,37 @@ class TestModelLifetime:
                     assert step() is None, (build, hit)
         finally:
             gc.enable()
+
+
+class TestStepGlobals:
+    """A step's source holds every gain and element position of its model,
+    so every step's globals are the same four names, whatever the model."""
+
+    NAMES = {"_clamper", "isfinite", "inf", "nan"}
+
+    def test_hardware_steps(self, lorenz_design):
+        weights = dict(lorenz_design.lane_weight_map())
+        lanes = sorted(weights)
+        weights[lanes[0]], weights[lanes[1]], weights[lanes[2]] = math.inf, -math.inf, math.nan
+        for config, lane_weights in (
+            (lorenz_design.config, None),
+            (_large_pipeline(sim._SCALAR_STATES + 1)[2].config, None),
+            (lorenz_design.config, weights),
+            (_split_level_config(), None),
+        ):
+            model = build_dynamics(config, lane_weights)
+            assert set(model.step.__globals__) - {"__builtins__"} == self.NAMES, model.element_labels
+
+    def test_reference_steps(self, lorenz_system):
+        non_finite = support.terms_to_system(
+            ["X", "Y"], [[(math.inf, ("X",)), (math.nan, ("X", "Y"))], [(-math.inf, ()), (0.5, ("Y", "Y"))]]
+        )
+        for system in (lorenz_system, _large_pipeline(sim._SCALAR_STATES + 1)[1], non_finite):
+            model = sim.build_reference(system)
+            assert set(model.step.__globals__) - {"__builtins__"} == self.NAMES, system.states
+        # the weights written as `inf`, `-inf` and `nan` evaluate as the term loop does
+        y = [0.5, -0.25]
+        assert hexes(evaluate(model, y)[0]) == hexes(evaluate(TermLoopModel(non_finite), y)[0])
 
 
 def _decay_system(rate):
