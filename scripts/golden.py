@@ -11,9 +11,10 @@ a program with a state that has no derivative, Lorenz with one
 coefficient changed, a script with an unknown opcode, a program laid out
 with CRLF line ends, tabs and comments (one at the end of the file with
 no newline), a program whose lex error follows tabs, a ring of twelve
-states, a program with two undeclared names in one derivative, and one
-with a constant term and a chain of two multiplier levels; one
-command writes into a directory that does not exist.  For every command
+states, a program with two undeclared names in one derivative, one
+with a constant term and a chain of two multiplier levels, and one with
+two plots that write one file; one command writes into a directory that
+does not exist.  For every command
 the script prints one sha256 per output file it wrote or changed, and one
 each for its stdout, stderr and exit code, as
 `<hex digest>  <command>/<what>`.
@@ -108,6 +109,8 @@ CORPUS = (
     ("route-chain", ["route", "chain.odedsl", "-o", "chain.acfg", "--emit-config"]),
     # the constant clamps on every step
     ("simulate-chain-clip", ["simulate", "chain.odedsl", "--reference", "--clip", "0.5", "--out-dir", "chain"]),
+    # plots (A_B, C) and (A, B_C) both name plot_A_B_C.csv: refused before anything is written
+    ("simulate-plot-clash", ["simulate", "clash.odedsl", "--t-end", "0.01", "--out-dir", "clash"]),
 )
 
 #: one state that grows without bound, so `simulate` aborts when it becomes non-finite
@@ -156,6 +159,11 @@ CHAIN = (
     "let diff[Y, t] = 0.4 * X * (1 + Y) - Y;\n"
     "let X(t: 0) = 0.2;\nlet Y(t: 0) = -0.3;\n"
     "out X(t);\nout Y(t);\n"
+)
+
+#: four decaying states whose two plots both name plot_A_B_C.csv
+CLASH = "".join(f"fn {s}(t);\nlet diff[{s}, t] = -{s};\nlet {s}(t: 0) = 0.5;\n" for s in ("A_B", "C", "A", "B_C")) + (
+    "plot(x: A_B(t), y: C(t));\nplot(x: A(t), y: B_C(t));\n"
 )
 
 #: a derivative that uses two undeclared states: `A` at line 3, column 18 is the one reported
@@ -217,6 +225,7 @@ def run_corpus() -> list[str]:
         (work / "ring.odedsl").write_text(RING, encoding="utf-8")
         (work / "undeclared.odedsl").write_text(UNDECLARED, encoding="utf-8")
         (work / "chain.odedsl").write_text(CHAIN, encoding="utf-8")
+        (work / "clash.odedsl").write_text(CLASH, encoding="utf-8")
         os.chdir(work)
         try:
             for name, argv in CORPUS:

@@ -9,11 +9,13 @@ i of middle block j, and output link k of middle block j lands on input j
 of output block k.  Extra output-stage inputs beyond the number of middle
 blocks are unconnected spares.
 
-Every inter-stage link carries at most one route, and every fabric output
-terminates at most one route; a fabric input may source any number of
-routes (fan-out happens inside its input block).  Routing is greedy
-first-fit over middle blocks with no rearrangement: for an analog program
-a blocked request means the program cannot be patched at all, so the
+Every inter-stage link carries at most one route.  A fabric output
+terminates at most one route, which its callers keep by asking for
+distinct outputs; a fabric input may feed any number of outputs (fan-out
+happens inside its input block).  The one routing rule is
+`FabricState.claim`, greedy first-fit over middle blocks from an input
+block to an output block with no rearrangement: for an analog program a
+blocked request means the program cannot be patched at all, so the
 interesting output is the blocking verdict itself.  Link occupancy is one
 int bitmask per input and per output block, so first-fit is one bit step.
 """
@@ -91,30 +93,12 @@ def switch_count(spec: FabricSpec) -> int:
     return spec.input.switch_count() + spec.middle.switch_count() + spec.output.switch_count()
 
 
-class RoutedPath(NamedTuple):
-    input: int
-    output: int
-    middle_block: int
-
-
-class Blocked(_Record):
-    """No middle block had both hops free; the state is unchanged.  Every
-    `Blocked` equals every other and, like any object, is true."""
-
-    __slots__ = ()
-
-
-class OutputBusyError(ValueError):
-    pass
-
-
 class FabricState:
-    """Live link occupancy and routes of one fabric: bit j of `in_busy[i]`
-    is set while the link from input block i to middle block j carries a
-    route, bit j of `out_busy[b]` while the link from middle block j to
-    output block b does.  `route_request` either commits completely or
-    leaves the state untouched.  Routes are only added: a blocking trial
-    starts from a fresh state, so there is no `remove_route`.
+    """Live link occupancy of one fabric: bit j of `in_busy[i]` is set
+    while the link from input block i to middle block j carries a route,
+    bit j of `out_busy[b]` while the link from middle block j to output
+    block b does.  `claim` is the one routing rule.  Nothing is ever
+    released: a blocking trial starts from a fresh state.
     """
 
     def __init__(self, spec: FabricSpec):
@@ -124,21 +108,12 @@ class FabricState:
         self._reachable = spec.middle.outputs_per_block  # output blocks the middle stage reaches
         self.in_busy = [0] * spec.input.blocks
         self.out_busy = [0] * spec.output.blocks
-        self.output_used = [False] * spec.total_outputs
-        self.routes: list[RoutedPath] = []
 
-    def input_block(self, input: int) -> int:
-        if not 0 <= input < self.spec.total_inputs:
-            raise IndexError(f"input {input} outside [0, {self.spec.total_inputs})")
-        return input // self.spec.input.inputs_per_block
-
-    def output_block(self, output: int) -> int:
-        if not 0 <= output < self.spec.total_outputs:
-            raise IndexError(f"output {output} outside [0, {self.spec.total_outputs})")
-        return output // self.spec.output.outputs_per_block
-
-    def _claim(self, ib: int, ob: int) -> int:
-        """Claim the lowest middle block free on both hops from ib to ob; -1 if none."""
+    def claim(self, ib: int, ob: int) -> int:
+        """Claim the lowest middle block whose links from input block `ib`
+        and to output block `ob` are both free, and return it; both are
+        block indices in range.  If there is none, return -1 and leave the
+        state unchanged."""
         free = self._wired & ~(self.in_busy[ib] | self.out_busy[ob]) if ob < self._reachable else 0
         if not free:
             return -1
@@ -146,24 +121,6 @@ class FabricState:
         self.in_busy[ib] |= bit
         self.out_busy[ob] |= bit
         return bit.bit_length() - 1
-
-    def route_request(self, input: int, output: int):
-        """Route input -> output through the lowest free middle block.
-
-        Returns a RoutedPath, or Blocked (state unchanged) when every
-        middle block lacks a free link on one of the two hops.
-        """
-        ib = self.input_block(input)
-        ob = self.output_block(output)
-        if self.output_used[output]:
-            raise OutputBusyError(f"output {output} already carries a route")
-        j = self._claim(ib, ob)
-        if j < 0:
-            return Blocked()
-        self.output_used[output] = True
-        path = RoutedPath(input, output, j)
-        self.routes.append(path)
-        return path
 
 
 class ExperimentResult(NamedTuple):
@@ -198,18 +155,17 @@ def blocking_experiment(spec: FabricSpec, load: int, trials: int, seed: int) -> 
     if requests > MAX_REQUESTS:
         raise ValueError(f"{trials} trials at load {load} issue {requests} requests; at most {MAX_REQUESTS} are run")
     spec.check_wirable()  # before the per-output list, whose size the spec sets
-    # draws are in range and outputs distinct, so route_request's checks are skipped
     n_inputs, n_outputs = spec.total_inputs, spec.total_outputs
     inputs_per_block, input_bits = spec.input.inputs_per_block, n_inputs.bit_length()
-    output_blocks = [output // spec.output.outputs_per_block for output in range(n_outputs)]
+    block_of_output = [output // spec.output.outputs_per_block for output in range(n_outputs)]
     rng = random.Random()
     reseed, getrandbits = rng.seed, rng.getrandbits
     blocked_trials = 0
     routed_total = 0
     for trial in range(trials):
         reseed(f"{seed}:{trial}")
-        claim = FabricState(spec)._claim
-        unused = output_blocks.copy()  # block ids of the outputs not yet requested
+        claim = FabricState(spec).claim
+        unused = block_of_output.copy()  # block ids of the outputs not yet requested
         routed = 0
         for remaining in range(n_outputs, n_outputs - load, -1):
             input = getrandbits(input_bits)

@@ -603,17 +603,23 @@ def write_signals(path: Path, trace: Trace, names: Sequence[str]) -> None:
 
 def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
     """Write out.csv (time plus every `out` signal) and one
-    plot_<x>_<y>.csv per plot statement.  17 significant digits, LF line
-    endings."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    plot_<x>_<y>.csv per pair of plot axes.  17 significant digits, LF
+    line endings.  Two pairs that name one file are refused before
+    anything is written."""
     for name in program.signals():
         if name not in trace.signals:
             raise ValueError(f"trace does not tap signal {name}")
+    plots = {}  # file name -> the axes it plots
+    for x, y in program.plots:
+        name = f"plot_{x}_{y}.csv"
+        first = plots.setdefault(name, (x, y))
+        if first != (x, y):
+            raise ValueError(f"plots ({', '.join(first)}) and ({x}, {y}) both write {name}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "out.csv"]
     write_signals(written[0], trace, program.outputs)
-    for x, y in program.plots:
-        plot_path = out_dir / f"plot_{x}_{y}.csv"
-        write_csv(plot_path, [x, y], [trace.signals[x], trace.signals[y]])
-        written.append(plot_path)
+    for name, (x, y) in plots.items():
+        written.append(out_dir / name)
+        write_csv(written[-1], [x, y], [trace.signals[x], trace.signals[y]])
     return written

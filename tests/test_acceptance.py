@@ -13,7 +13,7 @@ import support
 from autopatch.bitstream import DeltaOp, OpCode, apply, decode, diff, encode
 from autopatch.circuit import NodeKind, build_circuit, detect_algebraic_loops, normalize
 from autopatch.dsl import compile_source
-from autopatch.fabric import Blocked, FabricState, RoutedPath, StageSpec, blocking_experiment, simstar_spec, switch_count
+from autopatch.fabric import FabricState, StageSpec, blocking_experiment, simstar_spec, switch_count
 from autopatch.machine import (
     CoefficientCode,
     decode as decode_coeff,
@@ -100,16 +100,18 @@ def test_criterion_4_switch_count_economics(capsys):
 
 def test_criterion_5_fabric_routing():
     with criterion(5, "fabric routing and frozen blocking statistics"):
-        state = FabricState(simstar_spec())
+        spec = simstar_spec()
+        inputs_per_block, outputs_per_block = spec.input.inputs_per_block, spec.output.outputs_per_block
+        state = FabricState(spec)
         for k in range(320):
-            assert isinstance(state.route_request(k, k), RoutedPath)
+            assert state.claim(k // inputs_per_block, k // outputs_per_block) >= 0
 
-        state = FabricState(simstar_spec())
+        state = FabricState(spec)
         for b in range(20):
-            assert isinstance(state.route_request(0, 16 * b), RoutedPath)
-        assert isinstance(state.route_request(0, 500), Blocked)
+            assert state.claim(0, 16 * b // outputs_per_block) >= 0
+        assert state.claim(0, 500 // outputs_per_block) == -1
 
-        result = blocking_experiment(simstar_spec(), load=320, trials=1000, seed=42)
+        result = blocking_experiment(spec, load=320, trials=1000, seed=42)
         assert result.blocked_fraction == FROZEN_BLOCKED_FRACTION
         assert result.mean_routed == FROZEN_MEAN_ROUTED
 

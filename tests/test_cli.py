@@ -182,6 +182,30 @@ class TestSimulate:
         assert len(out) == 1002
         assert (tmp_path / "plot_X_Y.csv").exists()
 
+    def test_plots_that_name_one_file_are_refused(self, tmp_path, capsys):
+        states = ("A_B", "C", "A", "B_C")
+        src = write(
+            tmp_path,
+            "clash.odedsl",
+            "".join(f"fn {s}(t);\nlet diff[{s}, t] = -{s};\nlet {s}(t: 0) = 0.5;\n" for s in states)
+            + "plot(x: A_B(t), y: C(t));\nplot(x: A(t), y: B_C(t));\n",
+        )
+        out_dir = tmp_path / "out"
+        assert main(["simulate", src, "--t-end", "0.01", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "autopatch: error: plots (A_B, C) and (A, B_C) both write plot_A_B_C.csv\n"
+        assert not out_dir.exists()
+
+    def test_plot_repeated_with_the_same_axes_is_accepted(self, tmp_path):
+        src = write(
+            tmp_path,
+            "twice.odedsl",
+            "fn X(t);\nfn Y(t);\nlet diff[X, t] = Y;\nlet diff[Y, t] = -X;\nlet X(t: 0) = 1;\nlet Y(t: 0) = 0;\n"
+            "plot(x: X(t), y: Y(t));\nplot(x: X(t), y: Y(t));\n",
+        )
+        assert main(["simulate", src, "--t-end", "0.01", "--out-dir", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["out.csv", "plot_X_Y.csv"]
+        assert (tmp_path / "out" / "plot_X_Y.csv").read_text().startswith("X,Y\n1,0\n")
+
     def test_reference_deviation_printed(self, tmp_path, capsys):
         assert (
             main(

@@ -1,16 +1,15 @@
 import random
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from autopatch.fabric import (
-    Blocked,
     ExperimentResult,
     FabricSpec,
     MAX_PORTS,
     FabricState,
-    OutputBusyError,
-    RoutedPath,
     StageSpec,
     blocking_experiment,
     simstar_spec,
@@ -61,112 +60,111 @@ class TestGeometry:
                 "middle=StageSpec(blocks=2, inputs_per_block=1, outputs_per_block=1), "
                 "output=StageSpec(blocks=1, inputs_per_block=2, outputs_per_block=1))",
             ),
-            (lambda: RoutedPath(0, 3, 1), "RoutedPath(input=0, output=3, middle_block=1)"),
-            (lambda: Blocked(), "Blocked()"),
             (lambda: ExperimentResult(0.25, 3.5), "ExperimentResult(blocked_fraction=0.25, mean_routed=3.5)"),
         ],
-        ids=["stage", "fabric", "routed path", "blocked", "experiment result"],
+        ids=["stage", "fabric", "experiment result"],
     )
     def test_record(self, make, text):
         """Field-wise equality and hash, no `__dict__`, and the repr a
-        dataclass gave them; a `Blocked` is true."""
+        dataclass gave them."""
         a, b = make(), make()
         assert a is not b and a == b and hash(a) == hash(b) and a
         assert not hasattr(a, "__dict__")
         assert repr(a) == text
-        assert a != RoutedPath(9, 9, 9)
+        assert a != ExperimentResult(9.0, 9.0)
 
 
-def remove_route(state, path):
-    """Tear a route down, freeing its links and output."""
-    state.routes.remove(path)
-    state.in_busy[state.input_block(path.input)] &= ~(1 << path.middle_block)
-    state.out_busy[state.output_block(path.output)] &= ~(1 << path.middle_block)
-    state.output_used[path.output] = False
+def release(state, ib, ob, j):
+    """Tear down the route that `state.claim(ib, ob)` gave middle block j."""
+    state.in_busy[ib] &= ~(1 << j)
+    state.out_busy[ob] &= ~(1 << j)
 
 
-def check_invariants(state):
-    """Assert capacity and conservation invariants.  A link used by two
-    routes shows as a popcount below the route count."""
+def check_invariants(state, routed):
+    """Assert that each of the `routed` routes holds one link of each
+    hop.  A link used by two routes shows as a popcount below it."""
     links = [sum(mask.bit_count() for mask in masks) for masks in (state.in_busy, state.out_busy)]
-    assert sum(state.output_used) == len(state.routes), "routes != occupied outputs"
-    assert links == [len(state.routes)] * 2, "link occupancy out of step with routes"
+    assert links == [routed] * 2, "link occupancy out of step with routes"
 
 
 def snapshot(state):
-    return tuple(state.in_busy), tuple(state.out_busy), tuple(state.output_used), tuple(state.routes)
+    return tuple(state.in_busy), tuple(state.out_busy)
+
+
+def blocks(spec, input, output):
+    """The (input block, output block) of a request from `input` to `output`."""
+    return input // spec.input.inputs_per_block, output // spec.output.outputs_per_block
+
+
+# input blocks reach 3 of the 5 middle blocks, and output blocks 2 and 3
+# have no middle link, so both kinds of block occur
+SMALL_SPEC = FabricSpec(StageSpec(3, 2, 3), StageSpec(5, 3, 2), StageSpec(4, 5, 2))
 
 
 class TestRouting:
     def test_first_request_uses_middle_zero(self):
-        state = FabricState(simstar_spec())
-        path = state.route_request(0, 0)
-        assert path == RoutedPath(0, 0, 0)
+        assert FabricState(simstar_spec()).claim(0, 0) == 0
 
     def test_identity_map_routes_without_blocking(self):
-        state = FabricState(simstar_spec())
+        spec = simstar_spec()
+        state = FabricState(spec)
         for k in range(320):
-            result = state.route_request(k, k)
-            assert isinstance(result, RoutedPath), f"request {k} blocked"
-        check_invariants(state)
-        assert len(state.routes) == 320
+            assert state.claim(*blocks(spec, k, k)) >= 0, f"request {k} blocked"
+        check_invariants(state, 320)
 
     def test_block_after_saturating_input_block_links(self):
         spec = simstar_spec()
         state = FabricState(spec)
         # 20 routes from input 0 exhaust its 20 middle-stage links
-        paths = [state.route_request(0, 16 * b) for b in range(20)]
-        assert [p.middle_block for p in paths] == list(range(20))
-        assert isinstance(state.route_request(0, 400), Blocked)
+        assert [state.claim(*blocks(spec, 0, 16 * b)) for b in range(20)] == list(range(20))
+        assert state.claim(*blocks(spec, 0, 400)) == -1
 
     def test_blocked_leaves_state_unchanged(self):
         spec = simstar_spec()
         state = FabricState(spec)
         for b in range(20):
-            state.route_request(0, 16 * b)
+            state.claim(*blocks(spec, 0, 16 * b))
         before = snapshot(state)
-        assert isinstance(state.route_request(0, 401), Blocked)
+        assert state.claim(*blocks(spec, 0, 401)) == -1
         assert snapshot(state) == before
 
-    def test_output_busy(self):
-        state = FabricState(simstar_spec())
-        state.route_request(0, 5)
-        with pytest.raises(OutputBusyError):
-            state.route_request(1, 5)
-
-    def test_index_errors(self):
-        state = FabricState(simstar_spec())
-        with pytest.raises(IndexError):
-            state.route_request(320, 0)
-        with pytest.raises(IndexError):
-            state.route_request(0, 512)
+    def test_unreachable_output_block_always_blocks(self):
+        state = FabricState(SMALL_SPEC)
+        before = snapshot(state)
+        for ib in range(SMALL_SPEC.input.blocks):
+            for ob in range(SMALL_SPEC.middle.outputs_per_block, SMALL_SPEC.output.blocks):
+                assert state.claim(ib, ob) == -1
+        assert snapshot(state) == before
 
     def test_teardown_restores_identical_state(self):
-        state = FabricState(simstar_spec())
-        state.route_request(17, 33)
+        spec = simstar_spec()
+        state = FabricState(spec)
+        state.claim(*blocks(spec, 17, 33))
         before = snapshot(state)
-        path = state.route_request(5, 100)
-        remove_route(state, path)
+        ib, ob = blocks(spec, 5, 100)
+        release(state, ib, ob, state.claim(ib, ob))
         assert snapshot(state) == before
 
     def test_invariants_under_random_churn(self):
         rng = random.Random(31337)
         spec = simstar_spec()
         state = FabricState(spec)
+        routes = []
         for _ in range(500):
-            if state.routes and rng.random() < 0.4:
-                remove_route(state, rng.choice(state.routes))
+            if routes and rng.random() < 0.4:
+                release(state, *routes.pop(rng.randrange(len(routes))))
             else:
-                output = rng.randrange(spec.total_outputs)
-                if not state.output_used[output]:
-                    state.route_request(rng.randrange(spec.total_inputs), output)
-            check_invariants(state)
+                ib, ob = blocks(spec, rng.randrange(spec.total_inputs), rng.randrange(spec.total_outputs))
+                j = state.claim(ib, ob)
+                if j >= 0:
+                    routes.append((ib, ob, j))
+            check_invariants(state, len(routes))
 
     def test_conservation(self):
-        state = FabricState(simstar_spec())
-        for k in range(40):
-            state.route_request(k % 320, k)
-        assert len(state.routes) == sum(state.output_used)
+        spec = simstar_spec()
+        state = FabricState(spec)
+        routed = sum(state.claim(*blocks(spec, k % 320, k)) >= 0 for k in range(40))
+        check_invariants(state, routed)
 
 
 class TestBlockingExperiment:
@@ -196,57 +194,37 @@ class TestBlockingExperiment:
 
 class MatrixFabric:
     """The boolean-matrix occupancy that `FabricState` replaced, kept as a
-    reference: `in_mid[i][j]` / `mid_out[j][b]` mark the link from input
-    block i to middle block j / from middle block j to output block b.
-    A specification, not a transitional copy: it pins the fabric's
-    random draws against `randrange`."""
+    reference for the same `claim(ib, ob)` contract: `in_mid[i][j]` /
+    `mid_out[j][b]` mark the link from input block i to middle block j /
+    from middle block j to output block b.  A specification, not a
+    transitional copy: it pins the fabric's random draws against
+    `randrange`."""
 
     def __init__(self, spec):
         spec.check_wirable()
         self.spec = spec
         self.in_mid = [[False] * spec.middle.blocks for _ in range(spec.input.blocks)]
         self.mid_out = [[False] * spec.output.blocks for _ in range(spec.middle.blocks)]
-        self.output_used = [False] * spec.total_outputs
-        self.routes = []
 
-    def input_block(self, input):
-        if not 0 <= input < self.spec.total_inputs:
-            raise IndexError(input)
-        return input // self.spec.input.inputs_per_block
-
-    def output_block(self, output):
-        if not 0 <= output < self.spec.total_outputs:
-            raise IndexError(output)
-        return output // self.spec.output.outputs_per_block
-
-    def route_request(self, input, output):
-        ib = self.input_block(input)
-        ob = self.output_block(output)
-        if self.output_used[output]:
-            raise OutputBusyError(output)
+    def claim(self, ib, ob):
         if ob >= self.spec.middle.outputs_per_block:
-            return Blocked()
+            return -1
         in_links = self.in_mid[ib]
         for j in range(min(self.spec.middle.blocks, self.spec.input.outputs_per_block)):
             if in_links[j] or self.mid_out[j][ob]:
                 continue
             in_links[j] = True
             self.mid_out[j][ob] = True
-            self.output_used[output] = True
-            path = RoutedPath(input, output, j)
-            self.routes.append(path)
-            return path
-        return Blocked()
+            return j
+        return -1
 
-    def remove_route(self, path):
-        self.routes.remove(path)
-        self.in_mid[self.input_block(path.input)][path.middle_block] = False
-        self.mid_out[path.middle_block][self.output_block(path.output)] = False
-        self.output_used[path.output] = False
+    def release(self, ib, ob, j):
+        self.in_mid[ib][j] = False
+        self.mid_out[j][ob] = False
 
 
 def matrix_blocking_experiment(spec, load, trials, seed):
-    """The Monte Carlo loop as it was over `MatrixFabric.route_request`."""
+    """The Monte Carlo loop as it was over `MatrixFabric`, drawing with `randrange`."""
     blocked_trials = 0
     routed_total = 0
     for trial in range(trials):
@@ -260,7 +238,7 @@ def matrix_blocking_experiment(spec, load, trials, seed):
             output = unused[k]
             unused[k] = unused[-1]
             unused.pop()
-            if isinstance(state.route_request(input, output), Blocked):
+            if state.claim(*blocks(spec, input, output)) < 0:
                 blocked = True
             else:
                 routed_total += 1
@@ -269,22 +247,12 @@ def matrix_blocking_experiment(spec, load, trials, seed):
     return ExperimentResult(blocked_trials / trials, routed_total / trials)
 
 
-# input blocks reach 3 of the 5 middle blocks, and output blocks 2 and 3
-# have no middle link, so both kinds of Blocked occur
-SMALL_SPEC = FabricSpec(StageSpec(3, 2, 3), StageSpec(5, 3, 2), StageSpec(4, 5, 2))
 # rejection-sampling edge cases of the request draws: one input, so every
 # input draw of a 1-bit value 1 is rejected (output blocks 2 and 3 are
 # unreachable, so the result depends on the output draws that follow); and
 # 16 inputs (a power of two, drawn from 5 bits) beside 12 outputs (not one)
 ONE_INPUT_SPEC = FabricSpec(StageSpec(1, 1, 3), StageSpec(3, 1, 2), StageSpec(4, 3, 2))
 SIXTEEN_INPUT_SPEC = FabricSpec(StageSpec(4, 4, 3), StageSpec(3, 4, 4), StageSpec(4, 3, 3))
-
-
-def call(method, *args):
-    try:
-        return method(*args)
-    except (OutputBusyError, IndexError) as exc:
-        return type(exc)
 
 
 def assert_same_occupancy(state, ref):
@@ -295,8 +263,21 @@ def assert_same_occupancy(state, ref):
         assert [bool(state.out_busy[b] >> j & 1) for j in range(spec.middle.blocks)] == [
             ref.mid_out[j][b] for j in range(spec.middle.blocks)
         ]
-    assert state.output_used == ref.output_used
-    assert state.routes == ref.routes
+
+
+@st.composite
+def wirable_specs(draw):
+    """A small wirable spec.  Middle and output blocks may have spare
+    inputs, input blocks may reach only some middle blocks, and output
+    blocks may lie past the middle stage's reach."""
+    size = st.integers(1, 5)
+    inputs, middles, outputs = draw(size), draw(size), draw(size)
+    spare = st.integers(0, 2)
+    return FabricSpec(
+        StageSpec(inputs, draw(size), draw(st.integers(1, middles))),
+        StageSpec(middles, inputs + draw(spare), draw(st.integers(1, outputs))),
+        StageSpec(outputs, middles + draw(spare), draw(size)),
+    )
 
 
 class TestMatchesMatrixOccupancy:
@@ -304,26 +285,44 @@ class TestMatchesMatrixOccupancy:
     def test_random_churn(self, spec, seed):
         rng = random.Random(seed)
         state, ref = FabricState(spec), MatrixFabric(spec)
+        routes = []
         kinds = set()
         for _ in range(3000):
-            roll = rng.random()
-            if ref.routes and roll < 0.3:
-                path = rng.choice(ref.routes)
-                remove_route(state, path)
-                ref.remove_route(path)
-                continue
-            input = rng.randrange(-1, spec.total_inputs + 1)
-            output = rng.randrange(-1, spec.total_outputs + 1)
-            result, expected = call(state.route_request, input, output), call(ref.route_request, input, output)
-            assert result == expected
-            kinds.add(expected if isinstance(expected, type) else type(expected).__name__)
-            if isinstance(expected, Blocked):
-                unreachable = output // spec.output.outputs_per_block >= spec.middle.outputs_per_block
-                kinds.add("unreachable" if unreachable else "saturated")
-            check_invariants(state)
+            if routes and rng.random() < 0.3:
+                route = routes.pop(rng.randrange(len(routes)))
+                release(state, *route)
+                ref.release(*route)
+            else:
+                ib, ob = rng.randrange(spec.input.blocks), rng.randrange(spec.output.blocks)
+                j = ref.claim(ib, ob)
+                assert state.claim(ib, ob) == j
+                if j >= 0:
+                    routes.append((ib, ob, j))
+                    kinds.add("routed")
+                else:
+                    kinds.add("unreachable" if ob >= spec.middle.outputs_per_block else "saturated")
+            check_invariants(state, len(routes))
             assert_same_occupancy(state, ref)
-        assert {"RoutedPath", "saturated", OutputBusyError, IndexError} <= kinds
+        assert {"routed", "saturated"} <= kinds
         assert ("unreachable" in kinds) == (spec is SMALL_SPEC)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wirable_specs(), st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)), max_size=40))
+    def test_claims_and_releases_on_any_wirable_spec(self, spec, steps):
+        state, ref = FabricState(spec), MatrixFabric(spec)
+        routes = []
+        for release_one, a, b in steps:
+            if release_one and routes:
+                route = routes.pop(a % len(routes))
+                release(state, *route)
+                ref.release(*route)
+            else:
+                ib, ob = a % spec.input.blocks, b % spec.output.blocks
+                j = ref.claim(ib, ob)
+                assert state.claim(ib, ob) == j
+                if j >= 0:
+                    routes.append((ib, ob, j))
+            assert_same_occupancy(state, ref)
 
     @pytest.mark.parametrize(
         "spec, load, trials, seed",

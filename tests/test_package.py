@@ -1,14 +1,18 @@
 """The package's public names: each loads its home module on first access."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
 from array import array
+from pathlib import Path
 
 import pytest
 
 import autopatch
 from autopatch import bitstream, circuit, machine
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", [name for name in autopatch.__all__ if name != "__version__"])
@@ -63,7 +67,11 @@ def test_every_error_class_is_a_value_error():
     """`cli.main` turns a `ValueError` into one diagnostic line, so every
     error an autopatch layer raises is one by type."""
     errors = [cls for cls in _module_classes() if issubclass(cls, Exception) and not issubclass(cls, Warning)]
-    assert len(errors) >= 14
+    assert sorted(f"{cls.__module__.removeprefix('autopatch.')}.{cls.__name__}" for cls in errors) == [
+        "bitstream.FormatError", "bitstream.RangeError", "bitstream.SpecMismatchError", "bitstream.ValidationError",
+        "circuit.DegreeError", "dsl.LexError", "dsl.ParseError", "dsl.SourceError", "dsl.ValidateError",
+        "machine.LoopError", "router.CapacityError", "sim.NonFiniteError", "sim.UnroutedTapError",
+    ]
     assert [cls for cls in errors if not issubclass(cls, ValueError)] == []
 
 
@@ -93,3 +101,43 @@ def test_star_import_binds_every_public_name():
     exec("from autopatch import *", namespace)
     for name in autopatch.__all__:
         assert namespace[name] is getattr(autopatch, name)
+
+
+#: methods that a framework calls, so no autopatch source names them
+FRAMEWORK_HOOKS = {"cli._ArgumentParser.error"}  # argparse reports a usage error through it
+
+
+def _definitions(scope, prefix=""):
+    """(qualified name, node) of every function or class in `scope`'s body,
+    and of every method of those classes."""
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, f"{prefix}{node.name}.")
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    """No function, class or method under src/ exists only for the tests:
+    each is named in src/, scripts/ or perfbench/ outside its own body.
+    Dunders, the package's public names and framework hooks are exempt."""
+    uses = {}  # name -> [(path, line)]
+    trees = {}
+    for path in sorted(p for top in ("src", "scripts", "perfbench") for p in (ROOT / top).rglob("*.py")):
+        tree = trees[path] = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            if name is not None:
+                uses.setdefault(name, []).append((path, node.lineno))
+    exempt = FRAMEWORK_HOOKS | {f"{module}.{name}" for module, name in autopatch._EXPORTS.values()}
+    unreached = []
+    for path in sorted((ROOT / "src" / "autopatch").glob("*.py")):
+        for qualified, node in _definitions(trees[path], f"{path.stem}."):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or qualified in exempt:
+                continue
+            if not any(at != path or not node.lineno <= line <= node.end_lineno for at, line in uses.get(name, ())):
+                unreached.append(qualified)
+    assert unreached == []
