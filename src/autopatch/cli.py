@@ -194,6 +194,7 @@ def _cmd_simulate(args) -> int:
     if args.ic is not None:
         raise ValueError("--ic applies to .acfg inputs; DSL programs define their own initial conditions")
     program, system, graph = _compile_file(args.input)
+    sim.plot_files(program)  # refuses clashing plot files before any step runs
     spec = _parse_machine(args.machine)
     design = router.route_design(graph, spec)
     overrides = design.lane_weight_map() if args.quantize == "off" else None

@@ -7,9 +7,13 @@ manner of SymPy's `lambdify` or JiTCODE, which generates the integration
 loop and not only the right-hand side.  One stage writer (`_write_step`)
 writes the integrator: the loop over the steps, the state clamps, the
 stage arithmetic, the recorded samples, the peaks, the clip events and
-the finiteness test, around a stage evaluation that each path writes out
-once as straight-line code.  `run` only sizes the run, calls `step` once
-per block, moves the samples into the trace and raises `NonFiniteError`.
+the finiteness test, around a stage evaluation that each path writes as
+straight-line code.  Where the states are scalar locals, the four RK4
+stages are written out one after another, each with its copy of the
+evaluation, so a step runs no stage loop and tests no stage number;
+where they travel in a list, the evaluation is written once, inside a
+loop over the stages.  `run` only sizes the run, calls `step` once per
+block, moves the samples into the trace and raises `NonFiniteError`.
 Each distinct step source is compiled once per process, so a rerun of a
 system or configuration at other settings reuses its code.
 In clip mode a clamp runs only where a range test fails: a chained test
@@ -28,12 +32,13 @@ circuit and of the routed lanes, so it can check the hardware path; the
 two share only the stage writer, the sum writer and `_clamper`.
 
 Every sum keeps the term order of a loop that accumulates from 0.0, and
-every stage the arithmetic of the per-stage loop that `loop_step` and
-`LoopModel` in tests/test_sim.py specify, so the hardware path rounds
-exactly as a loop over its lanes and the reference as a per-term product
-loop from 1.0; a unit gain is left out of its product, since 1.0 * x is
-x bit for bit.  With quantization bypassed the two paths are comparable
-step for step; residual differences are floating-point reassociation only.
+every stage, written out or looped, the arithmetic of the per-stage loop
+that `loop_step` and `LoopModel` in tests/test_sim.py specify, so the
+hardware path rounds exactly as a loop over its lanes and the reference
+as a per-term product loop from 1.0; a unit gain is left out of its
+product, since 1.0 * x is x bit for bit.  With quantization bypassed
+the two paths are comparable step for step; residual differences are
+floating-point reassociation only.
 
 A trace's time and signal columns are `array('d')`, 8 bytes per value.
 `write_signals` writes every time-plus-signals CSV, the time first and
@@ -140,10 +145,12 @@ def _clamper(clip: float, clipped: Optional[set]):
 # `+` of a chain, so a sum of thousands of terms does not compile in one piece
 _SUM_CHUNK = 200
 
-# States are kept in scalar locals across the stages of a generated step up
-# to this count.  Past it they travel in lists: on the 500-state synthetic
-# machine scalar stage code grows the source from 49 to 158 kB, triples its
-# compile time and takes the compiler's peak memory from 4.3 to 19.7 MB.
+# Up to this count the states of a generated step are scalar locals, and its
+# four RK4 stages are written out one after another.  Past it the states
+# travel in lists and one stage body runs in a stage loop: on the 500-state
+# synthetic machine scalar states with the stage loop grew the source from
+# 49 to 158 kB, tripled its compile time and took the compiler's peak memory
+# from 4.3 to 19.7 MB, and with the stages written out the source is 453 kB.
 _SCALAR_STATES = 64
 
 
@@ -193,7 +200,7 @@ def _sum_writer(lines):
 def _write_step(n_states, n_elements, head, evaluation, sums):
     """Source of a model's `step(y, start, stop, h, dt, stages, clip,
     stride, peaks, events, time, taps)`, whose contract `Model` states:
-    one loop over the steps, each of which runs the stage loop, then
+    one loop over the steps, each of which runs its stages, then
     appends the step's clip events in element order and tests the new
     state for finiteness.  The finiteness test adds the states and looks
     at them one by one only when that sum is not finite, so a sum that
@@ -203,7 +210,13 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
     `n_states` elements.  The caller's `head` lines run once per step;
     per stage, its `evaluation` lines run after the states are clamped (in
     clip mode) and set, and `sums` are the expressions of the state
-    derivatives.  The evaluation is written once, inside the stage loop.
+    derivatives.  With scalar states the stages are written out in order:
+    the evaluation, the sample, then either the Euler update or the other
+    three RK4 stages, each with its own copy of the evaluation, so a step
+    runs no stage loop and makes no stage test.  With list states, whose
+    written-out stages would cost compile time and compiler memory in
+    proportion to four evaluations, the evaluation is written once inside
+    a loop over the stages that dispatches on the stage number.
     Scalar states are clamped at the start of each stage by one guarded
     `_clamped` statement.  List states are clamped where their list is
     built, `v if lo <= (v := <input>) <= clip else clamp(v, i)` per
@@ -241,6 +254,9 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
             return f"{state} = {vector(template)}"
         return f"x = {clamped(template)} if clipping else {vector(template)}"
 
+    def indented(lines):
+        return [f"    {line}" for line in lines]
+
     lines = ["clipped = set()", "clipping = clip is not None", "if clipping:"]
     lines += ["    lo, clamp = -clip, _clamper(clip, clipped)", "half, s = 0.5 * h, h / 6.0"]
     if scalar:
@@ -261,32 +277,34 @@ def _write_step(n_states, n_elements, head, evaluation, sums):
         sample += [line for k in range(n_elements) for line in (f"a = abs(e{k})", f"if a > peaks[{k}]: peaks[{k}] = a")]
     elif n_elements:
         sample += ["for k, a in enumerate(map(abs, volts)):", "    if a > peaks[k]: peaks[k] = a"]
-    body += ["if stage == 0:", "    if not index % stride:"] + [f"        {line}" for line in sample]
-    body += [
-        "    if stages < 2:",
-        f"        if stages: {names('y')} = {vector('y{i} + h * d{i}')}",
-        "        break",
-        f"    {names('k1_')} = {names('d')}",
-        f"    {stage_input('y{i} + half * d{i}')}",
-        "elif stage == 1:",
-        f"    {names('k2_')} = {names('d')}",
-        f"    {stage_input('y{i} + half * d{i}')}",
-        "elif stage == 2:",
-        f"    {names('k3_')} = {names('d')}",
-        f"    {stage_input('y{i} + h * d{i}')}",
-        "else:",
-        f"    {names('y')} = {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}",
+    sample = ["if not index % stride:", *indented(sample)]
+    euler = f"if stages: {names('y')} = {vector('y{i} + h * d{i}')}"
+    # the end of each RK4 stage: the first three keep their slope and set
+    # the next stage's input, the fourth takes the step
+    ends = [
+        [f"{names('k1_')} = {names('d')}", stage_input("y{i} + half * d{i}")],
+        [f"{names('k2_')} = {names('d')}", stage_input("y{i} + half * d{i}")],
+        [f"{names('k3_')} = {names('d')}", stage_input("y{i} + h * d{i}")],
+        [f"{names('y')} = {vector('y{i} + s * (k1_{i} + 2.0 * (k2_{i} + k3_{i}) + d{i})')}"],
     ]
     # a sum is non-finite if any state is, or if finite states overflow it
     total = " + ".join(f"y{i}" for i in range(n_states)) if scalar else "sum(y)"
     steps = [f"{state} = {names('y')}"]
     if not scalar:
         steps.append(f"if clipping: x = {clamped('y{i}')}")
-    steps += [*head, "for stage in range(4):", *(f"    {line}" for line in body)]
+    steps += head
+    if scalar:
+        rk4 = [*ends[0], *body, *ends[1], *body, *ends[2], *body, *ends[3]]
+        steps += [*body, *sample, "if stages < 2:", f"    {euler}", "else:", *indented(rk4)]
+    else:
+        stage0 = [*sample, "if stages < 2:", f"    {euler}", "    break", *ends[0]]
+        dispatch = ["if stage == 0:", *indented(stage0), "elif stage == 1:", *indented(ends[1])]
+        dispatch += ["elif stage == 2:", *indented(ends[2]), "else:", *indented(ends[3])]
+        steps += ["for stage in range(4):", *indented(body + dispatch)]
     steps += ["if clipped:", "    for i in sorted(clipped): events.append((index * dt, i))", "    clipped.clear()"]
     steps.append(f"if not stages: return {names('d')}, stop")
     steps.append(f"if not isfinite({total}) and not all(map(isfinite, {names('y')})): return {names('y')}, index")
-    lines += ["for index in range(start, stop):", *(f"    {line}" for line in steps), f"return {names('y')}, stop"]
+    lines += ["for index in range(start, stop):", *indented(steps), f"return {names('y')}, stop"]
     args = "y, start, stop, h, dt, stages, clip, stride, peaks, events, time, taps"
     return f"def step({args}):\n" + "".join(f"    {line}\n" for line in lines)
 
@@ -601,20 +619,28 @@ def write_signals(path: Path, trace: Trace, names: Sequence[str]) -> None:
     write_csv(path, ["t", *names], [trace.times, *(trace.signals[name] for name in names)])
 
 
-def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
-    """Write out.csv (time plus every `out` signal) and one
-    plot_<x>_<y>.csv per pair of plot axes.  17 significant digits, LF
-    line endings.  Two pairs that name one file are refused before
-    anything is written."""
-    for name in program.signals():
-        if name not in trace.signals:
-            raise ValueError(f"trace does not tap signal {name}")
+def plot_files(program: Program) -> dict[str, tuple[str, str]]:
+    """Each plot_<x>_<y>.csv file name of `program` and the axes it plots,
+    a plot repeated with the same axes once.  Two pairs of axes that name
+    one file, such as (A_B, C) and (A, B_C), are refused."""
     plots = {}  # file name -> the axes it plots
     for x, y in program.plots:
         name = f"plot_{x}_{y}.csv"
         first = plots.setdefault(name, (x, y))
         if first != (x, y):
             raise ValueError(f"plots ({', '.join(first)}) and ({x}, {y}) both write {name}")
+    return plots
+
+
+def emit_traces(trace: Trace, program: Program, out_dir) -> list[Path]:
+    """Write out.csv (time plus every `out` signal) and one
+    plot_<x>_<y>.csv per file of `plot_files`.  17 significant digits, LF
+    line endings.  Plots that `plot_files` refuses are refused before
+    anything is written."""
+    for name in program.signals():
+        if name not in trace.signals:
+            raise ValueError(f"trace does not tap signal {name}")
+    plots = plot_files(program)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = [out_dir / "out.csv"]

@@ -182,7 +182,7 @@ class TestSimulate:
         assert len(out) == 1002
         assert (tmp_path / "plot_X_Y.csv").exists()
 
-    def test_plots_that_name_one_file_are_refused(self, tmp_path, capsys):
+    def test_plots_that_name_one_file_are_refused(self, tmp_path, capsys, monkeypatch):
         states = ("A_B", "C", "A", "B_C")
         src = write(
             tmp_path,
@@ -190,10 +190,15 @@ class TestSimulate:
             "".join(f"fn {s}(t);\nlet diff[{s}, t] = -{s};\nlet {s}(t: 0) = 0.5;\n" for s in states)
             + "plot(x: A_B(t), y: C(t));\nplot(x: A(t), y: B_C(t));\n",
         )
+        runs = []
+        run = sim.run
+        monkeypatch.setattr(sim, "run", lambda *args: runs.append(args) or run(*args))
         out_dir = tmp_path / "out"
-        assert main(["simulate", src, "--t-end", "0.01", "--out-dir", str(out_dir)]) == 1
+        # 10^6 steps on each path, were they run
+        args = ["simulate", src, "--dt", "1e-3", "--t-end", "1000", "--reference", "--out-dir", str(out_dir)]
+        assert main(args) == 1
         assert capsys.readouterr().err == "autopatch: error: plots (A_B, C) and (A, B_C) both write plot_A_B_C.csv\n"
-        assert not out_dir.exists()
+        assert not runs and not out_dir.exists()
 
     def test_plot_repeated_with_the_same_axes_is_accepted(self, tmp_path):
         src = write(

@@ -952,6 +952,24 @@ class TestGeneratedStep:
         assert len(trace.times) == n + 2
         assert calls == [(0, block, 4), (block, 2 * block, 4), (2 * block, n, 4), (n, n + 1, 4), (1, 2, 0)]
 
+    @pytest.mark.parametrize("case", ["lorenz", "decay", str(sim._SCALAR_STATES), str(sim._SCALAR_STATES + 1)])
+    @pytest.mark.parametrize("path", ["generated", "reference"])
+    def test_scalar_stages_are_written_out(self, case, path):
+        # scalar states: the four stages one after another, with no stage
+        # loop and no stage test; list states: one stage loop
+        system, design, _, _ = _parity_case(case)
+        source = _step_source(build_dynamics, design.config) if path == "generated" else _step_source(sim.build_reference, system)
+        if case == str(sim._SCALAR_STATES + 1):
+            assert source.count("for stage in range(4)") == 1
+        else:
+            assert "for stage" not in source and "stage ==" not in source
+
+    def test_scalar_source_at_the_limit_stays_in_bounds(self):
+        # 54797 is the length of this source with its four stages written out
+        # (31636 with the stage loop)
+        design = pipeline(support.synthetic_large_program(sim._SCALAR_STATES), redac_tile_spec())[2]
+        assert len(_step_source(build_dynamics, design.config)) <= 1.1 * 54_797
+
     def test_large_machine_source_stays_in_list_form(self):
         # scalar stage code for these 500 states more than triples the
         # source and its compile time; 50070 is the length before it
@@ -1050,9 +1068,13 @@ class TestClipGuard:
         n = len(model.state_labels)
         guards = clamp_guards(_step_source(build_dynamics, design.config, dict(design.lane_weight_map())))
         assert all(tests == [f"lo <= {name} <= clip" for name in names] for tests, names in guards)
-        # the scalar states, then the level; in list form the states are
-        # clamped as their list is built
-        assert [len(names) for _, names in guards] == [n] * (n <= sim._SCALAR_STATES) + [len(level)]
+        # the scalar states, then the level, in each of the four stages
+        # written out; in list form the states are clamped as their list is
+        # built and the one stage body sits in the stage loop
+        if n <= sim._SCALAR_STATES:
+            assert [len(names) for _, names in guards] == [n, len(level)] * 4
+        else:
+            assert [len(names) for _, names in guards] == [len(level)]
 
     def test_voltages_at_the_clip_level_record_no_event(self, design):
         built = self.build(design)
